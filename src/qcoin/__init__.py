@@ -7,7 +7,6 @@ from .hamiltonian import (
     build_hamiltonian,
     build_ising,
     build_qrbm,
-    eigendecompose,
     generate_random_ising_graph,
     generate_random_qrbm,
     rescale_to_unit_spectrum,
@@ -26,7 +25,6 @@ from .propagator import (
 from .coin import (
     CoinSpec,
     FragmentedRun,
-    InputState,
     Schedule,
     TossStream,
     equal_step_schedule,
@@ -34,7 +32,6 @@ from .coin import (
     fragmented_query_bound,
     query_cost,
     schedule_size_lower_bound,
-    step_success_probability,
     success_probability,
     toss,
     toss_fragmented,

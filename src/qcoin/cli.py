@@ -87,9 +87,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             args.n_qubits or 4, args.seed if args.seed is not None else 0
         )
     h = build_hamiltonian(spec)
+    h_unit, lam = rescale_to_unit_spectrum(h, 1.0)
     reports = []
     for beta in args.betas or (1.0,):
-        h_unit, beta_coin = rescale_to_unit_spectrum(h, beta)
+        beta_coin = lam * beta
         report = oracle_report(h_unit, beta_coin)
         reports.append(
             {"beta": beta, "beta_coin": beta_coin, "norm_bound": h.norm_bound,

@@ -14,7 +14,6 @@ steps, only the per-toss query cost changes.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -24,12 +23,7 @@ from .hamiltonian import Hamiltonian
 from .oracle import exact_partition_function
 from .propagator import ChebyshevApproximant, _clenshaw, required_degree
 
-_SPECTRUM_TOL = 1e-9
 _EPS_PRIME_FLOOR = 1e-16  # cost accounting for the ideal coin
-
-
-class InputState(enum.Enum):
-    MAXIMALLY_MIXED = "maximally_mixed"
 
 
 @dataclass(frozen=True)
@@ -45,7 +39,6 @@ class CoinSpec:
     beta: float
     eps_prime: float = 0.0
     approximant: ChebyshevApproximant | None = None
-    input_state: InputState = InputState.MAXIMALLY_MIXED
 
     def __post_init__(self) -> None:
         if self.beta < 0:
@@ -108,9 +101,7 @@ def success_probability(spec: CoinSpec) -> float:
     eigenvalues: p = mean_lambda g(lambda)^2 with g = exp(-beta/2) * ftilde.
     For the ideal coin this equals exp(-beta) Tr[exp(-beta H)] / 2^n.
     """
-    evals, _ = spec.hamiltonian.eigensystem()
-    if np.abs(evals).max(initial=0.0) > 1.0 + _SPECTRUM_TOL:
-        raise ValueError("spectrum exceeds [-1, 1]; rescale the Hamiltonian first")
+    evals = spec.hamiltonian.unit_spectrum()
     alpha = math.exp(-spec.beta / 2.0)
     if spec.approximant is None:
         amplitudes = np.exp(-spec.beta * (1.0 + evals) / 2.0)
@@ -190,6 +181,21 @@ class Schedule:
             dtype=np.int64,
         )
 
+    def step_probabilities(self, h: Hamiltonian) -> np.ndarray:
+        """Success probability of each step with ideal propagators.
+
+        Step k's probability is the ratio of full-coin success probabilities
+        at the accumulated inverse temperatures:
+        p_k = Z(2 beta_k) / (e^{2 w_k} Z(2 beta_{k-1})) with
+        w_k = beta_k - beta_{k-1}, so the product over all steps telescopes
+        to the unfragmented heads probability.
+        """
+        z = [exact_partition_function(h, 2.0 * b) for b in self.betas]
+        return np.array([
+            z_hi / (math.exp(2.0 * (b_hi - b_lo)) * z_lo)
+            for z_lo, z_hi, b_lo, b_hi in zip(z, z[1:], self.betas, self.betas[1:])
+        ])
+
 
 def uniform_schedule(beta: float, l: int, eps_total: float) -> Schedule:
     """Evenly spaced schedule with the error budget split evenly."""
@@ -201,23 +207,6 @@ def uniform_schedule(beta: float, l: int, eps_total: float) -> Schedule:
         betas=np.linspace(0.0, beta / 2.0, l + 1),
         per_step_eps=np.full(l, eps_total / l),
     )
-
-
-def step_success_probability(h: Hamiltonian, schedule: Schedule, k: int) -> float:
-    """Success probability of schedule step k (1-indexed), ideal propagators.
-
-    Equals the ratio of full-coin success probabilities at the accumulated
-    inverse temperatures:  p_k = Z(2 beta_k) / (e^{2 w_k} Z(2 beta_{k-1}))
-    with w_k = beta_k - beta_{k-1}, so the product over all steps telescopes
-    to the unfragmented heads probability.
-    """
-    if not 1 <= k <= schedule.l:
-        raise ValueError(f"step index {k} out of range 1..{schedule.l}")
-    b_hi = schedule.betas[k]
-    b_lo = schedule.betas[k - 1]
-    z_hi = exact_partition_function(h, 2.0 * b_hi)
-    z_lo = exact_partition_function(h, 2.0 * b_lo)
-    return z_hi / (math.exp(2.0 * (b_hi - b_lo)) * z_lo)
 
 
 @dataclass
@@ -262,8 +251,7 @@ def toss_fragmented(
     if count_successes_target < 0:
         raise ValueError("count_successes_target must be non-negative")
     l = schedule.l
-    probs = np.array([step_success_probability(h, schedule, k) for k in range(1, l + 1)])
-    probs = np.clip(probs, 0.0, 1.0)
+    probs = np.clip(schedule.step_probabilities(h), 0.0, 1.0)
     costs = schedule.step_query_costs()
     prefix_cost = np.cumsum(costs)  # queries spent reaching the end of step k
     rng = np.random.default_rng(seed)
@@ -299,8 +287,7 @@ def toss_fragmented(
 
 def expected_queries_per_success(h: Hamiltonian, schedule: Schedule) -> float:
     """Mean queries per fragmented success: sum_j q_j / prod_{k>=j} p_k."""
-    l = schedule.l
-    probs = np.array([step_success_probability(h, schedule, k) for k in range(1, l + 1)])
+    probs = schedule.step_probabilities(h)
     costs = schedule.step_query_costs().astype(float)
     # suffix products prod_{k=j..l} p_k
     suffix = np.cumprod(probs[::-1])[::-1]
@@ -319,7 +306,7 @@ def fragmented_query_bound(
     the smallest step probability:  max_j q_j * sum_{m=1}^{l} 2^{m b}.
     """
     l = schedule.l
-    probs = np.array([step_success_probability(h, schedule, k) for k in range(1, l + 1)])
+    probs = schedule.step_probabilities(h)
     max_cost = float(schedule.step_query_costs().max(initial=0))
     b = -math.log2(float(probs.min()))
     if b <= 0:
@@ -344,21 +331,16 @@ def equal_step_schedule(
     """
     if l < 1:
         raise ValueError("need at least one step")
-    evals, _ = h.eigensystem()
-
-    def z_at(b: float) -> float:
-        return float(np.exp(-b * evals).sum())
-
-    z_total = z_at(beta)
-    p_total = math.exp(-beta) * z_total / h.dim
+    p_total = math.exp(-beta) * exact_partition_function(h, beta) / h.dim
     target = p_total ** (1.0 / l)
     betas = [0.0]
     for k in range(1, l):
         lo, hi = betas[-1], beta / 2.0
-        z_lo = z_at(2.0 * betas[-1])
+        z_lo = exact_partition_function(h, 2.0 * betas[-1])
 
         def step_p(b_hi: float) -> float:
-            return z_at(2.0 * b_hi) / (math.exp(2.0 * (b_hi - betas[-1])) * z_lo)
+            z_hi = exact_partition_function(h, 2.0 * b_hi)
+            return z_hi / (math.exp(2.0 * (b_hi - betas[-1])) * z_lo)
 
         for _ in range(200):
             mid = 0.5 * (lo + hi)

@@ -45,7 +45,6 @@ from .coin import (
     expected_queries_per_success,
     fragmented_query_bound,
     schedule_size_lower_bound,
-    step_success_probability,
 )
 from .estimators import (
     ac_estimate,
@@ -217,23 +216,16 @@ def _instance_spec(config: ExperimentConfig, instance_seed: int):
     return generate_random_qrbm(config.n_visible, config.n_hidden, instance_seed)
 
 
-def _prepare_coin(spec, beta: float):
-    """Build, rescale to unit spectrum, and wrap at the rescaled beta."""
-    h = build_hamiltonian(spec)
-    h_unit, beta_coin = rescale_to_unit_spectrum(h, beta)
-    return h_unit, beta_coin, h.norm_bound
-
-
 def learn_noise_model(
-    config: ExperimentConfig, fit_spec, seeds: SeedStream
+    config: ExperimentConfig, fit_coin: CoinSpec, seeds: SeedStream
 ) -> tuple[NoiseFit, LayerSeries]:
     """Identity-insertion noise learning on a reference circuit.
 
     Simulates the depth series for the configured xi on the fit circuit
-    (first instance at ``fit_beta``) and fits (xi, p) back out.
+    (the sweep passes its first instance at ``fit_beta``) and fits (xi, p)
+    back out.
     """
-    h_unit, beta_coin, _ = _prepare_coin(fit_spec, config.fit_beta)
-    p_ideal = success_probability(CoinSpec(h_unit, beta_coin))
+    p_ideal = success_probability(fit_coin)
     depths = identity_insertion_depths(config.layers, config.insertions)
     successes = [
         simulate_noisy_tosses(p_ideal, config.xi, depth, config.shots, seeds.next())
@@ -259,10 +251,6 @@ def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> dict:
     instance_seeds = [seeds.next() for _ in range(config.instances)]
     specs = [_instance_spec(config, s) for s in instance_seeds]
 
-    fit = None
-    if config.xi is not None:
-        fit, _ = learn_noise_model(config, specs[0], seeds)
-
     header = [
         "model", "instance", "instance_seed", "config_hash", "beta", "beta_coin",
         "norm_bound", "z_exact", "p_exact", "shots", "successes", "p_hat",
@@ -272,9 +260,17 @@ def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> dict:
     ]
     rows: list[list] = []
     per_beta: dict[float, list[dict]] = {b: [] for b in config.betas}
+    fit = None  # learned on instance 0, before any of its tosses
     for idx, (ispec, iseed) in enumerate(zip(specs, instance_seeds)):
+        # One build and spectrum per instance: rescaling with beta = 1 returns
+        # the scale lam, and lam * beta is the product the rescale itself forms.
+        h = build_hamiltonian(ispec)
+        h_unit, lam = rescale_to_unit_spectrum(h, 1.0)
+        if idx == 0 and config.xi is not None:
+            fit_coin = CoinSpec(h_unit, lam * config.fit_beta)
+            fit, _ = learn_noise_model(config, fit_coin, seeds)
         for beta in config.betas:
-            h_unit, beta_coin, norm_bound = _prepare_coin(ispec, beta)
+            beta_coin = lam * beta
             coin = CoinSpec(h_unit, beta_coin)
             p_exact = success_probability(coin)
             z_exact = exact_partition_function(h_unit, beta_coin)
@@ -307,7 +303,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> dict:
                     p_mitigated=p_mit, p_mitigated_sigma=p_mit_sigma,
                 )
             rows.append(
-                [config.model, idx, iseed, chash, beta, beta_coin, norm_bound,
+                [config.model, idx, iseed, chash, beta, beta_coin, h.norm_bound,
                  z_exact, p_exact, config.shots, stream.n_heads, p_hat, p_sigma]
                 + noisy_cols
                 + [scale * p_hat,
@@ -362,7 +358,7 @@ def run_coverage(config: ExperimentConfig, algorithm: str,
     seeds = SeedStream(config.seed)
     spec = _instance_spec(config, seeds.next())
     beta = config.betas[0]
-    h_unit, beta_coin, _ = _prepare_coin(spec, beta)
+    h_unit, beta_coin = rescale_to_unit_spectrum(build_hamiltonian(spec), beta)
     coin = CoinSpec(h_unit, beta_coin)
     z_exact = exact_partition_function(h_unit, beta_coin)
     n = h_unit.n_qubits
@@ -498,13 +494,13 @@ def run_fragment(config: ExperimentConfig, out_dir: str | Path) -> dict:
     instance_seed = seeds.next()
     spec = _instance_spec(config, instance_seed)
     beta = config.betas[0]
-    h_unit, beta_coin, _ = _prepare_coin(spec, beta)
+    h_unit, beta_coin = rescale_to_unit_spectrum(build_hamiltonian(spec), beta)
     z_exact = exact_partition_function(h_unit, beta_coin)
     p_full = success_probability(CoinSpec(h_unit, beta_coin))
     rows = []
     for l in config.schedule_sizes:
         schedule = uniform_schedule(beta_coin, l, config.frag_eps)
-        step_p = [step_success_probability(h_unit, schedule, k) for k in range(1, l + 1)]
+        step_p = schedule.step_probabilities(h_unit)
         product = math.prod(step_p)
         run = toss_fragmented(h_unit, schedule, config.frag_successes, seeds.next())
         b = -math.log2(min(step_p)) if min(step_p) < 1.0 else 1.0

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAX_QUBITS = 12
+SPECTRUM_TOL = 1e-9  # relative slack when a spectrum is checked against a bound
 
 PAULI_I = np.eye(2, dtype=np.complex128)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -37,9 +38,9 @@ class Hamiltonian:
 
     ``norm_bound`` is any certified upper bound on the spectral norm; the
     builders use the sum of absolute Pauli-term coefficients, which is cheap
-    and always valid.  The eigendecomposition is computed on demand, checked
-    against the reconstruction residual, and cached.  Instances are treated
-    as immutable after construction and are safe to share for reads.
+    and always valid.  The spectrum and the eigendecomposition are computed
+    on demand and cached.  Instances are treated as immutable after
+    construction and are safe to share for reads.
     """
 
     matrix: np.ndarray
@@ -48,6 +49,7 @@ class Hamiltonian:
     _eigen: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
+    _spectrum: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_qubits < 1:
@@ -74,37 +76,63 @@ class Hamiltonian:
     def dim(self) -> int:
         return 2**self.n_qubits
 
+    def spectrum(self) -> np.ndarray:
+        """Ascending real eigenvalues, computed once and cached (read-only).
+
+        A diagonal matrix gives its sorted diagonal with no decomposition;
+        any other matrix takes the eigenvalues of ``eigensystem()``.  Both
+        routes check the eigenvalues against norm_bound.
+        """
+        if self._spectrum is None:
+            diagonal = self.matrix.diagonal()
+            if np.count_nonzero(self.matrix) == np.count_nonzero(diagonal):
+                evals = np.sort(diagonal.real)
+                self._check_norm_bound(evals)
+            else:
+                evals = self.eigensystem()[0]
+            evals.setflags(write=False)
+            self._spectrum = evals
+        return self._spectrum
+
+    def unit_spectrum(self) -> np.ndarray:
+        """``spectrum()``, required to lie in [-1, 1] up to SPECTRUM_TOL."""
+        evals = self.spectrum()
+        if np.abs(evals).max(initial=0.0) > 1.0 + SPECTRUM_TOL:
+            raise ValueError("spectrum exceeds [-1, 1]; rescale the Hamiltonian first")
+        return evals
+
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (ascending) and eigenvectors, computed once and cached.
 
-        The reconstruction ``V diag(w) V^dagger`` is required to match the
-        matrix to 1e-10 * max(1, ||H||); eigenvalues must respect norm_bound.
+        The reconstruction residual R = V diag(w) V^dagger - H must satisfy
+        max(||R||_1, ||R||_inf) <= 1e-10 * max(1, ||H||); that bound is at
+        least ||R||_2 and needs no SVD.  Eigenvalues must respect norm_bound.
         """
         if self._eigen is None:
             evals, evecs = np.linalg.eigh(self.matrix)
-            recon = (evecs * evals) @ evecs.conj().T
+            resid = (evecs * evals) @ evecs.conj().T - self.matrix
             scale = max(1.0, float(np.abs(evals).max(initial=0.0)))
-            resid = float(np.linalg.norm(recon - self.matrix, ord=2))
-            if resid > 1e-10 * scale:
+            resid_bound = float(
+                max(np.linalg.norm(resid, 1), np.linalg.norm(resid, np.inf))
+            )
+            if resid_bound > 1e-10 * scale:
                 raise RuntimeError(
-                    f"eigendecomposition residual {resid:.3e} exceeds tolerance"
+                    f"eigendecomposition residual {resid_bound:.3e} exceeds tolerance"
                 )
-            bound_tol = 1e-9 * max(1.0, self.norm_bound)
-            if np.abs(evals).max(initial=0.0) > self.norm_bound + bound_tol:
-                raise ValueError(
-                    "certified norm_bound is smaller than the actual spectral norm"
-                )
+            self._check_norm_bound(evals)
             self._eigen = (evals, evecs)
         return self._eigen
+
+    def _check_norm_bound(self, evals: np.ndarray) -> None:
+        slack = SPECTRUM_TOL * max(1.0, self.norm_bound)
+        if np.abs(evals).max(initial=0.0) > self.norm_bound + slack:
+            raise ValueError(
+                "certified norm_bound is smaller than the actual spectral norm"
+            )
 
     @property
     def eigen_cache(self) -> tuple[np.ndarray, np.ndarray] | None:
         return self._eigen
-
-
-def eigendecompose(h: Hamiltonian) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecompose ``h`` (ascending eigenvalues), populating its cache."""
-    return h.eigensystem()
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from qcoin.coin import (
     CoinSpec,
     equal_step_schedule,
     fragmented_query_bound,
-    step_success_probability,
     success_probability,
     toss_fragmented,
     uniform_schedule,
@@ -177,9 +176,7 @@ def test_fragmentation():
         p_full = success_probability(coin)
         for l in (1, 2, 4, 8):
             sched = uniform_schedule(beta_coin, l, 1e-6)
-            product = math.prod(
-                step_success_probability(h_unit, sched, k) for k in range(1, l + 1)
-            )
+            product = math.prod(sched.step_probabilities(h_unit))
             assert product == pytest.approx(p_full, rel=1e-12)
 
         # ~1e4 traversals of the 4-step schedule
@@ -192,7 +189,7 @@ def test_fragmentation():
 
         # equal-probability schedule: average queries within 10% of the bound
         eq_sched = equal_step_schedule(h_unit, beta_coin, 4, 1e-4)
-        probs = [step_success_probability(h_unit, eq_sched, k) for k in range(1, 5)]
+        probs = eq_sched.step_probabilities(h_unit)
         assert max(probs) - min(probs) <= 1e-9
         bound = fragmented_query_bound(h_unit, eq_sched)
         eq_run = toss_fragmented(h_unit, eq_sched, 2000, seed=31)

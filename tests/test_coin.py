@@ -11,7 +11,6 @@ from qcoin.coin import (
     fragmented_query_bound,
     query_cost,
     schedule_size_lower_bound,
-    step_success_probability,
     success_probability,
     toss,
     toss_fragmented,
@@ -205,21 +204,17 @@ def test_schedule_validation():
 def test_step_probability_zero_width_step():
     h = Hamiltonian(np.zeros((4, 4), dtype=complex), 2, 0.0)
     sched = Schedule(np.array([0.0, 0.0]), np.array([1e-3]))
-    assert step_success_probability(h, sched, 1) == pytest.approx(1.0, abs=1e-15)
+    (p,) = sched.step_probabilities(h)
+    assert p == pytest.approx(1.0, abs=1e-15)
 
 
 def test_step_probability_zero_hamiltonian():
     h = Hamiltonian(np.zeros((4, 4), dtype=complex), 2, 0.0)
     sched = uniform_schedule(2.0, 4, 1e-3)
-    for k in range(1, 5):
-        width = sched.betas[k] - sched.betas[k - 1]
-        assert step_success_probability(h, sched, k) == pytest.approx(
-            math.exp(-2.0 * width), rel=1e-14
-        )
-    with pytest.raises(ValueError):
-        step_success_probability(h, sched, 0)
-    with pytest.raises(ValueError):
-        step_success_probability(h, sched, 5)
+    probs = sched.step_probabilities(h)
+    assert probs.shape == (4,)
+    for p, width in zip(probs, sched.step_widths):
+        assert p == pytest.approx(math.exp(-2.0 * width), rel=1e-14)
 
 
 def test_step_probabilities_telescope_to_full_coin():
@@ -227,9 +222,7 @@ def test_step_probabilities_telescope_to_full_coin():
     p_full = success_probability(coin)
     for l in (1, 2, 4, 8):
         sched = uniform_schedule(beta_coin, l, 1e-6)
-        product = math.prod(
-            step_success_probability(h_unit, sched, k) for k in range(1, l + 1)
-        )
+        product = math.prod(sched.step_probabilities(h_unit))
         assert product == pytest.approx(p_full, rel=1e-12)
 
 
@@ -271,7 +264,7 @@ def test_fragmented_determinism_and_query_accounting():
 def test_fragmented_average_query_bound_equal_probability_schedule():
     _, h_unit, beta_coin = unit_ising_coin(3, 1.0)
     sched = equal_step_schedule(h_unit, beta_coin, 4, 1e-4)
-    probs = [step_success_probability(h_unit, sched, k) for k in range(1, 5)]
+    probs = sched.step_probabilities(h_unit)
     assert max(probs) - min(probs) <= 1e-10
     bound = fragmented_query_bound(h_unit, sched)
     assert expected_queries_per_success(h_unit, sched) <= bound

@@ -20,7 +20,13 @@ from qcoin.experiments import (
     write_layer_series,
     SeedStream,
 )
-from qcoin.hamiltonian import spec_from_json
+from qcoin.coin import CoinSpec
+from qcoin.hamiltonian import (
+    build_hamiltonian,
+    generate_random_ising_graph,
+    rescale_to_unit_spectrum,
+    spec_from_json,
+)
 from qcoin.noise import identity_insertion_depths, simulate_noisy_tosses
 
 SMALL_CFG = """
@@ -249,12 +255,35 @@ def test_run_fragment_outputs(tmp_path):
         assert row["instance_seed"] != "" and row["config_hash"] != ""
 
 
+@pytest.mark.parametrize(
+    "model, max_eigh",
+    [({"model": "ising", "n_qubits": 4}, 0),
+     ({"model": "qrbm", "n_visible": 2, "n_hidden": 2}, 1)],
+    ids=["ising", "qrbm"],
+)
+def test_run_sweep_decomposes_each_instance_at_most_once(
+    tmp_path, monkeypatch, model, max_eigh
+):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(matrix):
+        calls.append(matrix.shape)
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    config = ExperimentConfig(
+        **model, instances=1, betas=(0.5, 2.0), xi=0.037, shots=200, seed=5
+    )
+    run_sweep(config, tmp_path)
+    assert len(calls) <= max_eigh
+
+
 def test_learn_noise_model_smoke():
     config = ExperimentConfig(model="ising", n_qubits=4, xi=0.037, shots=3000, seed=2)
-    from qcoin.hamiltonian import generate_random_ising_graph
-
-    spec = generate_random_ising_graph(4, 123)
-    fit, series = learn_noise_model(config, spec, SeedStream(2))
+    h = build_hamiltonian(generate_random_ising_graph(4, 123))
+    h_unit, beta_coin = rescale_to_unit_spectrum(h, config.fit_beta)
+    fit, series = learn_noise_model(config, CoinSpec(h_unit, beta_coin), SeedStream(2))
     assert 0.0 <= fit.model.xi <= 1.0
     assert len(series.depths) == config.insertions + 1
 

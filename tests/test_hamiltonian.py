@@ -10,7 +10,6 @@ from qcoin.hamiltonian import (
     build_hamiltonian,
     build_ising,
     build_qrbm,
-    eigendecompose,
     generate_random_ising_graph,
     generate_random_qrbm,
     rescale_to_unit_spectrum,
@@ -209,16 +208,16 @@ def test_rescale_zero_norm_bound():
         rescale_to_unit_spectrum(bad, 1.0)
 
 
-def test_eigendecompose_identity_and_diagonal():
-    evals, _ = eigendecompose(Hamiltonian(np.eye(2, dtype=complex), 1, 1.0))
+def test_eigensystem_identity_and_diagonal():
+    evals, _ = Hamiltonian(np.eye(2, dtype=complex), 1, 1.0).eigensystem()
     assert np.allclose(evals, [1.0, 1.0])
     h = Hamiltonian(np.diag([-1.0, 0.0, 0.5, 1.0]).astype(complex), 2, 1.0)
-    evals, evecs = eigendecompose(h)
+    evals, evecs = h.eigensystem()
     assert np.allclose(evals, [-1.0, 0.0, 0.5, 1.0])
     assert np.linalg.norm(evecs.conj().T @ evecs - np.eye(4), ord=2) <= 1e-10
 
 
-def test_eigendecompose_reconstruction_residual():
+def test_eigensystem_reconstruction_residual():
     for seed in range(5):
         spec = generate_random_ising_graph(4, seed)
         h = build_ising(spec)
@@ -228,6 +227,40 @@ def test_eigendecompose_reconstruction_residual():
         assert np.linalg.norm(recon - h.matrix, ord=2) <= 1e-10 * scale
         assert np.all(np.diff(evals) >= 0)
         assert np.all(np.abs(evals.imag) == 0 if np.iscomplexobj(evals) else True)
+
+
+def test_eigensystem_rejects_corrupted_decomposition(monkeypatch):
+    h = build_qrbm(generate_random_qrbm(2, 2, 4))
+    eigh = np.linalg.eigh
+
+    def corrupted(matrix):
+        evals, evecs = eigh(matrix)
+        return evals + 1e-8, evecs
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupted)
+    with pytest.raises(RuntimeError, match="residual"):
+        h.eigensystem()
+    assert h.eigen_cache is None
+
+
+def test_ising_spectrum_is_bitwise_eigh():
+    # The spectrum of a diagonal matrix is its sorted diagonal, not eigh's
+    # output; seeded outputs stay byte-identical only if the two agree exactly.
+    for n in range(2, 9):
+        for seed in range(3):
+            h = build_ising(generate_random_ising_graph(n, seed))
+            h_unit, _ = rescale_to_unit_spectrum(h, 1.0)
+            for ham in (h, h_unit):
+                spectrum = ham.spectrum()
+                assert np.array_equal(spectrum, ham.eigensystem()[0])
+                assert not spectrum.flags.writeable
+
+
+def test_spectrum_of_non_diagonal_matrix_comes_from_eigensystem():
+    h = build_qrbm(generate_random_qrbm(2, 2, 8))
+    assert h.spectrum() is h.eigensystem()[0]
+    with pytest.raises(ValueError, match="norm_bound"):
+        Hamiltonian(np.diag([-2.0, 1.0]).astype(complex), 1, 1.0).spectrum()
 
 
 def test_ising_diagonal_partition_function_two_routes():
