@@ -26,7 +26,7 @@ from .coin import (
     CoinSpec,
     FragmentedRun,
     Schedule,
-    TossStream,
+    SeedStream,
     equal_step_schedule,
     expected_queries_per_success,
     fragmented_query_bound,

@@ -11,8 +11,8 @@ import json
 import sys
 from pathlib import Path
 
+from .coin import SeedStream
 from .experiments import (
-    SeedStream,
     load_config,
     run_coverage,
     run_fragment,

@@ -1,15 +1,19 @@
-"""The two-outcome quantum coin: exact probabilities and seeded toss streams.
+"""The two-outcome quantum coin: exact probabilities and seeded count samplers.
 
 A coin toss is the success/failure of post-selecting the block-encoding
 ancillas after applying the propagator to the maximally mixed input state.
-The coin is fully characterized by its heads probability, so sampling draws
-Bernoulli outcomes from the exactly computed probability rather than
-simulating amplitudes; every stream is reproducible from its 64-bit seed
-via numpy's PCG64 generator (``numpy.random.default_rng``).
+The coin is fully characterized by its heads probability, and the
+estimators read only Bernoulli-process statistics, so the samplers draw
+counts from their exact distributions instead of simulating tosses one
+by one: ``toss`` is one binomial draw of the head count.  Every draw is
+reproducible from its 64-bit seed via numpy's PCG64 generator
+(``numpy.random.default_rng``); ``SeedStream`` derives those seeds.
 
 The fragmented coin splits the imaginary-time evolution into schedule steps
 with restart-on-failure; the overall heads probability factorizes over the
-steps, only the per-toss query cost changes.
+steps, only the per-toss query cost changes.  ``toss_fragmented`` samples
+its attempt count, its per-step execution counts and its query total
+exactly, at a cost independent of the number of attempts.
 """
 
 from __future__ import annotations
@@ -60,38 +64,14 @@ class CoinSpec:
                 raise ValueError("approximant was built for a different beta")
 
 
-@dataclass
-class TossStream:
-    """Seeded heads/tails sequence with per-toss query-cost accounting."""
+class SeedStream:
+    """Sequential deterministic 64-bit seeds derived from a root seed."""
 
-    outcomes: np.ndarray
-    seed: int
-    per_toss_queries: np.ndarray
+    def __init__(self, root: int):
+        self._seq = np.random.SeedSequence(root)
 
-    def __post_init__(self) -> None:
-        self.outcomes = np.asarray(self.outcomes, dtype=bool)
-        self.per_toss_queries = np.asarray(self.per_toss_queries, dtype=np.int64)
-        if self.per_toss_queries.shape != self.outcomes.shape:
-            raise ValueError("per_toss_queries must match outcomes in length")
-
-    def __len__(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def n_heads(self) -> int:
-        return int(self.outcomes.sum())
-
-    @property
-    def queries_consumed(self) -> int:
-        return int(self.per_toss_queries.sum())
-
-    def to_csv(self, path) -> None:
-        """Columns: index, outcome in {0, 1}, cumulative_queries."""
-        cumulative = np.cumsum(self.per_toss_queries)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("index,outcome,cumulative_queries\n")
-            for i, (o, q) in enumerate(zip(self.outcomes, cumulative)):
-                fh.write(f"{i},{int(o)},{int(q)}\n")
+    def next(self) -> int:
+        return int(self._seq.spawn(1)[0].generate_state(1)[0])
 
 
 def success_probability(spec: CoinSpec) -> float:
@@ -120,15 +100,15 @@ def query_cost(beta: float, eps_prime: float) -> int:
     return required_degree(beta, max(eps_prime, _EPS_PRIME_FLOOR))
 
 
-def toss(spec: CoinSpec, count: int, seed: int) -> TossStream:
-    """Draw ``count`` i.i.d. coin outcomes, deterministic per seed."""
+def toss(spec: CoinSpec, count: int, seed: int) -> int:
+    """Number of heads in ``count`` i.i.d. coin tosses, deterministic per seed.
+
+    Each toss costs ``query_cost(spec.beta, spec.eps_prime)`` queries.
+    """
     if count < 0:
         raise ValueError("count must be non-negative")
     p = min(max(success_probability(spec), 0.0), 1.0)
-    rng = np.random.default_rng(seed)
-    outcomes = rng.random(count) < p
-    q = query_cost(spec.beta, spec.eps_prime)
-    return TossStream(outcomes, seed, np.full(count, q, dtype=np.int64))
+    return int(np.random.default_rng(seed).binomial(count, p))
 
 
 @dataclass(frozen=True)
@@ -209,80 +189,63 @@ def uniform_schedule(beta: float, l: int, eps_total: float) -> Schedule:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class FragmentedRun:
-    """Outcome of a fragmented-coin simulation.
+    """Counts of a fragmented-coin simulation.
 
-    ``stream`` holds one entry per attempt (heads = full traversal, tails =
-    restart) with that attempt's query cost; ``step_executions[k]`` counts
-    how many times step k+1 was run.
+    An attempt runs the steps in order until one fails (tails, restart) or
+    all pass (heads); ``step_executions[k]`` counts the runs of step k+1 and
+    ``queries`` is the exact total query cost.
     """
 
-    stream: TossStream
+    attempts: int
+    successes: int
+    queries: int
     step_executions: np.ndarray
     step_probabilities: np.ndarray
 
     @property
-    def attempts(self) -> int:
-        return len(self.stream)
-
-    @property
-    def successes(self) -> int:
-        return self.stream.n_heads
-
-    @property
     def queries_per_success(self) -> float:
-        return self.stream.queries_consumed / max(self.successes, 1)
+        return self.queries / max(self.successes, 1)
 
 
 def toss_fragmented(
-    h: Hamiltonian,
-    schedule: Schedule,
-    count_successes_target: int,
-    seed: int,
-    max_attempts: int = 10_000_000,
+    h: Hamiltonian, schedule: Schedule, count_successes_target: int, seed: int
 ) -> FragmentedRun:
-    """Run the sequential-step process until the target number of successes.
+    """Sample the sequential-step process until the target number of successes.
 
     Each attempt runs the steps in order with their ideal success
-    probabilities; the first failed step aborts the attempt (tails) and the
-    process restarts from step 1.  Query costs accumulate per executed step.
+    probabilities p_j; the first failed step aborts it.  With k successes
+    and p_full = prod_j p_j, the failed attempts number NegBin(k, p_full),
+    and each failed attempt independently stops at step s with weight
+    (prod_{j<s} p_j)(1 - p_s), so their stop steps are one multinomial
+    draw.  Step j runs once per success plus once per failed attempt that
+    stopped at step j or later.
     """
-    if count_successes_target < 0:
+    k = count_successes_target
+    if k < 0:
         raise ValueError("count_successes_target must be non-negative")
-    l = schedule.l
     probs = np.clip(schedule.step_probabilities(h), 0.0, 1.0)
-    costs = schedule.step_query_costs()
-    prefix_cost = np.cumsum(costs)  # queries spent reaching the end of step k
+    p_full = float(np.prod(probs))
     rng = np.random.default_rng(seed)
-    outcomes: list[bool] = []
-    attempt_queries: list[int] = []
-    executions = np.zeros(l, dtype=np.int64)
-    successes = 0
-    block: np.ndarray = np.empty(0)
-    used = 0
-    while successes < count_successes_target:
-        if len(outcomes) >= max_attempts:
-            raise RuntimeError(
-                f"exceeded {max_attempts} attempts before reaching "
-                f"{count_successes_target} successes"
-            )
-        if used + l > len(block):
-            block = rng.random(max(4096, l))
-            used = 0
-        draws = block[used : used + l]
-        failed = np.nonzero(draws >= probs)[0]
-        steps_run = l if len(failed) == 0 else int(failed[0]) + 1
-        used += steps_run
-        executions[:steps_run] += 1
-        heads = len(failed) == 0
-        outcomes.append(heads)
-        attempt_queries.append(int(prefix_cost[steps_run - 1]) if l else 0)
-        if heads:
-            successes += 1
-    stream = TossStream(np.array(outcomes, dtype=bool), seed,
-                        np.array(attempt_queries, dtype=np.int64))
-    return FragmentedRun(stream, executions, probs)
+    try:
+        failures = int(rng.negative_binomial(k, p_full)) if k else 0
+    except ValueError:
+        expected = k / p_full if p_full > 0 else math.inf
+        raise ValueError(
+            f"fragmented coin infeasible: p_full = {p_full:.3e}, expected "
+            f"attempts k/p_full = {expected:.3e} for k = {k} successes"
+        ) from None
+    stops = np.zeros(len(probs), dtype=np.int64)
+    if failures:
+        reach = np.concatenate(([1.0], np.cumprod(probs[:-1])))
+        weights = reach * (1.0 - probs)
+        stops = rng.multinomial(failures, weights / weights.sum())
+    executions = k + np.cumsum(stops[::-1])[::-1]
+    costs = schedule.step_query_costs()
+    # Python ints: the int64 dot product wraps for long runs of tiny p_full
+    queries = sum(int(e) * int(c) for e, c in zip(executions, costs))
+    return FragmentedRun(k + failures, k, queries, executions, probs)
 
 
 def expected_queries_per_success(h: Hamiltonian, schedule: Schedule) -> float:

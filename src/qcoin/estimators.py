@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coin import CoinSpec, query_cost, success_probability, toss
+from .coin import CoinSpec, SeedStream, query_cost, success_probability, toss
 
 # Rational inverse-normal-CDF approximation (P. Acklam's coefficients,
 # widely reproduced; |relative error| < 1.15e-9 before refinement).
@@ -38,6 +38,8 @@ _ACKLAM_D = (
     3.754408661907416e00,
 )
 _ACKLAM_P_LOW = 0.02425
+
+_TOSS_BUDGET = 100_000_000  # tosses per additive-runner call before giving up
 
 
 def _acklam_ppf(p: float) -> float:
@@ -204,8 +206,8 @@ def algorithm1(spec: CoinSpec, tosses: int, delta: float, seed: int) -> Estimate
     """Fixed-budget estimator: toss, Agresti-Coull, rescale by 2^n e^beta."""
     if tosses < 1:
         raise ValueError("tosses must be >= 1")
-    stream = toss(spec, tosses, seed)
-    p_hat, eps_p = ac_estimate(stream.n_heads, tosses, delta)
+    heads = toss(spec, tosses, seed)
+    p_hat, eps_p = ac_estimate(heads, tosses, delta)
     scale = 2**spec.hamiltonian.n_qubits * math.exp(spec.beta)
     return Estimate(
         value=scale * p_hat,
@@ -213,7 +215,7 @@ def algorithm1(spec: CoinSpec, tosses: int, delta: float, seed: int) -> Estimate
         relative_target=None,
         confidence=1.0 - delta,
         samples_used=tosses,
-        queries_used=stream.queries_consumed,
+        queries_used=tosses * query_cost(spec.beta, spec.eps_prime),
         algorithm="alg1",
     )
 
@@ -304,9 +306,7 @@ def relative_from_additive(
     )
 
 
-def make_additive_runner(
-    spec: CoinSpec, seed: int, max_tosses: int = 100_000_000
-) -> AdditiveRunner:
+def make_additive_runner(spec: CoinSpec, seed: int) -> AdditiveRunner:
     """Additive-precision estimator on a coin, for the halving wrapper.
 
     Tosses in batches until the Agresti-Coull half-width (scaled by
@@ -314,12 +314,7 @@ def make_additive_runner(
     fresh child seeds from the given seed, so a wrapper run is fully
     deterministic.
     """
-    seed_seq = np.random.SeedSequence(seed)
-
-    def next_seed() -> int:
-        # spawn() is stateful: successive calls yield distinct child streams
-        return int(seed_seq.spawn(1)[0].generate_state(1)[0])
-
+    seeds = SeedStream(seed)
     scale = 2**spec.hamiltonian.n_qubits * math.exp(spec.beta)
     q = query_cost(spec.beta, spec.eps_prime)
 
@@ -330,9 +325,8 @@ def make_additive_runner(
         heads = 0
         batch = 256
         while True:
-            stream = toss(spec, batch, next_seed())
+            heads += toss(spec, batch, seeds.next())
             tossed += batch
-            heads += stream.n_heads
             p_hat, eps_hat = ac_estimate(heads, tossed, delta_step)
             if eps_hat <= eps_p:
                 return Estimate(
@@ -344,9 +338,9 @@ def make_additive_runner(
                     queries_used=tossed * q,
                     algorithm="alg1",
                 )
-            if tossed >= max_tosses:
+            if tossed >= _TOSS_BUDGET:
                 raise RuntimeError("additive runner exceeded its toss budget")
             needed = math.ceil(z * z * p_hat * (1.0 - p_hat) / eps_p**2) - tossed
-            batch = int(min(max(256, needed), 4_000_000, max_tosses - tossed))
+            batch = int(min(max(256, needed), 4_000_000, _TOSS_BUDGET - tossed))
 
     return runner

@@ -38,6 +38,7 @@ import numpy as np
 
 from .coin import (
     CoinSpec,
+    SeedStream,
     success_probability,
     toss,
     toss_fragmented,
@@ -74,7 +75,7 @@ from .noise import (
 )
 from .oracle import exact_partition_function
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -181,16 +182,6 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()[:12]
 
 
-class SeedStream:
-    """Sequential deterministic 64-bit seeds derived from a root seed."""
-
-    def __init__(self, root: int):
-        self._seq = np.random.SeedSequence(root)
-
-    def next(self) -> int:
-        return int(self._seq.spawn(1)[0].generate_state(1)[0])
-
-
 def _fmt(x) -> str:
     if x is None:
         return ""
@@ -275,8 +266,8 @@ def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> dict:
             p_exact = success_probability(coin)
             z_exact = exact_partition_function(h_unit, beta_coin)
             scale = h_unit.dim * math.exp(beta_coin)
-            stream = toss(coin, config.shots, seeds.next())
-            p_hat, _ = ac_estimate(stream.n_heads, config.shots, config.delta)
+            successes = toss(coin, config.shots, seeds.next())
+            p_hat, _ = ac_estimate(successes, config.shots, config.delta)
             p_sigma = math.sqrt(p_hat * (1.0 - p_hat) / config.shots)
             record = {
                 "beta": beta, "p_exact": p_exact, "p_hat": p_hat,
@@ -304,7 +295,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> dict:
                 )
             rows.append(
                 [config.model, idx, iseed, chash, beta, beta_coin, h.norm_bound,
-                 z_exact, p_exact, config.shots, stream.n_heads, p_hat, p_sigma]
+                 z_exact, p_exact, config.shots, successes, p_hat, p_sigma]
                 + noisy_cols
                 + [scale * p_hat,
                    scale * noisy_cols[3] if fit is not None else ""]

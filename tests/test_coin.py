@@ -16,6 +16,7 @@ from qcoin.coin import (
     toss_fragmented,
     uniform_schedule,
 )
+from qcoin.estimators import algorithm1
 from qcoin.hamiltonian import (
     Hamiltonian,
     build_ising,
@@ -108,14 +109,12 @@ def test_bias_bound_for_certified_approximants():
 
 
 def test_toss_all_heads_at_probability_one():
-    stream = toss(zero_coin(0.0), 200, seed=1)
-    assert stream.n_heads == 200
+    assert toss(zero_coin(0.0), 200, seed=1) == 200
 
 
 def test_toss_empty_stream():
-    stream = toss(zero_coin(1.0), 0, seed=1)
-    assert len(stream) == 0
-    assert stream.queries_consumed == 0
+    heads = toss(zero_coin(1.0), 0, seed=1)
+    assert heads == 0 and isinstance(heads, int)
 
 
 def test_toss_heads_fraction_near_paper_scale_probability():
@@ -123,41 +122,25 @@ def test_toss_heads_fraction_near_paper_scale_probability():
     beta = -math.log(0.38)
     coin = zero_coin(beta)
     assert success_probability(coin) == pytest.approx(0.38, rel=1e-14)
-    stream = toss(coin, 3000, seed=2024)
-    assert abs(stream.n_heads / 3000 - 0.38) <= 0.03
+    heads = toss(coin, 3000, seed=2024)
+    assert abs(heads / 3000 - 0.38) <= 0.03
 
 
 def test_toss_determinism_and_query_accounting():
     coin, _, beta_coin = unit_ising_coin(3, 1.0)
-    a = toss(coin, 500, seed=42)
-    b = toss(coin, 500, seed=42)
-    assert np.array_equal(a.outcomes, b.outcomes)
-    c = toss(coin, 500, seed=43)
-    assert not np.array_equal(a.outcomes, c.outcomes)
-    assert a.queries_consumed == 500 * query_cost(beta_coin, 0.0)
-
-
-def test_toss_stream_csv_export(tmp_path):
-    stream = toss(zero_coin(0.5), 4, seed=9)
-    path = tmp_path / "stream.csv"
-    stream.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "index,outcome,cumulative_queries"
-    assert len(lines) == 5
-    q = query_cost(0.5, 0.0)
-    for i, line in enumerate(lines[1:]):
-        idx, outcome, cumulative = line.split(",")
-        assert int(idx) == i
-        assert int(outcome) in (0, 1)
-        assert int(cumulative) == (i + 1) * q
+    counts = [toss(coin, 500, seed=s) for s in range(42, 52)]
+    assert counts == [toss(coin, 500, seed=s) for s in range(42, 52)]
+    assert len(set(counts)) > 1
+    est = algorithm1(coin, 500, 0.05, seed=42)
+    assert est.queries_used == 500 * query_cost(beta_coin, 0.0)
 
 
 def test_heads_fraction_converges():
     for p, seed in ((0.01, 11), (0.1, 12), (0.5, 13)):
-        stream = toss(zero_coin(-math.log(p)) if p < 1 else zero_coin(0.0),
-                      100_000, seed=seed)
+        heads = toss(zero_coin(-math.log(p)) if p < 1 else zero_coin(0.0),
+                     100_000, seed=seed)
         tol = 4.0 * math.sqrt(p * (1 - p) / 100_000)
-        assert abs(stream.n_heads / 100_000 - p) <= tol
+        assert abs(heads / 100_000 - p) <= tol
 
 
 def test_query_cost_edge_cases():
@@ -233,7 +216,7 @@ def test_fragmented_single_step_equivalent_to_plain_toss():
     plain = toss(coin, 10_000, seed=5)
     target = int(round(10_000 * p))
     run = toss_fragmented(h_unit, sched, target, seed=6)
-    p_value = _chi2_pvalue_2x2(plain.n_heads, len(plain), run.successes, run.attempts)
+    p_value = _chi2_pvalue_2x2(plain, 10_000, run.successes, run.attempts)
     assert p_value > 0.01
 
 
@@ -253,12 +236,75 @@ def test_fragmented_determinism_and_query_accounting():
     sched = uniform_schedule(beta_coin, 4, 1e-4)
     a = toss_fragmented(h_unit, sched, 100, seed=77)
     b = toss_fragmented(h_unit, sched, 100, seed=77)
-    assert np.array_equal(a.stream.outcomes, b.stream.outcomes)
-    assert np.array_equal(a.stream.per_toss_queries, b.stream.per_toss_queries)
+    assert (a.attempts, a.queries) == (b.attempts, b.queries)
+    assert np.array_equal(a.step_executions, b.step_executions)
     # total queries decompose over per-step execution counts
     costs = sched.step_query_costs()
-    assert a.stream.queries_consumed == int((a.step_executions * costs).sum())
+    assert a.queries == int((a.step_executions * costs).sum())
     assert a.successes == 100
+    # every attempt runs step 1; every success runs the last step
+    assert a.step_executions[0] == a.attempts
+    assert a.step_executions[-1] >= a.successes
+
+
+def _queries_per_success_moments(probs, costs):
+    """Mean and variance of the queries one fragmented success costs.
+
+    Failures before a success are geometric (mean (1 - P)/P, variance
+    (1 - P)/P^2, P = prod p_j); a failure at step s costs the queries of
+    steps 1..s, and the success costs all of them.
+    """
+    reach = np.concatenate(([1.0], np.cumprod(probs)))
+    p_full = reach[-1]
+    fail = reach[:-1] * (1.0 - probs) / (1.0 - p_full)
+    prefix = np.cumsum(costs).astype(float)
+    mean_x = float(fail @ prefix)
+    var_x = float(fail @ prefix**2) - mean_x**2
+    mean_g = (1.0 - p_full) / p_full
+    var_g = (1.0 - p_full) / p_full**2
+    return prefix[-1] + mean_g * mean_x, mean_g * var_x + var_g * mean_x**2
+
+
+def test_fragmented_step_executions_match_reach_probabilities():
+    # Given the attempt count N, each of the N - k failed attempts reaches
+    # step j with probability q_j = (r_j - P)/(1 - P), r_j = prod_{i<j} p_i,
+    # so step j runs k + Binomial(N - k, q_j) times, about N r_j.  Stop
+    # weights shifted by one step move these counts by 7 to 100 sigma here.
+    _, h_unit, beta_coin = unit_ising_coin(3, 1.0)
+    sched = uniform_schedule(beta_coin, 4, 1e-4)
+    probs = sched.step_probabilities(h_unit)
+    k = 2000
+    run = toss_fragmented(h_unit, sched, k, seed=5)
+    failed = run.attempts - k
+    p_full = float(np.prod(probs))
+    reach = np.concatenate(([1.0], np.cumprod(probs[:-1])))
+    for executions, r in zip(run.step_executions, reach):
+        q = (r - p_full) / (1.0 - p_full)
+        sigma = math.sqrt(failed * q * (1.0 - q))
+        assert abs(executions - (k + failed * q)) <= 4.0 * sigma
+    mean, var = _queries_per_success_moments(probs, sched.step_query_costs())
+    assert mean == pytest.approx(expected_queries_per_success(h_unit, sched), rel=1e-12)
+    assert abs(run.queries_per_success - mean) <= 4.0 * math.sqrt(var / k)
+
+
+def test_fragmented_queries_are_exact_beyond_int64():
+    # p_full = e^-35 ~ 6.3e-16: about 3.2e18 attempts, ~4e19 queries
+    h = Hamiltonian(np.zeros((4, 4), dtype=complex), 2, 0.0)
+    sched = uniform_schedule(35.0, 4, 1e-6)
+    run = toss_fragmented(h, sched, 2000, seed=1)
+    costs = sched.step_query_costs()
+    assert run.queries == sum(int(e) * int(c) for e, c in zip(run.step_executions, costs))
+    assert run.queries > 2**63
+    assert run.queries_per_success > 0
+
+
+@pytest.mark.parametrize("beta, l", [(40.0, 4), (1e4, 20)])
+def test_fragmented_infeasible_probability_raises(beta, l):
+    # p_full = e^-40 is too small to sample 2000 successes; e^-1e4 is 0
+    h = Hamiltonian(np.zeros((4, 4), dtype=complex), 2, 0.0)
+    sched = uniform_schedule(beta, l, 1e-6)
+    with pytest.raises(ValueError, match=r"p_full = .*k/p_full"):
+        toss_fragmented(h, sched, 2000, seed=1)
 
 
 def test_fragmented_average_query_bound_equal_probability_schedule():

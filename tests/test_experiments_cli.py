@@ -18,9 +18,8 @@ from qcoin.experiments import (
     run_noise_fit,
     run_sweep,
     write_layer_series,
-    SeedStream,
 )
-from qcoin.coin import CoinSpec
+from qcoin.coin import CoinSpec, SeedStream
 from qcoin.hamiltonian import (
     build_hamiltonian,
     generate_random_ising_graph,
@@ -341,6 +340,29 @@ def test_cli_coverage_and_fragment(tmp_path, capsys):
         "fragment", "--config", str(cfg), "--out", str(tmp_path / "frag"),
     ]) == 0
     assert (tmp_path / "frag" / "fragment.csv").exists()
+
+
+def test_cli_fragment_qrbm(tmp_path, capsys):
+    out = tmp_path / "frag"
+    assert main([
+        "fragment", "--model", "qrbm", "--seed", "3", "--beta", "2.0",
+        "--out", str(out),
+    ]) == 0
+    _, rows = read_rows(out / "fragment.csv")
+    assert [r["l"] for r in rows] == ["1", "2", "4", "8"]
+    for row in rows:
+        assert float(row["product_rel_err"]) <= 1e-12
+        assert float(row["empirical_queries_per_success"]) > 0
+
+
+def test_cli_fragment_infeasible_probability_is_input_error(tmp_path, capsys):
+    # Ising n = 10 at beta 20: p_full ~ 1e-34, ~2e37 expected attempts
+    assert main([
+        "fragment", "--n-qubits", "10", "--beta", "20",
+        "--out", str(tmp_path / "frag"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "p_full" in err and len(err.strip().splitlines()) == 1
 
 
 def test_cli_noise_fit_degenerate_is_input_error(tmp_path, capsys):
