@@ -1,16 +1,13 @@
 """Quantum-coin partition function estimation: simulator and statistics."""
 
 from .hamiltonian import (
-    Hamiltonian,
     IsingSpec,
     QrbmSpec,
-    build_hamiltonian,
-    build_ising,
-    build_qrbm,
+    Spectrum,
     generate_random_ising_graph,
     generate_random_qrbm,
-    rescale_to_unit_spectrum,
     spec_from_json,
+    unit_spectrum,
 )
 from .propagator import (
     ChebyshevApproximant,
@@ -68,6 +65,7 @@ from .oracle import (
     exact_free_energy,
     exact_partition_function,
     geometric_stats,
+    ideal_coin_probability,
     oracle_report,
 )
 

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: generate, oracle, sweep, coverage, noise-fit, fragment.
-Exit codes: 0 success, 2 configuration/input error, 3 runtime or fit error.
+Exit codes: 0 success, 2 configuration/input error, 3 runtime, fit or
+float64-range error.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .coin import SeedStream
 from .experiments import (
@@ -20,11 +23,10 @@ from .experiments import (
     run_sweep,
 )
 from .hamiltonian import (
-    build_hamiltonian,
     generate_random_ising_graph,
     generate_random_qrbm,
-    rescale_to_unit_spectrum,
     spec_from_json,
+    unit_spectrum,
 )
 from .oracle import oracle_report
 
@@ -59,16 +61,18 @@ def _config_from_args(args: argparse.Namespace):
     return load_config(args.config, **overrides)
 
 
+def _random_spec(args: argparse.Namespace, seed: int):
+    if args.model == "qrbm":
+        return generate_random_qrbm(args.n_visible, args.n_hidden, seed)
+    return generate_random_ising_graph(args.n_qubits or 4, seed)
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seeds = SeedStream(args.seed if args.seed is not None else 0)
     for idx in range(args.instances or 1):
-        instance_seed = seeds.next()
-        if args.model == "qrbm":
-            spec = generate_random_qrbm(args.n_visible, args.n_hidden, instance_seed)
-        else:
-            spec = generate_random_ising_graph(args.n_qubits or 4, instance_seed)
+        spec = _random_spec(args, seeds.next())
         path = out / f"instance_{idx:03d}.json"
         path.write_text(spec.to_json() + "\n", encoding="utf-8")
         print(path)
@@ -78,22 +82,15 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.spec is not None:
         spec = spec_from_json(Path(args.spec).read_text(encoding="utf-8"))
-    elif args.model == "qrbm":
-        spec = generate_random_qrbm(
-            args.n_visible, args.n_hidden, args.seed if args.seed is not None else 0
-        )
     else:
-        spec = generate_random_ising_graph(
-            args.n_qubits or 4, args.seed if args.seed is not None else 0
-        )
-    h = build_hamiltonian(spec)
-    h_unit, lam = rescale_to_unit_spectrum(h, 1.0)
+        spec = _random_spec(args, args.seed if args.seed is not None else 0)
+    spectrum = unit_spectrum(spec)
     reports = []
     for beta in args.betas or (1.0,):
-        beta_coin = lam * beta
-        report = oracle_report(h_unit, beta_coin)
+        beta_coin = spectrum.norm_bound * beta
+        report = oracle_report(spectrum, beta_coin)
         reports.append(
-            {"beta": beta, "beta_coin": beta_coin, "norm_bound": h.norm_bound,
+            {"beta": beta, "beta_coin": beta_coin, "norm_bound": spectrum.norm_bound,
              **json.loads(report.to_json())}
         )
     doc = json.dumps({"kind": "oracle", "reports": reports}, indent=2, sort_keys=True)
@@ -189,12 +186,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="raise"):  # FloatingPointError, not a silent inf
+            return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:
+        print(f"error: float64 range exceeded: {exc}", file=sys.stderr)
         return 3
 
 

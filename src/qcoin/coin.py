@@ -2,12 +2,13 @@
 
 A coin toss is the success/failure of post-selecting the block-encoding
 ancillas after applying the propagator to the maximally mixed input state.
-The coin is fully characterized by its heads probability, and the
-estimators read only Bernoulli-process statistics, so the samplers draw
-counts from their exact distributions instead of simulating tosses one
-by one: ``toss`` is one binomial draw of the head count.  Every draw is
-reproducible from its 64-bit seed via numpy's PCG64 generator
-(``numpy.random.default_rng``); ``SeedStream`` derives those seeds.
+The coin is fully characterized by its heads probability, computed once
+per ``CoinSpec``, and the estimators read only Bernoulli-process
+statistics, so the samplers draw counts from their exact distributions
+instead of simulating tosses one by one: ``toss`` is one binomial draw of
+the head count.  Every draw is reproducible from its 64-bit seed via
+numpy's PCG64 generator (``numpy.random.default_rng``); ``SeedStream``
+derives those seeds.
 
 The fragmented coin splits the imaginary-time evolution into schedule steps
 with restart-on-failure; the overall heads probability factorizes over the
@@ -19,30 +20,31 @@ exactly, at a cost independent of the number of attempts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonian import Hamiltonian
-from .oracle import exact_partition_function
+from .hamiltonian import Spectrum
+from .oracle import exact_partition_function, ideal_coin_probability
 from .propagator import ChebyshevApproximant, _clenshaw, required_degree
 
 _EPS_PRIME_FLOOR = 1e-16  # cost accounting for the ideal coin
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoinSpec:
-    """Coin definition: Hamiltonian, inverse temperature, approximation error.
+    """Coin definition: unit spectrum, inverse temperature, approximation error.
 
     ``eps_prime = 0`` is the ideal coin (no approximant); otherwise a
     certified approximant with ``certified_error <= eps_prime`` must be
     attached.  The sub-normalization exp(-beta/2) is implied, never stored.
     """
 
-    hamiltonian: Hamiltonian
+    spectrum: Spectrum
     beta: float
     eps_prime: float = 0.0
     approximant: ChebyshevApproximant | None = None
+    heads_probability: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.beta < 0:
@@ -62,6 +64,7 @@ class CoinSpec:
                 )
             if self.approximant.target_beta != self.beta:
                 raise ValueError("approximant was built for a different beta")
+        object.__setattr__(self, "heads_probability", success_probability(self))
 
 
 class SeedStream:
@@ -77,16 +80,14 @@ class SeedStream:
 def success_probability(spec: CoinSpec) -> float:
     """Heads probability alpha^2 Tr[ftilde rho ftilde^dagger], rho = 1/2^n.
 
-    Computed through the sub-normalized propagator amplitudes at the
-    eigenvalues: p = mean_lambda g(lambda)^2 with g = exp(-beta/2) * ftilde.
-    For the ideal coin this equals exp(-beta) Tr[exp(-beta H)] / 2^n.
+    Computed once per coin into ``CoinSpec.heads_probability``, through the
+    sub-normalized propagator amplitudes: p = mean_lambda g(lambda)^2 with
+    g = exp(-beta/2) * ftilde.  The ideal coin is ``ideal_coin_probability``.
     """
-    evals = spec.hamiltonian.unit_spectrum()
-    alpha = math.exp(-spec.beta / 2.0)
     if spec.approximant is None:
-        amplitudes = np.exp(-spec.beta * (1.0 + evals) / 2.0)
-    else:
-        amplitudes = alpha * _clenshaw(spec.approximant.coefficients, evals)
+        return ideal_coin_probability(spec.spectrum, spec.beta)
+    ftilde = _clenshaw(spec.approximant.coefficients, spec.spectrum.values)
+    amplitudes = math.exp(-spec.beta / 2.0) * ftilde
     return float(np.mean(amplitudes**2))
 
 
@@ -107,7 +108,7 @@ def toss(spec: CoinSpec, count: int, seed: int) -> int:
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    p = min(max(success_probability(spec), 0.0), 1.0)
+    p = min(max(spec.heads_probability, 0.0), 1.0)
     return int(np.random.default_rng(seed).binomial(count, p))
 
 
@@ -147,11 +148,6 @@ class Schedule:
     def step_widths(self) -> np.ndarray:
         return np.diff(self.betas)
 
-    @property
-    def step_coin_betas(self) -> np.ndarray:
-        """Coin inverse temperature run at each step (twice the width)."""
-        return 2.0 * self.step_widths
-
     def step_query_costs(self) -> np.ndarray:
         return np.array(
             [
@@ -161,7 +157,7 @@ class Schedule:
             dtype=np.int64,
         )
 
-    def step_probabilities(self, h: Hamiltonian) -> np.ndarray:
+    def step_probabilities(self, spectrum: Spectrum) -> np.ndarray:
         """Success probability of each step with ideal propagators.
 
         Step k's probability is the ratio of full-coin success probabilities
@@ -170,7 +166,7 @@ class Schedule:
         w_k = beta_k - beta_{k-1}, so the product over all steps telescopes
         to the unfragmented heads probability.
         """
-        z = [exact_partition_function(h, 2.0 * b) for b in self.betas]
+        z = [exact_partition_function(spectrum, 2.0 * b) for b in self.betas]
         return np.array([
             z_hi / (math.exp(2.0 * (b_hi - b_lo)) * z_lo)
             for z_lo, z_hi, b_lo, b_hi in zip(z, z[1:], self.betas, self.betas[1:])
@@ -210,7 +206,7 @@ class FragmentedRun:
 
 
 def toss_fragmented(
-    h: Hamiltonian, schedule: Schedule, count_successes_target: int, seed: int
+    spectrum: Spectrum, schedule: Schedule, count_successes_target: int, seed: int
 ) -> FragmentedRun:
     """Sample the sequential-step process until the target number of successes.
 
@@ -225,7 +221,7 @@ def toss_fragmented(
     k = count_successes_target
     if k < 0:
         raise ValueError("count_successes_target must be non-negative")
-    probs = np.clip(schedule.step_probabilities(h), 0.0, 1.0)
+    probs = np.clip(schedule.step_probabilities(spectrum), 0.0, 1.0)
     p_full = float(np.prod(probs))
     rng = np.random.default_rng(seed)
     try:
@@ -248,9 +244,9 @@ def toss_fragmented(
     return FragmentedRun(k + failures, k, queries, executions, probs)
 
 
-def expected_queries_per_success(h: Hamiltonian, schedule: Schedule) -> float:
+def expected_queries_per_success(spectrum: Spectrum, schedule: Schedule) -> float:
     """Mean queries per fragmented success: sum_j q_j / prod_{k>=j} p_k."""
-    probs = schedule.step_probabilities(h)
+    probs = schedule.step_probabilities(spectrum)
     costs = schedule.step_query_costs().astype(float)
     # suffix products prod_{k=j..l} p_k
     suffix = np.cumprod(probs[::-1])[::-1]
@@ -258,7 +254,7 @@ def expected_queries_per_success(h: Hamiltonian, schedule: Schedule) -> float:
 
 
 def fragmented_query_bound(
-    h: Hamiltonian, schedule: Schedule, assume_equal_probabilities: bool = True
+    spectrum: Spectrum, schedule: Schedule, assume_equal_probabilities: bool = True
 ) -> float:
     """Upper bound on the expected queries per fragmented success.
 
@@ -269,7 +265,7 @@ def fragmented_query_bound(
     the smallest step probability:  max_j q_j * sum_{m=1}^{l} 2^{m b}.
     """
     l = schedule.l
-    probs = schedule.step_probabilities(h)
+    probs = schedule.step_probabilities(spectrum)
     max_cost = float(schedule.step_query_costs().max(initial=0))
     b = -math.log2(float(probs.min()))
     if b <= 0:
@@ -277,14 +273,13 @@ def fragmented_query_bound(
     if not assume_equal_probabilities:
         return max_cost * float(np.sum(2.0 ** (b * np.arange(1, l + 1))))
     beta_total = 2.0 * float(schedule.betas[-1])
-    z = exact_partition_function(h, beta_total)
-    inv_p_total = h.dim * math.exp(beta_total) / z
+    inv_p_total = 1.0 / ideal_coin_probability(spectrum, beta_total)
     factor = 2.0**b / (2.0**b - 1.0)
     return max_cost * factor * inv_p_total
 
 
 def equal_step_schedule(
-    h: Hamiltonian, beta: float, l: int, eps_total: float
+    spectrum: Spectrum, beta: float, l: int, eps_total: float
 ) -> Schedule:
     """Schedule whose steps all have (numerically) equal success probability.
 
@@ -294,15 +289,15 @@ def equal_step_schedule(
     """
     if l < 1:
         raise ValueError("need at least one step")
-    p_total = math.exp(-beta) * exact_partition_function(h, beta) / h.dim
+    p_total = ideal_coin_probability(spectrum, beta)
     target = p_total ** (1.0 / l)
     betas = [0.0]
     for k in range(1, l):
         lo, hi = betas[-1], beta / 2.0
-        z_lo = exact_partition_function(h, 2.0 * betas[-1])
+        z_lo = exact_partition_function(spectrum, 2.0 * betas[-1])
 
         def step_p(b_hi: float) -> float:
-            z_hi = exact_partition_function(h, 2.0 * b_hi)
+            z_hi = exact_partition_function(spectrum, 2.0 * b_hi)
             return z_hi / (math.exp(2.0 * (b_hi - betas[-1])) * z_lo)
 
         for _ in range(200):

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coin import CoinSpec, SeedStream, query_cost, success_probability, toss
+from .coin import CoinSpec, SeedStream, query_cost, toss
 
 # Rational inverse-normal-CDF approximation (P. Acklam's coefficients,
 # widely reproduced; |relative error| < 1.15e-9 before refinement).
@@ -40,6 +40,7 @@ _ACKLAM_D = (
 _ACKLAM_P_LOW = 0.02425
 
 _TOSS_BUDGET = 100_000_000  # tosses per additive-runner call before giving up
+_ROUND_CAP = 64  # halving rounds of relative_from_additive before giving up
 
 
 def _acklam_ppf(p: float) -> float:
@@ -208,7 +209,7 @@ def algorithm1(spec: CoinSpec, tosses: int, delta: float, seed: int) -> Estimate
         raise ValueError("tosses must be >= 1")
     heads = toss(spec, tosses, seed)
     p_hat, eps_p = ac_estimate(heads, tosses, delta)
-    scale = 2**spec.hamiltonian.n_qubits * math.exp(spec.beta)
+    scale = spec.spectrum.dim * math.exp(spec.beta)
     return Estimate(
         value=scale * p_hat,
         half_width=scale * eps_p,
@@ -233,14 +234,14 @@ def algorithm2(
         raise ValueError("target_successes must be >= 1")
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
-    p = min(max(success_probability(spec), 0.0), 1.0)
+    p = min(max(spec.heads_probability, 0.0), 1.0)
     if p <= 0.0:
         raise ValueError("success probability is zero; no success can occur")
     rng = np.random.default_rng(seed)
     r_values = rng.geometric(p, size=target_successes)
     record = TrialsRecord(r_values)
     r_bar = float(record.r_values.mean())
-    scale = 2**spec.hamiltonian.n_qubits * math.exp(spec.beta)
+    scale = spec.spectrum.dim * math.exp(spec.beta)
     eps_r = 1.0 / math.sqrt(delta * target_successes)
     value = scale / r_bar
     q = query_cost(spec.beta, spec.eps_prime)
@@ -262,11 +263,7 @@ AdditiveRunner = Callable[[float, float], Estimate]
 
 
 def relative_from_additive(
-    runner: AdditiveRunner,
-    z_max: float,
-    eps_r: float,
-    delta: float,
-    round_cap: int = 64,
+    runner: AdditiveRunner, z_max: float, eps_r: float, delta: float
 ) -> Estimate:
     """Relative-precision estimate from iterated additive-precision runs.
 
@@ -283,7 +280,7 @@ def relative_from_additive(
         raise ValueError("delta must be in (0, 1)")
     samples = 0
     queries = 0
-    for r in range(1, round_cap + 1):
+    for r in range(1, _ROUND_CAP + 1):
         eps_additive = eps_r * z_max / 2.0**r
         delta_r = (6.0 / math.pi**2) * delta / r**2
         est = runner(eps_additive, delta_r)
@@ -302,7 +299,7 @@ def relative_from_additive(
             )
     raise RuntimeError(
         f"estimate never exceeded the shrinking threshold within "
-        f"{round_cap} rounds"
+        f"{_ROUND_CAP} rounds"
     )
 
 
@@ -315,7 +312,7 @@ def make_additive_runner(spec: CoinSpec, seed: int) -> AdditiveRunner:
     deterministic.
     """
     seeds = SeedStream(seed)
-    scale = 2**spec.hamiltonian.n_qubits * math.exp(spec.beta)
+    scale = spec.spectrum.dim * math.exp(spec.beta)
     q = query_cost(spec.beta, spec.eps_prime)
 
     def runner(eps_additive: float, delta_step: float) -> Estimate:

@@ -39,7 +39,6 @@ import numpy as np
 from .coin import (
     CoinSpec,
     SeedStream,
-    success_probability,
     toss,
     toss_fragmented,
     uniform_schedule,
@@ -58,10 +57,9 @@ from .estimators import (
     expected_total_tosses_thm2,
 )
 from .hamiltonian import (
-    build_hamiltonian,
     generate_random_ising_graph,
     generate_random_qrbm,
-    rescale_to_unit_spectrum,
+    unit_spectrum,
 )
 from .noise import (
     LayerSeries,
@@ -73,9 +71,9 @@ from .noise import (
     simulate_noisy_tosses,
     NoiseFit,
 )
-from .oracle import exact_partition_function
+from .oracle import exact_partition_function, ideal_coin_probability
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -216,7 +214,7 @@ def learn_noise_model(
     (the sweep passes its first instance at ``fit_beta``) and fits (xi, p)
     back out.
     """
-    p_ideal = success_probability(fit_coin)
+    p_ideal = fit_coin.heads_probability
     depths = identity_insertion_depths(config.layers, config.insertions)
     successes = [
         simulate_noisy_tosses(p_ideal, config.xi, depth, config.shots, seeds.next())
@@ -253,19 +251,17 @@ def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> dict:
     per_beta: dict[float, list[dict]] = {b: [] for b in config.betas}
     fit = None  # learned on instance 0, before any of its tosses
     for idx, (ispec, iseed) in enumerate(zip(specs, instance_seeds)):
-        # One build and spectrum per instance: rescaling with beta = 1 returns
-        # the scale lam, and lam * beta is the product the rescale itself forms.
-        h = build_hamiltonian(ispec)
-        h_unit, lam = rescale_to_unit_spectrum(h, 1.0)
+        spectrum = unit_spectrum(ispec)
+        lam = spectrum.norm_bound
         if idx == 0 and config.xi is not None:
-            fit_coin = CoinSpec(h_unit, lam * config.fit_beta)
+            fit_coin = CoinSpec(spectrum, lam * config.fit_beta)
             fit, _ = learn_noise_model(config, fit_coin, seeds)
         for beta in config.betas:
             beta_coin = lam * beta
-            coin = CoinSpec(h_unit, beta_coin)
-            p_exact = success_probability(coin)
-            z_exact = exact_partition_function(h_unit, beta_coin)
-            scale = h_unit.dim * math.exp(beta_coin)
+            coin = CoinSpec(spectrum, beta_coin)
+            p_exact = coin.heads_probability
+            z_exact = exact_partition_function(spectrum, beta_coin)
+            scale = spectrum.dim * math.exp(beta_coin)
             successes = toss(coin, config.shots, seeds.next())
             p_hat, _ = ac_estimate(successes, config.shots, config.delta)
             p_sigma = math.sqrt(p_hat * (1.0 - p_hat) / config.shots)
@@ -294,7 +290,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> dict:
                     p_mitigated=p_mit, p_mitigated_sigma=p_mit_sigma,
                 )
             rows.append(
-                [config.model, idx, iseed, chash, beta, beta_coin, h.norm_bound,
+                [config.model, idx, iseed, chash, beta, beta_coin, lam,
                  z_exact, p_exact, config.shots, successes, p_hat, p_sigma]
                 + noisy_cols
                 + [scale * p_hat,
@@ -349,10 +345,11 @@ def run_coverage(config: ExperimentConfig, algorithm: str,
     seeds = SeedStream(config.seed)
     spec = _instance_spec(config, seeds.next())
     beta = config.betas[0]
-    h_unit, beta_coin = rescale_to_unit_spectrum(build_hamiltonian(spec), beta)
-    coin = CoinSpec(h_unit, beta_coin)
-    z_exact = exact_partition_function(h_unit, beta_coin)
-    n = h_unit.n_qubits
+    spectrum = unit_spectrum(spec)
+    beta_coin = spectrum.norm_bound * beta
+    coin = CoinSpec(spectrum, beta_coin)
+    z_exact = exact_partition_function(spectrum, beta_coin)
+    n = spectrum.n_qubits
 
     theory: dict = {}
     if algorithm == "alg1":
@@ -365,7 +362,7 @@ def run_coverage(config: ExperimentConfig, algorithm: str,
             n, beta_coin, z_exact, config.eps_r, config.delta
         )
     else:
-        theory["z_max"] = h_unit.dim * math.exp(beta_coin)
+        theory["z_max"] = spectrum.dim * math.exp(beta_coin)
 
     hits = 0
     samples: list[int] = []
@@ -485,25 +482,28 @@ def run_fragment(config: ExperimentConfig, out_dir: str | Path) -> dict:
     instance_seed = seeds.next()
     spec = _instance_spec(config, instance_seed)
     beta = config.betas[0]
-    h_unit, beta_coin = rescale_to_unit_spectrum(build_hamiltonian(spec), beta)
-    z_exact = exact_partition_function(h_unit, beta_coin)
-    p_full = success_probability(CoinSpec(h_unit, beta_coin))
+    spectrum = unit_spectrum(spec)
+    beta_coin = spectrum.norm_bound * beta
+    z_exact = exact_partition_function(spectrum, beta_coin)
+    p_full = ideal_coin_probability(spectrum, beta_coin)
     rows = []
     for l in config.schedule_sizes:
         schedule = uniform_schedule(beta_coin, l, config.frag_eps)
-        step_p = schedule.step_probabilities(h_unit)
+        step_p = schedule.step_probabilities(spectrum)
         product = math.prod(step_p)
-        run = toss_fragmented(h_unit, schedule, config.frag_successes, seeds.next())
+        run = toss_fragmented(spectrum, schedule, config.frag_successes, seeds.next())
         b = -math.log2(min(step_p)) if min(step_p) < 1.0 else 1.0
         rows.append([
             l,
             product,
             p_full,
             abs(product - p_full) / p_full,
-            schedule_size_lower_bound(h_unit.n_qubits, beta_coin, z_exact, b),
-            expected_queries_per_success(h_unit, schedule),
-            fragmented_query_bound(h_unit, schedule, assume_equal_probabilities=False),
-            fragmented_query_bound(h_unit, schedule),
+            schedule_size_lower_bound(spectrum.n_qubits, beta_coin, z_exact, b),
+            expected_queries_per_success(spectrum, schedule),
+            fragmented_query_bound(
+                spectrum, schedule, assume_equal_probabilities=False
+            ),
+            fragmented_query_bound(spectrum, schedule),
             run.queries_per_success,
             run.successes / run.attempts,
             run.attempts,

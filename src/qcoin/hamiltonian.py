@@ -1,10 +1,11 @@
-"""Dense Hamiltonian construction: random-graph Ising and quantum RBM models.
+"""Ising and quantum RBM instances, their unit spectra, and a dense oracle.
 
-Every Hamiltonian is a dense complex Hermitian matrix of dimension 2**n
-together with a certified upper bound on its spectral norm.  The dense
-representation is deliberate: an exact eigendecomposition must stay
-available for every instance, which caps the supported size at
-MAX_QUBITS = 12 (N = 4096).
+The coin's input state is maximally mixed, so everything the package
+computes depends only on the eigenvalues of H.  ``unit_spectrum(spec)``
+builds the ``Spectrum`` of H / L from the instance parameters with no
+matrix.  The dense ``Hamiltonian`` (``build_*``) serves the exact
+propagator, the approximant cross-checks and the tests as a reference;
+both are capped at MAX_QUBITS = 12 (N = 4096).
 
 Qubit convention: qubit 0 is the leftmost tensor factor, i.e. the most
 significant bit of the computational-basis index.
@@ -20,9 +21,12 @@ import numpy as np
 MAX_QUBITS = 12
 SPECTRUM_TOL = 1e-9  # relative slack when a spectrum is checked against a bound
 
-PAULI_I = np.eye(2, dtype=np.complex128)
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
+
+def _check_qubit_count(n_qubits: int) -> None:
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise ValueError(
+            f"n_qubits={n_qubits} is outside 1..{MAX_QUBITS}, the dense-storage cap"
+        )
 
 
 def _z_values(n_qubits: int) -> np.ndarray:
@@ -32,15 +36,50 @@ def _z_values(n_qubits: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Ascending, read-only eigenvalues of H / L: 2^n values in [-1, 1].
+
+    ``norm_bound`` is the certified bound L that H was divided by, so
+    Tr exp(-beta H) = Tr exp(-(L beta) H / L): inverse temperature beta
+    runs the coin at L * beta on these values.
+    """
+
+    values: np.ndarray
+    norm_bound: float
+
+    def __post_init__(self) -> None:
+        values = np.array(self.values, dtype=float)
+        if values.ndim != 1 or len(values) < 2 or len(values) & (len(values) - 1):
+            raise ValueError(f"a spectrum needs 2^n values, got shape {values.shape}")
+        _check_qubit_count(len(values).bit_length() - 1)
+        if np.any(np.diff(values) < 0):
+            raise ValueError("spectrum values must be ascending")
+        if not np.all(np.abs(values) <= 1.0 + SPECTRUM_TOL):
+            raise ValueError("spectrum exceeds [-1, 1]; divide H by its norm bound")
+        if not self.norm_bound > 0:
+            raise ValueError(f"norm_bound must be positive, got {self.norm_bound}")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def dim(self) -> int:
+        return len(self.values)
+
+    @property
+    def n_qubits(self) -> int:
+        return self.dim.bit_length() - 1
+
+
 @dataclass
 class Hamiltonian:
     """Dense Hermitian operator on n qubits with a certified norm bound.
 
     ``norm_bound`` is any certified upper bound on the spectral norm; the
     builders use the sum of absolute Pauli-term coefficients, which is cheap
-    and always valid.  The spectrum and the eigendecomposition are computed
-    on demand and cached.  Instances are treated as immutable after
-    construction and are safe to share for reads.
+    and always valid.  The eigendecomposition is computed on demand and
+    cached.  Instances are treated as immutable after construction and are
+    safe to share for reads.
     """
 
     matrix: np.ndarray
@@ -49,16 +88,9 @@ class Hamiltonian:
     _eigen: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
-    _spectrum: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be positive, got {self.n_qubits}")
-        if self.n_qubits > MAX_QUBITS:
-            raise ValueError(
-                f"n_qubits={self.n_qubits} exceeds the dense-storage cap of "
-                f"{MAX_QUBITS} qubits (N = {2**MAX_QUBITS})"
-            )
+        _check_qubit_count(self.n_qubits)
         matrix = np.asarray(self.matrix, dtype=np.complex128)
         dim = 2**self.n_qubits
         if matrix.shape != (dim, dim):
@@ -71,35 +103,6 @@ class Hamiltonian:
             raise ValueError("norm_bound must be non-negative")
         matrix.setflags(write=False)
         self.matrix = matrix
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
-
-    def spectrum(self) -> np.ndarray:
-        """Ascending real eigenvalues, computed once and cached (read-only).
-
-        A diagonal matrix gives its sorted diagonal with no decomposition;
-        any other matrix takes the eigenvalues of ``eigensystem()``.  Both
-        routes check the eigenvalues against norm_bound.
-        """
-        if self._spectrum is None:
-            diagonal = self.matrix.diagonal()
-            if np.count_nonzero(self.matrix) == np.count_nonzero(diagonal):
-                evals = np.sort(diagonal.real)
-                self._check_norm_bound(evals)
-            else:
-                evals = self.eigensystem()[0]
-            evals.setflags(write=False)
-            self._spectrum = evals
-        return self._spectrum
-
-    def unit_spectrum(self) -> np.ndarray:
-        """``spectrum()``, required to lie in [-1, 1] up to SPECTRUM_TOL."""
-        evals = self.spectrum()
-        if np.abs(evals).max(initial=0.0) > 1.0 + SPECTRUM_TOL:
-            raise ValueError("spectrum exceeds [-1, 1]; rescale the Hamiltonian first")
-        return evals
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (ascending) and eigenvectors, computed once and cached.
@@ -119,16 +122,13 @@ class Hamiltonian:
                 raise RuntimeError(
                     f"eigendecomposition residual {resid_bound:.3e} exceeds tolerance"
                 )
-            self._check_norm_bound(evals)
+            slack = SPECTRUM_TOL * max(1.0, self.norm_bound)
+            if np.abs(evals).max(initial=0.0) > self.norm_bound + slack:
+                raise ValueError(
+                    "certified norm_bound is smaller than the actual spectral norm"
+                )
             self._eigen = (evals, evecs)
         return self._eigen
-
-    def _check_norm_bound(self, evals: np.ndarray) -> None:
-        slack = SPECTRUM_TOL * max(1.0, self.norm_bound)
-        if np.abs(evals).max(initial=0.0) > self.norm_bound + slack:
-            raise ValueError(
-                "certified norm_bound is smaller than the actual spectral norm"
-            )
 
     @property
     def eigen_cache(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -172,6 +172,11 @@ class IsingSpec:
             degree[j] += 1
         if any(d == 0 for d in degree):
             raise ValueError("every vertex must have degree >= 1")
+
+    @property
+    def norm_bound(self) -> float:
+        """Sum of absolute coupling weights: a certified bound on ||H||."""
+        return sum(abs(w) for _, _, w in self.edges)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -226,6 +231,12 @@ class QrbmSpec:
     def n_qubits(self) -> int:
         return self.n_visible + self.n_hidden
 
+    @property
+    def norm_bound(self) -> float:
+        """Sum of absolute Pauli coefficients: a certified bound on ||H||."""
+        params = (self.biases, self.couplings, self.transverse_field)
+        return sum(float(np.abs(a).sum()) for a in params)
+
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -266,42 +277,61 @@ def spec_from_json(text: str) -> IsingSpec | QrbmSpec:
     raise ValueError(f"unknown Hamiltonian kind {kind!r}")
 
 
-def build_ising(spec: IsingSpec) -> Hamiltonian:
-    """H = sum_{(i,j) in edges} J_ij Z_i Z_j as a dense matrix (diagonal, real)."""
+def _ising_diagonal(spec: IsingSpec) -> np.ndarray:
+    """Diagonal of sum_{(i,j) in edges} J_ij Z_i Z_j in the computational basis."""
+    _check_qubit_count(spec.n_qubits)
     z = _z_values(spec.n_qubits)
     diag = np.zeros(2**spec.n_qubits)
-    lam = 0.0
     for i, j, w in spec.edges:
         diag += w * z[:, i] * z[:, j]
-        lam += abs(w)
-    return Hamiltonian(np.diag(diag.astype(np.complex128)), spec.n_qubits, lam)
+    return diag
+
+
+def unit_spectrum(spec: IsingSpec | QrbmSpec) -> Spectrum:
+    """Spectrum of H / L, L the norm bound (1 for H = 0), with no matrix.
+
+    Ising H is diagonal.  QRBM H is block-diagonal over the visible z_v,
+    each block -sum_v b_v z_v plus one-qubit terms -a_h Z_h - gamma_h X_h,
+    a_h = b_h + sum_v w_vh z_v, with eigenvalues +-sqrt(a_h^2 + gamma_h^2).
+    """
+    if isinstance(spec, IsingSpec):
+        values = _ising_diagonal(spec)
+    elif isinstance(spec, QrbmSpec):
+        _check_qubit_count(spec.n_qubits)
+        z_visible = _z_values(spec.n_visible)
+        a = spec.biases[spec.n_visible:] + z_visible @ spec.couplings
+        radii = np.hypot(a, spec.transverse_field)
+        hidden = (radii[:, None, :] * _z_values(spec.n_hidden)[None, :, :]).sum(axis=2)
+        visible = -(z_visible @ spec.biases[: spec.n_visible])
+        values = (visible[:, None] + hidden).ravel()
+    else:
+        raise TypeError(f"unsupported spec type {type(spec).__name__}")
+    lam = spec.norm_bound or 1.0
+    return Spectrum(np.sort(values) / lam, lam)
+
+
+def build_ising(spec: IsingSpec) -> Hamiltonian:
+    """H = sum_{(i,j) in edges} J_ij Z_i Z_j as a dense matrix (diagonal, real)."""
+    matrix = np.diag(_ising_diagonal(spec).astype(np.complex128))
+    return Hamiltonian(matrix, spec.n_qubits, spec.norm_bound)
 
 
 def build_qrbm(spec: QrbmSpec) -> Hamiltonian:
     """Dense QRBM Hamiltonian; non-diagonal iff some transverse field is nonzero."""
     n = spec.n_qubits
-    dim = 2**n
+    _check_qubit_count(n)
     z = _z_values(n)
-    diag = np.zeros(dim)
-    for q in range(n):
-        diag -= spec.biases[q] * z[:, q]
-    for iv in range(spec.n_visible):
-        for jh in range(spec.n_hidden):
-            diag -= spec.couplings[iv, jh] * z[:, iv] * z[:, spec.n_visible + jh]
+    z_visible, z_hidden = z[:, : spec.n_visible], z[:, spec.n_visible:]
+    diag = -(z @ spec.biases) - ((z_visible @ spec.couplings) * z_hidden).sum(axis=1)
     matrix = np.diag(diag.astype(np.complex128))
-    states = np.arange(dim)
+    states = np.arange(2**n)
     for jh, gamma in enumerate(spec.transverse_field):
         if gamma == 0.0:
             continue
         # X on hidden qubit jh flips its bit in the basis index
         flipped = states ^ (1 << (n - 1 - (spec.n_visible + jh)))
         matrix[states, flipped] -= gamma
-    lam = (
-        float(np.abs(spec.biases).sum())
-        + float(np.abs(spec.couplings).sum())
-        + float(np.abs(spec.transverse_field).sum())
-    )
-    return Hamiltonian(matrix, n, lam)
+    return Hamiltonian(matrix, n, spec.norm_bound)
 
 
 def build_hamiltonian(spec: IsingSpec | QrbmSpec) -> Hamiltonian:
@@ -360,20 +390,3 @@ def generate_random_qrbm(n_visible: int, n_hidden: int, seed: int) -> QrbmSpec:
         transverse_field=rng.standard_normal(n_hidden),
         seed=seed,
     )
-
-
-def rescale_to_unit_spectrum(h: Hamiltonian, beta: float) -> tuple[Hamiltonian, float]:
-    """Map H -> H / norm_bound and beta -> norm_bound * beta.
-
-    The rescaled spectrum lies in [-1, 1] and the partition function is
-    invariant: Tr exp(-beta H) = Tr exp(-(L beta)(H / L)).  A norm bound of
-    zero is accepted only for the zero Hamiltonian, for which the identity
-    rescale (scale 1) is used.
-    """
-    lam = h.norm_bound
-    if lam <= 0.0:
-        if np.any(h.matrix != 0):
-            raise ValueError("norm_bound is 0 but the Hamiltonian is nonzero")
-        lam = 1.0
-    rescaled = Hamiltonian(h.matrix / lam, h.n_qubits, 1.0)
-    return rescaled, lam * beta

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_MAX_ITERATIONS = 200  # Gauss-Newton iterations before FitConvergenceError
+
 
 class FitDegenerateError(ValueError):
     """The depth series carries no signal (all points at the 1/2 fixed point)."""
@@ -134,10 +136,8 @@ def _forward(theta: np.ndarray, depths: np.ndarray) -> np.ndarray:
 
 def _jacobian(theta: np.ndarray, depths: np.ndarray) -> np.ndarray:
     xi, p = theta
-    decay = (1.0 - xi) ** depths
     d_xi = -depths * (1.0 - xi) ** (depths - 1) * (p - 0.5)
-    d_p = decay
-    return np.column_stack([d_xi, d_p])
+    return np.column_stack([d_xi, (1.0 - xi) ** depths])
 
 
 def _initial_guess(series: LayerSeries) -> np.ndarray:
@@ -155,19 +155,13 @@ def _initial_guess(series: LayerSeries) -> np.ndarray:
     return np.array([xi0, min(max(p0, 0.0), 1.0)])
 
 
-def fit_noise_model(
-    series: LayerSeries,
-    weighted: bool = False,
-    max_iterations: int = 200,
-) -> NoiseFit:
+def fit_noise_model(series: LayerSeries) -> NoiseFit:
     """Least-squares fit of (xi, p) to the depth series.
 
     Gauss-Newton with Levenberg-style damping; parameters are kept inside
     the box [0, 1]^2 by projection.  Parameter standard deviations come
     from the Jacobian-based covariance (J^T J)^-1 scaled by the residual
     variance, floored at the known binomial shot variance.
-    ``weighted=True`` weights points by their binomial shot variance
-    instead of uniformly.
     """
     if len(series.depths) < 3:
         raise ValueError("need at least 3 depth points to fit two parameters")
@@ -177,23 +171,14 @@ def fit_noise_model(
         )
     depths = series.depths.astype(float)
     y = series.measured_p
-    if weighted:
-        var = np.maximum(y * (1.0 - y), 1e-12) / series.shots_per_point
-        w = 1.0 / np.sqrt(var)
-    else:
-        w = np.ones_like(y)
-
-    def residuals(theta: np.ndarray) -> np.ndarray:
-        return w * (_forward(theta, depths) - y)
-
     theta = _initial_guess(series)
-    r = residuals(theta)
+    r = _forward(theta, depths) - y
     ss = float(r @ r)
     damping = 1e-3
     converged = False
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        jac = w[:, None] * _jacobian(theta, depths)
+    for iterations in range(1, _MAX_ITERATIONS + 1):
+        jac = _jacobian(theta, depths)
         grad = jac.T @ r
         hess = jac.T @ jac
         # active-set reduction: freeze coordinates pinned at a bound whose
@@ -214,7 +199,7 @@ def fit_noise_model(
                 -grad[free],
             )
             candidate = np.clip(theta + step, 0.0, 1.0)
-            r_new = residuals(candidate)
+            r_new = _forward(candidate, depths) - y
             ss_new = float(r_new @ r_new)
             if ss_new <= ss:
                 accepted = True
@@ -230,16 +215,13 @@ def fit_noise_model(
             converged = True
             break
 
-    jac = w[:, None] * _jacobian(theta, depths)
+    jac = _jacobian(theta, depths)
     dof = max(len(y) - 2, 1)
     # Residual variance floored at the known binomial shot variance: with only
     # a few depth points the chi-square fluctuation of RSS/dof would otherwise
     # underestimate the parameter spread half the time.
-    if weighted:
-        s2 = max(ss / dof, 1.0)
-    else:
-        shot_var = float(np.mean(np.maximum(y * (1.0 - y), 1e-12)))
-        s2 = max(ss / dof, shot_var / series.shots_per_point)
+    shot_var = float(np.mean(np.maximum(y * (1.0 - y), 1e-12)))
+    s2 = max(ss / dof, shot_var / series.shots_per_point)
     try:
         cov = np.linalg.inv(jac.T @ jac) * s2
     except np.linalg.LinAlgError:
@@ -253,9 +235,9 @@ def fit_noise_model(
         covariance=cov,
         iterations=iterations,
     )
-    if not converged and iterations >= max_iterations:
+    if not converged and iterations >= _MAX_ITERATIONS:
         raise FitConvergenceError(
-            f"no convergence after {max_iterations} iterations", best=fit
+            f"no convergence after {_MAX_ITERATIONS} iterations", best=fit
         )
     return fit
 

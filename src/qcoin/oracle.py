@@ -2,7 +2,7 @@
 
 Everything here is the reference the statistical machinery is tested
 against: exact partition functions, free energies, ideal coin success
-probabilities, and waiting-time moments.
+probabilities and waiting-time moments, all read off a unit ``Spectrum``.
 """
 
 from __future__ import annotations
@@ -13,24 +13,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import Hamiltonian
+from .hamiltonian import Spectrum
 
 
-def exact_partition_function(h: Hamiltonian, beta: float) -> float:
+def exact_partition_function(spectrum: Spectrum, beta: float) -> float:
     """Tr exp(-beta H) from the eigenvalues.
 
     The Boltzmann terms span many orders of magnitude at large beta, so they
     are accumulated smallest-first with compensated summation.
     """
-    terms = np.exp(-beta * h.spectrum())
+    terms = np.exp(-beta * spectrum.values)
     return math.fsum(np.sort(terms))
 
 
-def exact_free_energy(h: Hamiltonian, beta: float) -> float:
+def exact_free_energy(spectrum: Spectrum, beta: float) -> float:
     """F = -log(Z_beta) / beta; undefined at beta = 0."""
     if beta <= 0:
         raise ValueError("free energy requires beta > 0")
-    return -math.log(exact_partition_function(h, beta)) / beta
+    return -math.log(exact_partition_function(spectrum, beta)) / beta
+
+
+def ideal_coin_probability(spectrum: Spectrum, beta: float) -> float:
+    """Heads probability exp(-beta) Z_beta / 2^n of the ideal coin.
+
+    Evaluated as the mean squared amplitude exp(-beta (1 + lambda) / 2),
+    which cannot overflow on a unit spectrum, unlike exp(-beta) and Z_beta.
+    """
+    amplitudes = np.exp(-beta * (1.0 + spectrum.values) / 2.0)
+    return float(np.mean(amplitudes**2))
 
 
 def geometric_stats(p: float) -> tuple[float, float]:
@@ -42,10 +52,10 @@ def geometric_stats(p: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Exact reference values for one (Hamiltonian, beta) pair.
+    """Exact reference values for one (spectrum, beta) pair.
 
-    ``p_suc_ideal`` is the ideal coin probability exp(-beta) Z / 2^n, valid
-    for spectra inside [-1, 1]; ``mean_trials`` is its geometric mean 1/p.
+    ``p_suc_ideal`` is the ideal coin probability exp(-beta) Z / 2^n;
+    ``mean_trials`` is its geometric mean 1/p.
     ``free_energy`` is None at beta = 0.
     """
 
@@ -65,13 +75,12 @@ class OracleReport:
         )
 
 
-def oracle_report(h: Hamiltonian, beta: float) -> OracleReport:
-    """Build the full reference report; requires spectrum within [-1, 1]."""
+def oracle_report(spectrum: Spectrum, beta: float) -> OracleReport:
+    """Build the full reference report for the coin at inverse temperature beta."""
     if beta < 0:
         raise ValueError("beta must be non-negative")
-    h.unit_spectrum()
-    z = exact_partition_function(h, beta)
-    p = math.exp(-beta) * z / h.dim
+    z = exact_partition_function(spectrum, beta)
+    p = ideal_coin_probability(spectrum, beta)
     return OracleReport(
         z_beta=z,
         free_energy=None if beta == 0 else -math.log(z) / beta,

@@ -25,7 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .hamiltonian import Hamiltonian
+from .hamiltonian import Hamiltonian, Spectrum
 
 GRID_SIZE = 10_000
 _DEGREE_CAP = 20_000
@@ -257,9 +257,9 @@ def apply_approximant(
     ``method="clenshaw"`` runs the Clenshaw recurrence on the matrix itself.
     The two routes agree to 1e-9 in spectral norm and exist as mutual checks.
     """
-    h.unit_spectrum()
+    evals, evecs = h.eigensystem()
+    Spectrum(evals, 1.0)  # raises unless the eigenvalues lie in [-1, 1]
     if method == "eigen":
-        evals, evecs = h.eigensystem()
         values = _clenshaw(approx.coefficients, evals)
         return (evecs * values) @ evecs.conj().T
     if method == "clenshaw":

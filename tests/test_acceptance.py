@@ -29,10 +29,9 @@ from qcoin.estimators import (
 )
 from qcoin.experiments import ExperimentConfig, run_sweep
 from qcoin.hamiltonian import (
-    build_hamiltonian,
     generate_random_ising_graph,
     generate_random_qrbm,
-    rescale_to_unit_spectrum,
+    unit_spectrum,
 )
 from qcoin.noise import (
     FitConvergenceError,
@@ -61,21 +60,17 @@ def rep_seeds(root, count):
     return [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(root).spawn(count)]
 
 
-def random_unit_hamiltonian(index, seed):
+def random_unit_spectrum(index, seed):
     """Alternate Ising / QRBM instances, rescaled to unit spectrum."""
     if index % 2 == 0:
-        spec = generate_random_ising_graph(3 + index % 4 // 2, seed)
-    else:
-        spec = generate_random_qrbm(2, 1 + index % 4 // 2, seed)
-    h = build_hamiltonian(spec)
-    h_unit, _ = rescale_to_unit_spectrum(h, 1.0)
-    return h_unit
+        return unit_spectrum(generate_random_ising_graph(3 + index % 4 // 2, seed))
+    return unit_spectrum(generate_random_qrbm(2, 1 + index % 4 // 2, seed))
 
 
 def standard_ising_coin(beta=1.0, seed=123):
-    h = build_hamiltonian(generate_random_ising_graph(4, seed))
-    h_unit, beta_coin = rescale_to_unit_spectrum(h, beta)
-    return CoinSpec(h_unit, beta_coin), h_unit, beta_coin
+    spectrum = unit_spectrum(generate_random_ising_graph(4, seed))
+    beta_coin = spectrum.norm_bound * beta
+    return CoinSpec(spectrum, beta_coin), spectrum, beta_coin
 
 
 def test_eq4_identity():
@@ -84,11 +79,11 @@ def test_eq4_identity():
         start = time.monotonic()
         rng = np.random.default_rng(2024)
         for index in range(100):
-            h_unit = random_unit_hamiltonian(index, int(rng.integers(0, 2**31)))
+            spectrum = random_unit_spectrum(index, int(rng.integers(0, 2**31)))
             beta = float(rng.uniform(0.0, 10.0))
-            p = success_probability(CoinSpec(h_unit, beta))
-            z = exact_partition_function(h_unit, beta)
-            assert p * math.exp(beta) * h_unit.dim == pytest.approx(z, rel=1e-12)
+            p = success_probability(CoinSpec(spectrum, beta))
+            z = exact_partition_function(spectrum, beta)
+            assert p * math.exp(beta) * spectrum.dim == pytest.approx(z, rel=1e-12)
         assert time.monotonic() - start < 10.0
 
 
@@ -101,10 +96,10 @@ def test_bias_bound():
             beta = float(rng.uniform(0.1, 5.0))
             eps = float(10.0 ** rng.uniform(-6.0, -1.5))
             approx = chebyshev_coefficients(beta, required_degree(beta, eps))
-            h_unit = random_unit_hamiltonian(index, int(rng.integers(0, 2**31)))
-            ideal = success_probability(CoinSpec(h_unit, beta))
+            spectrum = random_unit_spectrum(index, int(rng.integers(0, 2**31)))
+            ideal = success_probability(CoinSpec(spectrum, beta))
             biased = success_probability(
-                CoinSpec(h_unit, beta, eps_prime=eps, approximant=approx)
+                CoinSpec(spectrum, beta, eps_prime=eps, approximant=approx)
             )
             assert abs(biased - ideal) <= 3.0 * eps
         assert time.monotonic() - start < 30.0
@@ -113,8 +108,8 @@ def test_bias_bound():
 def test_thm1_coverage():
     """Fixed-budget estimator: relative error <= 0.2 in >= 93% of 400 runs."""
     with criterion("Thm.1 coverage (400 reps, eps_r=0.2, delta=0.05)"):
-        coin, h_unit, beta_coin = standard_ising_coin(beta=1.0, seed=123)
-        z = exact_partition_function(h_unit, beta_coin)
+        coin, spectrum, beta_coin = standard_ising_coin(beta=1.0, seed=123)
+        z = exact_partition_function(spectrum, beta_coin)
         budget = sample_count_thm1(4, beta_coin, z, 0.2, 0.05)
         hits = 0
         for seed in rep_seeds(99, 400):
@@ -126,8 +121,8 @@ def test_thm1_coverage():
 def test_thm2_coverage_and_cost():
     """Waiting-time estimator: coverage >= 70% and mean cost on prediction."""
     with criterion("Thm.2 coverage and mean total tosses (400 reps)"):
-        coin, h_unit, beta_coin = standard_ising_coin(beta=1.0, seed=123)
-        z = exact_partition_function(h_unit, beta_coin)
+        coin, spectrum, beta_coin = standard_ising_coin(beta=1.0, seed=123)
+        z = exact_partition_function(spectrum, beta_coin)
         budget = success_count_thm2(0.2, 0.25)
         assert budget == 100
         hits = 0
@@ -172,27 +167,27 @@ def test_eq12_scaling():
 def test_fragmentation():
     """Step-probability product, sampler frequency, and query-cost bound."""
     with criterion("Fragmented coin: product identity, sampler, query bound"):
-        coin, h_unit, beta_coin = standard_ising_coin(beta=1.0, seed=123)
+        coin, spectrum, beta_coin = standard_ising_coin(beta=1.0, seed=123)
         p_full = success_probability(coin)
         for l in (1, 2, 4, 8):
             sched = uniform_schedule(beta_coin, l, 1e-6)
-            product = math.prod(sched.step_probabilities(h_unit))
+            product = math.prod(sched.step_probabilities(spectrum))
             assert product == pytest.approx(p_full, rel=1e-12)
 
         # ~1e4 traversals of the 4-step schedule
         sched = uniform_schedule(beta_coin, 4, 1e-6)
         target = int(round(10_000 * p_full))
-        run = toss_fragmented(h_unit, sched, target, seed=42)
+        run = toss_fragmented(spectrum, sched, target, seed=42)
         freq = run.successes / run.attempts
         sigma = math.sqrt(p_full * (1.0 - p_full) / run.attempts)
         assert abs(freq - p_full) <= 3.0 * sigma
 
         # equal-probability schedule: average queries within 10% of the bound
-        eq_sched = equal_step_schedule(h_unit, beta_coin, 4, 1e-4)
-        probs = eq_sched.step_probabilities(h_unit)
+        eq_sched = equal_step_schedule(spectrum, beta_coin, 4, 1e-4)
+        probs = eq_sched.step_probabilities(spectrum)
         assert max(probs) - min(probs) <= 1e-9
-        bound = fragmented_query_bound(h_unit, eq_sched)
-        eq_run = toss_fragmented(h_unit, eq_sched, 2000, seed=31)
+        bound = fragmented_query_bound(spectrum, eq_sched)
+        eq_run = toss_fragmented(spectrum, eq_sched, 2000, seed=31)
         assert eq_run.queries_per_success <= 1.1 * bound
 
 

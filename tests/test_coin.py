@@ -16,29 +16,31 @@ from qcoin.coin import (
     toss_fragmented,
     uniform_schedule,
 )
-from qcoin.estimators import algorithm1
+import qcoin.coin
+from qcoin.estimators import algorithm1, algorithm2, make_additive_runner
 from qcoin.hamiltonian import (
-    Hamiltonian,
-    build_ising,
+    Spectrum,
     generate_random_ising_graph,
     generate_random_qrbm,
-    build_hamiltonian,
-    rescale_to_unit_spectrum,
+    unit_spectrum,
 )
 from qcoin.oracle import exact_partition_function
 from qcoin.propagator import chebyshev_coefficients, required_degree
 
 
+def zero_spectrum(n=2):
+    return Spectrum(np.zeros(2**n), 1.0)
+
+
 def zero_coin(beta, n=2):
     """Coin with H = 0: heads probability exactly exp(-beta)."""
-    h = Hamiltonian(np.zeros((2**n, 2**n), dtype=complex), n, 0.0)
-    return CoinSpec(h, beta)
+    return CoinSpec(zero_spectrum(n), beta)
 
 
 def unit_ising_coin(seed, beta):
-    h = build_ising(generate_random_ising_graph(4, seed))
-    h_unit, beta_coin = rescale_to_unit_spectrum(h, beta)
-    return CoinSpec(h_unit, beta_coin), h_unit, beta_coin
+    spectrum = unit_spectrum(generate_random_ising_graph(4, seed))
+    beta_coin = spectrum.norm_bound * beta
+    return CoinSpec(spectrum, beta_coin), spectrum, beta_coin
 
 
 def _chi2_pvalue_2x2(heads_a, n_a, heads_b, n_b):
@@ -51,19 +53,19 @@ def _chi2_pvalue_2x2(heads_a, n_a, heads_b, n_b):
 
 
 def test_coin_spec_validation():
-    h = Hamiltonian(np.zeros((4, 4), dtype=complex), 2, 0.0)
+    spectrum = zero_spectrum()
     with pytest.raises(ValueError):
-        CoinSpec(h, -1.0)
+        CoinSpec(spectrum, -1.0)
     with pytest.raises(ValueError):
-        CoinSpec(h, 1.0, eps_prime=0.1)  # eps > 0 without approximant
+        CoinSpec(spectrum, 1.0, eps_prime=0.1)  # eps > 0 without approximant
     approx = chebyshev_coefficients(1.0, required_degree(1.0, 1e-4))
     with pytest.raises(ValueError):
-        CoinSpec(h, 1.0, eps_prime=0.0, approximant=approx)
+        CoinSpec(spectrum, 1.0, eps_prime=0.0, approximant=approx)
     with pytest.raises(ValueError):  # certified error above budget
-        CoinSpec(h, 1.0, eps_prime=1e-12, approximant=approx)
+        CoinSpec(spectrum, 1.0, eps_prime=1e-12, approximant=approx)
     with pytest.raises(ValueError):  # beta mismatch
-        CoinSpec(h, 2.0, eps_prime=1e-3, approximant=approx)
-    CoinSpec(h, 1.0, eps_prime=1e-4, approximant=approx)
+        CoinSpec(spectrum, 2.0, eps_prime=1e-3, approximant=approx)
+    CoinSpec(spectrum, 1.0, eps_prime=1e-4, approximant=approx)
 
 
 def test_success_probability_beta_zero_is_one():
@@ -72,25 +74,37 @@ def test_success_probability_beta_zero_is_one():
 
 def test_success_probability_identity_hamiltonian():
     # H = identity: every eigenvalue 1, so p = exp(-2 beta)
-    h = Hamiltonian(np.eye(2, dtype=complex), 1, 1.0)
+    spectrum = Spectrum(np.ones(2), 1.0)
     for beta in (0.3, 1.0, 2.5):
-        assert success_probability(CoinSpec(h, beta)) == pytest.approx(
+        assert success_probability(CoinSpec(spectrum, beta)) == pytest.approx(
             math.exp(-2.0 * beta), rel=1e-12
         )
 
 
 def test_success_probability_matches_oracle_identity():
     for seed in range(10):
-        coin, h_unit, beta_coin = unit_ising_coin(seed, 1.0)
+        coin, spectrum, beta_coin = unit_ising_coin(seed, 1.0)
         p = success_probability(coin)
-        z = exact_partition_function(h_unit, beta_coin)
-        assert p * math.exp(beta_coin) * h_unit.dim == pytest.approx(z, rel=1e-12)
+        z = exact_partition_function(spectrum, beta_coin)
+        assert p * math.exp(beta_coin) * spectrum.dim == pytest.approx(z, rel=1e-12)
 
 
 def test_success_probability_rejects_wide_spectrum():
-    wide = Hamiltonian(2.0 * np.array([[1, 0], [0, -1]], dtype=complex), 1, 2.0)
-    with pytest.raises(ValueError):
-        success_probability(CoinSpec(wide, 1.0))
+    # a spectrum outside [-1, 1] cannot be built, so no coin can read one
+    with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+        success_probability(CoinSpec(Spectrum(np.array([-2.0, 2.0]), 2.0), 1.0))
+
+
+def test_heads_probability_computed_once_per_coin(monkeypatch):
+    coin, _, _ = unit_ising_coin(3, 1.0)
+    assert coin.heads_probability == success_probability(coin)
+    calls = []
+    monkeypatch.setattr(qcoin.coin, "success_probability",
+                        lambda spec: calls.append(spec) or 0.5)
+    toss(coin, 100, seed=1)
+    algorithm2(coin, 5, seed=2)
+    make_additive_runner(coin, seed=3)(1.0, 0.05)
+    assert calls == []
 
 
 def test_bias_bound_for_certified_approximants():
@@ -100,10 +114,10 @@ def test_bias_bound_for_certified_approximants():
         beta = float(rng.uniform(0.2, 4.0))
         eps = float(10.0 ** rng.uniform(-6, -2))
         approx = chebyshev_coefficients(beta, required_degree(beta, eps))
-        _, h_unit, _ = unit_ising_coin(int(rng.integers(0, 500)), 1.0)
-        ideal = success_probability(CoinSpec(h_unit, beta))
+        _, spectrum, _ = unit_ising_coin(int(rng.integers(0, 500)), 1.0)
+        ideal = success_probability(CoinSpec(spectrum, beta))
         biased = success_probability(
-            CoinSpec(h_unit, beta, eps_prime=eps, approximant=approx)
+            CoinSpec(spectrum, beta, eps_prime=eps, approximant=approx)
         )
         assert abs(biased - ideal) <= 3.0 * eps
 
@@ -185,57 +199,57 @@ def test_schedule_validation():
 
 
 def test_step_probability_zero_width_step():
-    h = Hamiltonian(np.zeros((4, 4), dtype=complex), 2, 0.0)
+    spectrum = zero_spectrum()
     sched = Schedule(np.array([0.0, 0.0]), np.array([1e-3]))
-    (p,) = sched.step_probabilities(h)
+    (p,) = sched.step_probabilities(spectrum)
     assert p == pytest.approx(1.0, abs=1e-15)
 
 
 def test_step_probability_zero_hamiltonian():
-    h = Hamiltonian(np.zeros((4, 4), dtype=complex), 2, 0.0)
+    spectrum = zero_spectrum()
     sched = uniform_schedule(2.0, 4, 1e-3)
-    probs = sched.step_probabilities(h)
+    probs = sched.step_probabilities(spectrum)
     assert probs.shape == (4,)
     for p, width in zip(probs, sched.step_widths):
         assert p == pytest.approx(math.exp(-2.0 * width), rel=1e-14)
 
 
 def test_step_probabilities_telescope_to_full_coin():
-    coin, h_unit, beta_coin = unit_ising_coin(7, 1.5)
+    coin, spectrum, beta_coin = unit_ising_coin(7, 1.5)
     p_full = success_probability(coin)
     for l in (1, 2, 4, 8):
         sched = uniform_schedule(beta_coin, l, 1e-6)
-        product = math.prod(sched.step_probabilities(h_unit))
+        product = math.prod(sched.step_probabilities(spectrum))
         assert product == pytest.approx(p_full, rel=1e-12)
 
 
 def test_fragmented_single_step_equivalent_to_plain_toss():
-    coin, h_unit, beta_coin = unit_ising_coin(3, 1.0)
+    coin, spectrum, beta_coin = unit_ising_coin(3, 1.0)
     sched = uniform_schedule(beta_coin, 1, 1e-6)
     p = success_probability(coin)
     plain = toss(coin, 10_000, seed=5)
     target = int(round(10_000 * p))
-    run = toss_fragmented(h_unit, sched, target, seed=6)
+    run = toss_fragmented(spectrum, sched, target, seed=6)
     p_value = _chi2_pvalue_2x2(plain, 10_000, run.successes, run.attempts)
     assert p_value > 0.01
 
 
 def test_fragmented_zero_hamiltonian_frequency():
-    h = Hamiltonian(np.zeros((4, 4), dtype=complex), 2, 0.0)
+    spectrum = zero_spectrum()
     beta = 0.5
     sched = uniform_schedule(beta, 2, 1e-6)
     p = math.exp(-beta)
     target = int(round(5000 * p))
-    run = toss_fragmented(h, sched, target, seed=21)
+    run = toss_fragmented(spectrum, sched, target, seed=21)
     sigma = math.sqrt(p * (1 - p) / run.attempts)
     assert abs(run.successes / run.attempts - p) <= 3.0 * sigma
 
 
 def test_fragmented_determinism_and_query_accounting():
-    _, h_unit, beta_coin = unit_ising_coin(3, 1.0)
+    _, spectrum, beta_coin = unit_ising_coin(3, 1.0)
     sched = uniform_schedule(beta_coin, 4, 1e-4)
-    a = toss_fragmented(h_unit, sched, 100, seed=77)
-    b = toss_fragmented(h_unit, sched, 100, seed=77)
+    a = toss_fragmented(spectrum, sched, 100, seed=77)
+    b = toss_fragmented(spectrum, sched, 100, seed=77)
     assert (a.attempts, a.queries) == (b.attempts, b.queries)
     assert np.array_equal(a.step_executions, b.step_executions)
     # total queries decompose over per-step execution counts
@@ -270,11 +284,11 @@ def test_fragmented_step_executions_match_reach_probabilities():
     # step j with probability q_j = (r_j - P)/(1 - P), r_j = prod_{i<j} p_i,
     # so step j runs k + Binomial(N - k, q_j) times, about N r_j.  Stop
     # weights shifted by one step move these counts by 7 to 100 sigma here.
-    _, h_unit, beta_coin = unit_ising_coin(3, 1.0)
+    _, spectrum, beta_coin = unit_ising_coin(3, 1.0)
     sched = uniform_schedule(beta_coin, 4, 1e-4)
-    probs = sched.step_probabilities(h_unit)
+    probs = sched.step_probabilities(spectrum)
     k = 2000
-    run = toss_fragmented(h_unit, sched, k, seed=5)
+    run = toss_fragmented(spectrum, sched, k, seed=5)
     failed = run.attempts - k
     p_full = float(np.prod(probs))
     reach = np.concatenate(([1.0], np.cumprod(probs[:-1])))
@@ -283,15 +297,16 @@ def test_fragmented_step_executions_match_reach_probabilities():
         sigma = math.sqrt(failed * q * (1.0 - q))
         assert abs(executions - (k + failed * q)) <= 4.0 * sigma
     mean, var = _queries_per_success_moments(probs, sched.step_query_costs())
-    assert mean == pytest.approx(expected_queries_per_success(h_unit, sched), rel=1e-12)
+    expected = expected_queries_per_success(spectrum, sched)
+    assert mean == pytest.approx(expected, rel=1e-12)
     assert abs(run.queries_per_success - mean) <= 4.0 * math.sqrt(var / k)
 
 
 def test_fragmented_queries_are_exact_beyond_int64():
     # p_full = e^-35 ~ 6.3e-16: about 3.2e18 attempts, ~4e19 queries
-    h = Hamiltonian(np.zeros((4, 4), dtype=complex), 2, 0.0)
+    spectrum = zero_spectrum()
     sched = uniform_schedule(35.0, 4, 1e-6)
-    run = toss_fragmented(h, sched, 2000, seed=1)
+    run = toss_fragmented(spectrum, sched, 2000, seed=1)
     costs = sched.step_query_costs()
     assert run.queries == sum(int(e) * int(c) for e, c in zip(run.step_executions, costs))
     assert run.queries > 2**63
@@ -301,37 +316,37 @@ def test_fragmented_queries_are_exact_beyond_int64():
 @pytest.mark.parametrize("beta, l", [(40.0, 4), (1e4, 20)])
 def test_fragmented_infeasible_probability_raises(beta, l):
     # p_full = e^-40 is too small to sample 2000 successes; e^-1e4 is 0
-    h = Hamiltonian(np.zeros((4, 4), dtype=complex), 2, 0.0)
+    spectrum = zero_spectrum()
     sched = uniform_schedule(beta, l, 1e-6)
     with pytest.raises(ValueError, match=r"p_full = .*k/p_full"):
-        toss_fragmented(h, sched, 2000, seed=1)
+        toss_fragmented(spectrum, sched, 2000, seed=1)
 
 
 def test_fragmented_average_query_bound_equal_probability_schedule():
-    _, h_unit, beta_coin = unit_ising_coin(3, 1.0)
-    sched = equal_step_schedule(h_unit, beta_coin, 4, 1e-4)
-    probs = sched.step_probabilities(h_unit)
+    _, spectrum, beta_coin = unit_ising_coin(3, 1.0)
+    sched = equal_step_schedule(spectrum, beta_coin, 4, 1e-4)
+    probs = sched.step_probabilities(spectrum)
     assert max(probs) - min(probs) <= 1e-10
-    bound = fragmented_query_bound(h_unit, sched)
-    assert expected_queries_per_success(h_unit, sched) <= bound
-    run = toss_fragmented(h_unit, sched, 2000, seed=31)
+    bound = fragmented_query_bound(spectrum, sched)
+    assert expected_queries_per_success(spectrum, sched) <= bound
+    run = toss_fragmented(spectrum, sched, 2000, seed=31)
     assert run.queries_per_success <= 1.1 * bound
 
 
 def test_fragmented_query_bound_general_form_covers_uniform_schedules():
-    _, h_unit, beta_coin = unit_ising_coin(9, 1.5)
+    _, spectrum, beta_coin = unit_ising_coin(9, 1.5)
     for l in (1, 2, 4, 8):
         sched = uniform_schedule(beta_coin, l, 1e-4)
         rigorous = fragmented_query_bound(
-            h_unit, sched, assume_equal_probabilities=False
+            spectrum, sched, assume_equal_probabilities=False
         )
-        assert expected_queries_per_success(h_unit, sched) <= rigorous * (1 + 1e-12)
+        assert expected_queries_per_success(spectrum, sched) <= rigorous * (1 + 1e-12)
 
 
 def test_schedule_size_lower_bound_values():
     assert schedule_size_lower_bound(4, 0.0, 16.0, 1.0) == pytest.approx(0.0, abs=1e-12)
-    _, h_unit, beta_coin = unit_ising_coin(2, 2.0)
-    z = exact_partition_function(h_unit, beta_coin)
+    _, spectrum, beta_coin = unit_ising_coin(2, 2.0)
+    z = exact_partition_function(spectrum, beta_coin)
     value = schedule_size_lower_bound(4, beta_coin, z, 1.0)
     direct = (4 + beta_coin * math.log2(math.e) - math.log2(z)) / 1.0
     assert value == pytest.approx(direct, rel=1e-12)
@@ -343,9 +358,8 @@ def test_schedule_size_lower_bound_values():
 
 
 def test_qrbm_coin_identity():
-    spec = generate_random_qrbm(2, 2, 9)
-    h = build_hamiltonian(spec)
-    h_unit, beta_coin = rescale_to_unit_spectrum(h, 1.0)
-    p = success_probability(CoinSpec(h_unit, beta_coin))
-    z = exact_partition_function(h_unit, beta_coin)
+    spectrum = unit_spectrum(generate_random_qrbm(2, 2, 9))
+    beta_coin = spectrum.norm_bound
+    p = success_probability(CoinSpec(spectrum, beta_coin))
+    z = exact_partition_function(spectrum, beta_coin)
     assert p * math.exp(beta_coin) * 16 == pytest.approx(z, rel=1e-12)

@@ -18,12 +18,8 @@ from qcoin.estimators import (
     success_count_thm2,
     z_quantile,
 )
-from qcoin.hamiltonian import (
-    Hamiltonian,
-    build_ising,
-    generate_random_ising_graph,
-    rescale_to_unit_spectrum,
-)
+import qcoin.estimators
+from qcoin.hamiltonian import Spectrum, generate_random_ising_graph, unit_spectrum
 from qcoin.oracle import exact_partition_function
 from qcoin.propagator import (
     chebyshev_coefficients,
@@ -38,8 +34,7 @@ Z_05 = 0.67448975019608174
 
 
 def zero_coin(beta, n=2):
-    h = Hamiltonian(np.zeros((2**n, 2**n), dtype=complex), n, 0.0)
-    return CoinSpec(h, beta)
+    return CoinSpec(Spectrum(np.zeros(2**n), 1.0), beta)
 
 
 def synthetic_coin(p, n=2):
@@ -48,9 +43,9 @@ def synthetic_coin(p, n=2):
 
 
 def ising_coin(seed, beta):
-    h = build_ising(generate_random_ising_graph(4, seed))
-    h_unit, beta_coin = rescale_to_unit_spectrum(h, beta)
-    return CoinSpec(h_unit, beta_coin), h_unit, beta_coin
+    spectrum = unit_spectrum(generate_random_ising_graph(4, seed))
+    beta_coin = spectrum.norm_bound * beta
+    return CoinSpec(spectrum, beta_coin), spectrum, beta_coin
 
 
 def rep_seeds(root, count):
@@ -164,8 +159,8 @@ def test_algorithm1_certain_coin():
 
 
 def test_algorithm1_coverage_ideal_coin():
-    coin, h_unit, beta_coin = ising_coin(123, 1.0)
-    z = exact_partition_function(h_unit, beta_coin)
+    coin, spectrum, beta_coin = ising_coin(123, 1.0)
+    z = exact_partition_function(spectrum, beta_coin)
     budget = sample_count_thm1(4, beta_coin, z, 0.2, 0.05)
     hits = 0
     for seed in rep_seeds(99, 100):
@@ -176,12 +171,12 @@ def test_algorithm1_coverage_ideal_coin():
 
 def test_algorithm1_coverage_with_approximation_budget():
     # eps' = eps_r Z / (6 e^beta 2^n) keeps bias within the error budget
-    coin, h_unit, beta_coin = ising_coin(123, 1.0)
-    z = exact_partition_function(h_unit, beta_coin)
+    coin, spectrum, beta_coin = ising_coin(123, 1.0)
+    z = exact_partition_function(spectrum, beta_coin)
     eps_r = 0.2
     eps_prime = eps_prime_for_relative_error(beta_coin, 4, eps_r) * z
     approx = chebyshev_coefficients(beta_coin, required_degree(beta_coin, eps_prime))
-    biased_coin = CoinSpec(h_unit, beta_coin, eps_prime=eps_prime, approximant=approx)
+    biased_coin = CoinSpec(spectrum, beta_coin, eps_prime=eps_prime, approximant=approx)
     budget = sample_count_thm1(4, beta_coin, z, eps_r, 0.05)
     hits = 0
     for seed in rep_seeds(101, 200):
@@ -209,8 +204,8 @@ def test_algorithm2_waiting_time_mean():
 
 
 def test_algorithm2_coverage():
-    coin, h_unit, beta_coin = ising_coin(123, 1.0)
-    z = exact_partition_function(h_unit, beta_coin)
+    coin, spectrum, beta_coin = ising_coin(123, 1.0)
+    z = exact_partition_function(spectrum, beta_coin)
     budget = success_count_thm2(0.2, 0.25)
     assert budget == 100
     hits = 0
@@ -288,21 +283,25 @@ def test_relative_from_additive_round_count():
 
 
 def test_relative_from_additive_round_cap():
+    rounds = []
+
     def runner(eps_additive, delta_step):
+        rounds.append(eps_additive)
         return Estimate(
             value=0.0, half_width=eps_additive, relative_target=None,
             confidence=1.0 - delta_step, samples_used=1, queries_used=0,
             algorithm="alg1",
         )
 
-    with pytest.raises(RuntimeError):
-        relative_from_additive(runner, 16.0, 0.1, 0.05, round_cap=5)
+    with pytest.raises(RuntimeError, match=f"{qcoin.estimators._ROUND_CAP} rounds"):
+        relative_from_additive(runner, 16.0, 0.1, 0.05)
+    assert len(rounds) == qcoin.estimators._ROUND_CAP
 
 
 def test_relative_from_additive_end_to_end_coverage():
-    coin, h_unit, beta_coin = ising_coin(55, 2.0)
-    z = exact_partition_function(h_unit, beta_coin)
-    z_max = h_unit.dim * math.exp(beta_coin)
+    coin, spectrum, beta_coin = ising_coin(55, 2.0)
+    z = exact_partition_function(spectrum, beta_coin)
+    z_max = spectrum.dim * math.exp(beta_coin)
     eps_r, delta = 0.2, 0.1
     hits = 0
     rounds = []

@@ -21,10 +21,10 @@ from qcoin.experiments import (
 )
 from qcoin.coin import CoinSpec, SeedStream
 from qcoin.hamiltonian import (
-    build_hamiltonian,
+    Hamiltonian,
     generate_random_ising_graph,
-    rescale_to_unit_spectrum,
     spec_from_json,
+    unit_spectrum,
 )
 from qcoin.noise import identity_insertion_depths, simulate_noisy_tosses
 
@@ -255,36 +255,74 @@ def test_run_fragment_outputs(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "model, max_eigh",
-    [({"model": "ising", "n_qubits": 4}, 0),
-     ({"model": "qrbm", "n_visible": 2, "n_hidden": 2}, 1)],
+    "model", [["--model", "ising", "--n-qubits", "4"], ["--model", "qrbm"]],
     ids=["ising", "qrbm"],
 )
 def test_run_sweep_decomposes_each_instance_at_most_once(
-    tmp_path, monkeypatch, model, max_eigh
+    tmp_path, capsys, monkeypatch, model
 ):
+    # Every command reads the unit spectrum built from the instance
+    # parameters: none builds a dense Hamiltonian or decomposes a matrix.
     calls = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(matrix):
-        calls.append(matrix.shape)
-        return eigh(matrix)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    config = ExperimentConfig(
-        **model, instances=1, betas=(0.5, 2.0), xi=0.037, shots=200, seed=5
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name,
+            lambda m, _name=name, _f=original: calls.append(_name) or _f(m),
+        )
+    post_init = Hamiltonian.__post_init__
+    monkeypatch.setattr(
+        Hamiltonian, "__post_init__",
+        lambda self: calls.append("Hamiltonian") or post_init(self),
     )
-    run_sweep(config, tmp_path)
-    assert len(calls) <= max_eigh
+    common = [*model, "--beta", "0.5,2.0", "--seed", "5"]
+    for argv in (["sweep", *common, "--xi", "0.037", "--shots", "200"],
+                 ["coverage", "alg1", *common, "--reps", "5"],
+                 ["fragment", *common]):
+        assert main([*argv, "--out", str(tmp_path / argv[0])]) == 0
+    assert main(["oracle", *common]) == 0
+    assert calls == []
 
 
 def test_learn_noise_model_smoke():
     config = ExperimentConfig(model="ising", n_qubits=4, xi=0.037, shots=3000, seed=2)
-    h = build_hamiltonian(generate_random_ising_graph(4, 123))
-    h_unit, beta_coin = rescale_to_unit_spectrum(h, config.fit_beta)
-    fit, series = learn_noise_model(config, CoinSpec(h_unit, beta_coin), SeedStream(2))
+    spectrum = unit_spectrum(generate_random_ising_graph(4, 123))
+    beta_coin = spectrum.norm_bound * config.fit_beta
+    coin = CoinSpec(spectrum, beta_coin)
+    fit, series = learn_noise_model(config, coin, SeedStream(2))
     assert 0.0 <= fit.model.xi <= 1.0
     assert len(series.depths) == config.insertions + 1
+
+
+GOLDEN = Path(__file__).parent / "data"
+EXACT_COLUMNS = {
+    "model", "instance", "instance_seed", "config_hash", "shots", "successes",
+    "noisy_successes", "mitigation_clamped", "l", "attempts",
+}
+
+
+@pytest.mark.parametrize("command", ["sweep", "fragment"])
+@pytest.mark.parametrize("model", ["ising", "qrbm"])
+def test_seeded_outputs_match_golden(tmp_path, capsys, model, command):
+    # tests/data/<model>_<command>.csv hold `qcoin <command> --model <model>`
+    # at the default config, written by schema-version-2 qcoin, which took
+    # the spectrum from the dense matrix.  Integer and text columns must
+    # match exactly and floats to 1e-12 relative; product_rel_err, itself a
+    # rounding error, must stay below 1e-12.
+    assert main([command, "--model", model, "--out", str(tmp_path)]) == 0
+    golden_header, golden = read_rows(GOLDEN / f"{model}_{command}.csv")
+    header, rows = read_rows(tmp_path / f"{command}.csv")
+    assert header == golden_header and len(rows) == len(golden)
+    for row, gold in zip(rows, golden):
+        for key, expected in gold.items():
+            if key == "product_rel_err":
+                assert float(row[key]) <= 1e-12
+            elif key in EXACT_COLUMNS or expected == "":
+                assert row[key] == expected, (key, row[key], expected)
+            else:
+                assert math.isclose(
+                    float(row[key]), float(expected), rel_tol=1e-12, abs_tol=0.0
+                ), (key, row[key], expected)
 
 
 def test_cli_generate_and_oracle(tmp_path, capsys):
@@ -324,6 +362,9 @@ def test_cli_sweep_and_exit_codes(tmp_path, capsys):
         "sweep", "--config", str(tmp_path / "missing.txt"),
         "--out", str(tmp_path / "x"),
     ]) == 2
+    capsys.readouterr()
+    assert main(["sweep", "--n-qubits", "13", "--out", str(tmp_path / "x")]) == 2
+    assert "cap" in capsys.readouterr().err
 
 
 def test_cli_coverage_and_fragment(tmp_path, capsys):
@@ -371,3 +412,14 @@ def test_cli_noise_fit_degenerate_is_input_error(tmp_path, capsys):
     assert main([
         "noise-fit", "--series", str(series_path), "--out", str(tmp_path / "nf"),
     ]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["fragment", "--n-qubits", "4", "--beta", "300"],
+    ["sweep", "--n-qubits", "6", "--beta", "100", "--seed", "7"],
+], ids=["fragment", "sweep"])
+def test_cli_float_overflow_is_runtime_error(tmp_path, capsys, argv):
+    # the coin's inverse temperature passes ~709, beyond float64 exp
+    assert main([*argv, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "float64 range" in err and len(err.strip().splitlines()) == 1

@@ -7,13 +7,14 @@ from qcoin.hamiltonian import (
     Hamiltonian,
     IsingSpec,
     QrbmSpec,
+    Spectrum,
     build_hamiltonian,
     build_ising,
     build_qrbm,
     generate_random_ising_graph,
     generate_random_qrbm,
-    rescale_to_unit_spectrum,
     spec_from_json,
+    unit_spectrum,
 )
 from qcoin.oracle import exact_partition_function
 
@@ -109,8 +110,10 @@ def test_qrbm_all_zero_parameters():
     spec = QrbmSpec(1, 1, np.zeros((1, 1)), np.zeros(2), np.zeros(1), seed=0)
     h = build_qrbm(spec)
     assert np.all(h.matrix == 0)
+    spectrum = unit_spectrum(spec)
     for beta in (0.0, 0.7, 3.0):
-        assert exact_partition_function(h, beta) == pytest.approx(4.0, rel=1e-14)
+        z = exact_partition_function(spectrum, beta)
+        assert z == pytest.approx(4.0, rel=1e-14)
 
 
 def test_qrbm_single_pair_is_minus_z_tensor_z():
@@ -164,48 +167,89 @@ def test_qrbm_shape_mismatch_errors():
         QrbmSpec(2, 2, np.zeros((2, 2)), np.zeros(4), np.zeros(1), seed=0)
 
 
+def dense_unit_eigenvalues(spec):
+    """Reference spectrum of H / L: the dense matrix's eigenvalues, divided by L."""
+    h = build_hamiltonian(spec)
+    return np.linalg.eigvalsh(h.matrix) / h.norm_bound
+
+
 def test_rescale_identity_case():
-    h = Hamiltonian(Z.copy(), 1, 1.0)
-    h2, beta2 = rescale_to_unit_spectrum(h, 2.0)
-    assert np.array_equal(h2.matrix, h.matrix)
-    assert beta2 == 2.0
+    # L = 1 leaves the spectrum unscaled: Z tensor Z has eigenvalues -1, -1, 1, 1
+    spectrum = unit_spectrum(IsingSpec(2, ((0, 1, 1.0),), seed=0))
+    assert np.array_equal(spectrum.values, [-1.0, -1.0, 1.0, 1.0])
+    assert spectrum.norm_bound == 1.0
 
 
 def test_rescale_scalar_case():
-    h = Hamiltonian(3.0 * Z, 1, 3.0)
-    h2, beta2 = rescale_to_unit_spectrum(h, 1.0)
-    assert np.allclose(h2.matrix, Z)
-    assert beta2 == 3.0
+    spectrum = unit_spectrum(IsingSpec(2, ((0, 1, 3.0),), seed=0))
+    assert np.array_equal(spectrum.values, [-1.0, -1.0, 1.0, 1.0])
+    assert spectrum.norm_bound == 3.0
 
 
 def test_rescale_spectrum_inside_unit_interval():
     for seed in range(10):
-        spec = generate_random_ising_graph(4, seed)
-        h = build_ising(spec)
-        h2, _ = rescale_to_unit_spectrum(h, 1.0)
-        evals, _ = h2.eigensystem()
-        assert np.abs(evals).max() <= 1.0 + 1e-12
+        spectrum = unit_spectrum(generate_random_ising_graph(4, seed))
+        assert np.abs(spectrum.values).max() <= 1.0 + 1e-12
+        assert np.all(np.diff(spectrum.values) >= 0)
 
 
 def test_rescale_preserves_partition_function():
+    # Tr exp(-beta H) from the dense matrix equals Z of H / L at L * beta
     rng = np.random.default_rng(20)
     for seed in range(100):
         spec = generate_random_ising_graph(3, seed)
-        h = build_ising(spec)
         beta = float(rng.uniform(0.0, 4.0))
-        h2, beta2 = rescale_to_unit_spectrum(h, beta)
-        z1 = exact_partition_function(h, beta)
-        z2 = exact_partition_function(h2, beta2)
+        spectrum = unit_spectrum(spec)
+        z1 = float(np.exp(-beta * np.diag(build_ising(spec).matrix).real).sum())
+        z2 = exact_partition_function(spectrum, spectrum.norm_bound * beta)
         assert z2 == pytest.approx(z1, rel=1e-12)
 
 
 def test_rescale_zero_norm_bound():
-    zero = Hamiltonian(np.zeros((2, 2), dtype=complex), 1, 0.0)
-    h2, beta2 = rescale_to_unit_spectrum(zero, 5.0)
-    assert np.all(h2.matrix == 0) and beta2 == 5.0
-    bad = Hamiltonian(Z.copy(), 1, 0.0)
-    with pytest.raises(ValueError):
-        rescale_to_unit_spectrum(bad, 1.0)
+    zero = QrbmSpec(1, 1, np.zeros((1, 1)), np.zeros(2), np.zeros(1), seed=0)
+    spectrum = unit_spectrum(zero)
+    assert spectrum.norm_bound == 1.0 and np.all(spectrum.values == 0)
+    with pytest.raises(ValueError, match="norm_bound"):
+        Spectrum(np.zeros(4), 0.0)
+
+
+def test_spectrum_validation():
+    spectrum = Spectrum(np.array([-1.0, 0.5]), 2.0)
+    assert (spectrum.n_qubits, spectrum.dim) == (1, 2)
+    assert not spectrum.values.flags.writeable
+    for bad in ([0.0], [0.0, 0.0, 0.0], np.zeros((2, 2)), [0.5, -0.5],
+                [-1.5, 0.0], [0.0, np.nan]):
+        with pytest.raises(ValueError):
+            Spectrum(np.array(bad), 1.0)
+    Spectrum(np.array([-1.0 - 1e-10, 1.0 + 1e-10]), 1.0)  # within SPECTRUM_TOL
+    with pytest.raises(ValueError, match="cap"):
+        Spectrum(np.zeros(2**13), 1.0)
+    with pytest.raises(ValueError, match="cap"):
+        unit_spectrum(generate_random_ising_graph(13, 0))
+
+
+@pytest.mark.parametrize(
+    "n_visible, n_hidden", [(1, 1), (2, 2), (3, 2), (2, 6), (5, 5)]
+)
+def test_qrbm_unit_spectrum_matches_dense_eigh(n_visible, n_hidden):
+    for seed in range(3):
+        spec = generate_random_qrbm(n_visible, n_hidden, seed)
+        spectrum = unit_spectrum(spec)
+        assert spectrum.n_qubits == n_visible + n_hidden
+        assert spectrum.norm_bound == build_qrbm(spec).norm_bound
+        assert np.abs(spectrum.values - dense_unit_eigenvalues(spec)).max() <= 1e-13
+
+
+def test_qrbm_unit_spectrum_with_zero_transverse_field():
+    rng = np.random.default_rng(3)
+    spec = QrbmSpec(2, 3, rng.standard_normal((2, 3)), rng.standard_normal(5),
+                    np.array([0.7, 0.0, -0.4]), seed=3)
+    error = unit_spectrum(spec).values - dense_unit_eigenvalues(spec)
+    assert np.abs(error).max() <= 1e-13
+    diagonal = QrbmSpec(2, 3, spec.couplings, spec.biases, np.zeros(3), seed=3)
+    h = build_qrbm(diagonal)
+    expected = np.sort(h.matrix.diagonal().real) / h.norm_bound
+    assert np.abs(unit_spectrum(diagonal).values - expected).max() <= 1e-15
 
 
 def test_eigensystem_identity_and_diagonal():
@@ -244,31 +288,33 @@ def test_eigensystem_rejects_corrupted_decomposition(monkeypatch):
 
 
 def test_ising_spectrum_is_bitwise_eigh():
-    # The spectrum of a diagonal matrix is its sorted diagonal, not eigh's
-    # output; seeded outputs stay byte-identical only if the two agree exactly.
+    # unit_spectrum is the sorted diagonal over L, and eigh of the dense H / L
+    # returns exactly those values: the Ising oracle agrees bit for bit
     for n in range(2, 9):
         for seed in range(3):
-            h = build_ising(generate_random_ising_graph(n, seed))
-            h_unit, _ = rescale_to_unit_spectrum(h, 1.0)
-            for ham in (h, h_unit):
-                spectrum = ham.spectrum()
-                assert np.array_equal(spectrum, ham.eigensystem()[0])
-                assert not spectrum.flags.writeable
+            spec = generate_random_ising_graph(n, seed)
+            h = build_ising(spec)
+            spectrum = unit_spectrum(spec)
+            h_unit = Hamiltonian(h.matrix.real / h.norm_bound, n, 1.0)
+            expected = np.sort(h.matrix.diagonal().real) / h.norm_bound
+            assert spectrum.norm_bound == h.norm_bound
+            assert np.array_equal(spectrum.values, expected)
+            assert np.array_equal(spectrum.values, h_unit.eigensystem()[0])
 
 
-def test_spectrum_of_non_diagonal_matrix_comes_from_eigensystem():
-    h = build_qrbm(generate_random_qrbm(2, 2, 8))
-    assert h.spectrum() is h.eigensystem()[0]
+def test_eigensystem_checks_norm_bound():
     with pytest.raises(ValueError, match="norm_bound"):
-        Hamiltonian(np.diag([-2.0, 1.0]).astype(complex), 1, 1.0).spectrum()
+        Hamiltonian(np.diag([-2.0, 1.0]).astype(complex), 1, 1.0).eigensystem()
 
 
 def test_ising_diagonal_partition_function_two_routes():
     for seed in range(5):
-        h = build_ising(generate_random_ising_graph(4, seed))
+        spec = generate_random_ising_graph(4, seed)
+        h = build_ising(spec)
         beta = 1.3
         z_diag = float(np.exp(-beta * np.diag(h.matrix).real).sum())
-        z_eig = exact_partition_function(h, beta)
+        spectrum = unit_spectrum(spec)
+        z_eig = exact_partition_function(spectrum, spectrum.norm_bound * beta)
         assert z_eig == pytest.approx(z_diag, rel=1e-10)
 
 

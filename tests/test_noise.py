@@ -101,14 +101,6 @@ def test_fit_recovers_exact_data():
     assert fit.residual_norm < 1e-10
 
 
-def test_fit_weighted_option_recovers_exact_data():
-    pbar = [noisy_success_probability(PAPER_P, PAPER_XI, d) for d in DEPTHS]
-    series = LayerSeries(np.array(DEPTHS), np.array(pbar), 3000)
-    fit = fit_noise_model(series, weighted=True)
-    assert fit.model.xi == pytest.approx(PAPER_XI, abs=1e-6)
-    assert fit.p_hat == pytest.approx(PAPER_P, abs=1e-6)
-
-
 def test_fit_degenerate_series_rejected():
     series = LayerSeries(np.array(DEPTHS), np.full(len(DEPTHS), 0.5), 3000)
     with pytest.raises(FitDegenerateError):

@@ -4,21 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from qcoin.hamiltonian import (
-    Hamiltonian,
-    build_ising,
-    generate_random_ising_graph,
-    rescale_to_unit_spectrum,
-)
+from qcoin.hamiltonian import Spectrum, generate_random_ising_graph, unit_spectrum
 from qcoin.oracle import (
     exact_free_energy,
     exact_partition_function,
     geometric_stats,
+    ideal_coin_probability,
     oracle_report,
 )
 
-Z1 = Hamiltonian(np.array([[1, 0], [0, -1]], dtype=complex), 1, 1.0)
-ZERO4 = Hamiltonian(np.zeros((16, 16), dtype=complex), 4, 0.0)
+Z1 = Spectrum(np.array([-1.0, 1.0]), 1.0)
+ZERO4 = Spectrum(np.zeros(16), 1.0)
 
 # e + 1/e, 18 significant digits (high-precision arithmetic)
 E_PLUS_INV_E = 3.08616126963048756
@@ -28,8 +24,8 @@ MINUS_HALF_LN16 = -1.38629436111989062
 
 def test_partition_function_beta_zero_counts_states():
     for n, seed in ((2, 0), (3, 1), (4, 2)):
-        h = build_ising(generate_random_ising_graph(n, seed))
-        assert exact_partition_function(h, 0.0) == pytest.approx(2**n, rel=1e-14)
+        spectrum = unit_spectrum(generate_random_ising_graph(n, seed))
+        assert exact_partition_function(spectrum, 0.0) == pytest.approx(2**n, rel=1e-14)
 
 
 def test_partition_function_single_qubit_frozen():
@@ -51,9 +47,9 @@ def test_free_energy_relative_error_maps_to_additive():
     # |F(Z(1+eps)) - F(Z)| = |log(1+eps)|/beta <= 2 eps / beta for eps <= 0.5
     rng = np.random.default_rng(3)
     for seed in range(10):
-        h = build_ising(generate_random_ising_graph(3, seed))
+        spectrum = unit_spectrum(generate_random_ising_graph(3, seed))
         beta = float(rng.uniform(0.2, 3.0))
-        z = exact_partition_function(h, beta)
+        z = exact_partition_function(spectrum, beta)
         f = -math.log(z) / beta
         for eps in (1e-4, 1e-2, 0.1, 0.5):
             f_shift = -math.log(z * (1 + eps)) / beta
@@ -84,32 +80,32 @@ def test_geometric_stats_match_empirical():
 def test_log_convexity_of_partition_function():
     rng = np.random.default_rng(11)
     for seed in range(20):
-        h = build_ising(generate_random_ising_graph(3, seed))
+        spectrum = unit_spectrum(generate_random_ising_graph(3, seed))
         b1, b2 = sorted(rng.uniform(0.0, 3.0, size=2))
         mid = 0.5 * (b1 + b2)
-        lz = lambda b: math.log(exact_partition_function(h, b))
+        lz = lambda b: math.log(exact_partition_function(spectrum, b))
         assert lz(mid) <= 0.5 * (lz(b1) + lz(b2)) + 1e-12
 
 
 def test_log_derivative_matches_thermal_expectation():
     for seed in range(5):
-        h = build_ising(generate_random_ising_graph(3, seed))
+        spectrum = unit_spectrum(generate_random_ising_graph(3, seed))
         beta = 0.9
         step = 1e-4
         lhs = (
-            math.log(exact_partition_function(h, beta + step))
-            - math.log(exact_partition_function(h, beta - step))
+            math.log(exact_partition_function(spectrum, beta + step))
+            - math.log(exact_partition_function(spectrum, beta - step))
         ) / (2 * step)
-        evals, _ = h.eigensystem()
+        evals = spectrum.values
         w = np.exp(-beta * evals)
         rhs = -float((evals * w).sum() / w.sum())
         assert lhs == pytest.approx(rhs, rel=1e-5)
 
 
 def test_oracle_report_fields_and_json():
-    h = build_ising(generate_random_ising_graph(4, 5))
-    h_unit, beta_coin = rescale_to_unit_spectrum(h, 1.0)
-    report = oracle_report(h_unit, beta_coin)
+    spectrum = unit_spectrum(generate_random_ising_graph(4, 5))
+    beta_coin = spectrum.norm_bound
+    report = oracle_report(spectrum, beta_coin)
     assert report.z_beta > 0
     assert 0 < report.p_suc_ideal <= 1
     assert report.mean_trials == pytest.approx(1.0 / report.p_suc_ideal, rel=1e-14)
@@ -119,12 +115,23 @@ def test_oracle_report_fields_and_json():
     doc = json.loads(report.to_json())
     assert set(doc) == {"z_beta", "free_energy", "p_suc_ideal", "mean_trials"}
 
-    at_zero = oracle_report(h_unit, 0.0)
+    at_zero = oracle_report(spectrum, 0.0)
     assert at_zero.free_energy is None
     assert at_zero.p_suc_ideal == pytest.approx(1.0, rel=1e-14)
 
 
 def test_oracle_report_requires_unit_spectrum():
-    h = Hamiltonian(3.0 * np.array([[1, 0], [0, -1]], dtype=complex), 1, 3.0)
     with pytest.raises(ValueError):
-        oracle_report(h, 1.0)
+        oracle_report(Spectrum(3.0 * np.array([-1.0, 1.0]), 3.0), 1.0)
+
+
+def test_ideal_coin_probability_identity_and_range():
+    for seed in range(5):
+        spectrum = unit_spectrum(generate_random_ising_graph(4, seed))
+        for beta in (0.0, 0.5, 3.0):
+            z = exact_partition_function(spectrum, beta)
+            assert ideal_coin_probability(spectrum, beta) == pytest.approx(
+                math.exp(-beta) * z / 16, rel=1e-13
+            )
+    # exp(-800) underflows and Z overflows; the amplitude form stays exact
+    assert ideal_coin_probability(Z1, 800.0) == 0.5
