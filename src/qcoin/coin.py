@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hamiltonian import Spectrum
-from .oracle import exact_partition_function, ideal_coin_probability
+from .oracle import ideal_coin_probability
 from .propagator import ChebyshevApproximant, _clenshaw, required_degree
 
 _EPS_PRIME_FLOOR = 1e-16  # cost accounting for the ideal coin
@@ -101,10 +101,12 @@ def query_cost(beta: float, eps_prime: float) -> int:
     return required_degree(beta, max(eps_prime, _EPS_PRIME_FLOOR))
 
 
-def toss(spec: CoinSpec, count: int, seed: int) -> int:
+def toss(spec: CoinSpec, count: int, seed: int | np.random.Generator) -> int:
     """Number of heads in ``count`` i.i.d. coin tosses, deterministic per seed.
 
-    Each toss costs ``query_cost(spec.beta, spec.eps_prime)`` queries.
+    ``seed`` is a 64-bit seed or a live ``numpy.random.Generator``, which
+    the draw advances.  Each toss costs ``query_cost(spec.beta,
+    spec.eps_prime)`` queries.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
@@ -161,16 +163,34 @@ class Schedule:
         """Success probability of each step with ideal propagators.
 
         Step k's probability is the ratio of full-coin success probabilities
-        at the accumulated inverse temperatures:
+        at the accumulated inverse temperatures,
         p_k = Z(2 beta_k) / (e^{2 w_k} Z(2 beta_{k-1})) with
         w_k = beta_k - beta_{k-1}, so the product over all steps telescopes
-        to the unfragmented heads probability.
+        to the unfragmented heads probability.  It is evaluated as
+        ``_step_probability``, whose factors cannot overflow.
         """
-        z = [exact_partition_function(spectrum, 2.0 * b) for b in self.betas]
+        s = [_shifted_mean(spectrum, b) for b in self.betas]
         return np.array([
-            z_hi / (math.exp(2.0 * (b_hi - b_lo)) * z_lo)
-            for z_lo, z_hi, b_lo, b_hi in zip(z, z[1:], self.betas, self.betas[1:])
+            _step_probability(spectrum, w, s_lo, s_hi)
+            for w, s_lo, s_hi in zip(self.step_widths, s, s[1:])
         ])
+
+
+def _shifted_mean(spectrum: Spectrum, b: float) -> float:
+    """S(b) = mean exp(-2 b (lambda - lambda_min)), which lies in [1/2^n, 1]."""
+    shifted = spectrum.values - spectrum.values[0]
+    return math.fsum(np.exp(-2.0 * b * shifted)) / spectrum.dim
+
+
+def _step_probability(spectrum: Spectrum, w: float, s_lo: float, s_hi: float) -> float:
+    """p = exp(-2 w (1 + lambda_min)) S(b_hi) / S(b_lo) for a step of width w.
+
+    The same ratio as Z(2 b_hi) / (e^{2 w} Z(2 b_lo)), with the ground-state
+    factor exp(-2 b lambda_min) taken out of both partition functions: the
+    exponent is at most ~0 on a unit spectrum and S(b_lo) >= 1/2^n, so no
+    intermediate overflows where Z or e^{2 w} would.
+    """
+    return math.exp(-2.0 * w * (1.0 + float(spectrum.values[0]))) * s_hi / s_lo
 
 
 def uniform_schedule(beta: float, l: int, eps_total: float) -> Schedule:
@@ -294,15 +314,13 @@ def equal_step_schedule(
     betas = [0.0]
     for k in range(1, l):
         lo, hi = betas[-1], beta / 2.0
-        z_lo = exact_partition_function(spectrum, 2.0 * betas[-1])
-
-        def step_p(b_hi: float) -> float:
-            z_hi = exact_partition_function(spectrum, 2.0 * b_hi)
-            return z_hi / (math.exp(2.0 * (b_hi - betas[-1])) * z_lo)
-
+        s_lo = _shifted_mean(spectrum, betas[-1])
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if step_p(mid) > target:
+            p_mid = _step_probability(
+                spectrum, mid - betas[-1], s_lo, _shifted_mean(spectrum, mid)
+            )
+            if p_mid > target:
                 lo = mid
             else:
                 hi = mid
@@ -311,8 +329,12 @@ def equal_step_schedule(
     return Schedule(np.array(betas), np.full(l, eps_total / l))
 
 
-def schedule_size_lower_bound(n: int, beta: float, z_beta: float, b: float) -> float:
-    """(n + beta log2(e) - log2(z_beta)) / b: minimum schedule length."""
+def schedule_size_lower_bound(p_full: float, b: float) -> float:
+    """-log2(p_full) / b: minimum schedule length at step probabilities >= 2^-b.
+
+    With p_full = e^-beta Z_beta / 2^n this is
+    (n + beta log2(e) - log2(Z_beta)) / b.
+    """
     if b <= 0:
         raise ValueError("b must be positive")
-    return (n + beta * math.log2(math.e) - math.log2(z_beta)) / b
+    return -math.log2(p_full) / b

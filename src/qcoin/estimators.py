@@ -10,6 +10,7 @@ additive-precision estimator into a relative-precision one.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coin import CoinSpec, SeedStream, query_cost, toss
+from .coin import CoinSpec, query_cost, toss
 
 # Rational inverse-normal-CDF approximation (P. Acklam's coefficients,
 # widely reproduced; |relative error| < 1.15e-9 before refinement).
@@ -58,12 +59,15 @@ def _acklam_ppf(p: float) -> float:
     ) / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
 
 
+@functools.lru_cache(maxsize=128)
 def z_quantile(delta: float) -> float:
     """z such that Phi(z) = 1 - delta/2 for the standard normal CDF.
 
     Acklam's rational approximation refined by Newton steps on the
     upper-tail equation 0.5 erfc(z / sqrt 2) = delta / 2, which avoids
     cancellation for small delta.  Absolute accuracy is well below 1e-6.
+    Memoized: the additive runner asks for the same few deltas thousands
+    of times per coverage study.
     """
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
@@ -307,11 +311,11 @@ def make_additive_runner(spec: CoinSpec, seed: int) -> AdditiveRunner:
     """Additive-precision estimator on a coin, for the halving wrapper.
 
     Tosses in batches until the Agresti-Coull half-width (scaled by
-    2^n e^beta) reaches the requested additive precision.  Each call draws
-    fresh child seeds from the given seed, so a wrapper run is fully
-    deterministic.
+    2^n e^beta) reaches the requested additive precision.  Every batch of
+    every call draws from one generator seeded once, so the calls see
+    independent tosses and a wrapper run is fully deterministic.
     """
-    seeds = SeedStream(seed)
+    rng = np.random.default_rng(seed)
     scale = spec.spectrum.dim * math.exp(spec.beta)
     q = query_cost(spec.beta, spec.eps_prime)
 
@@ -322,7 +326,7 @@ def make_additive_runner(spec: CoinSpec, seed: int) -> AdditiveRunner:
         heads = 0
         batch = 256
         while True:
-            heads += toss(spec, batch, seeds.next())
+            heads += toss(spec, batch, rng)
             tossed += batch
             p_hat, eps_hat = ac_estimate(heads, tossed, delta_step)
             if eps_hat <= eps_p:

@@ -73,7 +73,7 @@ from .noise import (
 )
 from .oracle import exact_partition_function, ideal_coin_probability
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -484,7 +484,6 @@ def run_fragment(config: ExperimentConfig, out_dir: str | Path) -> dict:
     beta = config.betas[0]
     spectrum = unit_spectrum(spec)
     beta_coin = spectrum.norm_bound * beta
-    z_exact = exact_partition_function(spectrum, beta_coin)
     p_full = ideal_coin_probability(spectrum, beta_coin)
     rows = []
     for l in config.schedule_sizes:
@@ -498,7 +497,7 @@ def run_fragment(config: ExperimentConfig, out_dir: str | Path) -> dict:
             product,
             p_full,
             abs(product - p_full) / p_full,
-            schedule_size_lower_bound(spectrum.n_qubits, beta_coin, z_exact, b),
+            schedule_size_lower_bound(p_full, b),
             expected_queries_per_success(spectrum, schedule),
             fragmented_query_bound(
                 spectrum, schedule, assume_equal_probabilities=False

@@ -24,7 +24,7 @@ from qcoin.hamiltonian import (
     generate_random_qrbm,
     unit_spectrum,
 )
-from qcoin.oracle import exact_partition_function
+from qcoin.oracle import exact_partition_function, ideal_coin_probability
 from qcoin.propagator import chebyshev_coefficients, required_degree
 
 
@@ -223,6 +223,22 @@ def test_step_probabilities_telescope_to_full_coin():
         assert product == pytest.approx(p_full, rel=1e-12)
 
 
+def test_step_probabilities_past_float64_exp():
+    # beta 2000: e^{2 w} and Z(2 beta_k) overflow float64, the steps do not.
+    # Half the spectrum sits at the ground energy -1, so p_full = 0.5.
+    spectrum = Spectrum(np.array([-1.0, -1.0, 0.5, 1.0]), 1.0)
+    p_full = ideal_coin_probability(spectrum, 2000.0)
+    assert p_full == 0.5
+    uniform = uniform_schedule(2000.0, 4, 1e-6).step_probabilities(spectrum)
+    equal = equal_step_schedule(spectrum, 2000.0, 4, 1e-6).step_probabilities(
+        spectrum
+    )
+    for probs in (uniform, equal):
+        assert np.all(np.isfinite(probs)) and np.all((probs > 0) & (probs <= 1))
+        assert math.prod(probs) == pytest.approx(p_full, rel=1e-12)
+    assert np.allclose(equal, 0.5**0.25, rtol=1e-9)
+
+
 def test_fragmented_single_step_equivalent_to_plain_toss():
     coin, spectrum, beta_coin = unit_ising_coin(3, 1.0)
     sched = uniform_schedule(beta_coin, 1, 1e-6)
@@ -344,17 +360,18 @@ def test_fragmented_query_bound_general_form_covers_uniform_schedules():
 
 
 def test_schedule_size_lower_bound_values():
-    assert schedule_size_lower_bound(4, 0.0, 16.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert schedule_size_lower_bound(1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
     _, spectrum, beta_coin = unit_ising_coin(2, 2.0)
     z = exact_partition_function(spectrum, beta_coin)
-    value = schedule_size_lower_bound(4, beta_coin, z, 1.0)
+    p_full = ideal_coin_probability(spectrum, beta_coin)
+    value = schedule_size_lower_bound(p_full, 1.0)
     direct = (4 + beta_coin * math.log2(math.e) - math.log2(z)) / 1.0
     assert value == pytest.approx(direct, rel=1e-12)
-    assert schedule_size_lower_bound(4, beta_coin, z, 2.0) == pytest.approx(
+    assert schedule_size_lower_bound(p_full, 2.0) == pytest.approx(
         value / 2.0, rel=1e-12
     )
     with pytest.raises(ValueError):
-        schedule_size_lower_bound(4, 1.0, 16.0, 0.0)
+        schedule_size_lower_bound(0.5, 0.0)
 
 
 def test_qrbm_coin_identity():

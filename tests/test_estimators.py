@@ -322,6 +322,16 @@ def test_make_additive_runner_deterministic():
     assert est_a.samples_used == est_b.samples_used
 
 
+def test_make_additive_runner_calls_advance_one_generator():
+    # the halving wrapper's rounds must see fresh tosses: a runner that
+    # reseeded its generator per call would repeat the first call's draws
+    coin, _, _ = ising_coin(3, 1.0)
+    runner = make_additive_runner(coin, 12)
+    est_a = runner(0.5, 0.1)
+    est_b = runner(0.5, 0.1)
+    assert est_a.value != est_b.value
+
+
 def test_estimate_json_and_validation():
     est = Estimate(
         value=10.0, half_width=0.5, relative_target=0.1, confidence=0.95,

@@ -177,6 +177,26 @@ def test_run_coverage_iterative_rounds():
     assert abs(report["rounds"]["median"] - predicted) <= 2.0
 
 
+def test_run_coverage_iterative_seeds_one_generator_per_rep(monkeypatch):
+    # one generator per repetition, whatever the number of toss batches;
+    # toss passes a live Generator through default_rng unchanged
+    seeded, passed = [], []
+    default_rng = np.random.default_rng
+
+    def counting_rng(seed=None):
+        (passed if isinstance(seed, np.random.Generator) else seeded).append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    config = ExperimentConfig(
+        model="ising", n_qubits=4, instances=1, betas=(2.0,), reps=10,
+        eps_r=0.2, delta=0.1, seed=17,
+    )
+    run_coverage(config, "iterative")
+    assert len(seeded) <= config.reps + 1
+    assert len(passed) > 5 * config.reps  # ~10 batches per repetition
+
+
 def test_layer_series_csv_round_trip(tmp_path):
     depths = identity_insertion_depths(10, 5)
     successes = [simulate_noisy_tosses(0.38, 0.037, d, 3000, 50 + d) for d in depths]
@@ -325,6 +345,35 @@ def test_seeded_outputs_match_golden(tmp_path, capsys, model, command):
                 ), (key, row[key], expected)
 
 
+def _assert_same_json(value, expected, path=""):
+    if isinstance(expected, dict):
+        assert value.keys() == expected.keys(), path
+        for key in expected:
+            _assert_same_json(value[key], expected[key], f"{path}.{key}")
+    elif isinstance(expected, float):
+        assert math.isclose(value, expected, rel_tol=1e-12, abs_tol=0.0), path
+    else:
+        assert value == expected, path
+
+
+@pytest.mark.parametrize("algorithm", ["alg1", "alg2", "iterative"])
+def test_coverage_outputs_match_golden(tmp_path, capsys, algorithm):
+    # tests/data/coverage_<alg>.json hold `qcoin coverage <alg>` at the
+    # config below.  alg1 and alg2 were written by schema-version-3 qcoin;
+    # iterative by schema 4, whose additive runner draws every batch of a
+    # repetition from one generator.  Floats are compared to 1e-12 relative.
+    assert main([
+        "coverage", algorithm, "--n-qubits", "4", "--beta", "2.0",
+        "--reps", "40", "--seed", "17", "--out", str(tmp_path),
+    ]) == 0
+    name = f"coverage_{algorithm}.json"
+    report = json.loads((tmp_path / name).read_text())
+    golden = json.loads((GOLDEN / name).read_text())
+    for doc in (report, golden):
+        doc.pop("schema_version")
+    _assert_same_json(report, golden)
+
+
 def test_cli_generate_and_oracle(tmp_path, capsys):
     assert main([
         "generate", "--model", "ising", "--n-qubits", "4", "--instances", "2",
@@ -414,10 +463,25 @@ def test_cli_noise_fit_degenerate_is_input_error(tmp_path, capsys):
     ]) == 2
 
 
+def test_cli_fragment_past_float64_exp_is_exact(tmp_path, capsys):
+    # beta_coin passes ~709, where e^{2 w} and Z overflow float64; the step
+    # probabilities never form them.  The instance's ground state is
+    # degenerate, so p_full = 0.125 is far from underflow.
+    assert main([
+        "fragment", "--n-qubits", "4", "--beta", "300", "--out", str(tmp_path),
+    ]) == 0
+    _, rows = read_rows(tmp_path / "fragment.csv")
+    assert [r["l"] for r in rows] == ["1", "2", "4", "8"]
+    for row in rows:
+        assert float(row["product_rel_err"]) <= 1e-12
+        assert float(row["p_unfragmented"]) == pytest.approx(0.125, rel=1e-12)
+        assert all(math.isfinite(float(v)) for k, v in row.items()
+                   if k != "config_hash")
+
+
 @pytest.mark.parametrize("argv", [
-    ["fragment", "--n-qubits", "4", "--beta", "300"],
     ["sweep", "--n-qubits", "6", "--beta", "100", "--seed", "7"],
-], ids=["fragment", "sweep"])
+], ids=["sweep"])
 def test_cli_float_overflow_is_runtime_error(tmp_path, capsys, argv):
     # the coin's inverse temperature passes ~709, beyond float64 exp
     assert main([*argv, "--out", str(tmp_path)]) == 3
