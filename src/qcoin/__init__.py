@@ -11,11 +11,8 @@ from .hamiltonian import (
 )
 from .propagator import (
     ChebyshevApproximant,
-    PropagatorExact,
-    apply_approximant,
     chebyshev_coefficients,
     eps_prime_for_relative_error,
-    exact_propagator,
     modified_bessel_i,
     required_degree,
 )
@@ -62,9 +59,7 @@ from .noise import (
 )
 from .oracle import (
     OracleReport,
-    exact_free_energy,
     exact_partition_function,
-    geometric_stats,
     ideal_coin_probability,
     oracle_report,
 )

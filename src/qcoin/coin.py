@@ -29,6 +29,7 @@ from .oracle import ideal_coin_probability
 from .propagator import ChebyshevApproximant, _clenshaw, required_degree
 
 _EPS_PRIME_FLOOR = 1e-16  # cost accounting for the ideal coin
+_MAX_DRAW_COUNT = 2**63 - 1  # numpy's binomial rejects larger counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,6 +102,17 @@ def query_cost(beta: float, eps_prime: float) -> int:
     return required_degree(beta, max(eps_prime, _EPS_PRIME_FLOOR))
 
 
+def _check_toss_count(name: str, count: int) -> None:
+    """Reject a toss count that one binomial draw cannot take: < 0 or >= 2^63."""
+    if count < 0:
+        raise ValueError(f"{name} must be non-negative")
+    if count > _MAX_DRAW_COUNT:
+        raise ValueError(
+            f"toss budget infeasible: {name} = {count} exceeds 2^63 - 1 = "
+            f"{_MAX_DRAW_COUNT}, the most tosses one binomial draw takes"
+        )
+
+
 def toss(spec: CoinSpec, count: int, seed: int | np.random.Generator) -> int:
     """Number of heads in ``count`` i.i.d. coin tosses, deterministic per seed.
 
@@ -108,8 +120,7 @@ def toss(spec: CoinSpec, count: int, seed: int | np.random.Generator) -> int:
     the draw advances.  Each toss costs ``query_cost(spec.beta,
     spec.eps_prime)`` queries.
     """
-    if count < 0:
-        raise ValueError("count must be non-negative")
+    _check_toss_count("count", count)
     p = min(max(spec.heads_probability, 0.0), 1.0)
     return int(np.random.default_rng(seed).binomial(count, p))
 

@@ -11,7 +11,6 @@ additive-precision estimator into a relative-precision one.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -159,20 +158,6 @@ class Estimate:
         if self.samples_used < 0:
             raise ValueError("samples_used must be non-negative")
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "value": self.value,
-                "half_width": self.half_width,
-                "eps_r": self.relative_target,
-                "delta": 1.0 - self.confidence,
-                "samples_used": self.samples_used,
-                "queries_used": self.queries_used,
-                "algorithm": self.algorithm,
-                "rounds": self.rounds,
-            }
-        )
-
 
 @dataclass(frozen=True)
 class TrialsRecord:
@@ -188,23 +173,8 @@ class TrialsRecord:
         object.__setattr__(self, "r_values", r)
 
     @property
-    def successes(self) -> int:
-        return len(self.r_values)
-
-    @property
     def total_tosses(self) -> int:
         return int(self.r_values.sum())
-
-    def empirical_z_sigma(self, n_qubits: int, beta: float) -> float:
-        """1-sigma spread of the implied estimate 2^n e^beta / mean(R).
-
-        Delta-method standard error from the empirical waiting-time
-        variance; this is the descriptive interval, not the distribution-free
-        guarantee carried by the estimate itself.
-        """
-        r_bar = float(self.r_values.mean())
-        se_r = float(self.r_values.std(ddof=1)) / math.sqrt(self.successes)
-        return 2**n_qubits * math.exp(beta) / r_bar**2 * se_r
 
 
 def algorithm1(spec: CoinSpec, tosses: int, delta: float, seed: int) -> Estimate:
@@ -232,7 +202,7 @@ def algorithm2(
 
     The reported half-width is the distribution-free (Chebyshev) guarantee
     eps_r = 1 / sqrt(delta * successes) that holds with confidence
-    1 - delta; the empirical interval is available from the record.
+    1 - delta; the record holds the waiting times it was computed from.
     """
     if target_successes < 1:
         raise ValueError("target_successes must be >= 1")

@@ -1,11 +1,9 @@
-"""Ising and quantum RBM instances, their unit spectra, and a dense oracle.
+"""Ising and quantum RBM instances and their unit spectra.
 
 The coin's input state is maximally mixed, so everything the package
 computes depends only on the eigenvalues of H.  ``unit_spectrum(spec)``
 builds the ``Spectrum`` of H / L from the instance parameters with no
-matrix.  The dense ``Hamiltonian`` (``build_*``) serves the exact
-propagator, the approximant cross-checks and the tests as a reference;
-both are capped at MAX_QUBITS = 12 (N = 4096).
+matrix.  Spectra are capped at MAX_QUBITS = 12 (N = 4096 values).
 
 Qubit convention: qubit 0 is the leftmost tensor factor, i.e. the most
 significant bit of the computational-basis index.
@@ -14,7 +12,7 @@ significant bit of the computational-basis index.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +23,7 @@ SPECTRUM_TOL = 1e-9  # relative slack when a spectrum is checked against a bound
 def _check_qubit_count(n_qubits: int) -> None:
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise ValueError(
-            f"n_qubits={n_qubits} is outside 1..{MAX_QUBITS}, the dense-storage cap"
+            f"n_qubits={n_qubits} is outside 1..{MAX_QUBITS}, the spectrum cap"
         )
 
 
@@ -69,70 +67,6 @@ class Spectrum:
     @property
     def n_qubits(self) -> int:
         return self.dim.bit_length() - 1
-
-
-@dataclass
-class Hamiltonian:
-    """Dense Hermitian operator on n qubits with a certified norm bound.
-
-    ``norm_bound`` is any certified upper bound on the spectral norm; the
-    builders use the sum of absolute Pauli-term coefficients, which is cheap
-    and always valid.  The eigendecomposition is computed on demand and
-    cached.  Instances are treated as immutable after construction and are
-    safe to share for reads.
-    """
-
-    matrix: np.ndarray
-    n_qubits: int
-    norm_bound: float
-    _eigen: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        _check_qubit_count(self.n_qubits)
-        matrix = np.asarray(self.matrix, dtype=np.complex128)
-        dim = 2**self.n_qubits
-        if matrix.shape != (dim, dim):
-            raise ValueError(
-                f"matrix shape {matrix.shape} does not match 2^{self.n_qubits}"
-            )
-        if not np.all(np.abs(matrix - matrix.conj().T) <= 1e-12):
-            raise ValueError("matrix is not Hermitian to 1e-12 entrywise")
-        if self.norm_bound < 0:
-            raise ValueError("norm_bound must be non-negative")
-        matrix.setflags(write=False)
-        self.matrix = matrix
-
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (ascending) and eigenvectors, computed once and cached.
-
-        The reconstruction residual R = V diag(w) V^dagger - H must satisfy
-        max(||R||_1, ||R||_inf) <= 1e-10 * max(1, ||H||); that bound is at
-        least ||R||_2 and needs no SVD.  Eigenvalues must respect norm_bound.
-        """
-        if self._eigen is None:
-            evals, evecs = np.linalg.eigh(self.matrix)
-            resid = (evecs * evals) @ evecs.conj().T - self.matrix
-            scale = max(1.0, float(np.abs(evals).max(initial=0.0)))
-            resid_bound = float(
-                max(np.linalg.norm(resid, 1), np.linalg.norm(resid, np.inf))
-            )
-            if resid_bound > 1e-10 * scale:
-                raise RuntimeError(
-                    f"eigendecomposition residual {resid_bound:.3e} exceeds tolerance"
-                )
-            slack = SPECTRUM_TOL * max(1.0, self.norm_bound)
-            if np.abs(evals).max(initial=0.0) > self.norm_bound + slack:
-                raise ValueError(
-                    "certified norm_bound is smaller than the actual spectral norm"
-                )
-            self._eigen = (evals, evecs)
-        return self._eigen
-
-    @property
-    def eigen_cache(self) -> tuple[np.ndarray, np.ndarray] | None:
-        return self._eigen
 
 
 @dataclass(frozen=True)
@@ -308,38 +242,6 @@ def unit_spectrum(spec: IsingSpec | QrbmSpec) -> Spectrum:
         raise TypeError(f"unsupported spec type {type(spec).__name__}")
     lam = spec.norm_bound or 1.0
     return Spectrum(np.sort(values) / lam, lam)
-
-
-def build_ising(spec: IsingSpec) -> Hamiltonian:
-    """H = sum_{(i,j) in edges} J_ij Z_i Z_j as a dense matrix (diagonal, real)."""
-    matrix = np.diag(_ising_diagonal(spec).astype(np.complex128))
-    return Hamiltonian(matrix, spec.n_qubits, spec.norm_bound)
-
-
-def build_qrbm(spec: QrbmSpec) -> Hamiltonian:
-    """Dense QRBM Hamiltonian; non-diagonal iff some transverse field is nonzero."""
-    n = spec.n_qubits
-    _check_qubit_count(n)
-    z = _z_values(n)
-    z_visible, z_hidden = z[:, : spec.n_visible], z[:, spec.n_visible:]
-    diag = -(z @ spec.biases) - ((z_visible @ spec.couplings) * z_hidden).sum(axis=1)
-    matrix = np.diag(diag.astype(np.complex128))
-    states = np.arange(2**n)
-    for jh, gamma in enumerate(spec.transverse_field):
-        if gamma == 0.0:
-            continue
-        # X on hidden qubit jh flips its bit in the basis index
-        flipped = states ^ (1 << (n - 1 - (spec.n_visible + jh)))
-        matrix[states, flipped] -= gamma
-    return Hamiltonian(matrix, n, spec.norm_bound)
-
-
-def build_hamiltonian(spec: IsingSpec | QrbmSpec) -> Hamiltonian:
-    if isinstance(spec, IsingSpec):
-        return build_ising(spec)
-    if isinstance(spec, QrbmSpec):
-        return build_qrbm(spec)
-    raise TypeError(f"unsupported spec type {type(spec).__name__}")
 
 
 def generate_random_ising_graph(n_qubits: int, seed: int) -> IsingSpec:

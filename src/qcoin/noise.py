@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coin import _check_toss_count
+
 _MAX_ITERATIONS = 200  # Gauss-Newton iterations before FitConvergenceError
 
 
@@ -90,8 +92,7 @@ def simulate_noisy_tosses(
     p_ideal: float, xi: float, layers: int, shots: int, seed: int
 ) -> int:
     """Binomial draw of successes at the noisy probability, seeded."""
-    if shots < 0:
-        raise ValueError("shots must be non-negative")
+    _check_toss_count("shots", shots)
     pbar = noisy_success_probability(p_ideal, xi, layers)
     rng = np.random.default_rng(seed)
     return int(rng.binomial(shots, pbar))

@@ -26,13 +26,6 @@ def exact_partition_function(spectrum: Spectrum, beta: float) -> float:
     return math.fsum(np.sort(terms))
 
 
-def exact_free_energy(spectrum: Spectrum, beta: float) -> float:
-    """F = -log(Z_beta) / beta; undefined at beta = 0."""
-    if beta <= 0:
-        raise ValueError("free energy requires beta > 0")
-    return -math.log(exact_partition_function(spectrum, beta)) / beta
-
-
 def ideal_coin_probability(spectrum: Spectrum, beta: float) -> float:
     """Heads probability exp(-beta) Z_beta / 2^n of the ideal coin.
 
@@ -41,13 +34,6 @@ def ideal_coin_probability(spectrum: Spectrum, beta: float) -> float:
     """
     amplitudes = np.exp(-beta * (1.0 + spectrum.values) / 2.0)
     return float(np.mean(amplitudes**2))
-
-
-def geometric_stats(p: float) -> tuple[float, float]:
-    """Mean and variance of the trials-to-success count at heads probability p."""
-    if not 0 < p <= 1:
-        raise ValueError(f"p must be in (0, 1], got {p}")
-    return 1.0 / p, (1.0 - p) / p**2
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
-"""Imaginary-time propagators exp(-beta H / 2), exact and polynomial.
+"""Chebyshev approximants of the imaginary-time propagator exp(-beta H / 2).
 
-The polynomial route models what a post-selected block-encoding circuit
+The approximant models what a post-selected block-encoding circuit
 applies: the sub-normalized operator alpha * ftilde[H] with
 alpha = exp(-beta/2).  ``certified_error`` is the spectral error of that
 sub-normalized function,
@@ -17,15 +17,12 @@ where I_k is the modified Bessel function of the first kind.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
-
-from .hamiltonian import Hamiltonian, Spectrum
 
 GRID_SIZE = 10_000
 _DEGREE_CAP = 20_000
@@ -167,26 +164,6 @@ class ChebyshevApproximant:
         """Evaluate the polynomial by Clenshaw recurrence."""
         return _clenshaw(self.coefficients, np.asarray(x, dtype=float))
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "beta": self.target_beta,
-                "degree": self.degree,
-                "coefficients": self.coefficients.tolist(),
-                "certified_error": self.certified_error,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChebyshevApproximant":
-        doc = json.loads(text)
-        return cls(
-            degree=doc["degree"],
-            coefficients=np.array(doc["coefficients"], dtype=float),
-            target_beta=doc["beta"],
-            certified_error=doc["certified_error"],
-        )
-
 
 def chebyshev_coefficients(beta: float, degree: int) -> ChebyshevApproximant:
     """Jacobi-Anger truncation of exp(-beta x / 2) at the given degree."""
@@ -211,24 +188,6 @@ def chebyshev_coefficients(beta: float, degree: int) -> ChebyshevApproximant:
     return ChebyshevApproximant(degree, coeffs, beta, certified)
 
 
-@dataclass(frozen=True)
-class PropagatorExact:
-    """Exact exp(-beta H / 2) with its sub-normalization alpha = exp(-beta/2)."""
-
-    beta: float
-    matrix: np.ndarray
-    alpha: float
-
-
-def exact_propagator(h: Hamiltonian, beta: float) -> PropagatorExact:
-    """exp(-beta H / 2) via the eigendecomposition."""
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
-    evals, evecs = h.eigensystem()
-    matrix = (evecs * np.exp(-beta * evals / 2.0)) @ evecs.conj().T
-    return PropagatorExact(beta=beta, matrix=matrix, alpha=math.exp(-beta / 2.0))
-
-
 def _clenshaw(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Sum of c_k T_k(x) by the Clenshaw recurrence (elementwise in x)."""
     b1 = np.zeros_like(x)
@@ -236,35 +195,6 @@ def _clenshaw(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     for c in coeffs[:0:-1]:
         b1, b2 = c + 2.0 * x * b1 - b2, b1
     return coeffs[0] + x * b1 - b2
-
-
-def _clenshaw_matrix(coeffs: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Sum of c_k T_k(A) for a Hermitian matrix A by matrix Clenshaw."""
-    eye = np.eye(a.shape[0], dtype=a.dtype)
-    b1 = np.zeros_like(a)
-    b2 = np.zeros_like(a)
-    for c in coeffs[:0:-1]:
-        b1, b2 = c * eye + 2.0 * (a @ b1) - b2, b1
-    return coeffs[0] * eye + a @ b1 - b2
-
-
-def apply_approximant(
-    approx: ChebyshevApproximant, h: Hamiltonian, method: str = "eigen"
-) -> np.ndarray:
-    """Evaluate the approximant on H, giving the matrix ftilde[H].
-
-    ``method="eigen"`` applies the scalar polynomial to the eigenvalues;
-    ``method="clenshaw"`` runs the Clenshaw recurrence on the matrix itself.
-    The two routes agree to 1e-9 in spectral norm and exist as mutual checks.
-    """
-    evals, evecs = h.eigensystem()
-    Spectrum(evals, 1.0)  # raises unless the eigenvalues lie in [-1, 1]
-    if method == "eigen":
-        values = _clenshaw(approx.coefficients, evals)
-        return (evecs * values) @ evecs.conj().T
-    if method == "clenshaw":
-        return _clenshaw_matrix(approx.coefficients, h.matrix)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def eps_prime_for_relative_error(beta: float, n_qubits: int, eps_r: float) -> float:

@@ -131,6 +131,15 @@ def test_toss_empty_stream():
     assert heads == 0 and isinstance(heads, int)
 
 
+def test_toss_count_limit_is_int64():
+    # numpy's binomial draws at most 2^63 - 1 tosses; a larger count is an
+    # infeasible budget (exit 2), not an OverflowError (exit 3)
+    heads = toss(zero_coin(-math.log(0.38)), 2**63 - 1, seed=1)
+    assert isinstance(heads, int) and abs(heads / (2**63 - 1) - 0.38) <= 1e-6
+    with pytest.raises(ValueError, match=r"count = 9223372036854775808 exceeds 2\^63 - 1"):
+        toss(zero_coin(1.0), 2**63, seed=1)
+
+
 def test_toss_heads_fraction_near_paper_scale_probability():
     # p = 0.38 (the hardware-experiment scale); binomial 3.4-sigma tolerance
     beta = -math.log(0.38)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -221,16 +220,6 @@ def test_algorithm2_coverage():
     assert abs(np.mean(totals) - predicted) <= 3 * sigma
 
 
-def test_trials_record_empirical_sigma():
-    _, record = algorithm2(synthetic_coin(0.3), target_successes=5000, seed=5)
-    sigma = record.empirical_z_sigma(2, -math.log(0.3))
-    scale = 4.0 * math.exp(-math.log(0.3))
-    # direct recomputation of the delta-method spread
-    r = record.r_values
-    manual = scale / r.mean() ** 2 * r.std(ddof=1) / math.sqrt(len(r))
-    assert sigma == pytest.approx(manual, rel=1e-12)
-
-
 def test_error_propagation_linearization():
     # shifting the mean waiting time by eps moves the estimate by ~ Z p eps
     p = 0.2
@@ -333,14 +322,6 @@ def test_make_additive_runner_calls_advance_one_generator():
 
 
 def test_estimate_json_and_validation():
-    est = Estimate(
-        value=10.0, half_width=0.5, relative_target=0.1, confidence=0.95,
-        samples_used=100, queries_used=700, algorithm="alg1",
-    )
-    doc = json.loads(est.to_json())
-    assert doc["eps_r"] == 0.1
-    assert doc["delta"] == pytest.approx(0.05)
-    assert doc["algorithm"] == "alg1"
     with pytest.raises(ValueError):
         Estimate(10.0, -1.0, None, 0.95, 1, 0, "alg1")
     with pytest.raises(ValueError):

@@ -20,12 +20,8 @@ from qcoin.experiments import (
     write_layer_series,
 )
 from qcoin.coin import CoinSpec, SeedStream
-from qcoin.hamiltonian import (
-    Hamiltonian,
-    generate_random_ising_graph,
-    spec_from_json,
-    unit_spectrum,
-)
+import qcoin
+from qcoin.hamiltonian import generate_random_ising_graph, spec_from_json, unit_spectrum
 from qcoin.noise import identity_insertion_depths, simulate_noisy_tosses
 
 SMALL_CFG = """
@@ -274,6 +270,13 @@ def test_run_fragment_outputs(tmp_path):
         assert row["instance_seed"] != "" and row["config_hash"] != ""
 
 
+DENSE_OR_DELETED_NAMES = {
+    "Hamiltonian", "build_ising", "build_qrbm", "build_hamiltonian",
+    "PropagatorExact", "exact_propagator", "apply_approximant", "_clenshaw_matrix",
+    "exact_free_energy", "geometric_stats",
+}
+
+
 @pytest.mark.parametrize(
     "model", [["--model", "ising", "--n-qubits", "4"], ["--model", "qrbm"]],
     ids=["ising", "qrbm"],
@@ -281,8 +284,13 @@ def test_run_fragment_outputs(tmp_path):
 def test_run_sweep_decomposes_each_instance_at_most_once(
     tmp_path, capsys, monkeypatch, model
 ):
-    # Every command reads the unit spectrum built from the instance
-    # parameters: none builds a dense Hamiltonian or decomposes a matrix.
+    # The package holds one path from instance to answer: every command reads
+    # the unit spectrum built from the instance parameters.  The dense matrix
+    # and its eigenvectors are the tests' oracle (tests/dense_oracle.py) alone.
+    for module in (qcoin, qcoin.hamiltonian, qcoin.propagator, qcoin.oracle):
+        assert not DENSE_OR_DELETED_NAMES & set(vars(module))
+    for path in Path(qcoin.__file__).parent.glob("*.py"):
+        assert "dense_oracle" not in path.read_text(encoding="utf-8")
     calls = []
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
@@ -290,17 +298,20 @@ def test_run_sweep_decomposes_each_instance_at_most_once(
             np.linalg, name,
             lambda m, _name=name, _f=original: calls.append(_name) or _f(m),
         )
-    post_init = Hamiltonian.__post_init__
-    monkeypatch.setattr(
-        Hamiltonian, "__post_init__",
-        lambda self: calls.append("Hamiltonian") or post_init(self),
-    )
+    series = tmp_path / "series.csv"
+    write_layer_series(series, [10, 12, 14, 16, 18], [620, 601, 590, 575, 566], 1000)
     common = [*model, "--beta", "0.5,2.0", "--seed", "5"]
-    for argv in (["sweep", *common, "--xi", "0.037", "--shots", "200"],
-                 ["coverage", "alg1", *common, "--reps", "5"],
-                 ["fragment", *common]):
-        assert main([*argv, "--out", str(tmp_path / argv[0])]) == 0
-    assert main(["oracle", *common]) == 0
+    commands = [
+        ["generate", *model],
+        ["oracle", *common],
+        ["sweep", *common, "--xi", "0.037", "--shots", "200"],
+        *(["coverage", alg, *common, "--reps", "5"]
+          for alg in ("alg1", "alg2", "iterative")),
+        ["fragment", *common],
+        ["noise-fit", "--series", str(series)],
+    ]
+    for i, argv in enumerate(commands):
+        assert main([*argv, "--out", str(tmp_path / f"out{i}")]) == 0
     assert calls == []
 
 
@@ -453,6 +464,20 @@ def test_cli_fragment_infeasible_probability_is_input_error(tmp_path, capsys):
     ]) == 2
     err = capsys.readouterr().err
     assert "p_full" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["coverage", "alg1", "--n-qubits", "12", "--beta", "8"], "count = "),
+    (["sweep", "--n-qubits", "4", "--shots", "10000000000000000000"],
+     "count = 10000000000000000000"),
+    (["sweep", "--n-qubits", "4", "--shots", "10000000000000000000", "--xi", "0.037"],
+     "shots = 10000000000000000000"),
+], ids=["coverage-alg1", "sweep", "sweep-noise"])
+def test_cli_toss_count_past_int64_is_input_error(tmp_path, capsys, argv, count):
+    # one binomial draw takes at most 2^63 - 1 tosses
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert count in err and "2^63 - 1" in err and len(err.strip().splitlines()) == 1
 
 
 def test_cli_noise_fit_degenerate_is_input_error(tmp_path, capsys):

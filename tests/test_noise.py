@@ -80,6 +80,8 @@ def test_simulate_noisy_tosses():
     assert simulate_noisy_tosses(0.4, 0.1, 5, 100, seed=4) == simulate_noisy_tosses(
         0.4, 0.1, 5, 100, seed=4
     )
+    with pytest.raises(ValueError, match=r"shots = 9223372036854775808 exceeds 2\^63 - 1"):
+        simulate_noisy_tosses(0.4, 0.1, 5, 2**63, seed=1)
 
 
 def test_identity_insertion_depths():

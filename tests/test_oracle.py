@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 
 from qcoin.hamiltonian import Spectrum, generate_random_ising_graph, unit_spectrum
-from qcoin.oracle import (
-    exact_free_energy,
-    exact_partition_function,
-    geometric_stats,
-    ideal_coin_probability,
-    oracle_report,
-)
+from qcoin.oracle import exact_partition_function, ideal_coin_probability, oracle_report
 
 Z1 = Spectrum(np.array([-1.0, 1.0]), 1.0)
 ZERO4 = Spectrum(np.zeros(16), 1.0)
@@ -38,9 +32,9 @@ def test_partition_function_zero_hamiltonian():
 
 
 def test_free_energy_closed_form_and_errors():
-    assert exact_free_energy(ZERO4, 2.0) == pytest.approx(MINUS_HALF_LN16, rel=1e-14)
-    with pytest.raises(ValueError):
-        exact_free_energy(ZERO4, 0.0)
+    free_energy = oracle_report(ZERO4, 2.0).free_energy
+    assert free_energy == pytest.approx(MINUS_HALF_LN16, rel=1e-14)
+    assert oracle_report(ZERO4, 0.0).free_energy is None
 
 
 def test_free_energy_relative_error_maps_to_additive():
@@ -54,27 +48,6 @@ def test_free_energy_relative_error_maps_to_additive():
         for eps in (1e-4, 1e-2, 0.1, 0.5):
             f_shift = -math.log(z * (1 + eps)) / beta
             assert abs(f_shift - f) <= 2 * eps / beta
-
-
-def test_geometric_stats_values_and_errors():
-    assert geometric_stats(1.0) == (1.0, 0.0)
-    assert geometric_stats(0.5) == (2.0, 2.0)
-    with pytest.raises(ValueError):
-        geometric_stats(0.0)
-    with pytest.raises(ValueError):
-        geometric_stats(1.5)
-
-
-def test_geometric_stats_match_empirical():
-    rng = np.random.default_rng(8)
-    for p in (0.1, 0.5, 0.9):
-        draws = rng.geometric(p, size=100_000)
-        mean, var = geometric_stats(p)
-        se_mean = math.sqrt(var / draws.size)
-        assert abs(draws.mean() - mean) <= 3 * se_mean
-        m4 = np.mean((draws - draws.mean()) ** 4)
-        se_var = math.sqrt(max(m4 - var**2, 0.0) / draws.size)
-        assert abs(draws.var(ddof=1) - var) <= 3 * se_var
 
 
 def test_log_convexity_of_partition_function():

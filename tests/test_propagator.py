@@ -1,22 +1,14 @@
-import json
 import math
 
 import numpy as np
 import pytest
 
-from qcoin.hamiltonian import (
-    Hamiltonian,
-    build_ising,
-    generate_random_ising_graph,
-    unit_spectrum,
-)
+from dense_oracle import Hamiltonian, apply_approximant, build_ising, exact_propagator
+from qcoin.hamiltonian import generate_random_ising_graph, unit_spectrum
 from qcoin.oracle import exact_partition_function
 from qcoin.propagator import (
-    ChebyshevApproximant,
-    apply_approximant,
     chebyshev_coefficients,
     eps_prime_for_relative_error,
-    exact_propagator,
     modified_bessel_i,
     required_degree,
 )
@@ -68,27 +60,25 @@ def test_bessel_parity_and_edge_cases():
 
 def test_exact_propagator_identity_at_beta_zero():
     prop = exact_propagator(unit_ising(3, 0), 0.0)
-    assert np.allclose(prop.matrix, np.eye(8), atol=1e-12)
-    assert prop.alpha == 1.0
+    assert np.allclose(prop, np.eye(8), atol=1e-12)
 
 
 def test_exact_propagator_single_qubit_frozen():
     prop = exact_propagator(Z1, 2.0)
-    assert np.allclose(prop.matrix, np.diag([math.exp(-1.0), math.exp(1.0)]), atol=1e-12)
-    assert prop.alpha == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert np.allclose(prop, np.diag([math.exp(-1.0), math.exp(1.0)]), atol=1e-12)
 
 
 def test_exact_propagator_semigroup_property():
     for seed in range(5):
         h = unit_ising(3, seed)
-        half = exact_propagator(h, 1.4).matrix
-        full = exact_propagator(h, 2.8).matrix
+        half = exact_propagator(h, 1.4)
+        full = exact_propagator(h, 2.8)
         assert np.linalg.norm(half @ half - full, ord=2) <= 1e-10
 
 
 def test_exact_propagator_commutes_with_hamiltonian():
     h = unit_ising(4, 3)
-    m = exact_propagator(h, 2.0).matrix
+    m = exact_propagator(h, 2.0)
     assert np.linalg.norm(m @ h.matrix - h.matrix @ m, ord=2) <= 1e-9
 
 
@@ -232,7 +222,7 @@ def test_spectral_distance_bound_on_random_hamiltonians():
         h = unit_ising(3, int(rng.integers(0, 1000)))
         approx = chebyshev_coefficients(beta, degree)
         out = apply_approximant(approx, h)
-        exact = exact_propagator(h, beta).matrix
+        exact = exact_propagator(h, beta)
         grid_factor = 1.0 / math.cos(math.pi * (degree + 16) / (2.0 * 10_000))
         bound = approx.certified_error * math.exp(beta / 2.0) * grid_factor
         assert np.linalg.norm(out - exact, ord=2) <= bound + 1e-14
@@ -271,14 +261,3 @@ def test_eps_prime_budget_helper():
         eps_prime_for_relative_error(2.0, 4, 0.0)
     with pytest.raises(ValueError):
         eps_prime_for_relative_error(-1.0, 4, 0.1)
-
-
-def test_approximant_json_round_trip():
-    approx = chebyshev_coefficients(1.5, 9)
-    back = ChebyshevApproximant.from_json(approx.to_json())
-    assert back.degree == approx.degree
-    assert back.target_beta == approx.target_beta
-    assert back.certified_error == approx.certified_error
-    assert np.array_equal(back.coefficients, approx.coefficients)
-    doc = json.loads(approx.to_json())
-    assert set(doc) == {"beta", "degree", "coefficients", "certified_error"}
