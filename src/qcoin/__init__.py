@@ -33,7 +33,6 @@ from .coin import (
 )
 from .estimators import (
     Estimate,
-    TrialsRecord,
     ac_estimate,
     algorithm1,
     algorithm2,

@@ -8,6 +8,7 @@ float64-range error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -91,7 +92,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         report = oracle_report(spectrum, beta_coin)
         reports.append(
             {"beta": beta, "beta_coin": beta_coin, "norm_bound": spectrum.norm_bound,
-             **json.loads(report.to_json())}
+             **dataclasses.asdict(report)}
         )
     doc = json.dumps({"kind": "oracle", "reports": reports}, indent=2, sort_keys=True)
     if args.out is not None:

@@ -29,7 +29,7 @@ from .oracle import ideal_coin_probability
 from .propagator import ChebyshevApproximant, _clenshaw, required_degree
 
 _EPS_PRIME_FLOOR = 1e-16  # cost accounting for the ideal coin
-_MAX_DRAW_COUNT = 2**63 - 1  # numpy's binomial rejects larger counts
+_MAX_DRAW_COUNT = 2**63 - 1  # numpy's binomial rejects more; its geometric clips
 
 
 @dataclass(frozen=True, eq=False)

@@ -73,7 +73,7 @@ from .noise import (
 )
 from .oracle import exact_partition_function, ideal_coin_probability
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -348,18 +348,18 @@ def run_coverage(config: ExperimentConfig, algorithm: str,
     spectrum = unit_spectrum(spec)
     beta_coin = spectrum.norm_bound * beta
     coin = CoinSpec(spectrum, beta_coin)
+    p = coin.heads_probability
     z_exact = exact_partition_function(spectrum, beta_coin)
-    n = spectrum.n_qubits
 
     theory: dict = {}
     if algorithm == "alg1":
-        budget = sample_count_thm1(n, beta_coin, z_exact, config.eps_r, config.delta)
+        budget = sample_count_thm1(p, config.eps_r, config.delta)
         theory["sample_count"] = budget
     elif algorithm == "alg2":
         budget = success_count_thm2(config.eps_r, config.delta)
         theory["success_count"] = budget
         theory["expected_total_tosses"] = expected_total_tosses_thm2(
-            n, beta_coin, z_exact, config.eps_r, config.delta
+            p, config.eps_r, config.delta
         )
     else:
         theory["z_max"] = spectrum.dim * math.exp(beta_coin)
@@ -373,16 +373,14 @@ def run_coverage(config: ExperimentConfig, algorithm: str,
         if algorithm == "alg1":
             est = algorithm1(coin, budget, config.delta, rep_seed)
         elif algorithm == "alg2":
-            est, _ = algorithm2(coin, budget, rep_seed, delta=config.delta)
+            est = algorithm2(coin, budget, rep_seed, delta=config.delta)
         else:
             runner = make_additive_runner(coin, rep_seed)
-            est = relative_from_additive(
-                runner, theory["z_max"], config.eps_r, config.delta
-            )
+            est = relative_from_additive(runner, config.eps_r, config.delta)
             rounds.append(est.rounds)
         samples.append(est.samples_used)
         queries.append(est.queries_used)
-        if abs(est.value - z_exact) <= config.eps_r * z_exact:
+        if abs(est.value - p) <= config.eps_r * p:
             hits += 1
 
     report = {

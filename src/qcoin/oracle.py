@@ -7,7 +7,6 @@ probabilities and waiting-time moments, all read off a unit ``Spectrum``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -20,10 +19,9 @@ def exact_partition_function(spectrum: Spectrum, beta: float) -> float:
     """Tr exp(-beta H) from the eigenvalues.
 
     The Boltzmann terms span many orders of magnitude at large beta, so they
-    are accumulated smallest-first with compensated summation.
+    are summed with ``math.fsum``, which rounds correctly in any order.
     """
-    terms = np.exp(-beta * spectrum.values)
-    return math.fsum(np.sort(terms))
+    return math.fsum(np.exp(-beta * spectrum.values))
 
 
 def ideal_coin_probability(spectrum: Spectrum, beta: float) -> float:
@@ -49,16 +47,6 @@ class OracleReport:
     free_energy: float | None
     p_suc_ideal: float
     mean_trials: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "z_beta": self.z_beta,
-                "free_energy": self.free_energy,
-                "p_suc_ideal": self.p_suc_ideal,
-                "mean_trials": self.mean_trials,
-            }
-        )
 
 
 def oracle_report(spectrum: Spectrum, beta: float) -> OracleReport:

@@ -70,13 +70,13 @@ def _cheb_grid() -> np.ndarray:
     return x
 
 
-def _coefficient_mags(beta: float, eps_floor: float, min_len: int) -> np.ndarray:
+def _coefficient_mags(beta: float, eps_floor: float) -> np.ndarray:
     """Magnitudes of the sub-normalized Jacobi-Anger coefficients.
 
     Entry k is |c_k| * exp(-beta/2) = (2 - delta_k0) I_k(beta/2) exp(-beta/2),
     an order-one quantity.  The window extends past the Bessel turnover until
-    the magnitudes drop below ``eps_floor`` (and covers at least ``min_len``
-    entries), so suffix sums bound every relevant truncation tail.
+    the magnitudes drop below ``eps_floor``, so suffix sums bound every
+    relevant truncation tail.
     """
     b = beta / 2.0
     scale = math.exp(-b)
@@ -87,7 +87,7 @@ def _coefficient_mags(beta: float, eps_floor: float, min_len: int) -> np.ndarray
         raise ValueError(f"beta={beta} is too large for float64 certification")
     floor = max(eps_floor, 1e-305)
     k = 0
-    while k < min_len - 1 or k <= b or mags[-1] >= floor:
+    while k <= b or mags[-1] >= floor:
         k += 1
         if k > _DEGREE_CAP:
             raise RuntimeError("coefficient window exceeded the degree cap")
@@ -131,7 +131,7 @@ def required_degree(beta: float, eps_prime: float) -> int:
         raise ValueError(f"eps_prime must be in (0, 1], got {eps_prime}")
     if beta == 0.0:
         return 0
-    mags = _coefficient_mags(beta, eps_prime * 1e-6, min_len=2)
+    mags = _coefficient_mags(beta, eps_prime * 1e-6)
     suffix = np.concatenate([np.cumsum(mags[::-1])[::-1], [0.0]])
     beyond_window = mags[-1]  # slack standing in for the truncated remainder
     for d, grid_err in _truncation_errors(beta, mags):
@@ -180,9 +180,8 @@ def chebyshev_coefficients(beta: float, degree: int) -> ChebyshevApproximant:
         raise ValueError(f"beta={beta} is too large for float64 coefficients")
     if beta == 0.0:
         return ChebyshevApproximant(degree, coeffs, beta, 0.0)
-    mags = _coefficient_mags(beta, 1e-300, min_len=degree + 1)
     certified = 0.0
-    for d, grid_err in _truncation_errors(beta, mags[: degree + 1]):
+    for d, grid_err in _truncation_errors(beta, np.abs(coeffs) * math.exp(-b)):
         if d == degree:
             certified = grid_err
     return ChebyshevApproximant(degree, coeffs, beta, certified)

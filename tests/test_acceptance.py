@@ -108,32 +108,31 @@ def test_bias_bound():
 def test_thm1_coverage():
     """Fixed-budget estimator: relative error <= 0.2 in >= 93% of 400 runs."""
     with criterion("Thm.1 coverage (400 reps, eps_r=0.2, delta=0.05)"):
-        coin, spectrum, beta_coin = standard_ising_coin(beta=1.0, seed=123)
-        z = exact_partition_function(spectrum, beta_coin)
-        budget = sample_count_thm1(4, beta_coin, z, 0.2, 0.05)
+        coin, _, _ = standard_ising_coin(beta=1.0, seed=123)
+        p = coin.heads_probability
+        budget = sample_count_thm1(p, 0.2, 0.05)
         hits = 0
         for seed in rep_seeds(99, 400):
             est = algorithm1(coin, budget, 0.05, seed)
-            hits += abs(est.value - z) <= 0.2 * z
+            hits += abs(est.value - p) <= 0.2 * p
         assert hits / 400 >= 0.93
 
 
 def test_thm2_coverage_and_cost():
     """Waiting-time estimator: coverage >= 70% and mean cost on prediction."""
     with criterion("Thm.2 coverage and mean total tosses (400 reps)"):
-        coin, spectrum, beta_coin = standard_ising_coin(beta=1.0, seed=123)
-        z = exact_partition_function(spectrum, beta_coin)
+        coin, _, _ = standard_ising_coin(beta=1.0, seed=123)
+        p = success_probability(coin)
         budget = success_count_thm2(0.2, 0.25)
         assert budget == 100
         hits = 0
         totals = []
         for seed in rep_seeds(7, 400):
-            est, record = algorithm2(coin, budget, seed, delta=0.25)
-            totals.append(record.total_tosses)
-            hits += abs(est.value - z) <= 0.2 * z
+            est = algorithm2(coin, budget, seed, delta=0.25)
+            totals.append(est.samples_used)
+            hits += abs(est.value - p) <= 0.2 * p
         assert hits / 400 >= 0.70
-        p = success_probability(coin)
-        predicted = expected_total_tosses_thm2(4, beta_coin, z, 0.2, 0.25)
+        predicted = expected_total_tosses_thm2(p, 0.2, 0.25)
         assert predicted == pytest.approx(budget / p, rel=1e-12)
         sigma_mean = math.sqrt(budget * (1.0 - p) / p**2 / len(totals))
         assert abs(float(np.mean(totals)) - predicted) <= 3.0 * sigma_mean

@@ -103,7 +103,7 @@ def test_heads_probability_computed_once_per_coin(monkeypatch):
                         lambda spec: calls.append(spec) or 0.5)
     toss(coin, 100, seed=1)
     algorithm2(coin, 5, seed=2)
-    make_additive_runner(coin, seed=3)(1.0, 0.05)
+    make_additive_runner(coin, seed=3)(1.0 / (16 * math.exp(coin.beta)), 0.05)
     assert calls == []
 
 

@@ -6,7 +6,6 @@ import pytest
 from qcoin.coin import CoinSpec, success_probability
 from qcoin.estimators import (
     Estimate,
-    TrialsRecord,
     ac_estimate,
     algorithm1,
     algorithm2,
@@ -120,16 +119,17 @@ def test_ac_coverage_small_probabilities():
 
 
 def test_sample_count_thm1_frozen_and_scaling():
-    assert sample_count_thm1(4, 0.0, 16.0, 0.1, 0.05) == 3074
-    base = sample_count_thm1(4, 1.0, 20.0, 0.2, 0.05)
-    half = sample_count_thm1(4, 1.0, 20.0, 0.1, 0.05)
+    assert sample_count_thm1(1.0, 0.1, 0.05) == 3074
+    p = 20.0 / (16 * math.e)  # Z = 20 at n = 4, beta = 1
+    base = sample_count_thm1(p, 0.2, 0.05)
+    half = sample_count_thm1(p, 0.1, 0.05)
     assert 4 * base - 4 <= half <= 4 * base
-    bumped = sample_count_thm1(4, 2.0, 20.0, 0.2, 0.05)
+    bumped = sample_count_thm1(p / math.e, 0.2, 0.05)
     assert abs(bumped - math.e * base) <= math.e + 1
     with pytest.raises(ValueError):
-        sample_count_thm1(4, 1.0, 0.0, 0.2, 0.05)
+        sample_count_thm1(0.0, 0.2, 0.05)
     with pytest.raises(ValueError):
-        sample_count_thm1(4, 1.0, 16.0, 1.2, 0.05)
+        sample_count_thm1(1.0, 1.2, 0.05)
 
 
 def test_success_count_thm2_values():
@@ -141,30 +141,31 @@ def test_success_count_thm2_values():
 
 
 def test_expected_total_tosses_thm2():
-    assert expected_total_tosses_thm2(4, 0.0, 16.0, 0.2, 0.25) == pytest.approx(
+    assert expected_total_tosses_thm2(1.0, 0.2, 0.25) == pytest.approx(
         100.0, rel=1e-12
     )
-    full = expected_total_tosses_thm2(4, 1.0, 20.0, 0.2, 0.25)
-    assert expected_total_tosses_thm2(4, 1.0, 10.0, 0.2, 0.25) == pytest.approx(
+    p = 20.0 / (16 * math.e)
+    full = expected_total_tosses_thm2(p, 0.2, 0.25)
+    assert expected_total_tosses_thm2(p / 2, 0.2, 0.25) == pytest.approx(
         2.0 * full, rel=1e-12
     )
 
 
 def test_algorithm1_certain_coin():
     est = algorithm1(zero_coin(0.0), tosses=2000, delta=0.05, seed=1)
-    assert abs(est.value - 4.0) <= est.half_width
+    assert abs(est.value - 1.0) <= est.half_width
     assert est.samples_used == 2000
     assert est.algorithm == "alg1"
 
 
 def test_algorithm1_coverage_ideal_coin():
-    coin, spectrum, beta_coin = ising_coin(123, 1.0)
-    z = exact_partition_function(spectrum, beta_coin)
-    budget = sample_count_thm1(4, beta_coin, z, 0.2, 0.05)
+    coin, _, _ = ising_coin(123, 1.0)
+    p = coin.heads_probability
+    budget = sample_count_thm1(p, 0.2, 0.05)
     hits = 0
     for seed in rep_seeds(99, 100):
         est = algorithm1(coin, budget, 0.05, seed)
-        hits += abs(est.value - z) <= 0.2 * z
+        hits += abs(est.value - p) <= 0.2 * p
     assert hits / 100 >= 0.93
 
 
@@ -176,11 +177,12 @@ def test_algorithm1_coverage_with_approximation_budget():
     eps_prime = eps_prime_for_relative_error(beta_coin, 4, eps_r) * z
     approx = chebyshev_coefficients(beta_coin, required_degree(beta_coin, eps_prime))
     biased_coin = CoinSpec(spectrum, beta_coin, eps_prime=eps_prime, approximant=approx)
-    budget = sample_count_thm1(4, beta_coin, z, eps_r, 0.05)
+    p = coin.heads_probability
+    budget = sample_count_thm1(p, eps_r, 0.05)
     hits = 0
     for seed in rep_seeds(101, 200):
         est = algorithm1(biased_coin, budget, 0.05, seed)
-        hits += abs(est.value - z) <= eps_r * z
+        hits += abs(est.value - p) <= eps_r * p
     assert hits / 200 >= 0.93
     # the attached budget sits exactly at the theorem condition Z eps_r/(6 e^b 2^n)
     assert biased_coin.eps_prime == pytest.approx(
@@ -189,33 +191,43 @@ def test_algorithm1_coverage_with_approximation_budget():
 
 
 def test_algorithm2_certain_coin():
-    est, record = algorithm2(zero_coin(0.0), target_successes=50, seed=3)
-    assert np.all(record.r_values == 1)
-    assert est.value == pytest.approx(4.0, rel=1e-12)
-    assert est.samples_used == 50
+    est = algorithm2(zero_coin(0.0), target_successes=50, seed=3)
+    assert est.samples_used == 50  # every waiting time is 1
+    assert est.value == pytest.approx(1.0, rel=1e-12)
 
 
 def test_algorithm2_waiting_time_mean():
-    est, record = algorithm2(synthetic_coin(0.5), target_successes=100_000, seed=8)
-    r_bar = record.r_values.mean()
+    est = algorithm2(synthetic_coin(0.5), target_successes=100_000, seed=8)
+    r_bar = est.samples_used / 100_000
     assert 1.99 <= r_bar <= 2.01
-    assert est.value == pytest.approx(4.0 * math.exp(-math.log(0.5)) / r_bar, rel=1e-12)
+    assert est.value == pytest.approx(1.0 / r_bar, rel=1e-12)
+
+
+def test_algorithm2_waits_past_int64_are_rejected():
+    # numpy's int64 geometric draw clips a wait at 2^63 - 1; at p = 3e-19
+    # two successes are expected after 6.7e18 tosses, yet seed 4 draws a
+    # wait past the limit
+    coin = synthetic_coin(3e-19)
+    assert algorithm2(coin, 2, seed=0).samples_used < 2**63
+    with pytest.raises(ValueError, match=r"a waiting time reached 2\^63 - 1"):
+        algorithm2(coin, 2, seed=4)
+    with pytest.raises(ValueError, match=r"expected tosses = 4 / p = 1.33333e\+19"):
+        algorithm2(coin, 4, seed=0)
 
 
 def test_algorithm2_coverage():
-    coin, spectrum, beta_coin = ising_coin(123, 1.0)
-    z = exact_partition_function(spectrum, beta_coin)
+    coin, _, _ = ising_coin(123, 1.0)
+    p = success_probability(coin)
     budget = success_count_thm2(0.2, 0.25)
     assert budget == 100
     hits = 0
     totals = []
     for seed in rep_seeds(7, 200):
-        est, record = algorithm2(coin, budget, seed, delta=0.25)
-        totals.append(record.total_tosses)
-        hits += abs(est.value - z) <= 0.2 * z
+        est = algorithm2(coin, budget, seed, delta=0.25)
+        totals.append(est.samples_used)
+        hits += abs(est.value - p) <= 0.2 * p
     assert hits / 200 >= 0.75
-    p = success_probability(coin)
-    predicted = expected_total_tosses_thm2(4, beta_coin, z, 0.2, 0.25)
+    predicted = expected_total_tosses_thm2(p, 0.2, 0.25)
     sigma = math.sqrt(budget * (1 - p) / p**2 / len(totals))
     assert abs(np.mean(totals) - predicted) <= 3 * sigma
 
@@ -245,29 +257,28 @@ def test_bias_budget_identity():
 def test_relative_from_additive_stops_immediately_at_zmax():
     def runner(eps_additive, delta_step):
         return Estimate(
-            value=16.0, half_width=eps_additive, relative_target=None,
+            value=1.0, half_width=eps_additive, relative_target=None,
             confidence=1.0 - delta_step, samples_used=1, queries_used=0,
             algorithm="alg1",
         )
 
-    est = relative_from_additive(runner, z_max=16.0, eps_r=0.1, delta=0.05)
+    est = relative_from_additive(runner, eps_r=0.1, delta=0.05)
     assert est.rounds == 1
     assert est.algorithm == "iterative"
 
 
 def test_relative_from_additive_round_count():
-    z_true = 3.0
-    z_max = 1024.0
+    p_true = 3.0 / 1024.0
 
     def runner(eps_additive, delta_step):
         return Estimate(
-            value=z_true, half_width=eps_additive, relative_target=None,
+            value=p_true, half_width=eps_additive, relative_target=None,
             confidence=1.0 - delta_step, samples_used=1, queries_used=0,
             algorithm="alg1",
         )
 
-    est = relative_from_additive(runner, z_max, eps_r=0.1, delta=0.05)
-    expected_rounds = math.ceil(math.log2(z_max / z_true))
+    est = relative_from_additive(runner, eps_r=0.1, delta=0.05)
+    expected_rounds = math.ceil(math.log2(1.0 / p_true))
     assert abs(est.rounds - expected_rounds) <= 1
 
 
@@ -283,30 +294,34 @@ def test_relative_from_additive_round_cap():
         )
 
     with pytest.raises(RuntimeError, match=f"{qcoin.estimators._ROUND_CAP} rounds"):
-        relative_from_additive(runner, 16.0, 0.1, 0.05)
+        relative_from_additive(runner, 0.1, 0.05)
     assert len(rounds) == qcoin.estimators._ROUND_CAP
 
 
 def test_relative_from_additive_end_to_end_coverage():
-    coin, spectrum, beta_coin = ising_coin(55, 2.0)
-    z = exact_partition_function(spectrum, beta_coin)
-    z_max = spectrum.dim * math.exp(beta_coin)
+    coin, _, _ = ising_coin(55, 2.0)
+    p = coin.heads_probability
     eps_r, delta = 0.2, 0.1
     hits = 0
     rounds = []
     for seed in rep_seeds(31, 200):
         runner = make_additive_runner(coin, seed)
-        est = relative_from_additive(runner, z_max, eps_r, delta)
+        est = relative_from_additive(runner, eps_r, delta)
         rounds.append(est.rounds)
-        hits += abs(est.value - z) <= eps_r * z
+        hits += abs(est.value - p) <= eps_r * p
     assert hits / 200 >= 1.0 - delta
-    assert abs(np.median(rounds) - math.ceil(math.log2(z_max / z))) <= 2
+    assert abs(np.median(rounds) - math.ceil(math.log2(1.0 / p))) <= 2
+
+
+def p_units(coin, eps_z):
+    """An additive precision on Z, in units of p."""
+    return eps_z / (coin.spectrum.dim * math.exp(coin.beta))
 
 
 def test_make_additive_runner_deterministic():
     coin, _, _ = ising_coin(3, 1.0)
-    est_a = make_additive_runner(coin, 12)(0.5, 0.1)
-    est_b = make_additive_runner(coin, 12)(0.5, 0.1)
+    est_a = make_additive_runner(coin, 12)(p_units(coin, 0.5), 0.1)
+    est_b = make_additive_runner(coin, 12)(p_units(coin, 0.5), 0.1)
     assert est_a.value == est_b.value
     assert est_a.samples_used == est_b.samples_used
 
@@ -316,8 +331,8 @@ def test_make_additive_runner_calls_advance_one_generator():
     # reseeded its generator per call would repeat the first call's draws
     coin, _, _ = ising_coin(3, 1.0)
     runner = make_additive_runner(coin, 12)
-    est_a = runner(0.5, 0.1)
-    est_b = runner(0.5, 0.1)
+    est_a = runner(p_units(coin, 0.5), 0.1)
+    est_b = runner(p_units(coin, 0.5), 0.1)
     assert est_a.value != est_b.value
 
 
@@ -326,5 +341,15 @@ def test_estimate_json_and_validation():
         Estimate(10.0, -1.0, None, 0.95, 1, 0, "alg1")
     with pytest.raises(ValueError):
         Estimate(10.0, 1.0, None, 1.5, 1, 0, "alg1")
-    with pytest.raises(ValueError):
-        TrialsRecord(np.array([1, 0, 2]))
+
+
+def test_estimators_past_float64_exp():
+    # coin beta 800: e^beta and Z overflow float64, while p = 0.5 exactly
+    coin = CoinSpec(Spectrum(np.array([-1.0, -1.0, 1.0, 1.0]), 1.0), 800.0)
+    assert coin.heads_probability == 0.5
+    for est in (
+        algorithm1(coin, 2000, 0.05, seed=1),
+        algorithm2(coin, 400, seed=2),
+        relative_from_additive(make_additive_runner(coin, 3), 0.2, 0.05),
+    ):
+        assert abs(est.value - 0.5) <= est.half_width

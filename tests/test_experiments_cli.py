@@ -472,9 +472,16 @@ def test_cli_fragment_infeasible_probability_is_input_error(tmp_path, capsys):
      "count = 10000000000000000000"),
     (["sweep", "--n-qubits", "4", "--shots", "10000000000000000000", "--xi", "0.037"],
      "shots = 10000000000000000000"),
-], ids=["coverage-alg1", "sweep", "sweep-noise"])
+    # alg2's expected tosses 500 / p: 7.3e20 (p = 6.9e-19), then 1.8e95,
+    # where the coin beta also passes float64's exp limit
+    (["coverage", "alg2", "--n-qubits", "8", "--seed", "3", "--beta", "8",
+      "--reps", "3"], "expected tosses = 500 / p = 7.29885e+20"),
+    (["coverage", "alg2", "--n-qubits", "12", "--beta", "30", "--reps", "3"],
+     "expected tosses = 500 / p = "),
+], ids=["coverage-alg1", "sweep", "sweep-noise", "coverage-alg2",
+        "coverage-alg2-past-exp"])
 def test_cli_toss_count_past_int64_is_input_error(tmp_path, capsys, argv, count):
-    # one binomial draw takes at most 2^63 - 1 tosses
+    # numpy's int64 draws count at most 2^63 - 1 tosses
     assert main([*argv, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert count in err and "2^63 - 1" in err and len(err.strip().splitlines()) == 1

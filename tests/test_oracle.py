@@ -1,4 +1,4 @@
-import json
+import dataclasses
 import math
 
 import numpy as np
@@ -85,7 +85,7 @@ def test_oracle_report_fields_and_json():
     assert report.free_energy == pytest.approx(
         -math.log(report.z_beta) / beta_coin, rel=1e-12
     )
-    doc = json.loads(report.to_json())
+    doc = dataclasses.asdict(report)
     assert set(doc) == {"z_beta", "free_energy", "p_suc_ideal", "mean_trials"}
 
     at_zero = oracle_report(spectrum, 0.0)
