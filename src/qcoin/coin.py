@@ -113,16 +113,18 @@ def _check_toss_count(name: str, count: int) -> None:
         )
 
 
-def toss(spec: CoinSpec, count: int, seed: int | np.random.Generator) -> int:
+def _toss_probability(spec: CoinSpec) -> float:
+    """The heads probability clipped to [0, 1], as a draw takes it."""
+    return min(max(spec.heads_probability, 0.0), 1.0)
+
+
+def toss(spec: CoinSpec, count: int, seed: int) -> int:
     """Number of heads in ``count`` i.i.d. coin tosses, deterministic per seed.
 
-    ``seed`` is a 64-bit seed or a live ``numpy.random.Generator``, which
-    the draw advances.  Each toss costs ``query_cost(spec.beta,
-    spec.eps_prime)`` queries.
+    Each toss costs ``query_cost(spec.beta, spec.eps_prime)`` queries.
     """
     _check_toss_count("count", count)
-    p = min(max(spec.heads_probability, 0.0), 1.0)
-    return int(np.random.default_rng(seed).binomial(count, p))
+    return int(np.random.default_rng(seed).binomial(count, _toss_probability(spec)))
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,14 @@ The heads probability is p = exp(-beta) Z / 2^n, so an estimate of p with
 relative precision eps_r is an estimate of the partition function Z with
 the same relative precision; callers form Z where they write it.  Two
 sampling strategies are implemented.  The first tosses a fixed number of
-coins and reports the Agresti-Coull proportion estimate; the second records
-the waiting times between successes, whose mean is 1/p and directly yields
-a relative-precision estimate.  A halving wrapper turns any
+coins and reports the Agresti-Coull proportion estimate; the second tosses
+until a fixed number of successes, whose mean waiting time is 1/p and
+directly yields a relative-precision estimate.  A halving wrapper turns any
 additive-precision estimator into a relative-precision one.
+
+Every estimator runs R independent repetitions at once from one seeded
+generator: the toss counts are drawn as arrays from their exact
+distributions, never toss by toss, and R = 1 is a single estimate.
 """
 
 from __future__ import annotations
@@ -19,10 +23,18 @@ from typing import Callable
 
 import numpy as np
 
-from .coin import _MAX_DRAW_COUNT, CoinSpec, query_cost, toss
+from .coin import (
+    _MAX_DRAW_COUNT,
+    CoinSpec,
+    _check_toss_count,
+    _toss_probability,
+    query_cost,
+)
 
-_TOSS_BUDGET = 100_000_000  # tosses per additive-runner call before giving up
+_TOSS_BUDGET = 100_000_000  # tosses per repetition of an additive-runner call
 _ROUND_CAP = 64  # halving rounds of relative_from_additive before giving up
+# numpy's negative_binomial limit on (1 - p) / p (n + 10 sqrt(n))
+_NEGBIN_MAX = _MAX_DRAW_COUNT - 10.0 * math.sqrt(_MAX_DRAW_COUNT)
 
 
 def z_quantile(delta: float) -> float:
@@ -32,22 +44,25 @@ def z_quantile(delta: float) -> float:
     return -NormalDist().inv_cdf(delta / 2.0)
 
 
-def ac_estimate(successes: int, tosses: int, delta: float) -> tuple[float, float]:
+def ac_estimate(
+    successes: int | np.ndarray, tosses: int | np.ndarray, delta: float
+) -> tuple:
     """Agresti-Coull proportion estimate and its additive half-width.
 
     p_hat = (successes + z^2/2) / (tosses + z^2),
     eps_p = z sqrt(p_hat (1 - p_hat) / tosses).
     The shrinkage keeps the estimate consistent near p = 0, where the raw
-    proportion misbehaves.
+    proportion misbehaves.  Counts may be ints or arrays of them; the
+    estimates broadcast.
     """
-    if tosses < 1:
+    if np.any(tosses < 1):
         raise ValueError("tosses must be >= 1")
-    if not 0 <= successes <= tosses:
+    if np.any((successes < 0) | (successes > tosses)):
         raise ValueError("successes must lie in [0, tosses]")
     z = z_quantile(delta)
     z2 = z * z
     p_hat = (successes + z2 / 2.0) / (tosses + z2)
-    eps_p = z * math.sqrt(p_hat * (1.0 - p_hat) / tosses)
+    eps_p = z * np.sqrt(p_hat * (1.0 - p_hat) / tosses)
     return p_hat, eps_p
 
 
@@ -82,125 +97,166 @@ def expected_total_tosses_thm2(p: float, eps_r: float, delta: float) -> float:
     return success_count_thm2(eps_r, delta) / p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Estimate:
-    """A heads-probability estimate with its uncertainty, in units of p."""
+    """Heads-probability estimates of independent repetitions, in units of p.
 
-    value: float
-    half_width: float
+    Entry i of ``value``, ``half_width``, ``samples`` and ``rounds`` belongs
+    to repetition i; a single estimate is one repetition.  ``samples``
+    holds each repetition's tosses (int64), and ``queries_per_sample`` is
+    the oracle cost of one toss.
+    """
+
+    value: np.ndarray
+    half_width: np.ndarray
     relative_target: float | None
     confidence: float
-    samples_used: int
-    queries_used: int
+    samples: np.ndarray
+    queries_per_sample: int
     algorithm: str
-    rounds: int | None = None
+    rounds: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.half_width < 0:
+        if np.any(self.half_width < 0):
             raise ValueError("half_width must be non-negative")
         if not 0 < self.confidence < 1:
             raise ValueError("confidence must be in (0, 1)")
-        if self.samples_used < 0:
-            raise ValueError("samples_used must be non-negative")
+        if np.any(self.samples < 0):
+            raise ValueError("samples must be non-negative")
+
+    @property
+    def samples_used(self) -> int:
+        """Tosses over all repetitions, summed as Python ints (no int64 wrap)."""
+        return sum(self.samples.tolist())
+
+    @property
+    def queries_used(self) -> int:
+        """Oracle queries over all repetitions."""
+        return self.samples_used * self.queries_per_sample
 
 
-def algorithm1(spec: CoinSpec, tosses: int, delta: float, seed: int) -> Estimate:
-    """Fixed-budget estimator: toss, then the Agresti-Coull p_hat."""
+def algorithm1(
+    spec: CoinSpec, tosses: int, delta: float, seed: int, reps: int = 1
+) -> Estimate:
+    """Fixed-budget estimator: toss, then the Agresti-Coull p_hat.
+
+    The head counts of all ``reps`` repetitions are one binomial draw.
+    """
     if tosses < 1:
         raise ValueError("tosses must be >= 1")
-    heads = toss(spec, tosses, seed)
+    _check_toss_count("count", tosses)
+    p = _toss_probability(spec)
+    heads = np.random.default_rng(seed).binomial(tosses, p, size=reps)
     p_hat, eps_p = ac_estimate(heads, tosses, delta)
     return Estimate(
         value=p_hat,
         half_width=eps_p,
         relative_target=None,
         confidence=1.0 - delta,
-        samples_used=tosses,
-        queries_used=tosses * query_cost(spec.beta, spec.eps_prime),
+        samples=np.full(reps, tosses, dtype=np.int64),
+        queries_per_sample=query_cost(spec.beta, spec.eps_prime),
         algorithm="alg1",
     )
 
 
 def algorithm2(
-    spec: CoinSpec, target_successes: int, seed: int, delta: float = 0.25
+    spec: CoinSpec, target_successes: int, seed: int, delta: float = 0.25,
+    reps: int = 1,
 ) -> Estimate:
-    """Waiting-time estimator: geometric draws until the success budget.
+    """Waiting-time estimator: toss until the success budget k.
 
-    The estimate is 1 / r_bar, the reciprocal mean waiting time.  The
-    reported half-width is the distribution-free (Chebyshev) guarantee
-    eps_r = 1 / sqrt(delta * successes) that holds with confidence
-    1 - delta.
+    The estimate is 1 / r_bar, the reciprocal mean waiting time.  The total
+    tosses of a repetition, the sum of k geometric waits, is drawn as
+    k + NegBin(k, p) (failures before the k-th success), one draw for all
+    ``reps`` repetitions.  The reported half-width is the
+    distribution-free (Chebyshev) guarantee eps_r = 1 / sqrt(delta * k)
+    that holds with confidence 1 - delta.
     """
-    if target_successes < 1:
+    k = target_successes
+    if k < 1:
         raise ValueError("target_successes must be >= 1")
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
-    p = min(max(spec.heads_probability, 0.0), 1.0)
+    p = _toss_probability(spec)
     if p <= 0.0:
         raise ValueError("success probability is zero; no success can occur")
-    expected = target_successes / p
-    budget = f"expected tosses = {target_successes} / p = {expected:.6g}"
-    if expected > _MAX_DRAW_COUNT:
+    expected = k / p
+    budget = f"expected tosses = {k} / p = {expected:.6g}"
+    # numpy's negative_binomial refuses (1 - p) / p (k + 10 sqrt(k)) past
+    # _NEGBIN_MAX, the limit of the Poisson draw inside it
+    reach = (1.0 - p) / p * (k + 10.0 * math.sqrt(k))
+    if expected > _MAX_DRAW_COUNT or reach > _NEGBIN_MAX:
         raise ValueError(
-            f"toss budget infeasible: {budget} exceeds 2^63 - 1 = "
-            f"{_MAX_DRAW_COUNT}, the most tosses an int64 waiting-time draw counts"
+            f"toss budget infeasible: {budget}; numpy's int64 negative-binomial "
+            f"draw of the tosses needs k / p <= 2^63 - 1 = {_MAX_DRAW_COUNT} and "
+            f"(1 - p) / p (k + 10 sqrt(k)) <= {_NEGBIN_MAX:.6g}"
         )
-    waits = np.random.default_rng(seed).geometric(p, size=target_successes).tolist()
-    if _MAX_DRAW_COUNT in waits:  # numpy clips a longer wait to the limit
+    failures = np.random.default_rng(seed).negative_binomial(k, p, size=reps)
+    if np.any(failures > _MAX_DRAW_COUNT - k):  # k + failures would wrap int64
         raise ValueError(
-            f"toss budget infeasible: a waiting time reached 2^63 - 1 = "
-            f"{_MAX_DRAW_COUNT}, where numpy's geometric draw clips ({budget})"
+            f"toss budget infeasible: a repetition's toss count passed "
+            f"2^63 - 1 = {_MAX_DRAW_COUNT} ({budget})"
         )
-    total = sum(waits)  # Python ints: the int64 sum wraps for long waits
-    eps_r = 1.0 / math.sqrt(delta * target_successes)
-    value = target_successes / total
+    total = k + failures
+    eps_r = 1.0 / math.sqrt(delta * k)
+    value = k / total
     return Estimate(
         value=value,
         half_width=eps_r * value,
         relative_target=eps_r,
         confidence=1.0 - delta,
-        samples_used=total,
-        queries_used=total * query_cost(spec.beta, spec.eps_prime),
+        samples=total,
+        queries_per_sample=query_cost(spec.beta, spec.eps_prime),
         algorithm="alg2",
     )
 
 
-AdditiveRunner = Callable[[float, float], Estimate]
+# runner(eps_p, delta_step, reps): one additive estimate per repetition
+AdditiveRunner = Callable[[float, float, int], Estimate]
 
 
 def relative_from_additive(
-    runner: AdditiveRunner, eps_r: float, delta: float
+    runner: AdditiveRunner, eps_r: float, delta: float, reps: int = 1
 ) -> Estimate:
     """Relative-precision estimate of p from iterated additive-precision runs.
 
     Round r runs the additive estimator at precision eps_r / 2^r with
-    per-round failure budget (6/pi^2) delta / r^2, and stops as soon as the
-    point estimate exceeds 1 / 2^r (p <= 1, so round 1 needs no bound on
-    p).  The failure budgets sum to delta, so the final estimate carries
-    confidence 1 - delta.
+    per-round failure budget (6/pi^2) delta / r^2, and a repetition stops
+    as soon as its point estimate exceeds 1 / 2^r (p <= 1, so round 1 needs
+    no bound on p).  The failure budgets sum to delta, so each final
+    estimate carries confidence 1 - delta.  Every round runs the
+    repetitions still going together, in one runner call.
     """
     if not 0 < eps_r < 1:
         raise ValueError("eps_r must be in (0, 1)")
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
-    samples = 0
-    queries = 0
+    value = np.empty(reps)
+    half_width = np.empty(reps)
+    samples = np.zeros(reps, dtype=np.int64)
+    rounds = np.zeros(reps, dtype=np.int64)
+    running = np.arange(reps)
     for r in range(1, _ROUND_CAP + 1):
         eps_additive = eps_r / 2.0**r
         delta_r = (6.0 / math.pi**2) * delta / r**2
-        est = runner(eps_additive, delta_r)
-        samples += est.samples_used
-        queries += est.queries_used
-        if est.value > 1.0 / 2.0**r:
+        est = runner(eps_additive, delta_r, running.size)
+        samples[running] += est.samples
+        stop = est.value > 1.0 / 2.0**r
+        done = running[stop]
+        value[done] = est.value[stop]
+        half_width[done] = eps_additive
+        rounds[done] = r
+        running = running[~stop]
+        if not running.size:
             return Estimate(
-                value=est.value,
-                half_width=eps_additive,
+                value=value,
+                half_width=half_width,
                 relative_target=eps_r,
                 confidence=1.0 - delta,
-                samples_used=samples,
-                queries_used=queries,
+                samples=samples,
+                queries_per_sample=est.queries_per_sample,
                 algorithm="iterative",
-                rounds=r,
+                rounds=rounds,
             )
     raise RuntimeError(
         f"estimate never exceeded the shrinking threshold within "
@@ -211,36 +267,51 @@ def relative_from_additive(
 def make_additive_runner(spec: CoinSpec, seed: int) -> AdditiveRunner:
     """Additive-precision estimator of p on a coin, for the halving wrapper.
 
-    Tosses in batches until the Agresti-Coull half-width reaches the
-    requested additive precision.  Every batch of every call draws from one
-    generator seeded once, so the calls see independent tosses and a
-    wrapper run is fully deterministic.
+    Each repetition tosses in batches of its own size until its
+    Agresti-Coull half-width reaches the requested additive precision; one
+    binomial draw per batch step covers every repetition still tossing.
+    Every draw of every call comes from one generator seeded once, so the
+    calls see independent tosses and a wrapper run is fully deterministic.
+    A batch that would take a repetition past ``_TOSS_BUDGET`` tosses is an
+    infeasible budget, raised before it is drawn.
     """
     rng = np.random.default_rng(seed)
+    p = _toss_probability(spec)
     q = query_cost(spec.beta, spec.eps_prime)
 
-    def runner(eps_p: float, delta_step: float) -> Estimate:
+    def runner(eps_p: float, delta_step: float, reps: int = 1) -> Estimate:
         z = z_quantile(delta_step)
-        tossed = 0
-        heads = 0
-        batch = 256
-        while True:
-            heads += toss(spec, batch, rng)
-            tossed += batch
-            p_hat, eps_hat = ac_estimate(heads, tossed, delta_step)
-            if eps_hat <= eps_p:
-                return Estimate(
-                    value=p_hat,
-                    half_width=eps_hat,
-                    relative_target=None,
-                    confidence=1.0 - delta_step,
-                    samples_used=tossed,
-                    queries_used=tossed * q,
-                    algorithm="alg1",
+        heads = np.zeros(reps, dtype=np.int64)
+        tossed = np.zeros(reps, dtype=np.int64)
+        p_hat = np.empty(reps)
+        eps_hat = np.empty(reps)
+        active = np.arange(reps)
+        batch = np.full(reps, 256, dtype=np.int64)
+        while active.size:
+            heads[active] += rng.binomial(batch, p)
+            tossed[active] += batch
+            est_p, est_eps = ac_estimate(heads[active], tossed[active], delta_step)
+            p_hat[active] = est_p
+            eps_hat[active] = est_eps
+            going = est_eps > eps_p
+            active, est_p = active[going], est_p[going]
+            needed = np.ceil(z * z * est_p * (1.0 - est_p) / eps_p**2)
+            next_batch = np.clip(needed - tossed[active], 256, 4_000_000)
+            if np.any(tossed[active] + next_batch > _TOSS_BUDGET):
+                raise ValueError(
+                    f"toss budget infeasible: an additive run at precision "
+                    f"{eps_p:.3g} on a coin with p = {p:.6g} needs more than "
+                    f"_TOSS_BUDGET = {_TOSS_BUDGET} tosses"
                 )
-            if tossed >= _TOSS_BUDGET:
-                raise RuntimeError("additive runner exceeded its toss budget")
-            needed = math.ceil(z * z * p_hat * (1.0 - p_hat) / eps_p**2) - tossed
-            batch = int(min(max(256, needed), 4_000_000, _TOSS_BUDGET - tossed))
+            batch = next_batch.astype(np.int64)
+        return Estimate(
+            value=p_hat,
+            half_width=eps_hat,
+            relative_target=None,
+            confidence=1.0 - delta_step,
+            samples=tossed,
+            queries_per_sample=q,
+            algorithm="alg1",
+        )
 
     return runner

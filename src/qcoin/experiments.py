@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -71,9 +72,16 @@ from .noise import (
     simulate_noisy_tosses,
     NoiseFit,
 )
-from .oracle import exact_partition_function, ideal_coin_probability
+from .oracle import (
+    exact_partition_function,
+    ideal_coin_probability,
+    log_partition_function,
+)
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp of it is still finite
+# a coverage command holds every repetition in memory, up to ~180 B each
+_MAX_REPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -106,6 +114,11 @@ class ExperimentConfig:
                      "layers", "reps", "frag_successes"):
             if int(getattr(self, name)) < 1:
                 raise ValueError(f"field {name!r} must be >= 1")
+        if self.reps > _MAX_REPS:
+            raise ValueError(
+                f"field 'reps' must be <= {_MAX_REPS}: a coverage command holds "
+                f"every repetition in memory"
+            )
         if self.insertions < 0:
             raise ValueError("field 'insertions' must be >= 0")
         if not self.betas or any(b < 0 for b in self.betas):
@@ -339,17 +352,26 @@ def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> dict:
 
 def run_coverage(config: ExperimentConfig, algorithm: str,
                  out_dir: str | Path | None = None) -> dict:
-    """Repeat an estimator and report the fraction hitting its relative target."""
+    """Repeat an estimator and report the fraction hitting its relative target.
+
+    All ``config.reps`` repetitions come from one estimator call on one
+    generator, seeded from the stream's next seed after the instance's.
+    Z is written in log space, and linearly (``z_exact``, ``theory.z_max``)
+    where float64 holds it, otherwise as null.
+    """
     if algorithm not in ("alg1", "alg2", "iterative"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     seeds = SeedStream(config.seed)
     spec = _instance_spec(config, seeds.next())
+    seed = seeds.next()
     beta = config.betas[0]
     spectrum = unit_spectrum(spec)
     beta_coin = spectrum.norm_bound * beta
     coin = CoinSpec(spectrum, beta_coin)
     p = coin.heads_probability
-    z_exact = exact_partition_function(spectrum, beta_coin)
+    log_z_exact = log_partition_function(spectrum, beta_coin)
+    z_exact = (exact_partition_function(spectrum, beta_coin)
+               if log_z_exact <= _LOG_FLOAT_MAX else None)
 
     theory: dict = {}
     if algorithm == "alg1":
@@ -362,26 +384,19 @@ def run_coverage(config: ExperimentConfig, algorithm: str,
             p, config.eps_r, config.delta
         )
     else:
-        theory["z_max"] = spectrum.dim * math.exp(beta_coin)
+        log_z_max = math.log(spectrum.dim) + beta_coin
+        theory["log_z_max"] = log_z_max
+        theory["z_max"] = math.exp(log_z_max) if log_z_max <= _LOG_FLOAT_MAX else None
 
-    hits = 0
-    samples: list[int] = []
-    queries: list[int] = []
-    rounds: list[int] = []
-    for _ in range(config.reps):
-        rep_seed = seeds.next()
-        if algorithm == "alg1":
-            est = algorithm1(coin, budget, config.delta, rep_seed)
-        elif algorithm == "alg2":
-            est = algorithm2(coin, budget, rep_seed, delta=config.delta)
-        else:
-            runner = make_additive_runner(coin, rep_seed)
-            est = relative_from_additive(runner, config.eps_r, config.delta)
-            rounds.append(est.rounds)
-        samples.append(est.samples_used)
-        queries.append(est.queries_used)
-        if abs(est.value - p) <= config.eps_r * p:
-            hits += 1
+    if algorithm == "alg1":
+        est = algorithm1(coin, budget, config.delta, seed, config.reps)
+    elif algorithm == "alg2":
+        est = algorithm2(coin, budget, seed, config.delta, config.reps)
+    else:
+        est = relative_from_additive(
+            make_additive_runner(coin, seed), config.eps_r, config.delta, config.reps
+        )
+    hits = int(np.count_nonzero(np.abs(est.value - p) <= config.eps_r * p))
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -391,19 +406,20 @@ def run_coverage(config: ExperimentConfig, algorithm: str,
         "beta": beta,
         "beta_coin": beta_coin,
         "z_exact": z_exact,
+        "log_z_exact": log_z_exact,
         "reps": config.reps,
         "coverage": hits / config.reps,
         "eps_r": config.eps_r,
         "delta": config.delta,
-        "mean_samples": float(np.mean(samples)),
-        "mean_queries": float(np.mean(queries)),
+        "mean_samples": est.samples_used / config.reps,
+        "mean_queries": est.queries_used / config.reps,
         "theory": theory,
     }
-    if rounds:
+    if est.rounds is not None:
         report["rounds"] = {
-            "median": float(np.median(rounds)),
-            "min": int(min(rounds)),
-            "max": int(max(rounds)),
+            "median": float(np.median(est.rounds)),
+            "min": int(est.rounds.min()),
+            "max": int(est.rounds.max()),
         }
     if out_dir is not None:
         out = Path(out_dir)

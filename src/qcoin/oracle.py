@@ -24,6 +24,16 @@ def exact_partition_function(spectrum: Spectrum, beta: float) -> float:
     return math.fsum(np.exp(-beta * spectrum.values))
 
 
+def log_partition_function(spectrum: Spectrum, beta: float) -> float:
+    """log Z_beta = -beta lambda_min + log sum exp(-beta (lambda - lambda_min)).
+
+    Every shifted term lies in (0, 1] and the sum in [1, 2^n], so this is
+    finite at any beta where Z itself passes float64's range.
+    """
+    shifted = spectrum.values - spectrum.values[0]
+    return -beta * float(spectrum.values[0]) + math.log(np.sum(np.exp(-beta * shifted)))
+
+
 def ideal_coin_probability(spectrum: Spectrum, beta: float) -> float:
     """Heads probability exp(-beta) Z_beta / 2^n of the ideal coin.
 

@@ -111,10 +111,8 @@ def test_thm1_coverage():
         coin, _, _ = standard_ising_coin(beta=1.0, seed=123)
         p = coin.heads_probability
         budget = sample_count_thm1(p, 0.2, 0.05)
-        hits = 0
-        for seed in rep_seeds(99, 400):
-            est = algorithm1(coin, budget, 0.05, seed)
-            hits += abs(est.value - p) <= 0.2 * p
+        est = algorithm1(coin, budget, 0.05, seed=99, reps=400)
+        hits = np.count_nonzero(np.abs(est.value - p) <= 0.2 * p)
         assert hits / 400 >= 0.93
 
 
@@ -125,17 +123,13 @@ def test_thm2_coverage_and_cost():
         p = success_probability(coin)
         budget = success_count_thm2(0.2, 0.25)
         assert budget == 100
-        hits = 0
-        totals = []
-        for seed in rep_seeds(7, 400):
-            est = algorithm2(coin, budget, seed, delta=0.25)
-            totals.append(est.samples_used)
-            hits += abs(est.value - p) <= 0.2 * p
+        est = algorithm2(coin, budget, seed=7, delta=0.25, reps=400)
+        hits = np.count_nonzero(np.abs(est.value - p) <= 0.2 * p)
         assert hits / 400 >= 0.70
         predicted = expected_total_tosses_thm2(p, 0.2, 0.25)
         assert predicted == pytest.approx(budget / p, rel=1e-12)
-        sigma_mean = math.sqrt(budget * (1.0 - p) / p**2 / len(totals))
-        assert abs(float(np.mean(totals)) - predicted) <= 3.0 * sigma_mean
+        sigma_mean = math.sqrt(budget * (1.0 - p) / p**2 / 400)
+        assert abs(est.samples_used / 400 - predicted) <= 3.0 * sigma_mean
 
 
 def test_quantiles():

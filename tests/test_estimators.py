@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -44,10 +45,6 @@ def ising_coin(seed, beta):
     spectrum = unit_spectrum(generate_random_ising_graph(4, seed))
     beta_coin = spectrum.norm_bound * beta
     return CoinSpec(spectrum, beta_coin), spectrum, beta_coin
-
-
-def rep_seeds(root, count):
-    return [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(root).spawn(count)]
 
 
 def test_z_quantile_paper_values():
@@ -162,10 +159,8 @@ def test_algorithm1_coverage_ideal_coin():
     coin, _, _ = ising_coin(123, 1.0)
     p = coin.heads_probability
     budget = sample_count_thm1(p, 0.2, 0.05)
-    hits = 0
-    for seed in rep_seeds(99, 100):
-        est = algorithm1(coin, budget, 0.05, seed)
-        hits += abs(est.value - p) <= 0.2 * p
+    est = algorithm1(coin, budget, 0.05, seed=99, reps=100)
+    hits = np.count_nonzero(np.abs(est.value - p) <= 0.2 * p)
     assert hits / 100 >= 0.93
 
 
@@ -179,10 +174,8 @@ def test_algorithm1_coverage_with_approximation_budget():
     biased_coin = CoinSpec(spectrum, beta_coin, eps_prime=eps_prime, approximant=approx)
     p = coin.heads_probability
     budget = sample_count_thm1(p, eps_r, 0.05)
-    hits = 0
-    for seed in rep_seeds(101, 200):
-        est = algorithm1(biased_coin, budget, 0.05, seed)
-        hits += abs(est.value - p) <= eps_r * p
+    est = algorithm1(biased_coin, budget, 0.05, seed=101, reps=200)
+    hits = np.count_nonzero(np.abs(est.value - p) <= eps_r * p)
     assert hits / 200 >= 0.93
     # the attached budget sits exactly at the theorem condition Z eps_r/(6 e^b 2^n)
     assert biased_coin.eps_prime == pytest.approx(
@@ -203,16 +196,39 @@ def test_algorithm2_waiting_time_mean():
     assert est.value == pytest.approx(1.0 / r_bar, rel=1e-12)
 
 
-def test_algorithm2_waits_past_int64_are_rejected():
-    # numpy's int64 geometric draw clips a wait at 2^63 - 1; at p = 3e-19
-    # two successes are expected after 6.7e18 tosses, yet seed 4 draws a
-    # wait past the limit
-    coin = synthetic_coin(3e-19)
-    assert algorithm2(coin, 2, seed=0).samples_used < 2**63
-    with pytest.raises(ValueError, match=r"a waiting time reached 2\^63 - 1"):
-        algorithm2(coin, 2, seed=4)
-    with pytest.raises(ValueError, match=r"expected tosses = 4 / p = 1.33333e\+19"):
-        algorithm2(coin, 4, seed=0)
+def test_algorithm2_waits_past_int64_are_rejected(monkeypatch):
+    # numpy's negative_binomial refuses (1 - p)/p (k + 10 sqrt(k)) past
+    # 2^63 - 1 - 10 sqrt(2^63 - 1), below the 2^63 - 1 expected-toss limit:
+    # k = 2 at p = 1e-18 or 3e-19 expects only 2e18 or 6.7e18 tosses
+    for p, k, expected in ((1e-18, 2, "2e+18"), (3e-19, 2, "6.66667e+18"),
+                           (3e-19, 4, "1.33333e+19")):
+        message = re.escape(f"expected tosses = {k} / p = {expected};")
+        with pytest.raises(ValueError, match=message):
+            algorithm2(synthetic_coin(p), k, seed=0)
+    # just inside numpy's limit the draws go through; a wrapped total
+    # would be negative
+    assert algorithm2(synthetic_coin(2e-18), 2, seed=0, reps=50).samples.min() >= 2
+
+    class HugeDraws:  # failures that would wrap k + failures past int64
+        def negative_binomial(self, n, p, size):
+            return np.full(size, 2**63 - 2, dtype=np.int64)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: HugeDraws())
+    with pytest.raises(ValueError, match=r"toss count passed 2\^63 - 1"):
+        algorithm2(synthetic_coin(0.5), 2, seed=0)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.01])
+def test_algorithm2_total_tosses_moments(p):
+    # the total of k geometric waits has mean k/p and variance k(1-p)/p^2;
+    # the sample variance's spread uses NegBin's excess kurtosis
+    # 6/k + p^2/(k(1-p))
+    k, reps = 100, 20_000
+    totals = algorithm2(synthetic_coin(p), k, seed=5, reps=reps).samples
+    mean, var = k / p, k * (1.0 - p) / p**2
+    assert abs(totals.mean() - mean) <= 5.0 * math.sqrt(var / reps)
+    kurt = 6.0 / k + p**2 / (k * (1.0 - p))
+    assert abs(totals.var(ddof=1) - var) <= 5.0 * var * math.sqrt((2.0 + kurt) / reps)
 
 
 def test_algorithm2_coverage():
@@ -220,16 +236,12 @@ def test_algorithm2_coverage():
     p = success_probability(coin)
     budget = success_count_thm2(0.2, 0.25)
     assert budget == 100
-    hits = 0
-    totals = []
-    for seed in rep_seeds(7, 200):
-        est = algorithm2(coin, budget, seed, delta=0.25)
-        totals.append(est.samples_used)
-        hits += abs(est.value - p) <= 0.2 * p
+    est = algorithm2(coin, budget, seed=7, delta=0.25, reps=200)
+    hits = np.count_nonzero(np.abs(est.value - p) <= 0.2 * p)
     assert hits / 200 >= 0.75
     predicted = expected_total_tosses_thm2(p, 0.2, 0.25)
-    sigma = math.sqrt(budget * (1 - p) / p**2 / len(totals))
-    assert abs(np.mean(totals) - predicted) <= 3 * sigma
+    sigma = math.sqrt(budget * (1 - p) / p**2 / 200)
+    assert abs(est.samples_used / 200 - predicted) <= 3 * sigma
 
 
 def test_error_propagation_linearization():
@@ -254,63 +266,115 @@ def test_bias_budget_identity():
         )
 
 
-def test_relative_from_additive_stops_immediately_at_zmax():
-    def runner(eps_additive, delta_step):
+def constant_runner(value, calls=None):
+    """Additive runner whose every estimate is ``value``, one toss each."""
+    def runner(eps_additive, delta_step, reps):
+        if calls is not None:
+            calls.append(reps)
         return Estimate(
-            value=1.0, half_width=eps_additive, relative_target=None,
-            confidence=1.0 - delta_step, samples_used=1, queries_used=0,
+            value=np.full(reps, value), half_width=np.full(reps, eps_additive),
+            relative_target=None, confidence=1.0 - delta_step,
+            samples=np.ones(reps, dtype=np.int64), queries_per_sample=0,
             algorithm="alg1",
         )
 
-    est = relative_from_additive(runner, eps_r=0.1, delta=0.05)
-    assert est.rounds == 1
+    return runner
+
+
+def test_relative_from_additive_stops_immediately_at_zmax():
+    est = relative_from_additive(constant_runner(1.0), eps_r=0.1, delta=0.05, reps=3)
+    assert est.rounds.tolist() == [1, 1, 1]
+    assert est.samples_used == 3
     assert est.algorithm == "iterative"
 
 
 def test_relative_from_additive_round_count():
     p_true = 3.0 / 1024.0
-
-    def runner(eps_additive, delta_step):
-        return Estimate(
-            value=p_true, half_width=eps_additive, relative_target=None,
-            confidence=1.0 - delta_step, samples_used=1, queries_used=0,
-            algorithm="alg1",
-        )
-
-    est = relative_from_additive(runner, eps_r=0.1, delta=0.05)
+    est = relative_from_additive(constant_runner(p_true), eps_r=0.1, delta=0.05)
     expected_rounds = math.ceil(math.log2(1.0 / p_true))
-    assert abs(est.rounds - expected_rounds) <= 1
+    assert abs(est.rounds[0] - expected_rounds) <= 1
+    assert est.samples_used == est.rounds[0]  # one toss per round
+
+
+def test_relative_from_additive_rounds_per_repetition():
+    # repetitions stop at their own rounds; later rounds run only the rest
+    values = iter([np.array([1.0, 0.1, 0.3]), np.array([0.1, 0.3]), np.array([0.3])])
+    calls = []
+
+    def runner(eps_additive, delta_step, reps):
+        calls.append(reps)
+        value = next(values)
+        return Estimate(value, np.full(reps, eps_additive), None, 1.0 - delta_step,
+                        np.full(reps, 10, dtype=np.int64), 2, "alg1")
+
+    est = relative_from_additive(runner, eps_r=0.2, delta=0.05, reps=3)
+    assert calls == [3, 2, 1]
+    assert est.rounds.tolist() == [1, 3, 2]
+    assert est.value.tolist() == [1.0, 0.3, 0.3]
+    assert est.half_width.tolist() == [0.1, 0.025, 0.05]
+    assert est.samples.tolist() == [10, 30, 20]
+    assert est.queries_used == 120
 
 
 def test_relative_from_additive_round_cap():
-    rounds = []
-
-    def runner(eps_additive, delta_step):
-        rounds.append(eps_additive)
-        return Estimate(
-            value=0.0, half_width=eps_additive, relative_target=None,
-            confidence=1.0 - delta_step, samples_used=1, queries_used=0,
-            algorithm="alg1",
-        )
-
+    calls = []
     with pytest.raises(RuntimeError, match=f"{qcoin.estimators._ROUND_CAP} rounds"):
-        relative_from_additive(runner, 0.1, 0.05)
-    assert len(rounds) == qcoin.estimators._ROUND_CAP
+        relative_from_additive(constant_runner(0.0, calls), 0.1, 0.05)
+    assert len(calls) == qcoin.estimators._ROUND_CAP
 
 
 def test_relative_from_additive_end_to_end_coverage():
     coin, _, _ = ising_coin(55, 2.0)
     p = coin.heads_probability
     eps_r, delta = 0.2, 0.1
-    hits = 0
-    rounds = []
-    for seed in rep_seeds(31, 200):
-        runner = make_additive_runner(coin, seed)
-        est = relative_from_additive(runner, eps_r, delta)
-        rounds.append(est.rounds)
-        hits += abs(est.value - p) <= eps_r * p
+    est = relative_from_additive(make_additive_runner(coin, 31), eps_r, delta, reps=200)
+    hits = np.count_nonzero(np.abs(est.value - p) <= eps_r * p)
     assert hits / 200 >= 1.0 - delta
-    assert abs(np.median(rounds) - math.ceil(math.log2(1.0 / p))) <= 2
+    assert abs(np.median(est.rounds) - math.ceil(math.log2(1.0 / p))) <= 2
+
+
+def binomial_upper_quantile(n, q, tail):
+    """Smallest m with P(Binomial(n, q) > m) <= tail."""
+    above = 0.0  # P(X > m)
+    for m in range(n, -1, -1):
+        pmf = math.exp(math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
+                       + m * math.log(q) + (n - m) * math.log1p(-q))
+        if above + pmf > tail:
+            return m
+        above += pmf
+    return 0
+
+
+@pytest.mark.parametrize("p", [0.51, 0.05])
+@pytest.mark.parametrize("algorithm", ["alg1", "alg2", "iterative"])
+def test_coverage_at_measurable_delta(algorithm, p):
+    # at delta = 0.3 an estimator whose confidence holds misses at most 30%
+    # of its repetitions, so a shortfall is measurable in 2,000 of them; a
+    # correct estimator passes the one-sided 1e-6 quantile of
+    # Binomial(2000, 0.3) with probability at least 1 - 1e-6
+    reps, eps_r, delta = 2000, 0.2, 0.3
+    coin = synthetic_coin(p)
+    if algorithm == "alg1":
+        budget = sample_count_thm1(coin.heads_probability, eps_r, delta)
+        est = algorithm1(coin, budget, delta, seed=41, reps=reps)
+    elif algorithm == "alg2":
+        k = success_count_thm2(eps_r, delta)
+        est = algorithm2(coin, k, seed=42, delta=delta, reps=reps)
+    else:
+        est = relative_from_additive(make_additive_runner(coin, 43), eps_r, delta, reps)
+    p = coin.heads_probability
+    misses = np.count_nonzero(np.abs(est.value - p) > eps_r * p)
+    limit = binomial_upper_quantile(reps, delta, 1e-6)
+    assert 650 <= limit <= 750
+    assert misses <= limit
+
+
+def test_additive_runner_infeasible_budget_is_input_error():
+    # at p = 1e-6 an additive precision of 1e-8 needs ~4e10 tosses
+    runner = make_additive_runner(synthetic_coin(1e-6), 3)
+    with pytest.raises(ValueError, match=r"toss budget infeasible: .* p = 1e-06 .*"
+                       r"_TOSS_BUDGET = 100000000 tosses"):
+        runner(1e-8, 0.05, 4)
 
 
 def p_units(coin, eps_z):
@@ -337,10 +401,13 @@ def test_make_additive_runner_calls_advance_one_generator():
 
 
 def test_estimate_json_and_validation():
-    with pytest.raises(ValueError):
-        Estimate(10.0, -1.0, None, 0.95, 1, 0, "alg1")
-    with pytest.raises(ValueError):
-        Estimate(10.0, 1.0, None, 1.5, 1, 0, "alg1")
+    value, one = np.array([10.0, 10.0]), np.ones(2, dtype=np.int64)
+    with pytest.raises(ValueError, match="half_width"):
+        Estimate(value, np.array([1.0, -1.0]), None, 0.95, one, 0, "alg1")
+    with pytest.raises(ValueError, match="confidence"):
+        Estimate(value, np.ones(2), None, 1.5, one, 0, "alg1")
+    with pytest.raises(ValueError, match="samples"):
+        Estimate(value, np.ones(2), None, 0.95, np.array([1, -1]), 0, "alg1")
 
 
 def test_estimators_past_float64_exp():

@@ -67,6 +67,8 @@ def test_load_config_overrides_and_validation(tmp_path):
         load_config(path, delta=2.0)
     with pytest.raises(ValueError):
         load_config(path, betas=(-1.0,))
+    with pytest.raises(ValueError, match="reps"):
+        load_config(path, reps=1_000_001)
 
 
 def test_config_hash_stability():
@@ -173,24 +175,26 @@ def test_run_coverage_iterative_rounds():
     assert abs(report["rounds"]["median"] - predicted) <= 2.0
 
 
-def test_run_coverage_iterative_seeds_one_generator_per_rep(monkeypatch):
-    # one generator per repetition, whatever the number of toss batches;
-    # toss passes a live Generator through default_rng unchanged
-    seeded, passed = [], []
+@pytest.mark.parametrize("reps", [10, 400])
+@pytest.mark.parametrize("algorithm", ["alg1", "alg2", "iterative"])
+def test_run_coverage_seeds_one_generator_per_command(monkeypatch, algorithm, reps):
+    # the instance's generator, then one generator for every repetition,
+    # seeded from the stream's next seed
+    seeded = []
     default_rng = np.random.default_rng
 
     def counting_rng(seed=None):
-        (passed if isinstance(seed, np.random.Generator) else seeded).append(seed)
+        seeded.append(seed)
         return default_rng(seed)
 
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
     config = ExperimentConfig(
-        model="ising", n_qubits=4, instances=1, betas=(2.0,), reps=10,
+        model="ising", n_qubits=4, instances=1, betas=(2.0,), reps=reps,
         eps_r=0.2, delta=0.1, seed=17,
     )
-    run_coverage(config, "iterative")
-    assert len(seeded) <= config.reps + 1
-    assert len(passed) > 5 * config.reps  # ~10 batches per repetition
+    run_coverage(config, algorithm)
+    stream = SeedStream(17)
+    assert seeded == [stream.next(), stream.next()]
 
 
 def test_layer_series_csv_round_trip(tmp_path):
@@ -370,9 +374,9 @@ def _assert_same_json(value, expected, path=""):
 @pytest.mark.parametrize("algorithm", ["alg1", "alg2", "iterative"])
 def test_coverage_outputs_match_golden(tmp_path, capsys, algorithm):
     # tests/data/coverage_<alg>.json hold `qcoin coverage <alg>` at the
-    # config below.  alg1 and alg2 were written by schema-version-3 qcoin;
-    # iterative by schema 4, whose additive runner draws every batch of a
-    # repetition from one generator.  Floats are compared to 1e-12 relative.
+    # config below, written by schema-version-6 qcoin, which draws every
+    # repetition of a command from one generator.  Floats are compared to
+    # 1e-12 relative.
     assert main([
         "coverage", algorithm, "--n-qubits", "4", "--beta", "2.0",
         "--reps", "40", "--seed", "17", "--out", str(tmp_path),
@@ -485,6 +489,38 @@ def test_cli_toss_count_past_int64_is_input_error(tmp_path, capsys, argv, count)
     assert main([*argv, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert count in err and "2^63 - 1" in err and len(err.strip().splitlines()) == 1
+
+
+def test_cli_additive_runner_budget_is_input_error(tmp_path, capsys):
+    # Ising n = 8 at beta 12: the halving rounds reach an additive precision
+    # that needs more than the runner's toss budget
+    assert main([
+        "coverage", "iterative", "--n-qubits", "8", "--beta", "12", "--reps", "1",
+        "--out", str(tmp_path),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "toss budget infeasible" in err and "_TOSS_BUDGET" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("algorithm", ["alg1", "alg2", "iterative"])
+def test_cli_coverage_past_float64_exp(tmp_path, capsys, algorithm):
+    # beta_coin passes ~709, where Z and 2^n e^beta overflow float64, while
+    # this instance's degenerate ground state keeps p = 0.125: Z is written
+    # in log space and its linear value as null
+    assert main([
+        "coverage", algorithm, "--n-qubits", "4", "--beta", "300", "--reps", "3",
+        "--out", str(tmp_path),
+    ]) == 0
+    report = json.loads((tmp_path / f"coverage_{algorithm}.json").read_text())
+    assert report["z_exact"] is None
+    # log Z = log(2^n e^beta p) = log 2 + beta_coin
+    assert report["log_z_exact"] == pytest.approx(
+        math.log(2.0) + report["beta_coin"], rel=1e-12)
+    if algorithm == "iterative":
+        assert report["theory"]["z_max"] is None
+        assert report["theory"]["log_z_max"] == pytest.approx(
+            math.log(16.0) + report["beta_coin"], rel=1e-15)
 
 
 def test_cli_noise_fit_degenerate_is_input_error(tmp_path, capsys):

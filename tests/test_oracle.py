@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from qcoin.hamiltonian import Spectrum, generate_random_ising_graph, unit_spectrum
-from qcoin.oracle import exact_partition_function, ideal_coin_probability, oracle_report
+from qcoin.oracle import (
+    exact_partition_function,
+    ideal_coin_probability,
+    log_partition_function,
+    oracle_report,
+)
 
 Z1 = Spectrum(np.array([-1.0, 1.0]), 1.0)
 ZERO4 = Spectrum(np.zeros(16), 1.0)
@@ -29,6 +34,19 @@ def test_partition_function_single_qubit_frozen():
 def test_partition_function_zero_hamiltonian():
     for beta in (0.0, 0.5, 2.0, 10.0):
         assert exact_partition_function(ZERO4, beta) == pytest.approx(16.0, rel=1e-14)
+
+
+def test_log_partition_function_matches_and_passes_float64():
+    for seed in range(5):
+        spectrum = unit_spectrum(generate_random_ising_graph(4, seed))
+        for beta in (0.0, 1.0, 30.0):
+            expected = math.log(exact_partition_function(spectrum, beta))
+            assert log_partition_function(spectrum, beta) == pytest.approx(
+                expected, rel=1e-13, abs=1e-13)
+    # Z = e^beta + e^-beta overflows float64 at beta = 800; log Z does not
+    assert log_partition_function(Z1, 1.0) == pytest.approx(
+        math.log(E_PLUS_INV_E), rel=1e-15)
+    assert log_partition_function(Z1, 800.0) == pytest.approx(800.0, rel=1e-15)
 
 
 def test_free_energy_closed_form_and_errors():
