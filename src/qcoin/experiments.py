@@ -121,20 +121,20 @@ class ExperimentConfig:
             )
         if self.insertions < 0:
             raise ValueError("field 'insertions' must be >= 0")
-        if not self.betas or any(b < 0 for b in self.betas):
-            raise ValueError("field 'betas' must be non-empty and non-negative")
+        if not self.betas or not all(0 <= b < math.inf for b in self.betas):
+            raise ValueError("field 'betas' must be non-empty, finite and non-negative")
         if not 0 < self.delta < 1:
             raise ValueError("field 'delta' must be in (0, 1)")
         if not 0 < self.eps_r < 1:
             raise ValueError("field 'eps_r' must be in (0, 1)")
         if self.xi is not None and not 0 <= self.xi <= 1:
             raise ValueError("field 'xi' must be in [0, 1]")
-        if self.fit_beta <= 0:
-            raise ValueError("field 'fit_beta' must be positive")
+        if not 0 < self.fit_beta < math.inf:
+            raise ValueError("field 'fit_beta' must be positive and finite")
         if not self.schedule_sizes or any(l < 1 for l in self.schedule_sizes):
             raise ValueError("field 'schedule_sizes' must contain positive sizes")
-        if self.frag_eps <= 0:
-            raise ValueError("field 'frag_eps' must be positive")
+        if not 0 < self.frag_eps < math.inf:
+            raise ValueError("field 'frag_eps' must be positive and finite")
 
 
 _INT_FIELDS = {"n_qubits", "n_visible", "n_hidden", "instances", "shots",

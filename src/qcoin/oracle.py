@@ -61,8 +61,8 @@ class OracleReport:
 
 def oracle_report(spectrum: Spectrum, beta: float) -> OracleReport:
     """Build the full reference report for the coin at inverse temperature beta."""
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
+    if not 0 <= beta < math.inf:
+        raise ValueError(f"beta must be finite and non-negative, got {beta}")
     z = exact_partition_function(spectrum, beta)
     p = ideal_coin_probability(spectrum, beta)
     return OracleReport(

@@ -1,0 +1,106 @@
+"""The CLI across a real process boundary: ``python -m qcoin.cli`` in a subprocess.
+
+``main`` registers ``gc.freeze`` with ``atexit``, so a CLI process skips the
+collector's pass at interpreter exit.  These tests check that a process still
+exits with the right code, prints the same lines and writes the same files as
+an in-process call, and that nothing is frozen before the process exits.
+"""
+
+import atexit
+import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qcoin
+from qcoin.cli import main
+
+SRC = Path(qcoin.__file__).resolve().parents[1]
+
+
+def run_process(args, *, code=None):
+    """Run ``python -m qcoin.cli ARGS`` (or ``python -c CODE ARGS``) with qcoin from SRC."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    head = ["-c", code] if code is not None else ["-m", "qcoin.cli"]
+    return subprocess.run([sys.executable, "-W", "error", *head, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def read_tree(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--n-qubits", "4", "--instances", "1", "--beta", "0.5,1",
+     "--shots", "500", "--xi", "0.037", "--seed", "5"],
+    ["coverage", "iterative", "--n-qubits", "4", "--beta", "1", "--reps", "20",
+     "--seed", "5"],
+    ["fragment", "--n-qubits", "4", "--beta", "1", "--seed", "5"],
+    ["oracle", "--n-qubits", "4", "--beta", "0.5,2", "--seed", "5"],
+], ids=["sweep-xi", "coverage-iterative", "fragment", "oracle"])
+def test_process_matches_in_process_main(tmp_path, capsys, argv):
+    proc_out, local_out = tmp_path / "process" / "out", tmp_path / "local" / "out"
+    proc_out.parent.mkdir()
+    local_out.parent.mkdir()
+    proc = run_process([*argv, "--out", str(proc_out)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+    assert main([*argv, "--out", str(local_out)]) == 0
+    captured = capsys.readouterr()
+    assert proc.stdout == captured.out
+    written = read_tree(proc_out.parent)
+    assert written and written == read_tree(local_out.parent)
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["sweep", "--shots", "0"], 2, "field 'shots' must be >= 1"),
+    (["sweep", "--n-qubits", "6", "--beta", "100", "--seed", "7"], 3, "float64 range"),
+], ids=["input-error", "runtime-error"])
+def test_process_error_exit_is_one_line(tmp_path, argv, code, message):
+    proc = run_process([*argv, "--out", str(tmp_path / "out")])
+    assert proc.returncode == code
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+FREEZE_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+from qcoin.cli import main
+try:
+    code = main(sys.argv[1:])
+finally:
+    print("frozen after main:", gc.get_freeze_count() > 0)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["oracle", "--n-qubits", "4", "--beta", "1"], 0),
+    (["sweep"], 2),  # argparse: --out is required
+], ids=["oracle", "argparse-error"])
+def test_process_heap_is_frozen_at_exit_only(argv, code):
+    # atexit runs its handlers last in, first out: the probe, registered
+    # before main registers gc.freeze, runs after the freeze
+    proc = run_process(argv, code=FREEZE_PROBE)
+    assert proc.returncode == code
+    lines = proc.stdout.strip().splitlines()
+    assert lines[-2] == "frozen after main: False"
+    assert lines[-1] == "frozen at exit: True"
+
+
+def test_in_process_main_freezes_nothing_and_registers_once(tmp_path, capsys):
+    argv = ["oracle", "--n-qubits", "4", "--beta", "1", "--out", str(tmp_path / "o.json")]
+    before = atexit._ncallbacks()
+    assert main(argv) == 0
+    once = atexit._ncallbacks()
+    assert main(argv) == 0
+    assert main(argv) == 0
+    assert gc.get_freeze_count() == 0
+    assert once - before <= 1
+    assert atexit._ncallbacks() == once

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -407,6 +408,45 @@ def test_cli_generate_and_oracle(tmp_path, capsys):
     doc = json.loads(out_json.read_text())
     assert len(doc["reports"]) == 2
     assert doc["reports"][0]["z_beta"] > 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--n-qubits", "0"], "n_qubits >= 2"),
+    (["--instances", "0"], "field 'instances' must be >= 1"),
+    (["--instances", "-1"], "field 'instances' must be >= 1"),
+], ids=["n-qubits-0", "instances-0", "instances-negative"])
+def test_cli_generate_rejects_counts_below_minimum(tmp_path, capsys, argv, message):
+    # a count below its minimum is an input error, never a silent default
+    out = tmp_path / "specs"
+    assert main(["generate", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1
+    assert not list(out.glob("*.json"))
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["oracle", "--beta", "nan"], None, "beta must be finite"),
+    (["oracle", "--beta", "inf"], None, "beta must be finite"),
+    (["sweep", "--n-qubits", "4", "--beta", "0.5,inf"], None, "field 'betas'"),
+    (["coverage", "alg1", "--beta", "nan"], None, "field 'betas'"),
+    (["fragment", "--beta", "nan"], None, "field 'betas'"),
+    (["sweep"], "fit_beta = nan\n", "field 'fit_beta'"),
+    (["sweep"], "fit_beta = inf\n", "field 'fit_beta'"),
+    (["fragment"], "frag_eps = nan\n", "field 'frag_eps'"),
+    (["fragment"], "frag_eps = inf\n", "field 'frag_eps'"),
+], ids=["oracle-nan", "oracle-inf", "sweep-inf", "coverage-nan", "fragment-nan",
+        "fit-beta-nan", "fit-beta-inf", "frag-eps-nan", "frag-eps-inf"])
+def test_cli_non_finite_float_is_input_error(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(config)
+        argv = [*argv, "--config", str(cfg)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1
 
 
 def test_cli_sweep_and_exit_codes(tmp_path, capsys):
