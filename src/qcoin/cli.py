@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import dataclasses
 import functools
 import gc
 import json
@@ -74,11 +73,12 @@ def _random_spec(args: argparse.Namespace, seed: int):
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.instances < 1:
         raise ValueError("field 'instances' must be >= 1")
+    seeds = SeedStream(args.seed)
+    # every spec is built, and so validated, before the directory is made
+    specs = [_random_spec(args, seeds.next()) for _ in range(args.instances)]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    seeds = SeedStream(args.seed)
-    for idx in range(args.instances):
-        spec = _random_spec(args, seeds.next())
+    for idx, spec in enumerate(specs):
         path = out / f"instance_{idx:03d}.json"
         path.write_text(spec.to_json() + "\n", encoding="utf-8")
         print(path)
@@ -97,7 +97,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         report = oracle_report(spectrum, beta_coin)
         reports.append(
             {"beta": beta, "beta_coin": beta_coin, "norm_bound": spectrum.norm_bound,
-             **dataclasses.asdict(report)}
+             **report.as_dict()}
         )
     doc = json.dumps({"kind": "oracle", "reports": reports}, indent=2, sort_keys=True)
     if args.out is not None:

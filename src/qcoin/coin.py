@@ -20,52 +20,57 @@ exactly, at a cost independent of the number of attempts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .hamiltonian import Spectrum
 from .oracle import ideal_coin_probability
 from .propagator import ChebyshevApproximant, _clenshaw, required_degree
+from .record import Record
 
 _EPS_PRIME_FLOOR = 1e-16  # cost accounting for the ideal coin
 _MAX_DRAW_COUNT = 2**63 - 1  # numpy's binomial rejects more; its geometric clips
 
 
-@dataclass(frozen=True, eq=False)
-class CoinSpec:
+class CoinSpec(Record):
     """Coin definition: unit spectrum, inverse temperature, approximation error.
 
     ``eps_prime = 0`` is the ideal coin (no approximant); otherwise a
     certified approximant with ``certified_error <= eps_prime`` must be
     attached.  The sub-normalization exp(-beta/2) is implied, never stored.
+    ``heads_probability`` is computed once, at construction.
     """
 
-    spectrum: Spectrum
-    beta: float
-    eps_prime: float = 0.0
-    approximant: ChebyshevApproximant | None = None
-    heads_probability: float = field(init=False, repr=False)
+    fields = ("spectrum", "beta", "eps_prime", "approximant")
+    __slots__ = fields + ("heads_probability",)
 
-    def __post_init__(self) -> None:
-        if self.beta < 0:
+    def __init__(
+        self,
+        spectrum: Spectrum,
+        beta: float,
+        eps_prime: float = 0.0,
+        approximant: ChebyshevApproximant | None = None,
+    ) -> None:
+        if beta < 0:
             raise ValueError("beta must be non-negative")
-        if not 0 <= self.eps_prime <= 1:
+        if not 0 <= eps_prime <= 1:
             raise ValueError("eps_prime must be in [0, 1]")
-        if (self.approximant is not None) != (self.eps_prime > 0):
+        if (approximant is not None) != (eps_prime > 0):
             raise ValueError(
                 "approximant must be present exactly when eps_prime > 0"
             )
-        if self.approximant is not None:
-            if self.approximant.certified_error > self.eps_prime:
+        if approximant is not None:
+            if approximant.certified_error > eps_prime:
                 raise ValueError(
                     f"approximant certified_error "
-                    f"{self.approximant.certified_error:.3e} exceeds "
-                    f"eps_prime {self.eps_prime:.3e}"
+                    f"{approximant.certified_error:.3e} exceeds "
+                    f"eps_prime {eps_prime:.3e}"
                 )
-            if self.approximant.target_beta != self.beta:
+            if approximant.target_beta != beta:
                 raise ValueError("approximant was built for a different beta")
-        object.__setattr__(self, "heads_probability", success_probability(self))
+        self._set(spectrum=spectrum, beta=beta, eps_prime=eps_prime,
+                  approximant=approximant)
+        self._set(heads_probability=success_probability(self))
 
 
 class SeedStream:
@@ -127,8 +132,7 @@ def toss(spec: CoinSpec, count: int, seed: int) -> int:
     return int(np.random.default_rng(seed).binomial(count, _toss_probability(spec)))
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(Record):
     """Inverse-temperature schedule 0 = beta_0 <= ... <= beta_l = beta/2.
 
     The values are in half-beta units: a schedule for total inverse
@@ -137,12 +141,11 @@ class Schedule:
     approximation-error budget per step, used for cost accounting.
     """
 
-    betas: np.ndarray
-    per_step_eps: np.ndarray
+    __slots__ = fields = ("betas", "per_step_eps")
 
-    def __post_init__(self) -> None:
-        betas = np.asarray(self.betas, dtype=float)
-        eps = np.asarray(self.per_step_eps, dtype=float)
+    def __init__(self, betas: np.ndarray, per_step_eps: np.ndarray) -> None:
+        betas = np.asarray(betas, dtype=float)
+        eps = np.asarray(per_step_eps, dtype=float)
         if betas.ndim != 1 or len(betas) < 2:
             raise ValueError("schedule needs at least one step")
         if betas[0] != 0.0:
@@ -151,9 +154,9 @@ class Schedule:
             raise ValueError("schedule must be non-decreasing")
         if eps.shape != (len(betas) - 1,):
             raise ValueError("per_step_eps must have one entry per step")
-        for name, arr in (("betas", betas), ("per_step_eps", eps)):
+        for arr in (betas, eps):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        self._set(betas=betas, per_step_eps=eps)
 
     @property
     def l(self) -> int:
@@ -218,8 +221,7 @@ def uniform_schedule(beta: float, l: int, eps_total: float) -> Schedule:
     )
 
 
-@dataclass(frozen=True)
-class FragmentedRun:
+class FragmentedRun(Record):
     """Counts of a fragmented-coin simulation.
 
     An attempt runs the steps in order until one fails (tails, restart) or
@@ -227,11 +229,21 @@ class FragmentedRun:
     ``queries`` is the exact total query cost.
     """
 
-    attempts: int
-    successes: int
-    queries: int
-    step_executions: np.ndarray
-    step_probabilities: np.ndarray
+    __slots__ = fields = (
+        "attempts", "successes", "queries", "step_executions", "step_probabilities"
+    )
+
+    def __init__(
+        self,
+        attempts: int,
+        successes: int,
+        queries: int,
+        step_executions: np.ndarray,
+        step_probabilities: np.ndarray,
+    ) -> None:
+        self._set(attempts=attempts, successes=successes, queries=queries,
+                  step_executions=step_executions,
+                  step_probabilities=step_probabilities)
 
     @property
     def queries_per_success(self) -> float:

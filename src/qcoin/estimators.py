@@ -17,7 +17,6 @@ distributions, never toss by toss, and R = 1 is a single estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Callable
 
@@ -30,6 +29,7 @@ from .coin import (
     _toss_probability,
     query_cost,
 )
+from .record import Record
 
 _TOSS_BUDGET = 100_000_000  # tosses per repetition of an additive-runner call
 _ROUND_CAP = 64  # halving rounds of relative_from_additive before giving up
@@ -97,8 +97,7 @@ def expected_total_tosses_thm2(p: float, eps_r: float, delta: float) -> float:
     return success_count_thm2(eps_r, delta) / p
 
 
-@dataclass(frozen=True, eq=False)
-class Estimate:
+class Estimate(Record):
     """Heads-probability estimates of independent repetitions, in units of p.
 
     Entry i of ``value``, ``half_width``, ``samples`` and ``rounds`` belongs
@@ -107,22 +106,32 @@ class Estimate:
     the oracle cost of one toss.
     """
 
-    value: np.ndarray
-    half_width: np.ndarray
-    relative_target: float | None
-    confidence: float
-    samples: np.ndarray
-    queries_per_sample: int
-    algorithm: str
-    rounds: np.ndarray | None = None
+    __slots__ = fields = (
+        "value", "half_width", "relative_target", "confidence", "samples",
+        "queries_per_sample", "algorithm", "rounds",
+    )
 
-    def __post_init__(self) -> None:
-        if np.any(self.half_width < 0):
+    def __init__(
+        self,
+        value: np.ndarray,
+        half_width: np.ndarray,
+        relative_target: float | None,
+        confidence: float,
+        samples: np.ndarray,
+        queries_per_sample: int,
+        algorithm: str,
+        rounds: np.ndarray | None = None,
+    ) -> None:
+        if np.any(half_width < 0):
             raise ValueError("half_width must be non-negative")
-        if not 0 < self.confidence < 1:
+        if not 0 < confidence < 1:
             raise ValueError("confidence must be in (0, 1)")
-        if np.any(self.samples < 0):
+        if np.any(samples < 0):
             raise ValueError("samples must be non-negative")
+        self._set(value=value, half_width=half_width,
+                  relative_target=relative_target, confidence=confidence,
+                  samples=samples, queries_per_sample=queries_per_sample,
+                  algorithm=algorithm, rounds=rounds)
 
     @property
     def samples_used(self) -> int:

@@ -31,8 +31,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import sys
-from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -73,41 +71,59 @@ from .noise import (
     NoiseFit,
 )
 from .oracle import (
+    _LOG_FLOAT_MAX,
     exact_partition_function,
     ideal_coin_probability,
     log_partition_function,
 )
+from .record import ValueRecord
 
 SCHEMA_VERSION = 6
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp of it is still finite
 # a coverage command holds every repetition in memory, up to ~180 B each
 _MAX_REPS = 1_000_000
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved experiment parameters (see module docstring for the file grammar)."""
+class ExperimentConfig(ValueRecord):
+    """Resolved experiment parameters (see module docstring for the file grammar).
 
-    model: str = "ising"
-    n_qubits: int = 4
-    n_visible: int = 2
-    n_hidden: int = 2
-    instances: int = 5
-    betas: tuple[float, ...] = (0.2, 1.0, 2.0, 4.0, 10.0)
-    shots: int = 3000
-    delta: float = 0.05
-    eps_r: float = 0.2
-    xi: float | None = None
-    layers: int = 10
-    insertions: int = 5
-    fit_beta: float = 0.1
-    reps: int = 400
-    seed: int = 0
-    schedule_sizes: tuple[int, ...] = (1, 2, 4, 8)
-    frag_eps: float = 1e-6
-    frag_successes: int = 2000
+    ``fields`` is the list of keys a config file may set, in constructor order.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = fields = (
+        "model", "n_qubits", "n_visible", "n_hidden", "instances", "betas",
+        "shots", "delta", "eps_r", "xi", "layers", "insertions", "fit_beta",
+        "reps", "seed", "schedule_sizes", "frag_eps", "frag_successes",
+    )
+
+    def __init__(
+        self,
+        model: str = "ising",
+        n_qubits: int = 4,
+        n_visible: int = 2,
+        n_hidden: int = 2,
+        instances: int = 5,
+        betas: tuple[float, ...] = (0.2, 1.0, 2.0, 4.0, 10.0),
+        shots: int = 3000,
+        delta: float = 0.05,
+        eps_r: float = 0.2,
+        xi: float | None = None,
+        layers: int = 10,
+        insertions: int = 5,
+        fit_beta: float = 0.1,
+        reps: int = 400,
+        seed: int = 0,
+        schedule_sizes: tuple[int, ...] = (1, 2, 4, 8),
+        frag_eps: float = 1e-6,
+        frag_successes: int = 2000,
+    ) -> None:
+        self._set(
+            model=model, n_qubits=n_qubits, n_visible=n_visible,
+            n_hidden=n_hidden, instances=instances, betas=betas, shots=shots,
+            delta=delta, eps_r=eps_r, xi=xi, layers=layers,
+            insertions=insertions, fit_beta=fit_beta, reps=reps, seed=seed,
+            schedule_sizes=schedule_sizes, frag_eps=frag_eps,
+            frag_successes=frag_successes,
+        )
         if self.model not in ("ising", "qrbm"):
             raise ValueError(f"field 'model' must be ising or qrbm, got {self.model!r}")
         for name in ("n_qubits", "n_visible", "n_hidden", "instances", "shots",
@@ -149,7 +165,7 @@ def parse_config(text: str) -> dict:
 
     Lists are comma-separated.  Unknown keys are rejected.
     """
-    known = set(ExperimentConfig.__dataclass_fields__)
+    known = set(ExperimentConfig.fields)
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -189,7 +205,7 @@ def load_config(path: str | Path | None = None, **overrides) -> ExperimentConfig
 
 def config_hash(config: ExperimentConfig) -> str:
     """Short provenance hash of the resolved configuration."""
-    doc = json.dumps(asdict(config), sort_keys=True)
+    doc = json.dumps(config.as_dict(), sort_keys=True)
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()[:12]
 
 
@@ -339,7 +355,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> dict:
     summary = {
         "schema_version": SCHEMA_VERSION,
         "kind": "sweep",
-        "config": asdict(config),
+        "config": config.as_dict(),
         "config_hash": chash,
         "noise_fit": json.loads(fit.to_json()) if fit is not None else None,
         "rows": len(rows),

@@ -12,9 +12,10 @@ significant bit of the computational-basis index.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
+
+from .record import Record, ValueRecord
 
 MAX_QUBITS = 12
 SPECTRUM_TOL = 1e-9  # relative slack when a spectrum is checked against a bound
@@ -34,8 +35,7 @@ def _z_values(n_qubits: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
+class Spectrum(Record):
     """Ascending, read-only eigenvalues of H / L: 2^n values in [-1, 1].
 
     ``norm_bound`` is the certified bound L that H was divided by, so
@@ -43,11 +43,10 @@ class Spectrum:
     runs the coin at L * beta on these values.
     """
 
-    values: np.ndarray
-    norm_bound: float
+    __slots__ = fields = ("values", "norm_bound")
 
-    def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
+    def __init__(self, values: np.ndarray, norm_bound: float) -> None:
+        values = np.array(values, dtype=float)
         if values.ndim != 1 or len(values) < 2 or len(values) & (len(values) - 1):
             raise ValueError(f"a spectrum needs 2^n values, got shape {values.shape}")
         _check_qubit_count(len(values).bit_length() - 1)
@@ -55,10 +54,10 @@ class Spectrum:
             raise ValueError("spectrum values must be ascending")
         if not np.all(np.abs(values) <= 1.0 + SPECTRUM_TOL):
             raise ValueError("spectrum exceeds [-1, 1]; divide H by its norm bound")
-        if not self.norm_bound > 0:
-            raise ValueError(f"norm_bound must be positive, got {self.norm_bound}")
+        if not norm_bound > 0:
+            raise ValueError(f"norm_bound must be positive, got {norm_bound}")
         values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        self._set(values=values, norm_bound=norm_bound)
 
     @property
     def dim(self) -> int:
@@ -69,35 +68,30 @@ class Spectrum:
         return self.dim.bit_length() - 1
 
 
-@dataclass(frozen=True)
-class IsingSpec:
+class IsingSpec(ValueRecord):
     """Edge list of a random-graph Ising coupling model, H = sum J_ij Z_i Z_j.
 
     Every vertex must have degree >= 1, so n_qubits = 1 admits no valid spec.
     """
 
-    n_qubits: int
-    edges: tuple[tuple[int, int, float], ...]
-    seed: int
+    __slots__ = fields = ("n_qubits", "edges", "seed")
 
-    def __post_init__(self) -> None:
-        if self.n_qubits < 2:
+    def __init__(
+        self, n_qubits: int, edges: tuple[tuple[int, int, float], ...], seed: int
+    ) -> None:
+        if n_qubits < 2:
             raise ValueError(
                 "IsingSpec needs n_qubits >= 2: a single qubit cannot satisfy "
                 "the degree >= 1 requirement"
             )
-        object.__setattr__(
-            self,
-            "edges",
-            tuple((int(i), int(j), float(w)) for i, j, w in self.edges),
-        )
-        degree = [0] * self.n_qubits
+        edges = tuple((int(i), int(j), float(w)) for i, j, w in edges)
+        degree = [0] * n_qubits
         seen: set[frozenset[int]] = set()
-        for i, j, _ in self.edges:
+        for i, j, _ in edges:
             if i == j:
                 raise ValueError(f"self-loop edge ({i}, {j}) is not allowed")
-            if not (0 <= i < self.n_qubits and 0 <= j < self.n_qubits):
-                raise ValueError(f"edge ({i}, {j}) out of range for n={self.n_qubits}")
+            if not (0 <= i < n_qubits and 0 <= j < n_qubits):
+                raise ValueError(f"edge ({i}, {j}) out of range for n={n_qubits}")
             key = frozenset((i, j))
             if key in seen:
                 raise ValueError(f"duplicate undirected edge ({i}, {j})")
@@ -106,6 +100,7 @@ class IsingSpec:
             degree[j] += 1
         if any(d == 0 for d in degree):
             raise ValueError("every vertex must have degree >= 1")
+        self._set(n_qubits=n_qubits, edges=edges, seed=seed)
 
     @property
     def norm_bound(self) -> float:
@@ -123,8 +118,7 @@ class IsingSpec:
         )
 
 
-@dataclass(frozen=True)
-class QrbmSpec:
+class QrbmSpec(Record):
     """Parameters of a quantum RBM Hamiltonian on visible + hidden qubits.
 
     H = -sum_i b_i Z_i - sum_{iv, jh} w_{iv,jh} Z_iv Z_jh - sum_jh gamma_jh X_jh,
@@ -132,34 +126,36 @@ class QrbmSpec:
     transverse field acts on hidden units only.
     """
 
-    n_visible: int
-    n_hidden: int
-    couplings: np.ndarray
-    biases: np.ndarray
-    transverse_field: np.ndarray
-    seed: int
+    __slots__ = fields = (
+        "n_visible", "n_hidden", "couplings", "biases", "transverse_field", "seed"
+    )
 
-    def __post_init__(self) -> None:
-        if self.n_visible < 1 or self.n_hidden < 1:
+    def __init__(
+        self,
+        n_visible: int,
+        n_hidden: int,
+        couplings: np.ndarray,
+        biases: np.ndarray,
+        transverse_field: np.ndarray,
+        seed: int,
+    ) -> None:
+        if n_visible < 1 or n_hidden < 1:
             raise ValueError("n_visible and n_hidden must be positive")
-        couplings = np.atleast_2d(np.asarray(self.couplings, dtype=float))
-        biases = np.asarray(self.biases, dtype=float).ravel()
-        gamma = np.asarray(self.transverse_field, dtype=float).ravel()
-        if couplings.shape != (self.n_visible, self.n_hidden):
+        couplings = np.atleast_2d(np.asarray(couplings, dtype=float))
+        biases = np.asarray(biases, dtype=float).ravel()
+        gamma = np.asarray(transverse_field, dtype=float).ravel()
+        if couplings.shape != (n_visible, n_hidden):
             raise ValueError(
-                f"couplings shape {couplings.shape} != "
-                f"({self.n_visible}, {self.n_hidden})"
+                f"couplings shape {couplings.shape} != ({n_visible}, {n_hidden})"
             )
-        if biases.shape != (self.n_visible + self.n_hidden,):
-            raise ValueError(
-                f"biases must have length {self.n_visible + self.n_hidden}"
-            )
-        if gamma.shape != (self.n_hidden,):
-            raise ValueError(f"transverse_field must have length {self.n_hidden}")
-        for name, arr in (("couplings", couplings), ("biases", biases),
-                          ("transverse_field", gamma)):
+        if biases.shape != (n_visible + n_hidden,):
+            raise ValueError(f"biases must have length {n_visible + n_hidden}")
+        if gamma.shape != (n_hidden,):
+            raise ValueError(f"transverse_field must have length {n_hidden}")
+        for arr in (couplings, biases, gamma):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        self._set(n_visible=n_visible, n_hidden=n_hidden, couplings=couplings,
+                  biases=biases, transverse_field=gamma, seed=seed)
 
     @property
     def n_qubits(self) -> int:

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .coin import _check_toss_count
+from .record import Record, ValueRecord
 
 _MAX_ITERATIONS = 200  # Gauss-Newton iterations before FitConvergenceError
 
@@ -37,31 +37,29 @@ class FitConvergenceError(RuntimeError):
         self.best = best
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(ValueRecord):
     """Per-layer depolarizing strength with its fit standard deviation."""
 
-    xi: float
-    xi_sigma: float = 0.0
+    __slots__ = fields = ("xi", "xi_sigma")
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.xi <= 1.0:
-            raise ValueError(f"xi must be in [0, 1], got {self.xi}")
-        if self.xi_sigma < 0.0:
+    def __init__(self, xi: float, xi_sigma: float = 0.0) -> None:
+        if not 0.0 <= xi <= 1.0:
+            raise ValueError(f"xi must be in [0, 1], got {xi}")
+        if xi_sigma < 0.0:
             raise ValueError("xi_sigma must be non-negative")
+        self._set(xi=xi, xi_sigma=xi_sigma)
 
 
-@dataclass(frozen=True)
-class LayerSeries:
+class LayerSeries(Record):
     """Measured success probabilities at strictly increasing circuit depths."""
 
-    depths: np.ndarray
-    measured_p: np.ndarray
-    shots_per_point: int
+    __slots__ = fields = ("depths", "measured_p", "shots_per_point")
 
-    def __post_init__(self) -> None:
-        depths = np.asarray(self.depths, dtype=np.int64)
-        measured = np.asarray(self.measured_p, dtype=float)
+    def __init__(
+        self, depths: np.ndarray, measured_p: np.ndarray, shots_per_point: int
+    ) -> None:
+        depths = np.asarray(depths, dtype=np.int64)
+        measured = np.asarray(measured_p, dtype=float)
         if depths.ndim != 1 or depths.shape != measured.shape:
             raise ValueError("depths and measured_p must be 1-d and equal length")
         if len(depths) and depths.min() < 1:
@@ -70,11 +68,11 @@ class LayerSeries:
             raise ValueError("depths must be strictly increasing")
         if np.any((measured < 0) | (measured > 1)):
             raise ValueError("measured_p must lie in [0, 1]")
-        if self.shots_per_point < 1:
+        if shots_per_point < 1:
             raise ValueError("shots_per_point must be >= 1")
-        for name, arr in (("depths", depths), ("measured_p", measured)):
+        for arr in (depths, measured):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        self._set(depths=depths, measured_p=measured, shots_per_point=shots_per_point)
 
 
 def noisy_success_probability(p_ideal: float, xi: float, layers: int) -> float:
@@ -107,16 +105,25 @@ def identity_insertion_depths(base_layers: int, insertions: int) -> list[int]:
     return [base_layers + 2 * k for k in range(insertions + 1)]
 
 
-@dataclass(frozen=True)
-class NoiseFit:
+class NoiseFit(Record):
     """Result of fitting (xi, p) to a depth series."""
 
-    model: NoiseModel
-    p_hat: float
-    p_sigma: float
-    residual_norm: float
-    covariance: np.ndarray
-    iterations: int
+    __slots__ = fields = (
+        "model", "p_hat", "p_sigma", "residual_norm", "covariance", "iterations"
+    )
+
+    def __init__(
+        self,
+        model: NoiseModel,
+        p_hat: float,
+        p_sigma: float,
+        residual_norm: float,
+        covariance: np.ndarray,
+        iterations: int,
+    ) -> None:
+        self._set(model=model, p_hat=p_hat, p_sigma=p_sigma,
+                  residual_norm=residual_norm, covariance=covariance,
+                  iterations=iterations)
 
     def to_json(self) -> str:
         return json.dumps(

@@ -18,11 +18,12 @@ where I_k is the modified Bessel function of the first kind.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
+
+from .record import Record
 
 GRID_SIZE = 10_000
 _DEGREE_CAP = 20_000
@@ -140,25 +141,28 @@ def required_degree(beta: float, eps_prime: float) -> int:
     raise RuntimeError("degree certification failed")  # unreachable: tail -> 0
 
 
-@dataclass(frozen=True)
-class ChebyshevApproximant:
+class ChebyshevApproximant(Record):
     """Degree-d Chebyshev-T truncation of exp(-beta x / 2) on [-1, 1].
 
     ``coefficients[k]`` multiplies T_k; ``certified_error`` is the grid
     maximum of the sub-normalized error (see module docstring).
     """
 
-    degree: int
-    coefficients: np.ndarray
-    target_beta: float
-    certified_error: float
+    __slots__ = fields = ("degree", "coefficients", "target_beta", "certified_error")
 
-    def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coefficients, dtype=float)
-        if coeffs.shape != (self.degree + 1,):
+    def __init__(
+        self,
+        degree: int,
+        coefficients: np.ndarray,
+        target_beta: float,
+        certified_error: float,
+    ) -> None:
+        coeffs = np.asarray(coefficients, dtype=float)
+        if coeffs.shape != (degree + 1,):
             raise ValueError("coefficients must have length degree + 1")
         coeffs.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeffs)
+        self._set(degree=degree, coefficients=coeffs, target_beta=target_beta,
+                  certified_error=certified_error)
 
     def evaluate(self, x: np.ndarray | float) -> np.ndarray | float:
         """Evaluate the polynomial by Clenshaw recurrence."""

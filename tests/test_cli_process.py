@@ -104,3 +104,11 @@ def test_in_process_main_freezes_nothing_and_registers_once(tmp_path, capsys):
     assert gc.get_freeze_count() == 0
     assert once - before <= 1
     assert atexit._ncallbacks() == once
+
+
+def test_process_import_generates_no_record_code():
+    # the record classes are plain classes: importing the CLI never loads
+    # dataclasses, whose decorator compiles generated methods at import
+    proc = run_process([], code="import sys, qcoin.cli; print('dataclasses' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

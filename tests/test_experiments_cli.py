@@ -412,16 +412,20 @@ def test_cli_generate_and_oracle(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["--n-qubits", "0"], "n_qubits >= 2"),
+    (["--n-qubits", "1"], "n_qubits >= 2"),
+    (["--model", "qrbm", "--n-visible", "0"], "n_visible and n_hidden must be positive"),
     (["--instances", "0"], "field 'instances' must be >= 1"),
     (["--instances", "-1"], "field 'instances' must be >= 1"),
-], ids=["n-qubits-0", "instances-0", "instances-negative"])
+], ids=["n-qubits-0", "n-qubits-1", "qrbm-n-visible-0", "instances-0",
+        "instances-negative"])
 def test_cli_generate_rejects_counts_below_minimum(tmp_path, capsys, argv, message):
-    # a count below its minimum is an input error, never a silent default
+    # a count below its minimum is an input error, never a silent default,
+    # and it leaves no output directory behind
     out = tmp_path / "specs"
     assert main(["generate", *argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert message in err and len(err.strip().splitlines()) == 1
-    assert not list(out.glob("*.json"))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, config, message", [
@@ -561,6 +565,28 @@ def test_cli_coverage_past_float64_exp(tmp_path, capsys, algorithm):
         assert report["theory"]["z_max"] is None
         assert report["theory"]["log_z_max"] == pytest.approx(
             math.log(16.0) + report["beta_coin"], rel=1e-15)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_cli_oracle_past_float64_exp(tmp_path, capsys):
+    # the instance of test_cli_coverage_past_float64_exp: Z is not
+    # representable, so z_beta is null and the free energy comes from log Z
+    assert main(["oracle", "--n-qubits", "4", "--beta", "300"]) == 0
+    out = capsys.readouterr().out
+    report, = json.loads(out, parse_constant=_reject_constant)["reports"]
+    assert report["p_suc_ideal"] == 0.125
+    assert report["z_beta"] is None
+    # log Z = log 2 + beta_coin, as in the coverage report
+    assert report["free_energy"] == pytest.approx(
+        -(math.log(2.0) + report["beta_coin"]) / report["beta_coin"], rel=1e-12)
+
+
+def test_config_fields_are_the_config_file_keys():
+    text = "\n".join(f"{name} = 1" for name in ExperimentConfig.fields)
+    assert list(parse_config(text)) == list(ExperimentConfig.fields)
 
 
 def test_cli_noise_fit_degenerate_is_input_error(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -100,15 +99,24 @@ def test_oracle_report_fields_and_json():
     assert report.z_beta > 0
     assert 0 < report.p_suc_ideal <= 1
     assert report.mean_trials == pytest.approx(1.0 / report.p_suc_ideal, rel=1e-14)
-    assert report.free_energy == pytest.approx(
-        -math.log(report.z_beta) / beta_coin, rel=1e-12
-    )
-    doc = dataclasses.asdict(report)
+    assert report.z_beta == exact_partition_function(spectrum, beta_coin)
+    assert report.free_energy == -math.log(report.z_beta) / beta_coin
+    doc = report.as_dict()
     assert set(doc) == {"z_beta", "free_energy", "p_suc_ideal", "mean_trials"}
 
     at_zero = oracle_report(spectrum, 0.0)
     assert at_zero.free_energy is None
     assert at_zero.p_suc_ideal == pytest.approx(1.0, rel=1e-14)
+
+
+def test_oracle_report_past_float64_exp():
+    # coin beta 800: Z = 2 e^800 passes float64, p = 0.5 does not
+    spectrum = Spectrum(np.array([-1.0, -1.0, 1.0, 1.0]), 1.0)
+    report = oracle_report(spectrum, 800.0)
+    assert report.z_beta is None
+    assert report.free_energy == -log_partition_function(spectrum, 800.0) / 800.0
+    assert report.free_energy == pytest.approx(-1.0 - math.log(2.0) / 800.0, rel=1e-15)
+    assert report.p_suc_ideal == 0.5 and report.mean_trials == 2.0
 
 
 def test_oracle_report_requires_unit_spectrum():
