@@ -10,8 +10,6 @@ from .hamiltonian import (
     unit_spectrum,
 )
 from .propagator import (
-    ChebyshevApproximant,
-    chebyshev_coefficients,
     eps_prime_for_relative_error,
     modified_bessel_i,
     required_degree,
@@ -26,7 +24,6 @@ from .coin import (
     fragmented_query_bound,
     query_cost,
     schedule_size_lower_bound,
-    success_probability,
     toss,
     toss_fragmented,
     uniform_schedule,

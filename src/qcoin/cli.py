@@ -19,6 +19,7 @@ import numpy as np
 
 from .coin import SeedStream
 from .experiments import (
+    _MAX_INSTANCES,
     load_config,
     run_coverage,
     run_fragment,
@@ -73,6 +74,11 @@ def _random_spec(args: argparse.Namespace, seed: int):
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.instances < 1:
         raise ValueError("field 'instances' must be >= 1")
+    if args.instances > _MAX_INSTANCES:
+        raise ValueError(
+            f"field 'instances' must be <= {_MAX_INSTANCES}: every spec is built "
+            f"before any file is written"
+        )
     seeds = SeedStream(args.seed)
     # every spec is built, and so validated, before the directory is made
     specs = [_random_spec(args, seeds.next()) for _ in range(args.instances)]

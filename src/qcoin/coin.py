@@ -25,7 +25,7 @@ import numpy as np
 
 from .hamiltonian import Spectrum
 from .oracle import ideal_coin_probability
-from .propagator import ChebyshevApproximant, _clenshaw, required_degree
+from .propagator import required_degree
 from .record import Record
 
 _EPS_PRIME_FLOOR = 1e-16  # cost accounting for the ideal coin
@@ -33,44 +33,22 @@ _MAX_DRAW_COUNT = 2**63 - 1  # numpy's binomial rejects more; its geometric clip
 
 
 class CoinSpec(Record):
-    """Coin definition: unit spectrum, inverse temperature, approximation error.
+    """Coin definition: unit spectrum and inverse temperature.
 
-    ``eps_prime = 0`` is the ideal coin (no approximant); otherwise a
-    certified approximant with ``certified_error <= eps_prime`` must be
-    attached.  The sub-normalization exp(-beta/2) is implied, never stored.
-    ``heads_probability`` is computed once, at construction.
+    The coin is ideal: it applies exp(-beta H / 2), sub-normalized by
+    exp(-beta/2), which is implied, never stored.  ``heads_probability``
+    is ``ideal_coin_probability(spectrum, beta)``, computed once, at
+    construction.
     """
 
-    fields = ("spectrum", "beta", "eps_prime", "approximant")
+    fields = ("spectrum", "beta")
     __slots__ = fields + ("heads_probability",)
 
-    def __init__(
-        self,
-        spectrum: Spectrum,
-        beta: float,
-        eps_prime: float = 0.0,
-        approximant: ChebyshevApproximant | None = None,
-    ) -> None:
+    def __init__(self, spectrum: Spectrum, beta: float) -> None:
         if beta < 0:
             raise ValueError("beta must be non-negative")
-        if not 0 <= eps_prime <= 1:
-            raise ValueError("eps_prime must be in [0, 1]")
-        if (approximant is not None) != (eps_prime > 0):
-            raise ValueError(
-                "approximant must be present exactly when eps_prime > 0"
-            )
-        if approximant is not None:
-            if approximant.certified_error > eps_prime:
-                raise ValueError(
-                    f"approximant certified_error "
-                    f"{approximant.certified_error:.3e} exceeds "
-                    f"eps_prime {eps_prime:.3e}"
-                )
-            if approximant.target_beta != beta:
-                raise ValueError("approximant was built for a different beta")
-        self._set(spectrum=spectrum, beta=beta, eps_prime=eps_prime,
-                  approximant=approximant)
-        self._set(heads_probability=success_probability(self))
+        self._set(spectrum=spectrum, beta=beta,
+                  heads_probability=ideal_coin_probability(spectrum, beta))
 
 
 class SeedStream:
@@ -81,20 +59,6 @@ class SeedStream:
 
     def next(self) -> int:
         return int(self._seq.spawn(1)[0].generate_state(1)[0])
-
-
-def success_probability(spec: CoinSpec) -> float:
-    """Heads probability alpha^2 Tr[ftilde rho ftilde^dagger], rho = 1/2^n.
-
-    Computed once per coin into ``CoinSpec.heads_probability``, through the
-    sub-normalized propagator amplitudes: p = mean_lambda g(lambda)^2 with
-    g = exp(-beta/2) * ftilde.  The ideal coin is ``ideal_coin_probability``.
-    """
-    if spec.approximant is None:
-        return ideal_coin_probability(spec.spectrum, spec.beta)
-    ftilde = _clenshaw(spec.approximant.coefficients, spec.spectrum.values)
-    amplitudes = math.exp(-spec.beta / 2.0) * ftilde
-    return float(np.mean(amplitudes**2))
 
 
 def query_cost(beta: float, eps_prime: float) -> int:
@@ -126,7 +90,7 @@ def _toss_probability(spec: CoinSpec) -> float:
 def toss(spec: CoinSpec, count: int, seed: int) -> int:
     """Number of heads in ``count`` i.i.d. coin tosses, deterministic per seed.
 
-    Each toss costs ``query_cost(spec.beta, spec.eps_prime)`` queries.
+    Each toss costs ``query_cost(spec.beta, 0.0)`` queries.
     """
     _check_toss_count("count", count)
     return int(np.random.default_rng(seed).binomial(count, _toss_probability(spec)))

@@ -163,7 +163,7 @@ def algorithm1(
         relative_target=None,
         confidence=1.0 - delta,
         samples=np.full(reps, tosses, dtype=np.int64),
-        queries_per_sample=query_cost(spec.beta, spec.eps_prime),
+        queries_per_sample=query_cost(spec.beta, 0.0),
         algorithm="alg1",
     )
 
@@ -215,7 +215,7 @@ def algorithm2(
         relative_target=eps_r,
         confidence=1.0 - delta,
         samples=total,
-        queries_per_sample=query_cost(spec.beta, spec.eps_prime),
+        queries_per_sample=query_cost(spec.beta, 0.0),
         algorithm="alg2",
     )
 
@@ -286,7 +286,7 @@ def make_additive_runner(spec: CoinSpec, seed: int) -> AdditiveRunner:
     """
     rng = np.random.default_rng(seed)
     p = _toss_probability(spec)
-    q = query_cost(spec.beta, spec.eps_prime)
+    q = query_cost(spec.beta, 0.0)
 
     def runner(eps_p: float, delta_step: float, reps: int = 1) -> Estimate:
         z = z_quantile(delta_step)

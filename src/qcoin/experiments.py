@@ -81,6 +81,13 @@ from .record import ValueRecord
 SCHEMA_VERSION = 6
 # a coverage command holds every repetition in memory, up to ~180 B each
 _MAX_REPS = 1_000_000
+# sweep and generate build every instance's seed and spec before writing
+# anything; a 12-qubit Ising spec holds ~4.4 KB and takes ~3.5 ms to draw
+# (2-vCPU x86-64 host), so the cap is ~44 MB and ~35 s of specs
+_MAX_INSTANCES = 10_000
+# a schedule of l steps takes l + 1 sums over the 2^n eigenvalues, and a
+# fragment run ~0.7 ms per step at n = 12 (same host): ~7 s per size at the cap
+_MAX_SCHEDULE_SIZE = 10_000
 
 
 class ExperimentConfig(ValueRecord):
@@ -135,6 +142,11 @@ class ExperimentConfig(ValueRecord):
                 f"field 'reps' must be <= {_MAX_REPS}: a coverage command holds "
                 f"every repetition in memory"
             )
+        if self.instances > _MAX_INSTANCES:
+            raise ValueError(
+                f"field 'instances' must be <= {_MAX_INSTANCES}: every instance "
+                f"is built before any output is written"
+            )
         if self.insertions < 0:
             raise ValueError("field 'insertions' must be >= 0")
         if not self.betas or not all(0 <= b < math.inf for b in self.betas):
@@ -149,6 +161,11 @@ class ExperimentConfig(ValueRecord):
             raise ValueError("field 'fit_beta' must be positive and finite")
         if not self.schedule_sizes or any(l < 1 for l in self.schedule_sizes):
             raise ValueError("field 'schedule_sizes' must contain positive sizes")
+        if max(self.schedule_sizes) > _MAX_SCHEDULE_SIZE:
+            raise ValueError(
+                f"field 'schedule_sizes' must hold sizes <= {_MAX_SCHEDULE_SIZE}: "
+                f"each step sums over all 2^n eigenvalues"
+            )
         if not 0 < self.frag_eps < math.inf:
             raise ValueError("field 'frag_eps' must be positive and finite")
 
@@ -461,6 +478,8 @@ def read_layer_series(path: str | Path) -> LayerSeries:
         depths.append(int(layers_s))
         shots = int(shots_s)
         succ = int(succ_s)
+        if shots < 1:
+            raise ValueError(f"series row shots = {shots} must be >= 1")
         if not 0 <= succ <= shots:
             raise ValueError(f"successes {succ} outside [0, {shots}]")
         shots_seen.add(shots)

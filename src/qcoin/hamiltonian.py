@@ -12,6 +12,7 @@ significant bit of the computational-basis index.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -85,7 +86,7 @@ class IsingSpec(ValueRecord):
                 "the degree >= 1 requirement"
             )
         edges = tuple((int(i), int(j), float(w)) for i, j, w in edges)
-        degree = [0] * n_qubits
+        touched: set[int] = set()  # not [0] * n_qubits: a spec file sets n
         seen: set[frozenset[int]] = set()
         for i, j, _ in edges:
             if i == j:
@@ -96,9 +97,8 @@ class IsingSpec(ValueRecord):
             if key in seen:
                 raise ValueError(f"duplicate undirected edge ({i}, {j})")
             seen.add(key)
-            degree[i] += 1
-            degree[j] += 1
-        if any(d == 0 for d in degree):
+            touched.update(key)
+        if len(touched) < n_qubits:
             raise ValueError("every vertex must have degree >= 1")
         self._set(n_qubits=n_qubits, edges=edges, seed=seed)
 
@@ -185,26 +185,74 @@ class QrbmSpec(Record):
 
 
 def spec_from_json(text: str) -> IsingSpec | QrbmSpec:
-    """Rebuild an IsingSpec or QrbmSpec from its JSON document."""
+    """Rebuild an IsingSpec or QrbmSpec from its JSON document.
+
+    A document that is not a spec raises ValueError naming the bad field.
+    """
     doc = json.loads(text)
-    kind = doc.get("kind")
+    kind = _json_field(doc, "kind", str)
     if kind == "ising":
+        n_qubits = _json_field(doc, "n_qubits", int)
+        edges = _json_field(doc, "edges", list)
+        for k, edge in enumerate(edges):
+            if not (isinstance(edge, list) and len(edge) == 3
+                    and all(_is_json_int(v) for v in edge[:2])
+                    and _is_finite_number(edge[2])):
+                raise ValueError(
+                    f"spec field 'edges': entry {k} must be [i, j, weight] with "
+                    f"integer i, j and a finite weight, got {edge!r}"
+                )
         return IsingSpec(
-            n_qubits=doc["n_qubits"],
-            edges=tuple((e[0], e[1], e[2]) for e in doc["edges"]),
-            seed=doc["seed"],
+            n_qubits=n_qubits,
+            edges=tuple(edges),
+            seed=_json_field(doc, "seed", int),
         )
     if kind == "qrbm":
-        params = doc["params"]
+        params = _json_field(doc, "params", dict)
         return QrbmSpec(
-            n_visible=params["n_visible"],
-            n_hidden=params["n_hidden"],
-            couplings=np.array(params["couplings"], dtype=float),
-            biases=np.array(params["biases"], dtype=float),
-            transverse_field=np.array(params["transverse_field"], dtype=float),
-            seed=doc["seed"],
+            n_visible=_json_field(params, "n_visible", int),
+            n_hidden=_json_field(params, "n_hidden", int),
+            couplings=_json_array(params, "couplings"),
+            biases=_json_array(params, "biases"),
+            transverse_field=_json_array(params, "transverse_field"),
+            seed=_json_field(doc, "seed", int),
         )
     raise ValueError(f"unknown Hamiltonian kind {kind!r}")
+
+
+def _is_json_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    return _is_json_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
+def _json_field(doc, name: str, kind: type):
+    """``doc[name]``; ValueError naming the field if it is absent or not a ``kind``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"spec must be a JSON object, got {type(doc).__name__}")
+    if name not in doc:
+        raise ValueError(f"spec field {name!r} is missing")
+    value = doc[name]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"spec field {name!r} must be a JSON {kind.__name__}, "
+                         f"got {value!r}")
+    return value
+
+
+def _json_array(doc: dict, name: str) -> np.ndarray:
+    """The nested list ``doc[name]`` as a float array of finite values."""
+    value = _json_field(doc, name, list)
+    try:
+        values = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"spec field {name!r} is not an array of numbers: {exc}"
+        ) from None
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"spec field {name!r} must hold finite numbers")
+    return values
 
 
 def _ising_diagonal(spec: IsingSpec) -> np.ndarray:
@@ -251,6 +299,7 @@ def generate_random_ising_graph(n_qubits: int, seed: int) -> IsingSpec:
     """
     if n_qubits < 2:
         raise ValueError("need n_qubits >= 2 to build a connected-degree graph")
+    _check_qubit_count(n_qubits)  # before [0] * n and the O(n^2) pair loop
     rng = np.random.default_rng(seed)
     present: set[frozenset[int]] = set()
     degree = [0] * n_qubits
@@ -279,6 +328,8 @@ def generate_random_ising_graph(n_qubits: int, seed: int) -> IsingSpec:
 
 def generate_random_qrbm(n_visible: int, n_hidden: int, seed: int) -> QrbmSpec:
     """Random QRBM instance with all parameters i.i.d. standard normal."""
+    # on the sum: a count below 1 is then rejected by numpy's draw or QrbmSpec
+    _check_qubit_count(n_visible + n_hidden)
     rng = np.random.default_rng(seed)
     return QrbmSpec(
         n_visible=n_visible,

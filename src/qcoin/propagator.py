@@ -1,18 +1,20 @@
-"""Chebyshev approximants of the imaginary-time propagator exp(-beta H / 2).
+"""Certified Chebyshev degree of the imaginary-time propagator exp(-beta H / 2).
 
-The approximant models what a post-selected block-encoding circuit
-applies: the sub-normalized operator alpha * ftilde[H] with
-alpha = exp(-beta/2).  ``certified_error`` is the spectral error of that
-sub-normalized function,
+A toss of the coin costs as many block-encoding queries as the degree of
+the polynomial ftilde that a circuit would apply in place of the
+propagator, sub-normalized by alpha = exp(-beta/2).  ``required_degree``
+is the smallest degree d whose truncation has spectral error
 
-    max_{x in [-1, 1]} | alpha * ftilde(x) - alpha * exp(-beta x / 2) |,
+    max_{x in [-1, 1]} | alpha * ftilde_d(x) - alpha * exp(-beta x / 2) |
 
-measured on a dense Chebyshev-spaced grid.  Coefficients are the
-Jacobi-Anger truncation: with b = beta/2,
+at most eps_prime, measured on a dense Chebyshev-spaced grid or bounded
+by the coefficient tail.  The coefficients are the Jacobi-Anger
+truncation: with b = beta/2,
 
     exp(-b x) = I_0(b) + 2 * sum_{k>=1} (-1)^k I_k(b) T_k(x),
 
-where I_k is the modified Bessel function of the first kind.
+where I_k is the modified Bessel function of the first kind.  The
+polynomial itself is never formed here: the coin is ideal.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
-
-from .record import Record
 
 GRID_SIZE = 10_000
 _DEGREE_CAP = 20_000
@@ -99,8 +99,9 @@ def _coefficient_mags(beta: float, eps_floor: float) -> np.ndarray:
 def _truncation_errors(beta: float, mags: np.ndarray) -> Iterator[tuple[int, float]]:
     """Yield (d, grid error of the degree-d truncation) for d = 0, 1, ...
 
-    Shared by the degree search and the approximant constructor so both
-    certify through the identical floating-point path.
+    Shared by the degree search and the tests' reference approximant
+    (``tests/approximant.py``), so both certify through the identical
+    floating-point path.
     """
     x = _cheb_grid()
     target = np.exp(-beta * (1.0 + x) * 0.5)
@@ -139,65 +140,6 @@ def required_degree(beta: float, eps_prime: float) -> int:
         if grid_err <= eps_prime or suffix[d + 1] + beyond_window <= eps_prime:
             return d
     raise RuntimeError("degree certification failed")  # unreachable: tail -> 0
-
-
-class ChebyshevApproximant(Record):
-    """Degree-d Chebyshev-T truncation of exp(-beta x / 2) on [-1, 1].
-
-    ``coefficients[k]`` multiplies T_k; ``certified_error`` is the grid
-    maximum of the sub-normalized error (see module docstring).
-    """
-
-    __slots__ = fields = ("degree", "coefficients", "target_beta", "certified_error")
-
-    def __init__(
-        self,
-        degree: int,
-        coefficients: np.ndarray,
-        target_beta: float,
-        certified_error: float,
-    ) -> None:
-        coeffs = np.asarray(coefficients, dtype=float)
-        if coeffs.shape != (degree + 1,):
-            raise ValueError("coefficients must have length degree + 1")
-        coeffs.setflags(write=False)
-        self._set(degree=degree, coefficients=coeffs, target_beta=target_beta,
-                  certified_error=certified_error)
-
-    def evaluate(self, x: np.ndarray | float) -> np.ndarray | float:
-        """Evaluate the polynomial by Clenshaw recurrence."""
-        return _clenshaw(self.coefficients, np.asarray(x, dtype=float))
-
-
-def chebyshev_coefficients(beta: float, degree: int) -> ChebyshevApproximant:
-    """Jacobi-Anger truncation of exp(-beta x / 2) at the given degree."""
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
-    b = beta / 2.0
-    coeffs = np.empty(degree + 1)
-    coeffs[0] = modified_bessel_i(0, b)
-    for k in range(1, degree + 1):
-        coeffs[k] = 2.0 * (-1.0) ** (k % 2) * modified_bessel_i(k, b)
-    if not np.all(np.isfinite(coeffs)):
-        raise ValueError(f"beta={beta} is too large for float64 coefficients")
-    if beta == 0.0:
-        return ChebyshevApproximant(degree, coeffs, beta, 0.0)
-    certified = 0.0
-    for d, grid_err in _truncation_errors(beta, np.abs(coeffs) * math.exp(-b)):
-        if d == degree:
-            certified = grid_err
-    return ChebyshevApproximant(degree, coeffs, beta, certified)
-
-
-def _clenshaw(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Sum of c_k T_k(x) by the Clenshaw recurrence (elementwise in x)."""
-    b1 = np.zeros_like(x)
-    b2 = np.zeros_like(x)
-    for c in coeffs[:0:-1]:
-        b1, b2 = c + 2.0 * x * b1 - b2, b1
-    return coeffs[0] + x * b1 - b2
 
 
 def eps_prime_for_relative_error(beta: float, n_qubits: int, eps_r: float) -> float:

@@ -3,8 +3,8 @@
 The package reads every quantity off the eigenvalues of H
 (``qcoin.hamiltonian.unit_spectrum``).  Here H is a dense 2^n x 2^n matrix,
 diagonalized by ``numpy.linalg.eigh``, on which the exact propagator and the
-Chebyshev approximants act: an independent route for the tests to compare
-against.  Dense storage is capped at DENSE_MAX_QUBITS = 12 (N = 4096).
+Chebyshev approximants of ``approximant.py`` act: an independent route for
+the tests to compare against.  Dense storage is capped at DENSE_MAX_QUBITS = 12 (N = 4096).
 Qubit 0 is the most significant bit of the computational-basis index.
 """
 
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from approximant import ChebyshevApproximant, clenshaw
 from qcoin.hamiltonian import (
     SPECTRUM_TOL,
     IsingSpec,
@@ -22,7 +23,6 @@ from qcoin.hamiltonian import (
     _ising_diagonal,
     _z_values,
 )
-from qcoin.propagator import ChebyshevApproximant, _clenshaw
 
 DENSE_MAX_QUBITS = 12
 
@@ -140,7 +140,7 @@ def apply_approximant(
     evals, evecs = h.eigensystem()
     Spectrum(evals, 1.0)  # raises unless the eigenvalues lie in [-1, 1]
     if method == "eigen":
-        values = _clenshaw(approx.coefficients, evals)
+        values = clenshaw(approx.coefficients, evals)
         return (evecs * values) @ evecs.conj().T
     if method == "clenshaw":
         return _clenshaw_matrix(approx.coefficients, h.matrix)

@@ -11,11 +11,11 @@ import time
 import numpy as np
 import pytest
 
+from approximant import biased_heads_probability, chebyshev_coefficients
 from qcoin.coin import (
     CoinSpec,
     equal_step_schedule,
     fragmented_query_bound,
-    success_probability,
     toss_fragmented,
     uniform_schedule,
 )
@@ -43,7 +43,7 @@ from qcoin.noise import (
     noisy_success_probability,
 )
 from qcoin.oracle import exact_partition_function
-from qcoin.propagator import chebyshev_coefficients, required_degree
+from qcoin.propagator import required_degree
 
 
 @contextlib.contextmanager
@@ -81,7 +81,7 @@ def test_eq4_identity():
         for index in range(100):
             spectrum = random_unit_spectrum(index, int(rng.integers(0, 2**31)))
             beta = float(rng.uniform(0.0, 10.0))
-            p = success_probability(CoinSpec(spectrum, beta))
+            p = CoinSpec(spectrum, beta).heads_probability
             z = exact_partition_function(spectrum, beta)
             assert p * math.exp(beta) * spectrum.dim == pytest.approx(z, rel=1e-12)
         assert time.monotonic() - start < 10.0
@@ -97,10 +97,8 @@ def test_bias_bound():
             eps = float(10.0 ** rng.uniform(-6.0, -1.5))
             approx = chebyshev_coefficients(beta, required_degree(beta, eps))
             spectrum = random_unit_spectrum(index, int(rng.integers(0, 2**31)))
-            ideal = success_probability(CoinSpec(spectrum, beta))
-            biased = success_probability(
-                CoinSpec(spectrum, beta, eps_prime=eps, approximant=approx)
-            )
+            ideal = CoinSpec(spectrum, beta).heads_probability
+            biased = biased_heads_probability(spectrum, approx)
             assert abs(biased - ideal) <= 3.0 * eps
         assert time.monotonic() - start < 30.0
 
@@ -120,7 +118,7 @@ def test_thm2_coverage_and_cost():
     """Waiting-time estimator: coverage >= 70% and mean cost on prediction."""
     with criterion("Thm.2 coverage and mean total tosses (400 reps)"):
         coin, _, _ = standard_ising_coin(beta=1.0, seed=123)
-        p = success_probability(coin)
+        p = coin.heads_probability
         budget = success_count_thm2(0.2, 0.25)
         assert budget == 100
         est = algorithm2(coin, budget, seed=7, delta=0.25, reps=400)
@@ -161,7 +159,7 @@ def test_fragmentation():
     """Step-probability product, sampler frequency, and query-cost bound."""
     with criterion("Fragmented coin: product identity, sampler, query bound"):
         coin, spectrum, beta_coin = standard_ising_coin(beta=1.0, seed=123)
-        p_full = success_probability(coin)
+        p_full = coin.heads_probability
         for l in (1, 2, 4, 8):
             sched = uniform_schedule(beta_coin, l, 1e-6)
             product = math.prod(sched.step_probabilities(spectrum))

@@ -21,12 +21,12 @@ from qcoin.cli import main
 SRC = Path(qcoin.__file__).resolve().parents[1]
 
 
-def run_process(args, *, code=None):
+def run_process(args, *, code=None, cwd=None):
     """Run ``python -m qcoin.cli ARGS`` (or ``python -c CODE ARGS``) with qcoin from SRC."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     head = ["-c", code] if code is not None else ["-m", "qcoin.cli"]
     return subprocess.run([sys.executable, "-W", "error", *head, *args], env=env,
-                          capture_output=True, text=True, timeout=60)
+                          cwd=cwd, capture_output=True, text=True, timeout=60)
 
 
 def read_tree(root: Path) -> dict:
@@ -57,12 +57,35 @@ def test_process_matches_in_process_main(tmp_path, capsys, argv):
     assert written and written == read_tree(local_out.parent)
 
 
-@pytest.mark.parametrize("argv, code, message", [
-    (["sweep", "--shots", "0"], 2, "field 'shots' must be >= 1"),
-    (["sweep", "--n-qubits", "6", "--beta", "100", "--seed", "7"], 3, "float64 range"),
-], ids=["input-error", "runtime-error"])
-def test_process_error_exit_is_one_line(tmp_path, argv, code, message):
-    proc = run_process([*argv, "--out", str(tmp_path / "out")])
+SERIES_ZERO_SHOTS = "layers,successes,shots\n10,0,0\n12,0,0\n14,0,0\n"
+
+
+@pytest.mark.parametrize("argv, files, code, message", [
+    (["sweep", "--shots", "0"], {}, 2, "field 'shots' must be >= 1"),
+    (["sweep", "--n-qubits", "6", "--beta", "100", "--seed", "7"], {}, 3,
+     "float64 range"),
+    (["oracle", "--spec", "s.json"], {"s.json": '{"kind": "ising"}'}, 2,
+     "spec field 'n_qubits' is missing"),
+    (["oracle", "--spec", "s.json"],
+     {"s.json": '{"kind": "ising", "n_qubits": 2, "edges": [[0, 1]], "seed": 0}'}, 2,
+     "spec field 'edges': entry 0"),
+    (["oracle", "--spec", "s.json"], {"s.json": "[]"}, 2, "spec must be a JSON object"),
+    (["noise-fit", "--series", "series.csv"], {"series.csv": SERIES_ZERO_SHOTS}, 2,
+     "shots = 0 must be >= 1"),
+    (["fragment", "--config", "cfg.txt"],
+     {"cfg.txt": "schedule_sizes = 1000000000000000\n"}, 2,
+     "field 'schedule_sizes' must hold sizes <= 10000"),
+    (["sweep", "--instances", "1000000000000"], {}, 2,
+     "field 'instances' must be <= 10000"),
+    (["generate", "--instances", "1000000000000"], {}, 2,
+     "field 'instances' must be <= 10000"),
+], ids=["input-error", "runtime-error", "spec-missing-field", "spec-short-edge",
+        "spec-not-object", "series-zero-shots", "schedule-size-cap",
+        "sweep-instances-cap", "generate-instances-cap"])
+def test_process_error_exit_is_one_line(tmp_path, argv, files, code, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    proc = run_process([*argv, "--out", str(tmp_path / "out")], cwd=tmp_path)
     assert proc.returncode == code
     assert message in proc.stderr and "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1

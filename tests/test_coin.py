@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from approximant import biased_heads_probability, chebyshev_coefficients
 from qcoin.coin import (
     CoinSpec,
     Schedule,
@@ -11,7 +12,6 @@ from qcoin.coin import (
     fragmented_query_bound,
     query_cost,
     schedule_size_lower_bound,
-    success_probability,
     toss,
     toss_fragmented,
     uniform_schedule,
@@ -25,7 +25,7 @@ from qcoin.hamiltonian import (
     unit_spectrum,
 )
 from qcoin.oracle import exact_partition_function, ideal_coin_probability
-from qcoin.propagator import chebyshev_coefficients, required_degree
+from qcoin.propagator import required_degree
 
 
 def zero_spectrum(n=2):
@@ -56,27 +56,18 @@ def test_coin_spec_validation():
     spectrum = zero_spectrum()
     with pytest.raises(ValueError):
         CoinSpec(spectrum, -1.0)
-    with pytest.raises(ValueError):
-        CoinSpec(spectrum, 1.0, eps_prime=0.1)  # eps > 0 without approximant
-    approx = chebyshev_coefficients(1.0, required_degree(1.0, 1e-4))
-    with pytest.raises(ValueError):
-        CoinSpec(spectrum, 1.0, eps_prime=0.0, approximant=approx)
-    with pytest.raises(ValueError):  # certified error above budget
-        CoinSpec(spectrum, 1.0, eps_prime=1e-12, approximant=approx)
-    with pytest.raises(ValueError):  # beta mismatch
-        CoinSpec(spectrum, 2.0, eps_prime=1e-3, approximant=approx)
-    CoinSpec(spectrum, 1.0, eps_prime=1e-4, approximant=approx)
+    assert CoinSpec.fields == ("spectrum", "beta")
 
 
 def test_success_probability_beta_zero_is_one():
-    assert success_probability(zero_coin(0.0)) == pytest.approx(1.0, abs=1e-15)
+    assert zero_coin(0.0).heads_probability == pytest.approx(1.0, abs=1e-15)
 
 
 def test_success_probability_identity_hamiltonian():
     # H = identity: every eigenvalue 1, so p = exp(-2 beta)
     spectrum = Spectrum(np.ones(2), 1.0)
     for beta in (0.3, 1.0, 2.5):
-        assert success_probability(CoinSpec(spectrum, beta)) == pytest.approx(
+        assert CoinSpec(spectrum, beta).heads_probability == pytest.approx(
             math.exp(-2.0 * beta), rel=1e-12
         )
 
@@ -84,7 +75,7 @@ def test_success_probability_identity_hamiltonian():
 def test_success_probability_matches_oracle_identity():
     for seed in range(10):
         coin, spectrum, beta_coin = unit_ising_coin(seed, 1.0)
-        p = success_probability(coin)
+        p = coin.heads_probability
         z = exact_partition_function(spectrum, beta_coin)
         assert p * math.exp(beta_coin) * spectrum.dim == pytest.approx(z, rel=1e-12)
 
@@ -92,15 +83,15 @@ def test_success_probability_matches_oracle_identity():
 def test_success_probability_rejects_wide_spectrum():
     # a spectrum outside [-1, 1] cannot be built, so no coin can read one
     with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-        success_probability(CoinSpec(Spectrum(np.array([-2.0, 2.0]), 2.0), 1.0))
+        CoinSpec(Spectrum(np.array([-2.0, 2.0]), 2.0), 1.0)
 
 
 def test_heads_probability_computed_once_per_coin(monkeypatch):
     coin, _, _ = unit_ising_coin(3, 1.0)
-    assert coin.heads_probability == success_probability(coin)
+    assert coin.heads_probability == ideal_coin_probability(coin.spectrum, coin.beta)
     calls = []
-    monkeypatch.setattr(qcoin.coin, "success_probability",
-                        lambda spec: calls.append(spec) or 0.5)
+    monkeypatch.setattr(qcoin.coin, "ideal_coin_probability",
+                        lambda spectrum, beta: calls.append(spectrum) or 0.5)
     toss(coin, 100, seed=1)
     algorithm2(coin, 5, seed=2)
     make_additive_runner(coin, seed=3)(1.0 / (16 * math.exp(coin.beta)), 0.05)
@@ -115,10 +106,8 @@ def test_bias_bound_for_certified_approximants():
         eps = float(10.0 ** rng.uniform(-6, -2))
         approx = chebyshev_coefficients(beta, required_degree(beta, eps))
         _, spectrum, _ = unit_ising_coin(int(rng.integers(0, 500)), 1.0)
-        ideal = success_probability(CoinSpec(spectrum, beta))
-        biased = success_probability(
-            CoinSpec(spectrum, beta, eps_prime=eps, approximant=approx)
-        )
+        ideal = CoinSpec(spectrum, beta).heads_probability
+        biased = biased_heads_probability(spectrum, approx)
         assert abs(biased - ideal) <= 3.0 * eps
 
 
@@ -144,7 +133,7 @@ def test_toss_heads_fraction_near_paper_scale_probability():
     # p = 0.38 (the hardware-experiment scale); binomial 3.4-sigma tolerance
     beta = -math.log(0.38)
     coin = zero_coin(beta)
-    assert success_probability(coin) == pytest.approx(0.38, rel=1e-14)
+    assert coin.heads_probability == pytest.approx(0.38, rel=1e-14)
     heads = toss(coin, 3000, seed=2024)
     assert abs(heads / 3000 - 0.38) <= 0.03
 
@@ -225,7 +214,7 @@ def test_step_probability_zero_hamiltonian():
 
 def test_step_probabilities_telescope_to_full_coin():
     coin, spectrum, beta_coin = unit_ising_coin(7, 1.5)
-    p_full = success_probability(coin)
+    p_full = coin.heads_probability
     for l in (1, 2, 4, 8):
         sched = uniform_schedule(beta_coin, l, 1e-6)
         product = math.prod(sched.step_probabilities(spectrum))
@@ -251,7 +240,7 @@ def test_step_probabilities_past_float64_exp():
 def test_fragmented_single_step_equivalent_to_plain_toss():
     coin, spectrum, beta_coin = unit_ising_coin(3, 1.0)
     sched = uniform_schedule(beta_coin, 1, 1e-6)
-    p = success_probability(coin)
+    p = coin.heads_probability
     plain = toss(coin, 10_000, seed=5)
     target = int(round(10_000 * p))
     run = toss_fragmented(spectrum, sched, target, seed=6)
@@ -386,6 +375,6 @@ def test_schedule_size_lower_bound_values():
 def test_qrbm_coin_identity():
     spectrum = unit_spectrum(generate_random_qrbm(2, 2, 9))
     beta_coin = spectrum.norm_bound
-    p = success_probability(CoinSpec(spectrum, beta_coin))
+    p = CoinSpec(spectrum, beta_coin).heads_probability
     z = exact_partition_function(spectrum, beta_coin)
     assert p * math.exp(beta_coin) * 16 == pytest.approx(z, rel=1e-12)

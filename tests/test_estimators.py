@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from qcoin.coin import CoinSpec, success_probability
+from approximant import biased_heads_probability, chebyshev_coefficients
+from qcoin.coin import CoinSpec
 from qcoin.estimators import (
     Estimate,
     ac_estimate,
@@ -20,11 +21,7 @@ from qcoin.estimators import (
 import qcoin.estimators
 from qcoin.hamiltonian import Spectrum, generate_random_ising_graph, unit_spectrum
 from qcoin.oracle import exact_partition_function
-from qcoin.propagator import (
-    chebyshev_coefficients,
-    eps_prime_for_relative_error,
-    required_degree,
-)
+from qcoin.propagator import eps_prime_for_relative_error, required_degree
 
 # Phi^-1(1 - delta/2) frozen from 30-digit arithmetic
 Z_005 = 1.9599639845400542
@@ -171,14 +168,16 @@ def test_algorithm1_coverage_with_approximation_budget():
     eps_r = 0.2
     eps_prime = eps_prime_for_relative_error(beta_coin, 4, eps_r) * z
     approx = chebyshev_coefficients(beta_coin, required_degree(beta_coin, eps_prime))
-    biased_coin = CoinSpec(spectrum, beta_coin, eps_prime=eps_prime, approximant=approx)
+    assert approx.certified_error <= eps_prime
+    # the estimators read only the heads probability: a coin with p~ is the biased coin
+    biased_coin = synthetic_coin(biased_heads_probability(spectrum, approx))
     p = coin.heads_probability
     budget = sample_count_thm1(p, eps_r, 0.05)
     est = algorithm1(biased_coin, budget, 0.05, seed=101, reps=200)
     hits = np.count_nonzero(np.abs(est.value - p) <= eps_r * p)
     assert hits / 200 >= 0.93
-    # the attached budget sits exactly at the theorem condition Z eps_r/(6 e^b 2^n)
-    assert biased_coin.eps_prime == pytest.approx(
+    # the budget sits exactly at the theorem condition Z eps_r/(6 e^b 2^n)
+    assert eps_prime == pytest.approx(
         z * eps_r / (6.0 * math.exp(beta_coin) * 16), rel=1e-12
     )
 
@@ -233,7 +232,7 @@ def test_algorithm2_total_tosses_moments(p):
 
 def test_algorithm2_coverage():
     coin, _, _ = ising_coin(123, 1.0)
-    p = success_probability(coin)
+    p = coin.heads_probability
     budget = success_count_thm2(0.2, 0.25)
     assert budget == 100
     est = algorithm2(coin, budget, seed=7, delta=0.25, reps=200)

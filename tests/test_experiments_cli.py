@@ -70,6 +70,12 @@ def test_load_config_overrides_and_validation(tmp_path):
         load_config(path, betas=(-1.0,))
     with pytest.raises(ValueError, match="reps"):
         load_config(path, reps=1_000_001)
+    # the size caps hold before anything is built
+    assert load_config(path, instances=10_000, schedule_sizes=(10_000,)).instances == 10_000
+    with pytest.raises(ValueError, match="field 'instances' must be <= 10000"):
+        load_config(path, instances=10_001)
+    with pytest.raises(ValueError, match="field 'schedule_sizes' must hold sizes <= 10000"):
+        load_config(path, schedule_sizes=(1, 10**15))
 
 
 def test_config_hash_stability():
@@ -211,6 +217,9 @@ def test_layer_series_csv_round_trip(tmp_path):
     bad.write_text("depth,heads\n10,5\n")
     with pytest.raises(ValueError):
         read_layer_series(bad)
+    bad.write_text("layers,successes,shots\n10,0,0\n12,0,0\n")
+    with pytest.raises(ValueError, match="shots = 0 must be >= 1"):
+        read_layer_series(bad)
 
 
 def test_run_noise_fit_outputs(tmp_path):
@@ -279,6 +288,7 @@ DENSE_OR_DELETED_NAMES = {
     "Hamiltonian", "build_ising", "build_qrbm", "build_hamiltonian",
     "PropagatorExact", "exact_propagator", "apply_approximant", "_clenshaw_matrix",
     "exact_free_energy", "geometric_stats",
+    "ChebyshevApproximant", "chebyshev_coefficients", "_clenshaw", "success_probability",
 }
 
 
@@ -292,7 +302,8 @@ def test_run_sweep_decomposes_each_instance_at_most_once(
     # The package holds one path from instance to answer: every command reads
     # the unit spectrum built from the instance parameters.  The dense matrix
     # and its eigenvectors are the tests' oracle (tests/dense_oracle.py) alone.
-    for module in (qcoin, qcoin.hamiltonian, qcoin.propagator, qcoin.oracle):
+    for module in (qcoin, qcoin.hamiltonian, qcoin.propagator, qcoin.oracle,
+                   qcoin.coin):
         assert not DENSE_OR_DELETED_NAMES & set(vars(module))
     for path in Path(qcoin.__file__).parent.glob("*.py"):
         assert "dense_oracle" not in path.read_text(encoding="utf-8")

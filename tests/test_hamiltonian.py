@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -223,6 +224,8 @@ def test_spectrum_validation():
         Spectrum(np.zeros(2**13), 1.0)
     with pytest.raises(ValueError, match="cap"):
         unit_spectrum(generate_random_ising_graph(13, 0))
+    with pytest.raises(ValueError, match="cap"):  # before any parameter is drawn
+        generate_random_qrbm(10**6, 10**6, 0)
 
 
 @pytest.mark.parametrize(
@@ -342,3 +345,36 @@ def test_spec_json_round_trip():
     assert doc["kind"] == "ising" and "edges" in doc and "seed" in doc
     with pytest.raises(ValueError):
         spec_from_json(json.dumps({"kind": "other"}))
+
+
+ISING_DOC = {"kind": "ising", "n_qubits": 2, "edges": [[0, 1, 0.5]], "seed": 0}
+QRBM_DOC = {"kind": "qrbm", "seed": 0, "params": {
+    "n_visible": 1, "n_hidden": 1, "couplings": [[0.5]], "biases": [0.1, 0.2],
+    "transverse_field": [0.3]}}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "spec must be a JSON object, got list"),
+    ({"n_qubits": 2}, "spec field 'kind' is missing"),
+    ({**ISING_DOC, "kind": None}, "spec field 'kind' must be a JSON str"),
+    ({"kind": "ising"}, "spec field 'n_qubits' is missing"),
+    ({**ISING_DOC, "n_qubits": "2"}, "spec field 'n_qubits' must be a JSON int"),
+    ({**ISING_DOC, "edges": [[0, 1]]}, "spec field 'edges': entry 0"),
+    ({**ISING_DOC, "edges": [[0, 1.5, 1.0]]}, "spec field 'edges': entry 0"),
+    ({**ISING_DOC, "edges": [[0, 1, float("nan")]]}, "spec field 'edges': entry 0"),
+    ({**ISING_DOC, "seed": True}, "spec field 'seed' must be a JSON int"),
+    ({**ISING_DOC, "n_qubits": 10**15}, "every vertex must have degree >= 1"),
+    ({**QRBM_DOC, "params": []}, "spec field 'params' must be a JSON dict"),
+    ({**QRBM_DOC, "params": {**QRBM_DOC["params"], "couplings": [[{}]]}},
+     "spec field 'couplings' is not an array of numbers"),
+    ({**QRBM_DOC, "params": {**QRBM_DOC["params"], "biases": [0.1, None]}},
+     "spec field 'biases' must hold finite numbers"),
+    ({**QRBM_DOC, "params": {"n_visible": 1}}, "spec field 'n_hidden' is missing"),
+], ids=["not-object", "no-kind", "kind-null", "ising-no-n", "n-string", "short-edge",
+        "float-vertex", "nan-weight", "bool-seed", "huge-n", "params-list",
+        "couplings-object", "biases-null", "no-n-hidden"])
+def test_spec_from_json_names_the_bad_field(doc, message):
+    assert type(spec_from_json(json.dumps(ISING_DOC))) is IsingSpec
+    assert type(spec_from_json(json.dumps(QRBM_DOC))) is QrbmSpec
+    with pytest.raises(ValueError, match=re.escape(message)):
+        spec_from_json(json.dumps(doc))

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from approximant import chebyshev_coefficients
 from dense_oracle import Hamiltonian, apply_approximant, build_ising, exact_propagator
 from qcoin.hamiltonian import generate_random_ising_graph, unit_spectrum
 from qcoin.oracle import exact_partition_function
 from qcoin.propagator import (
-    chebyshev_coefficients,
     eps_prime_for_relative_error,
     modified_bessel_i,
     required_degree,

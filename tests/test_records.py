@@ -12,7 +12,6 @@ from qcoin.experiments import ExperimentConfig
 from qcoin.hamiltonian import generate_random_ising_graph, generate_random_qrbm, unit_spectrum
 from qcoin.noise import LayerSeries, NoiseFit, NoiseModel
 from qcoin.oracle import oracle_report
-from qcoin.propagator import chebyshev_coefficients
 
 
 def _records():
@@ -23,7 +22,6 @@ def _records():
         spectrum,
         generate_random_ising_graph(4, 5),
         generate_random_qrbm(2, 2, 3),
-        chebyshev_coefficients(1.0, 6),
         oracle_report(spectrum, 1.0),
         coin,
         schedule,
