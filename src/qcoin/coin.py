@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .hamiltonian import Spectrum
-from .oracle import ideal_coin_probability
+from .oracle import boltzmann_sum, ideal_coin_probability
 from .propagator import required_degree
 from .record import Record
 
@@ -97,17 +97,24 @@ def toss(spec: CoinSpec, count: int, seed: int) -> int:
 
 
 class Schedule(Record):
-    """Inverse-temperature schedule 0 = beta_0 <= ... <= beta_l = beta/2.
+    """Inverse-temperature schedule 0 = beta_0 <= ... <= beta_l = beta/2 on a spectrum.
 
-    The values are in half-beta units: a schedule for total inverse
-    temperature beta ends at beta/2, and step k runs the coin at inverse
-    temperature 2 * (betas[k] - betas[k-1]).  ``per_step_eps`` is the
-    approximation-error budget per step, used for cost accounting.
+    The values are in half-beta units: step k runs the coin at inverse
+    temperature 2 w_k, w_k = betas[k] - betas[k-1], and ``per_step_eps`` is
+    its approximation-error budget, used for cost accounting.  The ideal
+    ``step_probabilities`` (``_step_probability``) are computed once, at
+    construction; their product telescopes to the unfragmented heads
+    probability.  ``step_query_costs`` depends on the widths alone and is
+    read from ``required_degree``'s cache on access, so a step too wide to
+    certify in float64 (2 w past ~1490) leaves the probabilities usable.
     """
 
-    __slots__ = fields = ("betas", "per_step_eps")
+    fields = ("spectrum", "betas", "per_step_eps")
+    __slots__ = fields + ("step_probabilities",)
 
-    def __init__(self, betas: np.ndarray, per_step_eps: np.ndarray) -> None:
+    def __init__(
+        self, spectrum: Spectrum, betas: np.ndarray, per_step_eps: np.ndarray
+    ) -> None:
         betas = np.asarray(betas, dtype=float)
         eps = np.asarray(per_step_eps, dtype=float)
         if betas.ndim != 1 or len(betas) < 2:
@@ -118,9 +125,15 @@ class Schedule(Record):
             raise ValueError("schedule must be non-decreasing")
         if eps.shape != (len(betas) - 1,):
             raise ValueError("per_step_eps must have one entry per step")
-        for arr in (betas, eps):
+        s = [boltzmann_sum(spectrum, 2.0 * b) for b in betas]
+        probs = np.array([
+            _step_probability(spectrum, w, s_lo, s_hi)
+            for w, s_lo, s_hi in zip(np.diff(betas), s, s[1:])
+        ])
+        for arr in (betas, eps, probs):
             arr.setflags(write=False)
-        self._set(betas=betas, per_step_eps=eps)
+        self._set(spectrum=spectrum, betas=betas, per_step_eps=eps,
+                  step_probabilities=probs)
 
     @property
     def l(self) -> int:
@@ -130,6 +143,7 @@ class Schedule(Record):
     def step_widths(self) -> np.ndarray:
         return np.diff(self.betas)
 
+    @property
     def step_query_costs(self) -> np.ndarray:
         return np.array(
             [
@@ -139,47 +153,26 @@ class Schedule(Record):
             dtype=np.int64,
         )
 
-    def step_probabilities(self, spectrum: Spectrum) -> np.ndarray:
-        """Success probability of each step with ideal propagators.
-
-        Step k's probability is the ratio of full-coin success probabilities
-        at the accumulated inverse temperatures,
-        p_k = Z(2 beta_k) / (e^{2 w_k} Z(2 beta_{k-1})) with
-        w_k = beta_k - beta_{k-1}, so the product over all steps telescopes
-        to the unfragmented heads probability.  It is evaluated as
-        ``_step_probability``, whose factors cannot overflow.
-        """
-        s = [_shifted_mean(spectrum, b) for b in self.betas]
-        return np.array([
-            _step_probability(spectrum, w, s_lo, s_hi)
-            for w, s_lo, s_hi in zip(self.step_widths, s, s[1:])
-        ])
-
-
-def _shifted_mean(spectrum: Spectrum, b: float) -> float:
-    """S(b) = mean exp(-2 b (lambda - lambda_min)), which lies in [1/2^n, 1]."""
-    shifted = spectrum.values - spectrum.values[0]
-    return math.fsum(np.exp(-2.0 * b * shifted)) / spectrum.dim
-
 
 def _step_probability(spectrum: Spectrum, w: float, s_lo: float, s_hi: float) -> float:
-    """p = exp(-2 w (1 + lambda_min)) S(b_hi) / S(b_lo) for a step of width w.
+    """p = exp(-2 w (1 + lambda_min)) S(2 b_hi) / S(2 b_lo) for a step of width w.
 
-    The same ratio as Z(2 b_hi) / (e^{2 w} Z(2 b_lo)), with the ground-state
-    factor exp(-2 b lambda_min) taken out of both partition functions: the
-    exponent is at most ~0 on a unit spectrum and S(b_lo) >= 1/2^n, so no
-    intermediate overflows where Z or e^{2 w} would.
+    This is Z(2 b_hi) / (e^{2 w} Z(2 b_lo)) with exp(-2 b lambda_min) taken out
+    of both Z: the exponent is at most ~0 and S >= 1, so nothing overflows.
     """
     return math.exp(-2.0 * w * (1.0 + float(spectrum.values[0]))) * s_hi / s_lo
 
 
-def uniform_schedule(beta: float, l: int, eps_total: float) -> Schedule:
+def uniform_schedule(
+    spectrum: Spectrum, beta: float, l: int, eps_total: float
+) -> Schedule:
     """Evenly spaced schedule with the error budget split evenly."""
     if l < 1:
         raise ValueError("need at least one step")
     if beta < 0:
         raise ValueError("beta must be non-negative")
     return Schedule(
+        spectrum,
         betas=np.linspace(0.0, beta / 2.0, l + 1),
         per_step_eps=np.full(l, eps_total / l),
     )
@@ -215,7 +208,7 @@ class FragmentedRun(Record):
 
 
 def toss_fragmented(
-    spectrum: Spectrum, schedule: Schedule, count_successes_target: int, seed: int
+    schedule: Schedule, count_successes_target: int, seed: int
 ) -> FragmentedRun:
     """Sample the sequential-step process until the target number of successes.
 
@@ -230,7 +223,7 @@ def toss_fragmented(
     k = count_successes_target
     if k < 0:
         raise ValueError("count_successes_target must be non-negative")
-    probs = np.clip(schedule.step_probabilities(spectrum), 0.0, 1.0)
+    probs = np.clip(schedule.step_probabilities, 0.0, 1.0)
     p_full = float(np.prod(probs))
     rng = np.random.default_rng(seed)
     try:
@@ -247,44 +240,41 @@ def toss_fragmented(
         weights = reach * (1.0 - probs)
         stops = rng.multinomial(failures, weights / weights.sum())
     executions = k + np.cumsum(stops[::-1])[::-1]
-    costs = schedule.step_query_costs()
+    costs = schedule.step_query_costs
     # Python ints: the int64 dot product wraps for long runs of tiny p_full
     queries = sum(int(e) * int(c) for e, c in zip(executions, costs))
     return FragmentedRun(k + failures, k, queries, executions, probs)
 
 
-def expected_queries_per_success(spectrum: Spectrum, schedule: Schedule) -> float:
+def expected_queries_per_success(schedule: Schedule) -> float:
     """Mean queries per fragmented success: sum_j q_j / prod_{k>=j} p_k."""
-    probs = schedule.step_probabilities(spectrum)
-    costs = schedule.step_query_costs().astype(float)
     # suffix products prod_{k=j..l} p_k
-    suffix = np.cumprod(probs[::-1])[::-1]
-    return float(np.sum(costs / suffix))
+    suffix = np.cumprod(schedule.step_probabilities[::-1])[::-1]
+    return float(np.sum(schedule.step_query_costs / suffix))
 
 
 def fragmented_query_bound(
-    spectrum: Spectrum, schedule: Schedule, assume_equal_probabilities: bool = True
+    schedule: Schedule, assume_equal_probabilities: bool = True
 ) -> float:
     """Upper bound on the expected queries per fragmented success.
 
     With ``assume_equal_probabilities`` (the closed form; valid when every
     step probability equals 2^-b):
-        max_j q_j * 2^b/(2^b - 1) * 2^n e^beta / Z_beta.
+        max_j q_j * 2^b/(2^b - 1) / p_total,
+    where p_total = prod_j p_j = e^-beta Z_beta / 2^n.
     Otherwise the rigorous geometric-sum form for any schedule, with b from
     the smallest step probability:  max_j q_j * sum_{m=1}^{l} 2^{m b}.
     """
     l = schedule.l
-    probs = schedule.step_probabilities(spectrum)
-    max_cost = float(schedule.step_query_costs().max(initial=0))
+    probs = schedule.step_probabilities
+    max_cost = float(schedule.step_query_costs.max(initial=0))
     b = -math.log2(float(probs.min()))
     if b <= 0:
         return max_cost * l
     if not assume_equal_probabilities:
         return max_cost * float(np.sum(2.0 ** (b * np.arange(1, l + 1))))
-    beta_total = 2.0 * float(schedule.betas[-1])
-    inv_p_total = 1.0 / ideal_coin_probability(spectrum, beta_total)
     factor = 2.0**b / (2.0**b - 1.0)
-    return max_cost * factor * inv_p_total
+    return max_cost * factor / float(np.prod(probs))
 
 
 def equal_step_schedule(
@@ -303,11 +293,11 @@ def equal_step_schedule(
     betas = [0.0]
     for k in range(1, l):
         lo, hi = betas[-1], beta / 2.0
-        s_lo = _shifted_mean(spectrum, betas[-1])
+        s_lo = boltzmann_sum(spectrum, 2.0 * betas[-1])
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             p_mid = _step_probability(
-                spectrum, mid - betas[-1], s_lo, _shifted_mean(spectrum, mid)
+                spectrum, mid - betas[-1], s_lo, boltzmann_sum(spectrum, 2.0 * mid)
             )
             if p_mid > target:
                 lo = mid
@@ -315,7 +305,7 @@ def equal_step_schedule(
                 hi = mid
         betas.append(0.5 * (lo + hi))
     betas.append(beta / 2.0)
-    return Schedule(np.array(betas), np.full(l, eps_total / l))
+    return Schedule(spectrum, np.array(betas), np.full(l, eps_total / l))
 
 
 def schedule_size_lower_bound(p_full: float, b: float) -> float:

@@ -12,6 +12,7 @@ CSV schemas (versioned; SCHEMA_VERSION below):
                 p_hat_sigma, noisy_successes, p_noisy_hat, p_noisy_sigma,
                 p_mitigated, p_mitigated_sigma, mitigation_clamped, z_hat,
                 z_mitigated   (noise columns empty when running noiseless;
+                z columns empty where float64 cannot hold Z;
                 averaged rows use instance = "mean")
   fragment.csv  l, product_step_p, p_unfragmented, product_rel_err,
                 schedule_bound_b1, expected_queries_per_success,
@@ -24,6 +25,8 @@ CSV schemas (versioned; SCHEMA_VERSION below):
                 schedules written here are guaranteed to respect)
   series csv    layers, successes, shots     (noise-fit input)
   curve csv     layers, fitted_p, band_sigma (noise-fit output)
+JSON reports write null where float64 cannot hold a value: coverage's
+z_exact and theory.z_max, and oracle's z_beta and mean_trials.
 """
 
 from __future__ import annotations
@@ -62,23 +65,24 @@ from .hamiltonian import (
 )
 from .noise import (
     LayerSeries,
+    _forward,
+    _jacobian,
     fit_noise_model,
     identity_insertion_depths,
     mitigate,
-    noisy_success_probability,
     propagate_uncertainty,
     simulate_noisy_tosses,
     NoiseFit,
 )
 from .oracle import (
-    _LOG_FLOAT_MAX,
     exact_partition_function,
+    exp_or_none,
     ideal_coin_probability,
     log_partition_function,
 )
 from .record import ValueRecord
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 # a coverage command holds every repetition in memory, up to ~180 B each
 _MAX_REPS = 1_000_000
 # sweep and generate build every instance's seed and spec before writing
@@ -86,7 +90,7 @@ _MAX_REPS = 1_000_000
 # (2-vCPU x86-64 host), so the cap is ~44 MB and ~35 s of specs
 _MAX_INSTANCES = 10_000
 # a schedule of l steps takes l + 1 sums over the 2^n eigenvalues, and a
-# fragment run ~0.7 ms per step at n = 12 (same host): ~7 s per size at the cap
+# fragment run ~30 us per step at n = 12 (same host): ~0.3 s per size at the cap
 _MAX_SCHEDULE_SIZE = 10_000
 
 
@@ -274,13 +278,16 @@ def learn_noise_model(
     return fit_noise_model(series), series
 
 
+def _z_from_p(log_scale: float, p: float) -> float | None:
+    """Z = e^log_scale p formed in log space: None past float64, 0.0 at p = 0."""
+    return exp_or_none(log_scale + math.log(p)) if p > 0 else 0.0
+
+
 def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> dict:
     """Beta sweep over random instances: exact, sampled, noisy, mitigated.
 
     Writes ``sweep.csv`` and ``sweep_summary.json``; returns the summary.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     chash = config_hash(config)
     seeds = SeedStream(config.seed)
     instance_seeds = [seeds.next() for _ in range(config.instances)]
@@ -299,6 +306,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> dict:
     for idx, (ispec, iseed) in enumerate(zip(specs, instance_seeds)):
         spectrum = unit_spectrum(ispec)
         lam = spectrum.norm_bound
+        log_dim = math.log(spectrum.dim)
         if idx == 0 and config.xi is not None:
             fit_coin = CoinSpec(spectrum, lam * config.fit_beta)
             fit, _ = learn_noise_model(config, fit_coin, seeds)
@@ -307,7 +315,6 @@ def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> dict:
             coin = CoinSpec(spectrum, beta_coin)
             p_exact = coin.heads_probability
             z_exact = exact_partition_function(spectrum, beta_coin)
-            scale = spectrum.dim * math.exp(beta_coin)
             successes = toss(coin, config.shots, seeds.next())
             p_hat, _ = ac_estimate(successes, config.shots, config.delta)
             p_sigma = math.sqrt(p_hat * (1.0 - p_hat) / config.shots)
@@ -339,8 +346,8 @@ def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> dict:
                 [config.model, idx, iseed, chash, beta, beta_coin, lam,
                  z_exact, p_exact, config.shots, successes, p_hat, p_sigma]
                 + noisy_cols
-                + [scale * p_hat,
-                   scale * noisy_cols[3] if fit is not None else ""]
+                + [_z_from_p(log_dim + beta_coin, p_hat),
+                   _z_from_p(log_dim + beta_coin, p_mit) if fit is not None else ""]
             )
             per_beta[beta].append(record)
 
@@ -368,6 +375,8 @@ def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> dict:
             + noisy_cols + ["", ""]
         )
 
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "sweep.csv", header, rows)
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -390,7 +399,7 @@ def run_coverage(config: ExperimentConfig, algorithm: str,
     All ``config.reps`` repetitions come from one estimator call on one
     generator, seeded from the stream's next seed after the instance's.
     Z is written in log space, and linearly (``z_exact``, ``theory.z_max``)
-    where float64 holds it, otherwise as null.
+    where float64 holds it, otherwise as null (``exp_or_none``).
     """
     if algorithm not in ("alg1", "alg2", "iterative"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -403,8 +412,6 @@ def run_coverage(config: ExperimentConfig, algorithm: str,
     coin = CoinSpec(spectrum, beta_coin)
     p = coin.heads_probability
     log_z_exact = log_partition_function(spectrum, beta_coin)
-    z_exact = (exact_partition_function(spectrum, beta_coin)
-               if log_z_exact <= _LOG_FLOAT_MAX else None)
 
     theory: dict = {}
     if algorithm == "alg1":
@@ -419,7 +426,7 @@ def run_coverage(config: ExperimentConfig, algorithm: str,
     else:
         log_z_max = math.log(spectrum.dim) + beta_coin
         theory["log_z_max"] = log_z_max
-        theory["z_max"] = math.exp(log_z_max) if log_z_max <= _LOG_FLOAT_MAX else None
+        theory["z_max"] = exp_or_none(log_z_max)
 
     if algorithm == "alg1":
         est = algorithm1(coin, budget, config.delta, seed, config.reps)
@@ -438,7 +445,7 @@ def run_coverage(config: ExperimentConfig, algorithm: str,
         "config_hash": config_hash(config),
         "beta": beta,
         "beta_coin": beta_coin,
-        "z_exact": z_exact,
+        "z_exact": exp_or_none(log_z_exact),
         "log_z_exact": log_z_exact,
         "reps": config.reps,
         "coverage": hits / config.reps,
@@ -509,23 +516,18 @@ def run_noise_fit(series_path: str | Path, out_dir: str | Path) -> dict:
     (out / "noise_fit.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    rows = []
-    for depth in range(int(series.depths[0]), int(series.depths[-1]) + 1):
-        fitted = noisy_success_probability(fit.p_hat, fit.model.xi, depth)
-        decay = (1.0 - fit.model.xi) ** depth
-        grad = np.array(
-            [-depth * (1.0 - fit.model.xi) ** (depth - 1) * (fit.p_hat - 0.5), decay]
-        )
-        band = math.sqrt(max(float(grad @ fit.covariance @ grad), 0.0))
-        rows.append([depth, fitted, band])
+    depths = np.arange(int(series.depths[0]), int(series.depths[-1]) + 1)
+    theta = np.array([fit.model.xi, fit.p_hat])
+    jac = _jacobian(theta, depths.astype(float))
+    variance = np.sum((jac @ fit.covariance) * jac, axis=1)
+    rows = list(zip(depths, _forward(theta, depths.astype(float)),
+                    np.sqrt(np.maximum(variance, 0.0))))
     _write_csv(out / "noise_fit_curve.csv", ["layers", "fitted_p", "band_sigma"], rows)
     return report
 
 
 def run_fragment(config: ExperimentConfig, out_dir: str | Path) -> dict:
     """Fragmented-coin cost study across schedule sizes."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     chash = config_hash(config)
     seeds = SeedStream(config.seed)
     instance_seed = seeds.next()
@@ -536,10 +538,10 @@ def run_fragment(config: ExperimentConfig, out_dir: str | Path) -> dict:
     p_full = ideal_coin_probability(spectrum, beta_coin)
     rows = []
     for l in config.schedule_sizes:
-        schedule = uniform_schedule(beta_coin, l, config.frag_eps)
-        step_p = schedule.step_probabilities(spectrum)
+        schedule = uniform_schedule(spectrum, beta_coin, l, config.frag_eps)
+        step_p = schedule.step_probabilities
         product = math.prod(step_p)
-        run = toss_fragmented(spectrum, schedule, config.frag_successes, seeds.next())
+        run = toss_fragmented(schedule, config.frag_successes, seeds.next())
         b = -math.log2(min(step_p)) if min(step_p) < 1.0 else 1.0
         rows.append([
             l,
@@ -547,11 +549,9 @@ def run_fragment(config: ExperimentConfig, out_dir: str | Path) -> dict:
             p_full,
             abs(product - p_full) / p_full,
             schedule_size_lower_bound(p_full, b),
-            expected_queries_per_success(spectrum, schedule),
-            fragmented_query_bound(
-                spectrum, schedule, assume_equal_probabilities=False
-            ),
-            fragmented_query_bound(spectrum, schedule),
+            expected_queries_per_success(schedule),
+            fragmented_query_bound(schedule, assume_equal_probabilities=False),
+            fragmented_query_bound(schedule),
             run.queries_per_success,
             run.successes / run.attempts,
             run.attempts,
@@ -563,6 +563,8 @@ def run_fragment(config: ExperimentConfig, out_dir: str | Path) -> dict:
               "query_bound_any_schedule", "query_bound_equal_schedule",
               "empirical_queries_per_success", "success_freq", "attempts",
               "instance_seed", "config_hash"]
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "fragment.csv", header, rows)
     summary = {
         "schema_version": SCHEMA_VERSION,

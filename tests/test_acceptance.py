@@ -161,24 +161,24 @@ def test_fragmentation():
         coin, spectrum, beta_coin = standard_ising_coin(beta=1.0, seed=123)
         p_full = coin.heads_probability
         for l in (1, 2, 4, 8):
-            sched = uniform_schedule(beta_coin, l, 1e-6)
-            product = math.prod(sched.step_probabilities(spectrum))
+            sched = uniform_schedule(spectrum, beta_coin, l, 1e-6)
+            product = math.prod(sched.step_probabilities)
             assert product == pytest.approx(p_full, rel=1e-12)
 
         # ~1e4 traversals of the 4-step schedule
-        sched = uniform_schedule(beta_coin, 4, 1e-6)
+        sched = uniform_schedule(spectrum, beta_coin, 4, 1e-6)
         target = int(round(10_000 * p_full))
-        run = toss_fragmented(spectrum, sched, target, seed=42)
+        run = toss_fragmented(sched, target, seed=42)
         freq = run.successes / run.attempts
         sigma = math.sqrt(p_full * (1.0 - p_full) / run.attempts)
         assert abs(freq - p_full) <= 3.0 * sigma
 
         # equal-probability schedule: average queries within 10% of the bound
         eq_sched = equal_step_schedule(spectrum, beta_coin, 4, 1e-4)
-        probs = eq_sched.step_probabilities(spectrum)
+        probs = eq_sched.step_probabilities
         assert max(probs) - min(probs) <= 1e-9
-        bound = fragmented_query_bound(spectrum, eq_sched)
-        eq_run = toss_fragmented(spectrum, eq_sched, 2000, seed=31)
+        bound = fragmented_query_bound(eq_sched)
+        eq_run = toss_fragmented(eq_sched, 2000, seed=31)
         assert eq_run.queries_per_success <= 1.1 * bound
 
 

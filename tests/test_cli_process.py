@@ -58,12 +58,16 @@ def test_process_matches_in_process_main(tmp_path, capsys, argv):
 
 
 SERIES_ZERO_SHOTS = "layers,successes,shots\n10,0,0\n12,0,0\n14,0,0\n"
+# a depth series on which the Gauss-Newton fit hits its iteration cap
+SERIES_NO_CONVERGENCE = (
+    "layers,successes,shots\n3,4,5\n48,3,5\n86,2,5\n119,1,5\n152,5,5\n"
+)
 
 
 @pytest.mark.parametrize("argv, files, code, message", [
     (["sweep", "--shots", "0"], {}, 2, "field 'shots' must be >= 1"),
-    (["sweep", "--n-qubits", "6", "--beta", "100", "--seed", "7"], {}, 3,
-     "float64 range"),
+    (["noise-fit", "--series", "series.csv"], {"series.csv": SERIES_NO_CONVERGENCE},
+     3, "no convergence after 200 iterations"),
     (["oracle", "--spec", "s.json"], {"s.json": '{"kind": "ising"}'}, 2,
      "spec field 'n_qubits' is missing"),
     (["oracle", "--spec", "s.json"],
@@ -79,9 +83,12 @@ SERIES_ZERO_SHOTS = "layers,successes,shots\n10,0,0\n12,0,0\n14,0,0\n"
      "field 'instances' must be <= 10000"),
     (["generate", "--instances", "1000000000000"], {}, 2,
      "field 'instances' must be <= 10000"),
+    (["sweep", "--n-qubits", "13"], {}, 2, "n_qubits=13 is outside 1..12"),
+    (["fragment", "--n-qubits", "13"], {}, 2, "n_qubits=13 is outside 1..12"),
 ], ids=["input-error", "runtime-error", "spec-missing-field", "spec-short-edge",
         "spec-not-object", "series-zero-shots", "schedule-size-cap",
-        "sweep-instances-cap", "generate-instances-cap"])
+        "sweep-instances-cap", "generate-instances-cap", "sweep-qubit-cap",
+        "fragment-qubit-cap"])
 def test_process_error_exit_is_one_line(tmp_path, argv, files, code, message):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -89,6 +96,7 @@ def test_process_error_exit_is_one_line(tmp_path, argv, files, code, message):
     assert proc.returncode == code
     assert message in proc.stderr and "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()  # a failed command writes nothing
 
 
 FREEZE_PROBE = """

@@ -173,40 +173,43 @@ def test_query_cost_log_eps_and_sqrt_beta_scaling():
 
 
 def test_uniform_schedule_shapes():
-    single = uniform_schedule(3.0, 1, 1e-3)
+    spectrum = zero_spectrum()
+    single = uniform_schedule(spectrum, 3.0, 1, 1e-3)
     assert np.array_equal(single.betas, [0.0, 1.5])
     assert single.l == 1
 
-    sched = uniform_schedule(2.0, 4, 1e-3)
+    sched = uniform_schedule(spectrum, 2.0, 4, 1e-3)
     assert np.allclose(sched.betas, [0.0, 0.25, 0.5, 0.75, 1.0], atol=0)
     assert np.allclose(sched.per_step_eps, 2.5e-4, atol=0)
     assert math.fsum(np.diff(sched.betas)) == pytest.approx(1.0, rel=1e-15)
     assert sched.betas[-1] == 1.0
 
     with pytest.raises(ValueError):
-        uniform_schedule(2.0, 0, 1e-3)
+        uniform_schedule(spectrum, 2.0, 0, 1e-3)
 
 
 def test_schedule_validation():
+    spectrum = zero_spectrum()
     with pytest.raises(ValueError):
-        Schedule(np.array([0.5, 1.0]), np.array([1e-3]))  # must start at 0
+        Schedule(spectrum, np.array([0.5, 1.0]), np.array([1e-3]))  # must start at 0
     with pytest.raises(ValueError):
-        Schedule(np.array([0.0, 1.0, 0.5]), np.array([1e-3, 1e-3]))
+        Schedule(spectrum, np.array([0.0, 1.0, 0.5]), np.array([1e-3, 1e-3]))
     with pytest.raises(ValueError):
-        Schedule(np.array([0.0, 1.0]), np.array([1e-3, 1e-3]))
+        Schedule(spectrum, np.array([0.0, 1.0]), np.array([1e-3, 1e-3]))
+    assert Schedule.fields == ("spectrum", "betas", "per_step_eps")
 
 
 def test_step_probability_zero_width_step():
     spectrum = zero_spectrum()
-    sched = Schedule(np.array([0.0, 0.0]), np.array([1e-3]))
-    (p,) = sched.step_probabilities(spectrum)
+    sched = Schedule(spectrum, np.array([0.0, 0.0]), np.array([1e-3]))
+    (p,) = sched.step_probabilities
     assert p == pytest.approx(1.0, abs=1e-15)
 
 
 def test_step_probability_zero_hamiltonian():
     spectrum = zero_spectrum()
-    sched = uniform_schedule(2.0, 4, 1e-3)
-    probs = sched.step_probabilities(spectrum)
+    sched = uniform_schedule(spectrum, 2.0, 4, 1e-3)
+    probs = sched.step_probabilities
     assert probs.shape == (4,)
     for p, width in zip(probs, sched.step_widths):
         assert p == pytest.approx(math.exp(-2.0 * width), rel=1e-14)
@@ -216,8 +219,8 @@ def test_step_probabilities_telescope_to_full_coin():
     coin, spectrum, beta_coin = unit_ising_coin(7, 1.5)
     p_full = coin.heads_probability
     for l in (1, 2, 4, 8):
-        sched = uniform_schedule(beta_coin, l, 1e-6)
-        product = math.prod(sched.step_probabilities(spectrum))
+        sched = uniform_schedule(spectrum, beta_coin, l, 1e-6)
+        product = math.prod(sched.step_probabilities)
         assert product == pytest.approx(p_full, rel=1e-12)
 
 
@@ -227,10 +230,8 @@ def test_step_probabilities_past_float64_exp():
     spectrum = Spectrum(np.array([-1.0, -1.0, 0.5, 1.0]), 1.0)
     p_full = ideal_coin_probability(spectrum, 2000.0)
     assert p_full == 0.5
-    uniform = uniform_schedule(2000.0, 4, 1e-6).step_probabilities(spectrum)
-    equal = equal_step_schedule(spectrum, 2000.0, 4, 1e-6).step_probabilities(
-        spectrum
-    )
+    uniform = uniform_schedule(spectrum, 2000.0, 4, 1e-6).step_probabilities
+    equal = equal_step_schedule(spectrum, 2000.0, 4, 1e-6).step_probabilities
     for probs in (uniform, equal):
         assert np.all(np.isfinite(probs)) and np.all((probs > 0) & (probs <= 1))
         assert math.prod(probs) == pytest.approx(p_full, rel=1e-12)
@@ -239,11 +240,11 @@ def test_step_probabilities_past_float64_exp():
 
 def test_fragmented_single_step_equivalent_to_plain_toss():
     coin, spectrum, beta_coin = unit_ising_coin(3, 1.0)
-    sched = uniform_schedule(beta_coin, 1, 1e-6)
+    sched = uniform_schedule(spectrum, beta_coin, 1, 1e-6)
     p = coin.heads_probability
     plain = toss(coin, 10_000, seed=5)
     target = int(round(10_000 * p))
-    run = toss_fragmented(spectrum, sched, target, seed=6)
+    run = toss_fragmented(sched, target, seed=6)
     p_value = _chi2_pvalue_2x2(plain, 10_000, run.successes, run.attempts)
     assert p_value > 0.01
 
@@ -251,23 +252,23 @@ def test_fragmented_single_step_equivalent_to_plain_toss():
 def test_fragmented_zero_hamiltonian_frequency():
     spectrum = zero_spectrum()
     beta = 0.5
-    sched = uniform_schedule(beta, 2, 1e-6)
+    sched = uniform_schedule(spectrum, beta, 2, 1e-6)
     p = math.exp(-beta)
     target = int(round(5000 * p))
-    run = toss_fragmented(spectrum, sched, target, seed=21)
+    run = toss_fragmented(sched, target, seed=21)
     sigma = math.sqrt(p * (1 - p) / run.attempts)
     assert abs(run.successes / run.attempts - p) <= 3.0 * sigma
 
 
 def test_fragmented_determinism_and_query_accounting():
     _, spectrum, beta_coin = unit_ising_coin(3, 1.0)
-    sched = uniform_schedule(beta_coin, 4, 1e-4)
-    a = toss_fragmented(spectrum, sched, 100, seed=77)
-    b = toss_fragmented(spectrum, sched, 100, seed=77)
+    sched = uniform_schedule(spectrum, beta_coin, 4, 1e-4)
+    a = toss_fragmented(sched, 100, seed=77)
+    b = toss_fragmented(sched, 100, seed=77)
     assert (a.attempts, a.queries) == (b.attempts, b.queries)
     assert np.array_equal(a.step_executions, b.step_executions)
     # total queries decompose over per-step execution counts
-    costs = sched.step_query_costs()
+    costs = sched.step_query_costs
     assert a.queries == int((a.step_executions * costs).sum())
     assert a.successes == 100
     # every attempt runs step 1; every success runs the last step
@@ -299,10 +300,10 @@ def test_fragmented_step_executions_match_reach_probabilities():
     # so step j runs k + Binomial(N - k, q_j) times, about N r_j.  Stop
     # weights shifted by one step move these counts by 7 to 100 sigma here.
     _, spectrum, beta_coin = unit_ising_coin(3, 1.0)
-    sched = uniform_schedule(beta_coin, 4, 1e-4)
-    probs = sched.step_probabilities(spectrum)
+    sched = uniform_schedule(spectrum, beta_coin, 4, 1e-4)
+    probs = sched.step_probabilities
     k = 2000
-    run = toss_fragmented(spectrum, sched, k, seed=5)
+    run = toss_fragmented(sched, k, seed=5)
     failed = run.attempts - k
     p_full = float(np.prod(probs))
     reach = np.concatenate(([1.0], np.cumprod(probs[:-1])))
@@ -310,8 +311,8 @@ def test_fragmented_step_executions_match_reach_probabilities():
         q = (r - p_full) / (1.0 - p_full)
         sigma = math.sqrt(failed * q * (1.0 - q))
         assert abs(executions - (k + failed * q)) <= 4.0 * sigma
-    mean, var = _queries_per_success_moments(probs, sched.step_query_costs())
-    expected = expected_queries_per_success(spectrum, sched)
+    mean, var = _queries_per_success_moments(probs, sched.step_query_costs)
+    expected = expected_queries_per_success(sched)
     assert mean == pytest.approx(expected, rel=1e-12)
     assert abs(run.queries_per_success - mean) <= 4.0 * math.sqrt(var / k)
 
@@ -319,9 +320,9 @@ def test_fragmented_step_executions_match_reach_probabilities():
 def test_fragmented_queries_are_exact_beyond_int64():
     # p_full = e^-35 ~ 6.3e-16: about 3.2e18 attempts, ~4e19 queries
     spectrum = zero_spectrum()
-    sched = uniform_schedule(35.0, 4, 1e-6)
-    run = toss_fragmented(spectrum, sched, 2000, seed=1)
-    costs = sched.step_query_costs()
+    sched = uniform_schedule(spectrum, 35.0, 4, 1e-6)
+    run = toss_fragmented(sched, 2000, seed=1)
+    costs = sched.step_query_costs
     assert run.queries == sum(int(e) * int(c) for e, c in zip(run.step_executions, costs))
     assert run.queries > 2**63
     assert run.queries_per_success > 0
@@ -331,30 +332,28 @@ def test_fragmented_queries_are_exact_beyond_int64():
 def test_fragmented_infeasible_probability_raises(beta, l):
     # p_full = e^-40 is too small to sample 2000 successes; e^-1e4 is 0
     spectrum = zero_spectrum()
-    sched = uniform_schedule(beta, l, 1e-6)
+    sched = uniform_schedule(spectrum, beta, l, 1e-6)
     with pytest.raises(ValueError, match=r"p_full = .*k/p_full"):
-        toss_fragmented(spectrum, sched, 2000, seed=1)
+        toss_fragmented(sched, 2000, seed=1)
 
 
 def test_fragmented_average_query_bound_equal_probability_schedule():
     _, spectrum, beta_coin = unit_ising_coin(3, 1.0)
     sched = equal_step_schedule(spectrum, beta_coin, 4, 1e-4)
-    probs = sched.step_probabilities(spectrum)
+    probs = sched.step_probabilities
     assert max(probs) - min(probs) <= 1e-10
-    bound = fragmented_query_bound(spectrum, sched)
-    assert expected_queries_per_success(spectrum, sched) <= bound
-    run = toss_fragmented(spectrum, sched, 2000, seed=31)
+    bound = fragmented_query_bound(sched)
+    assert expected_queries_per_success(sched) <= bound
+    run = toss_fragmented(sched, 2000, seed=31)
     assert run.queries_per_success <= 1.1 * bound
 
 
 def test_fragmented_query_bound_general_form_covers_uniform_schedules():
     _, spectrum, beta_coin = unit_ising_coin(9, 1.5)
     for l in (1, 2, 4, 8):
-        sched = uniform_schedule(beta_coin, l, 1e-4)
-        rigorous = fragmented_query_bound(
-            spectrum, sched, assume_equal_probabilities=False
-        )
-        assert expected_queries_per_success(spectrum, sched) <= rigorous * (1 + 1e-12)
+        sched = uniform_schedule(spectrum, beta_coin, l, 1e-4)
+        rigorous = fragmented_query_bound(sched, assume_equal_probabilities=False)
+        assert expected_queries_per_success(sched) <= rigorous * (1 + 1e-12)
 
 
 def test_schedule_size_lower_bound_values():

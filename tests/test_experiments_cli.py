@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -23,7 +24,8 @@ from qcoin.experiments import (
 from qcoin.coin import CoinSpec, SeedStream
 import qcoin
 from qcoin.hamiltonian import generate_random_ising_graph, spec_from_json, unit_spectrum
-from qcoin.noise import identity_insertion_depths, simulate_noisy_tosses
+from qcoin.noise import fit_noise_model, identity_insertion_depths, simulate_noisy_tosses
+from qcoin.oracle import ideal_coin_probability, log_partition_function
 
 SMALL_CFG = """
 # minimal sweep configuration
@@ -240,6 +242,17 @@ def test_run_noise_fit_outputs(tmp_path):
     assert header == ["layers", "fitted_p", "band_sigma"]
     assert len(rows) == depths[-1] - depths[0] + 1
     assert all(float(r["band_sigma"]) >= 0 for r in rows)
+    # the curve against the forward map and its gradient, one depth at a time
+    fit = fit_noise_model(read_layer_series(series_path))
+    xi, p_hat = fit.model.xi, fit.p_hat
+    for row in rows:
+        depth = int(row["layers"])
+        grad = np.array([-depth * (1.0 - xi) ** (depth - 1) * (p_hat - 0.5),
+                         (1.0 - xi) ** depth])
+        band = math.sqrt(grad @ fit.covariance @ grad)
+        assert float(row["fitted_p"]) == pytest.approx(
+            noisy_success_probability(p_hat, xi, depth), rel=1e-12)
+        assert float(row["band_sigma"]) == pytest.approx(band, rel=1e-12)
 
 
 def test_run_noise_fit_exact_series(tmp_path):
@@ -284,11 +297,32 @@ def test_run_fragment_outputs(tmp_path):
         assert row["instance_seed"] != "" and row["config_hash"] != ""
 
 
+def test_run_fragment_sums_each_schedule_point_once(tmp_path, monkeypatch):
+    # the Boltzmann sum is the only spectral reduction: p_full takes one,
+    # and each schedule of l steps takes l + 1, one per breakpoint, shared
+    # by its sampler and its three cost columns
+    calls = []
+    original = qcoin.oracle.boltzmann_sum
+
+    def counting(spectrum, beta):
+        calls.append(beta)
+        return original(spectrum, beta)
+
+    for module in (qcoin.oracle, qcoin.coin):
+        monkeypatch.setattr(module, "boltzmann_sum", counting)
+    sizes = (1, 2, 4, 8)
+    config = ExperimentConfig(model="ising", n_qubits=4, betas=(1.0,), seed=5,
+                              schedule_sizes=sizes, frag_successes=300)
+    run_fragment(config, tmp_path)
+    assert len(calls) == 1 + sum(l + 1 for l in sizes)
+
+
 DENSE_OR_DELETED_NAMES = {
     "Hamiltonian", "build_ising", "build_qrbm", "build_hamiltonian",
     "PropagatorExact", "exact_propagator", "apply_approximant", "_clenshaw_matrix",
     "exact_free_energy", "geometric_stats",
     "ChebyshevApproximant", "chebyshev_coefficients", "_clenshaw", "success_probability",
+    "_shifted_mean",
 }
 
 
@@ -595,6 +629,20 @@ def test_cli_oracle_past_float64_exp(tmp_path, capsys):
         -(math.log(2.0) + report["beta_coin"]) / report["beta_coin"], rel=1e-12)
 
 
+def test_cli_oracle_underflowed_probability(tmp_path, capsys):
+    # at coin beta ~2346 this instance's p underflows to 0, so 1/p has no
+    # float64 value: mean_trials is null, like z_beta
+    assert main(["oracle", "--n-qubits", "6", "--beta", "0.5,2,300", "--seed", "5"]) == 0
+    out = capsys.readouterr().out
+    reports = json.loads(out, parse_constant=_reject_constant)["reports"]
+    for report in reports[:2]:
+        assert report["mean_trials"] == 1.0 / report["p_suc_ideal"]
+    last = reports[2]
+    assert last["p_suc_ideal"] == 0.0
+    assert last["mean_trials"] is None and last["z_beta"] is None
+    assert math.isfinite(last["free_energy"])
+
+
 def test_config_fields_are_the_config_file_keys():
     text = "\n".join(f"{name} = 1" for name in ExperimentConfig.fields)
     assert list(parse_config(text)) == list(ExperimentConfig.fields)
@@ -625,10 +673,48 @@ def test_cli_fragment_past_float64_exp_is_exact(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["sweep", "--n-qubits", "6", "--beta", "100", "--seed", "7"],
+    ["sweep", "--n-qubits", "4", "--instances", "1"],
 ], ids=["sweep"])
-def test_cli_float_overflow_is_runtime_error(tmp_path, capsys, argv):
-    # the coin's inverse temperature passes ~709, beyond float64 exp
-    assert main([*argv, "--out", str(tmp_path)]) == 3
+def test_cli_float_overflow_is_runtime_error(tmp_path, capsys, monkeypatch, argv):
+    # an ArithmeticError escaping a command, here the FloatingPointError that
+    # main's np.errstate(over="raise") turns an overflow into, exits 3
+    def overflow(*args):
+        raise FloatingPointError("overflow encountered in exp")
+
+    monkeypatch.setattr(qcoin.experiments, "exact_partition_function", overflow)
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert "float64 range" in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n-qubits", "6", "--beta", "100", "--seed", "7"],
+    ["--n-qubits", "4", "--beta", "300", "--instances", "1"],
+], ids=["n6-beta100", "n4-beta300"])
+def test_cli_sweep_past_float64_exp(tmp_path, capsys, argv):
+    # coin betas past ~709, where 2^n e^beta overflows float64: p is written,
+    # and a z cell is empty exactly where float64 cannot hold its value
+    assert main(["sweep", *argv, "--out", str(tmp_path)]) == 0
+    header, rows = read_rows(tmp_path / "sweep.csv")
+    n = int(argv[1])
+    empty = 0
+    for row in rows:
+        for key in header:
+            if row[key] == "" or key in ("model", "instance", "config_hash"):
+                continue
+            assert math.isfinite(float(row[key])), (key, row[key])
+        if row["instance"] == "mean":
+            continue
+        spectrum = unit_spectrum(generate_random_ising_graph(n, int(row["instance_seed"])))
+        beta_coin = float(row["beta_coin"])
+        log_z = log_partition_function(spectrum, beta_coin)
+        log_z_hat = n * math.log(2.0) + beta_coin + math.log(float(row["p_hat"]))
+        for key, log_value in (("z_exact", log_z), ("z_hat", log_z_hat)):
+            if log_value > math.log(sys.float_info.max):
+                assert row[key] == ""
+                empty += 1
+            else:
+                assert math.log(float(row[key])) == pytest.approx(log_value, rel=1e-12)
+        assert float(row["p_exact"]) == ideal_coin_probability(spectrum, beta_coin)
+    assert empty > 0

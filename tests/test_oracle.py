@@ -1,9 +1,18 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from qcoin.hamiltonian import Spectrum, generate_random_ising_graph, unit_spectrum
+from dense_oracle import build_ising, build_qrbm
+from qcoin.coin import uniform_schedule
+from qcoin.hamiltonian import (
+    IsingSpec,
+    Spectrum,
+    generate_random_ising_graph,
+    generate_random_qrbm,
+    unit_spectrum,
+)
 from qcoin.oracle import (
     exact_partition_function,
     ideal_coin_probability,
@@ -99,8 +108,9 @@ def test_oracle_report_fields_and_json():
     assert report.z_beta > 0
     assert 0 < report.p_suc_ideal <= 1
     assert report.mean_trials == pytest.approx(1.0 / report.p_suc_ideal, rel=1e-14)
-    assert report.z_beta == exact_partition_function(spectrum, beta_coin)
-    assert report.free_energy == -math.log(report.z_beta) / beta_coin
+    log_z = log_partition_function(spectrum, beta_coin)
+    assert report.z_beta == exact_partition_function(spectrum, beta_coin) == math.exp(log_z)
+    assert report.free_energy == -log_z / beta_coin
     doc = report.as_dict()
     assert set(doc) == {"z_beta", "free_energy", "p_suc_ideal", "mean_trials"}
 
@@ -134,3 +144,75 @@ def test_ideal_coin_probability_identity_and_range():
             )
     # exp(-800) underflows and Z overflows; the amplitude form stays exact
     assert ideal_coin_probability(Z1, 800.0) == 0.5
+
+
+def test_oracle_report_mean_trials_past_float64():
+    # p = e^{-beta/2} (1 + e^{-beta}) / 2: 1/p passes float64 near beta = 1417,
+    # p is subnormal at beta = 1450 and 0 at beta = 2000
+    spectrum = Spectrum(np.array([-0.5, 0.5]), 1.0)
+    finite = oracle_report(spectrum, 1400.0)
+    assert finite.mean_trials == 1.0 / finite.p_suc_ideal
+    assert finite.z_beta == pytest.approx(math.exp(700.0), rel=1e-12)
+    for beta in (1450.0, 2000.0):
+        report = oracle_report(spectrum, beta)
+        assert report.p_suc_ideal < 1e-300 and report.mean_trials is None
+        assert report.z_beta is None  # Z = e^{beta/2} (1 + e^{-beta})
+        assert report.free_energy == pytest.approx(-0.5, rel=1e-15)
+    assert oracle_report(spectrum, 2000.0).p_suc_ideal == 0.0
+
+
+# (instance, whether log Z passes float64's ~709 at beta = 1000)
+REFERENCE_INSTANCES = [
+    (generate_random_ising_graph(2, 1), True),
+    (generate_random_ising_graph(5, 2), True),
+    (generate_random_ising_graph(8, 3), False),
+    (generate_random_qrbm(1, 1, 4), True),
+    (generate_random_qrbm(3, 2, 5), True),
+    (generate_random_qrbm(4, 4, 6), False),
+]
+
+
+def _reference_log_z(evals, beta):
+    """log Z from the dense eigenvalues, the shifted terms summed by math.fsum."""
+    lmin = float(evals.min())
+    return -beta * lmin + math.log(math.fsum(np.exp(-beta * (evals - lmin))))
+
+
+@pytest.mark.parametrize(
+    "spec, passes_float64", REFERENCE_INSTANCES,
+    ids=[f"{type(s).__name__}-{s.n_qubits}" for s, _ in REFERENCE_INSTANCES],
+)
+def test_spectral_quantities_match_dense_reference(spec, passes_float64):
+    # An independent route to every quantity formed from boltzmann_sum: the
+    # eigenvalues of the dense H of tests/dense_oracle, divided by the norm
+    # bound and summed with math.fsum.  Linear values pass through exp of
+    # arguments up to ~1e3, which scales their rounding to ~1e-13.
+    build = build_ising if isinstance(spec, IsingSpec) else build_qrbm
+    evals = build(spec).eigensystem()[0] / spec.norm_bound
+    spectrum = unit_spectrum(spec)
+    n = spectrum.n_qubits
+    log_float_max = math.log(sys.float_info.max)
+    past_float64 = False
+    for beta in (0.0, 0.7, 5.0, 60.0, 400.0, 1000.0):
+        log_z = _reference_log_z(evals, beta)
+        assert log_partition_function(spectrum, beta) == pytest.approx(
+            log_z, rel=1e-14, abs=1e-14)
+        z = exact_partition_function(spectrum, beta)
+        if log_z > log_float_max:
+            past_float64 = True
+            assert z is None
+        else:
+            assert z == pytest.approx(math.exp(log_z), rel=1e-12)
+        p = math.exp(-beta + log_z - n * math.log(2.0))
+        assert ideal_coin_probability(spectrum, beta) == pytest.approx(p, rel=1e-12)
+        if beta == 0.0:
+            continue
+        schedule = uniform_schedule(spectrum, beta, 4, 1e-6)
+        half = schedule.betas
+        expected = [
+            math.exp(-2.0 * (hi - lo) + _reference_log_z(evals, 2.0 * hi)
+                     - _reference_log_z(evals, 2.0 * lo))
+            for lo, hi in zip(half, half[1:])
+        ]
+        assert schedule.step_probabilities == pytest.approx(expected, rel=1e-12)
+    assert past_float64 == passes_float64

@@ -17,7 +17,7 @@ from qcoin.oracle import oracle_report
 def _records():
     spectrum = unit_spectrum(generate_random_ising_graph(4, 5))
     coin = CoinSpec(spectrum, 1.0)
-    schedule = uniform_schedule(1.0, 2, 1e-6)
+    schedule = uniform_schedule(spectrum, 1.0, 2, 1e-6)
     return [
         spectrum,
         generate_random_ising_graph(4, 5),
@@ -25,7 +25,7 @@ def _records():
         oracle_report(spectrum, 1.0),
         coin,
         schedule,
-        toss_fragmented(spectrum, schedule, 10, 3),
+        toss_fragmented(schedule, 10, 3),
         algorithm1(coin, 100, 0.05, 1, reps=3),
         NoiseModel(0.01, 0.001),
         LayerSeries([10, 12, 14], [0.6, 0.58, 0.57], 100),
