@@ -20,18 +20,16 @@ import numpy as np
 from .coin import SeedStream
 from .experiments import (
     _MAX_INSTANCES,
+    _instance_spec,
+    json_text,
     load_config,
     run_coverage,
     run_fragment,
     run_noise_fit,
     run_sweep,
+    write_outputs,
 )
-from .hamiltonian import (
-    generate_random_ising_graph,
-    generate_random_qrbm,
-    spec_from_json,
-    unit_spectrum,
-)
+from .hamiltonian import spec_from_json, unit_spectrum
 from .oracle import oracle_report
 
 
@@ -65,12 +63,6 @@ def _config_from_args(args: argparse.Namespace):
     return load_config(args.config, **overrides)
 
 
-def _random_spec(args: argparse.Namespace, seed: int):
-    if args.model == "qrbm":
-        return generate_random_qrbm(args.n_visible, args.n_hidden, seed)
-    return generate_random_ising_graph(args.n_qubits, seed)
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.instances < 1:
         raise ValueError("field 'instances' must be >= 1")
@@ -80,13 +72,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             f"before any file is written"
         )
     seeds = SeedStream(args.seed)
-    # every spec is built, and so validated, before the directory is made
-    specs = [_random_spec(args, seeds.next()) for _ in range(args.instances)]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for idx, spec in enumerate(specs):
-        path = out / f"instance_{idx:03d}.json"
-        path.write_text(spec.to_json() + "\n", encoding="utf-8")
+    files = {
+        f"instance_{idx:03d}.json": _instance_spec(args, seeds.next()).to_json() + "\n"
+        for idx in range(args.instances)
+    }
+    for path in write_outputs(args.out, files):
         print(path)
     return 0
 
@@ -95,7 +85,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.spec is not None:
         spec = spec_from_json(Path(args.spec).read_text(encoding="utf-8"))
     else:
-        spec = _random_spec(args, args.seed if args.seed is not None else 0)
+        spec = _instance_spec(args, args.seed if args.seed is not None else 0)
     spectrum = unit_spectrum(spec)
     reports = []
     for beta in args.betas or (1.0,):
@@ -105,11 +95,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             {"beta": beta, "beta_coin": beta_coin, "norm_bound": spectrum.norm_bound,
              **report.as_dict()}
         )
-    doc = json.dumps({"kind": "oracle", "reports": reports}, indent=2, sort_keys=True)
+    text = json_text({"kind": "oracle", "reports": reports})
     if args.out is not None:
-        Path(args.out).write_text(doc + "\n", encoding="utf-8")
+        write_outputs(args.out.parent, {args.out.name: text})
     else:
-        print(doc)
+        print(text, end="")
     return 0
 
 

@@ -316,4 +316,4 @@ def schedule_size_lower_bound(p_full: float, b: float) -> float:
     """
     if b <= 0:
         raise ValueError("b must be positive")
-    return -math.log2(p_full) / b
+    return -math.log2(p_full) / b + 0.0  # + 0.0: p_full = 1 gives 0.0, not -0.0

@@ -6,27 +6,13 @@ derives from the root seed through a sequential ``SeedSequence`` stream,
 and every output row carries the instance seed and a hash of the resolved
 configuration.
 
-CSV schemas (versioned; SCHEMA_VERSION below):
-  sweep.csv     model, instance, instance_seed, config_hash, beta, beta_coin,
-                norm_bound, z_exact, p_exact, shots, successes, p_hat,
-                p_hat_sigma, noisy_successes, p_noisy_hat, p_noisy_sigma,
-                p_mitigated, p_mitigated_sigma, mitigation_clamped, z_hat,
-                z_mitigated   (noise columns empty when running noiseless;
-                z columns empty where float64 cannot hold Z;
-                averaged rows use instance = "mean")
-  fragment.csv  l, product_step_p, p_unfragmented, product_rel_err,
-                schedule_bound_b1, expected_queries_per_success,
-                query_bound_any_schedule, query_bound_equal_schedule,
-                empirical_queries_per_success, success_freq, attempts,
-                instance_seed, config_hash
-                (the equal-schedule bound is the closed form that assumes
-                equal step probabilities; the any-schedule bound is the
-                rigorous geometric-sum form and is the one the uniform
-                schedules written here are guaranteed to respect)
-  series csv    layers, successes, shots     (noise-fit input)
-  curve csv     layers, fitted_p, band_sigma (noise-fit output)
-JSON reports write null where float64 cannot hold a value: coverage's
-z_exact and theory.z_max, and oracle's z_beta and mean_trials.
+Every command computes all of its results first and then hands each
+file's text to ``write_outputs``, so a command that fails writes nothing.
+A CSV file has one header, a ``_*_COLUMNS`` tuple below (versioned by
+SCHEMA_VERSION); its rows are dicts keyed by column, and a column a row
+lacks is an empty cell.  JSON reports write null where float64 cannot hold
+a value: coverage's z_exact and theory.z_max, and oracle's z_beta and
+mean_trials.
 """
 
 from __future__ import annotations
@@ -65,9 +51,8 @@ from .hamiltonian import (
 )
 from .noise import (
     LayerSeries,
-    _forward,
-    _jacobian,
     fit_noise_model,
+    fitted_curve,
     identity_insertion_depths,
     mitigate,
     propagate_uncertainty,
@@ -89,9 +74,16 @@ _MAX_REPS = 1_000_000
 # anything; a 12-qubit Ising spec holds ~4.4 KB and takes ~3.5 ms to draw
 # (2-vCPU x86-64 host), so the cap is ~44 MB and ~35 s of specs
 _MAX_INSTANCES = 10_000
+# a noisy sweep simulates and fits one depth per insertion; each costs one
+# seed and one binomial draw, ~38 us (same host), so ~0.4 s at the cap
+_MAX_INSERTIONS = 10_000
 # a schedule of l steps takes l + 1 sums over the 2^n eigenvalues, and a
 # fragment run ~30 us per step at n = 12 (same host): ~0.3 s per size at the cap
 _MAX_SCHEDULE_SIZE = 10_000
+# noise-fit writes one curve row per layer from the first depth to the last;
+# a row costs ~5 us and ~17 B (same host): ~0.8 s, 80 MB peak RSS and a
+# 1.7 MB curve file at the cap
+_MAX_DEPTH_SPAN = 100_000
 
 
 class ExperimentConfig(ValueRecord):
@@ -153,6 +145,9 @@ class ExperimentConfig(ValueRecord):
             )
         if self.insertions < 0:
             raise ValueError("field 'insertions' must be >= 0")
+        if self.insertions > _MAX_INSERTIONS:
+            raise ValueError(f"field 'insertions' must be <= {_MAX_INSERTIONS}: "
+                             f"every inserted depth is simulated and fitted")
         if not self.betas or not all(0 <= b < math.inf for b in self.betas):
             raise ValueError("field 'betas' must be non-empty, finite and non-negative")
         if not 0 < self.delta < 1:
@@ -233,23 +228,37 @@ def config_hash(config: ExperimentConfig) -> str:
 def _fmt(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, (bool, np.bool_)):
-        return str(int(x))
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, (bool, np.bool_, int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     return str(x)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+def csv_text(columns: tuple[str, ...], rows: list[dict]) -> str:
+    """CSV text of ``rows`` under one header; a column a row lacks is empty."""
+    lines = [",".join(columns)]
+    lines += [",".join(_fmt(row.get(col)) for col in columns) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _instance_spec(config: ExperimentConfig, instance_seed: int):
+def json_text(doc: dict) -> str:
+    """A JSON report as written to a file: indented, keys sorted."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def write_outputs(out_dir: str | Path, files: dict[str, str]) -> list[Path]:
+    """Make ``out_dir``, write each named file's text into it, return the paths."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = [out / name for name in files]
+    for path, text in zip(paths, files.values()):
+        path.write_text(text, encoding="utf-8")
+    return paths
+
+
+def _instance_spec(config, instance_seed: int):
+    """Random spec of the model that ``config`` (or a CLI namespace) names."""
     if config.model == "ising":
         return generate_random_ising_graph(config.n_qubits, instance_seed)
     return generate_random_qrbm(config.n_visible, config.n_hidden, instance_seed)
@@ -283,6 +292,33 @@ def _z_from_p(log_scale: float, p: float) -> float | None:
     return exp_or_none(log_scale + math.log(p)) if p > 0 else 0.0
 
 
+# noise columns are empty when running noiseless, z columns where float64
+# cannot hold Z; averaged rows use instance = "mean"
+_SWEEP_COLUMNS = (
+    "model", "instance", "instance_seed", "config_hash", "beta", "beta_coin",
+    "norm_bound", "z_exact", "p_exact", "shots", "successes", "p_hat",
+    "p_hat_sigma", "noisy_successes", "p_noisy_hat", "p_noisy_sigma",
+    "p_mitigated", "p_mitigated_sigma", "mitigation_clamped", "z_hat",
+    "z_mitigated",
+)
+# a sweep's "mean" rows average these over instances, and combine these
+# standard deviations into the standard deviation of that mean
+_MEAN_COLUMNS = ("p_exact", "p_hat", "p_noisy_hat", "p_mitigated")
+_SIGMA_COLUMNS = ("p_hat_sigma", "p_noisy_sigma", "p_mitigated_sigma")
+# the equal-schedule bound is the closed form that assumes equal step
+# probabilities; the any-schedule bound is the rigorous geometric-sum form,
+# the one the uniform schedules written here are guaranteed to respect
+_FRAGMENT_COLUMNS = (
+    "l", "product_step_p", "p_unfragmented", "product_rel_err",
+    "schedule_bound_b1", "expected_queries_per_success",
+    "query_bound_any_schedule", "query_bound_equal_schedule",
+    "empirical_queries_per_success", "success_freq", "attempts",
+    "instance_seed", "config_hash",
+)
+_SERIES_COLUMNS = ("layers", "successes", "shots")  # noise-fit input
+_CURVE_COLUMNS = ("layers", "fitted_p", "band_sigma")  # noise-fit output
+
+
 def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> dict:
     """Beta sweep over random instances: exact, sampled, noisy, mitigated.
 
@@ -293,15 +329,8 @@ def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> dict:
     instance_seeds = [seeds.next() for _ in range(config.instances)]
     specs = [_instance_spec(config, s) for s in instance_seeds]
 
-    header = [
-        "model", "instance", "instance_seed", "config_hash", "beta", "beta_coin",
-        "norm_bound", "z_exact", "p_exact", "shots", "successes", "p_hat",
-        "p_hat_sigma", "noisy_successes", "p_noisy_hat", "p_noisy_sigma",
-        "p_mitigated", "p_mitigated_sigma", "mitigation_clamped", "z_hat",
-        "z_mitigated",
-    ]
-    rows: list[list] = []
-    per_beta: dict[float, list[dict]] = {b: [] for b in config.betas}
+    rows: list[dict] = []
+    per_beta: dict[float, list[dict]] = {}
     fit = None  # learned on instance 0, before any of its tosses
     for idx, (ispec, iseed) in enumerate(zip(specs, instance_seeds)):
         spectrum = unit_spectrum(ispec)
@@ -314,81 +343,61 @@ def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> dict:
             beta_coin = lam * beta
             coin = CoinSpec(spectrum, beta_coin)
             p_exact = coin.heads_probability
-            z_exact = exact_partition_function(spectrum, beta_coin)
             successes = toss(coin, config.shots, seeds.next())
             p_hat, _ = ac_estimate(successes, config.shots, config.delta)
-            p_sigma = math.sqrt(p_hat * (1.0 - p_hat) / config.shots)
-            record = {
-                "beta": beta, "p_exact": p_exact, "p_hat": p_hat,
-                "p_sigma": p_sigma,
+            row = {
+                "model": config.model, "instance": idx, "instance_seed": iseed,
+                "config_hash": chash, "beta": beta, "beta_coin": beta_coin,
+                "norm_bound": lam, "p_exact": p_exact, "shots": config.shots,
+                "z_exact": exact_partition_function(spectrum, beta_coin),
+                "successes": successes, "p_hat": p_hat,
+                "p_hat_sigma": math.sqrt(p_hat * (1.0 - p_hat) / config.shots),
+                "z_hat": _z_from_p(log_dim + beta_coin, p_hat),
             }
-            noisy_cols: list = ["", "", "", "", "", ""]
             if fit is not None:
                 n_succ = simulate_noisy_tosses(
                     p_exact, config.xi, config.layers, config.shots, seeds.next()
                 )
                 p_noisy_hat, _ = ac_estimate(n_succ, config.shots, config.delta)
-                p_noisy_sigma = math.sqrt(
-                    p_noisy_hat * (1.0 - p_noisy_hat) / config.shots
-                )
+                p_noisy_sigma = math.sqrt(p_noisy_hat * (1.0 - p_noisy_hat) / config.shots)
                 p_mit, clamped = mitigate(p_noisy_hat, fit.model, config.layers)
-                p_mit_sigma = propagate_uncertainty(
-                    p_noisy_hat, p_noisy_sigma, fit.model, config.layers
+                row.update(
+                    noisy_successes=n_succ, p_noisy_hat=p_noisy_hat,
+                    p_noisy_sigma=p_noisy_sigma, p_mitigated=p_mit,
+                    p_mitigated_sigma=propagate_uncertainty(
+                        p_noisy_hat, p_noisy_sigma, fit.model, config.layers
+                    ),
+                    mitigation_clamped=clamped,
+                    z_mitigated=_z_from_p(log_dim + beta_coin, p_mit),
                 )
-                noisy_cols = [
-                    n_succ, p_noisy_hat, p_noisy_sigma, p_mit, p_mit_sigma, clamped,
-                ]
-                record.update(
-                    p_noisy_hat=p_noisy_hat, p_noisy_sigma=p_noisy_sigma,
-                    p_mitigated=p_mit, p_mitigated_sigma=p_mit_sigma,
-                )
-            rows.append(
-                [config.model, idx, iseed, chash, beta, beta_coin, lam,
-                 z_exact, p_exact, config.shots, successes, p_hat, p_sigma]
-                + noisy_cols
-                + [_z_from_p(log_dim + beta_coin, p_hat),
-                   _z_from_p(log_dim + beta_coin, p_mit) if fit is not None else ""]
-            )
-            per_beta[beta].append(record)
+            rows.append(row)
+            per_beta.setdefault(beta, []).append(row)
 
     for beta in config.betas:
         group = per_beta[beta]
         k = len(group)
-        mean_cols: dict = {
-            key: sum(g[key] for g in group) / k
-            for key in ("p_exact", "p_hat")
-        }
-        sig = math.sqrt(sum(g["p_sigma"] ** 2 for g in group)) / k
-        noisy_cols = ["", "", "", "", "", ""]
-        if fit is not None:
-            noisy_cols = [
-                "",
-                sum(g["p_noisy_hat"] for g in group) / k,
-                math.sqrt(sum(g["p_noisy_sigma"] ** 2 for g in group)) / k,
-                sum(g["p_mitigated"] for g in group) / k,
-                math.sqrt(sum(g["p_mitigated_sigma"] ** 2 for g in group)) / k,
-                "",
-            ]
-        rows.append(
-            [config.model, "mean", "", chash, beta, "", "", "",
-             mean_cols["p_exact"], config.shots, "", mean_cols["p_hat"], sig]
-            + noisy_cols + ["", ""]
-        )
+        mean = {"model": config.model, "instance": "mean", "config_hash": chash,
+                "beta": beta, "shots": config.shots}
+        for col in _MEAN_COLUMNS:
+            if col in group[0]:
+                mean[col] = sum(r[col] for r in group) / k
+        for col in _SIGMA_COLUMNS:
+            if col in group[0]:
+                mean[col] = math.sqrt(sum(r[col] ** 2 for r in group)) / k
+        rows.append(mean)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "sweep.csv", header, rows)
     summary = {
         "schema_version": SCHEMA_VERSION,
         "kind": "sweep",
         "config": config.as_dict(),
         "config_hash": chash,
-        "noise_fit": json.loads(fit.to_json()) if fit is not None else None,
+        "noise_fit": fit.summary() if fit is not None else None,
         "rows": len(rows),
     }
-    (out / "sweep_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_outputs(out_dir, {
+        "sweep.csv": csv_text(_SWEEP_COLUMNS, rows),
+        "sweep_summary.json": json_text(summary),
+    })
     return summary
 
 
@@ -462,18 +471,14 @@ def run_coverage(config: ExperimentConfig, algorithm: str,
             "max": int(est.rounds.max()),
         }
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / f"coverage_{algorithm}.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_outputs(out_dir, {f"coverage_{algorithm}.json": json_text(report)})
     return report
 
 
 def read_layer_series(path: str | Path) -> LayerSeries:
     """Read a depth series CSV with columns (layers, successes, shots)."""
     lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if not lines or lines[0].strip().lower() != "layers,successes,shots":
+    if not lines or lines[0].strip().lower() != ",".join(_SERIES_COLUMNS):
         raise ValueError("series CSV must start with header 'layers,successes,shots'")
     depths: list[int] = []
     measured: list[float] = []
@@ -493,6 +498,9 @@ def read_layer_series(path: str | Path) -> LayerSeries:
         measured.append(succ / shots)
     if len(shots_seen) != 1:
         raise ValueError("all series rows must use the same shot count")
+    if depths[-1] - depths[0] > _MAX_DEPTH_SPAN:
+        raise ValueError(f"series depths must span at most {_MAX_DEPTH_SPAN} "
+                         f"layers: the fitted curve has one row per layer")
     return LayerSeries(
         depths=np.array(depths), measured_p=np.array(measured),
         shots_per_point=shots_seen.pop(),
@@ -500,29 +508,26 @@ def read_layer_series(path: str | Path) -> LayerSeries:
 
 
 def write_layer_series(path: str | Path, depths, successes, shots: int) -> None:
-    rows = [[int(d), int(s), shots] for d, s in zip(depths, successes)]
-    _write_csv(Path(path), ["layers", "successes", "shots"], rows)
+    """Write a depth series CSV that ``read_layer_series`` reads back."""
+    path = Path(path)
+    rows = [{"layers": int(d), "successes": int(s), "shots": shots}
+            for d, s in zip(depths, successes)]
+    write_outputs(path.parent, {path.name: csv_text(_SERIES_COLUMNS, rows)})
 
 
 def run_noise_fit(series_path: str | Path, out_dir: str | Path) -> dict:
     """Fit a depth-series CSV; write the report and a fitted-curve table."""
     series = read_layer_series(series_path)
     fit = fit_noise_model(series)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    report = json.loads(fit.to_json())
-    report["schema_version"] = SCHEMA_VERSION
-    report["kind"] = "noise_fit"
-    (out / "noise_fit.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    report = {**fit.summary(), "schema_version": SCHEMA_VERSION, "kind": "noise_fit"}
     depths = np.arange(int(series.depths[0]), int(series.depths[-1]) + 1)
-    theta = np.array([fit.model.xi, fit.p_hat])
-    jac = _jacobian(theta, depths.astype(float))
-    variance = np.sum((jac @ fit.covariance) * jac, axis=1)
-    rows = list(zip(depths, _forward(theta, depths.astype(float)),
-                    np.sqrt(np.maximum(variance, 0.0))))
-    _write_csv(out / "noise_fit_curve.csv", ["layers", "fitted_p", "band_sigma"], rows)
+    fitted, band = fitted_curve(fit, depths)
+    curve = [{"layers": d, "fitted_p": f, "band_sigma": s}
+             for d, f, s in zip(depths, fitted, band)]
+    write_outputs(out_dir, {
+        "noise_fit.json": json_text(report),
+        "noise_fit_curve.csv": csv_text(_CURVE_COLUMNS, curve),
+    })
     return report
 
 
@@ -543,29 +548,23 @@ def run_fragment(config: ExperimentConfig, out_dir: str | Path) -> dict:
         product = math.prod(step_p)
         run = toss_fragmented(schedule, config.frag_successes, seeds.next())
         b = -math.log2(min(step_p)) if min(step_p) < 1.0 else 1.0
-        rows.append([
-            l,
-            product,
-            p_full,
-            abs(product - p_full) / p_full,
-            schedule_size_lower_bound(p_full, b),
-            expected_queries_per_success(schedule),
-            fragmented_query_bound(schedule, assume_equal_probabilities=False),
-            fragmented_query_bound(schedule),
-            run.queries_per_success,
-            run.successes / run.attempts,
-            run.attempts,
-            instance_seed,
-            chash,
-        ])
-    header = ["l", "product_step_p", "p_unfragmented", "product_rel_err",
-              "schedule_bound_b1", "expected_queries_per_success",
-              "query_bound_any_schedule", "query_bound_equal_schedule",
-              "empirical_queries_per_success", "success_freq", "attempts",
-              "instance_seed", "config_hash"]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "fragment.csv", header, rows)
+        rows.append({
+            "l": l,
+            "product_step_p": product,
+            "p_unfragmented": p_full,
+            "product_rel_err": abs(product - p_full) / p_full,
+            "schedule_bound_b1": schedule_size_lower_bound(p_full, b),
+            "expected_queries_per_success": expected_queries_per_success(schedule),
+            "query_bound_any_schedule": fragmented_query_bound(
+                schedule, assume_equal_probabilities=False
+            ),
+            "query_bound_equal_schedule": fragmented_query_bound(schedule),
+            "empirical_queries_per_success": run.queries_per_success,
+            "success_freq": run.successes / run.attempts,
+            "attempts": run.attempts,
+            "instance_seed": instance_seed,
+            "config_hash": chash,
+        })
     summary = {
         "schema_version": SCHEMA_VERSION,
         "kind": "fragment",
@@ -574,7 +573,8 @@ def run_fragment(config: ExperimentConfig, out_dir: str | Path) -> dict:
         "beta_coin": beta_coin,
         "schedule_sizes": list(config.schedule_sizes),
     }
-    (out / "fragment_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_outputs(out_dir, {
+        "fragment.csv": csv_text(_FRAGMENT_COLUMNS, rows),
+        "fragment_summary.json": json_text(summary),
+    })
     return summary

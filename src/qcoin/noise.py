@@ -14,7 +14,6 @@ taken at a known depth.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -83,7 +82,7 @@ def noisy_success_probability(p_ideal: float, xi: float, layers: int) -> float:
         raise ValueError("xi must be in [0, 1]")
     if layers < 0:
         raise ValueError("layers must be non-negative")
-    return 0.5 + (1.0 - xi) ** layers * (p_ideal - 0.5)
+    return _forward((xi, p_ideal), layers)
 
 
 def simulate_noisy_tosses(
@@ -125,19 +124,19 @@ class NoiseFit(Record):
                   residual_norm=residual_norm, covariance=covariance,
                   iterations=iterations)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "xi": self.model.xi,
-                "xi_sigma": self.model.xi_sigma,
-                "p_hat": self.p_hat,
-                "p_sigma": self.p_sigma,
-                "residual": self.residual_norm,
-            }
-        )
+    def summary(self) -> dict:
+        """The fitted values that sweep and noise-fit reports carry."""
+        return {
+            "xi": self.model.xi,
+            "xi_sigma": self.model.xi_sigma,
+            "p_hat": self.p_hat,
+            "p_sigma": self.p_sigma,
+            "residual": self.residual_norm,
+        }
 
 
-def _forward(theta: np.ndarray, depths: np.ndarray) -> np.ndarray:
+def _forward(theta, depths):
+    """pbar at depth(s) ``depths`` for theta = (xi, p), scalars or arrays."""
     xi, p = theta
     return 0.5 + (1.0 - xi) ** depths * (p - 0.5)
 
@@ -146,6 +145,15 @@ def _jacobian(theta: np.ndarray, depths: np.ndarray) -> np.ndarray:
     xi, p = theta
     d_xi = -depths * (1.0 - xi) ** (depths - 1) * (p - 0.5)
     return np.column_stack([d_xi, (1.0 - xi) ** depths])
+
+
+def fitted_curve(fit: NoiseFit, depths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The fitted pbar at each depth and its first-order 1-sigma band."""
+    theta = np.array([fit.model.xi, fit.p_hat])
+    depths = np.asarray(depths, dtype=float)
+    jac = _jacobian(theta, depths)
+    variance = np.sum((jac @ fit.covariance) * jac, axis=1)
+    return _forward(theta, depths), np.sqrt(np.maximum(variance, 0.0))
 
 
 def _initial_guess(series: LayerSeries) -> np.ndarray:

@@ -62,6 +62,8 @@ SERIES_ZERO_SHOTS = "layers,successes,shots\n10,0,0\n12,0,0\n14,0,0\n"
 SERIES_NO_CONVERGENCE = (
     "layers,successes,shots\n3,4,5\n48,3,5\n86,2,5\n119,1,5\n152,5,5\n"
 )
+# the fitted curve would have 10^12 rows, one per layer of the span
+SERIES_WIDE_SPAN = "layers,successes,shots\n1,900,1000\n2,890,1000\n1000000000000,500,1000\n"
 
 
 @pytest.mark.parametrize("argv, files, code, message", [
@@ -85,10 +87,15 @@ SERIES_NO_CONVERGENCE = (
      "field 'instances' must be <= 10000"),
     (["sweep", "--n-qubits", "13"], {}, 2, "n_qubits=13 is outside 1..12"),
     (["fragment", "--n-qubits", "13"], {}, 2, "n_qubits=13 is outside 1..12"),
+    (["noise-fit", "--series", "series.csv"], {"series.csv": SERIES_WIDE_SPAN}, 2,
+     "series depths must span at most 100000 layers"),
+    (["sweep", "--config", "cfg.txt", "--xi", "0.037"],
+     {"cfg.txt": "insertions = 100000000000\n"}, 2,
+     "field 'insertions' must be <= 10000"),
 ], ids=["input-error", "runtime-error", "spec-missing-field", "spec-short-edge",
         "spec-not-object", "series-zero-shots", "schedule-size-cap",
         "sweep-instances-cap", "generate-instances-cap", "sweep-qubit-cap",
-        "fragment-qubit-cap"])
+        "fragment-qubit-cap", "series-span-cap", "sweep-insertions-cap"])
 def test_process_error_exit_is_one_line(tmp_path, argv, files, code, message):
     for name, text in files.items():
         (tmp_path / name).write_text(text)

@@ -656,6 +656,29 @@ def test_cli_noise_fit_degenerate_is_input_error(tmp_path, capsys):
     ]) == 2
 
 
+def test_cli_noise_fit_curve_error_writes_nothing(tmp_path, capsys, monkeypatch):
+    # the report and the curve are both computed before anything is written
+    def overflow(*args):
+        raise FloatingPointError("overflow encountered in power")
+
+    monkeypatch.setattr(qcoin.experiments, "fitted_curve", overflow)
+    series_path = tmp_path / "series.csv"
+    write_layer_series(series_path, [10, 12, 14, 16, 18], [620, 601, 590, 575, 566], 1000)
+    assert main([
+        "noise-fit", "--series", str(series_path), "--out", str(tmp_path / "nf"),
+    ]) == 3
+    err = capsys.readouterr().err
+    assert "float64 range" in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "nf").exists()
+
+
+def test_cli_fragment_beta_zero_bound_is_positive_zero(tmp_path, capsys):
+    # at beta 0, p_full = 1 and the schedule-size bound -log2(1) / b is 0
+    assert main(["fragment", "--n-qubits", "4", "--beta", "0", "--out", str(tmp_path)]) == 0
+    _, rows = read_rows(tmp_path / "fragment.csv")
+    assert [r["schedule_bound_b1"] for r in rows] == ["0.0"] * 4
+
+
 def test_cli_fragment_past_float64_exp_is_exact(tmp_path, capsys):
     # beta_coin passes ~709, where e^{2 w} and Z overflow float64; the step
     # probabilities never form them.  The instance's ground state is
