@@ -19,7 +19,7 @@ import numpy as np
 
 from .coin import SeedStream
 from .experiments import (
-    _MAX_INSTANCES,
+    ExperimentConfig,
     _instance_spec,
     json_text,
     load_config,
@@ -64,13 +64,7 @@ def _config_from_args(args: argparse.Namespace):
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    if args.instances < 1:
-        raise ValueError("field 'instances' must be >= 1")
-    if args.instances > _MAX_INSTANCES:
-        raise ValueError(
-            f"field 'instances' must be <= {_MAX_INSTANCES}: every spec is built "
-            f"before any file is written"
-        )
+    ExperimentConfig(instances=args.instances)  # the config file's count rule
     seeds = SeedStream(args.seed)
     files = {
         f"instance_{idx:03d}.json": _instance_spec(args, seeds.next()).to_json() + "\n"

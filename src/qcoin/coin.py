@@ -5,10 +5,11 @@ ancillas after applying the propagator to the maximally mixed input state.
 The coin is fully characterized by its heads probability, computed once
 per ``CoinSpec``, and the estimators read only Bernoulli-process
 statistics, so the samplers draw counts from their exact distributions
-instead of simulating tosses one by one: ``toss`` is one binomial draw of
-the head count.  Every draw is reproducible from its 64-bit seed via
-numpy's PCG64 generator (``numpy.random.default_rng``); ``SeedStream``
-derives those seeds.
+instead of simulating tosses one by one.  Every draw in the package is
+``draw_heads`` (a binomial head count) or ``draw_tosses_to_heads`` (the
+k + NegBin(k, p) tosses until k heads), which check numpy's int64 limits.
+Every draw is reproducible from its 64-bit seed via numpy's PCG64
+generator (``numpy.random.default_rng``); ``SeedStream`` derives the seeds.
 
 The fragmented coin splits the imaginary-time evolution into schedule steps
 with restart-on-failure; the overall heads probability factorizes over the
@@ -29,7 +30,9 @@ from .propagator import required_degree
 from .record import Record
 
 _EPS_PRIME_FLOOR = 1e-16  # cost accounting for the ideal coin
-_MAX_DRAW_COUNT = 2**63 - 1  # numpy's binomial rejects more; its geometric clips
+_MAX_DRAW_COUNT = 2**63 - 1  # numpy's int64 draws: counts in, counts out
+# the limit of the Poisson draw inside numpy's negative_binomial
+_NEGBIN_MAX = _MAX_DRAW_COUNT - 10.0 * math.sqrt(_MAX_DRAW_COUNT)
 
 
 class CoinSpec(Record):
@@ -71,20 +74,52 @@ def query_cost(beta: float, eps_prime: float) -> int:
     return required_degree(beta, max(eps_prime, _EPS_PRIME_FLOOR))
 
 
-def _check_toss_count(name: str, count: int) -> None:
-    """Reject a toss count that one binomial draw cannot take: < 0 or >= 2^63."""
-    if count < 0:
-        raise ValueError(f"{name} must be non-negative")
-    if count > _MAX_DRAW_COUNT:
+def draw_heads(rng: np.random.Generator, p: float, count, size=None, name="count"):
+    """Heads in ``count`` tosses at probability p (clipped to [0, 1]): one draw.
+
+    ``count`` is an int or an int64 array of counts.  An int past numpy's
+    int64 limit is an infeasible budget, reported as ``name``.
+    """
+    if not isinstance(count, np.ndarray):
+        if count < 0:
+            raise ValueError(f"{name} must be non-negative")
+        if count > _MAX_DRAW_COUNT:
+            raise ValueError(
+                f"toss budget infeasible: {name} = {count} exceeds 2^63 - 1 = "
+                f"{_MAX_DRAW_COUNT}, the most tosses one binomial draw takes"
+            )
+    return rng.binomial(count, min(max(p, 0.0), 1.0), size=size)
+
+
+def draw_tosses_to_heads(rng: np.random.Generator, p: float, k: int, size=None):
+    """Tosses until the k-th head at probability p (clipped): k + NegBin(k, p).
+
+    A budget past numpy's limits is infeasible: k / p past int64 or (1 - p) /
+    p (k + 10 sqrt(k)) past ``_NEGBIN_MAX`` before the draw, a total that
+    would wrap int64 after it.
+    """
+    p = min(max(p, 0.0), 1.0)
+    if p <= 0.0:
+        raise ValueError("success probability is zero; no success can occur")
+    try:
+        expected = k / p
+    except OverflowError:  # k is past float64's range
+        expected = math.inf
+    budget = f"expected tosses = {k} / p = {expected:.6g}"
+    if (expected > _MAX_DRAW_COUNT
+            or (1.0 - p) / p * (k + 10.0 * math.sqrt(k)) > _NEGBIN_MAX):
         raise ValueError(
-            f"toss budget infeasible: {name} = {count} exceeds 2^63 - 1 = "
-            f"{_MAX_DRAW_COUNT}, the most tosses one binomial draw takes"
+            f"toss budget infeasible: {budget}; numpy's int64 negative-binomial "
+            f"draw of the tosses needs k / p <= 2^63 - 1 = {_MAX_DRAW_COUNT} and "
+            f"(1 - p) / p (k + 10 sqrt(k)) <= {_NEGBIN_MAX:.6g}"
         )
-
-
-def _toss_probability(spec: CoinSpec) -> float:
-    """The heads probability clipped to [0, 1], as a draw takes it."""
-    return min(max(spec.heads_probability, 0.0), 1.0)
+    failures = rng.negative_binomial(k, p, size=size)
+    if np.any(failures > _MAX_DRAW_COUNT - k):  # k + failures would wrap int64
+        raise ValueError(
+            f"toss budget infeasible: a toss count passed "
+            f"2^63 - 1 = {_MAX_DRAW_COUNT} ({budget})"
+        )
+    return k + failures
 
 
 def toss(spec: CoinSpec, count: int, seed: int) -> int:
@@ -92,8 +127,7 @@ def toss(spec: CoinSpec, count: int, seed: int) -> int:
 
     Each toss costs ``query_cost(spec.beta, 0.0)`` queries.
     """
-    _check_toss_count("count", count)
-    return int(np.random.default_rng(seed).binomial(count, _toss_probability(spec)))
+    return int(draw_heads(np.random.default_rng(seed), spec.heads_probability, count))
 
 
 class Schedule(Record):
@@ -226,14 +260,8 @@ def toss_fragmented(
     probs = np.clip(schedule.step_probabilities, 0.0, 1.0)
     p_full = float(np.prod(probs))
     rng = np.random.default_rng(seed)
-    try:
-        failures = int(rng.negative_binomial(k, p_full)) if k else 0
-    except ValueError:
-        expected = k / p_full if p_full > 0 else math.inf
-        raise ValueError(
-            f"fragmented coin infeasible: p_full = {p_full:.3e}, expected "
-            f"attempts k/p_full = {expected:.3e} for k = {k} successes"
-        ) from None
+    attempts = draw_tosses_to_heads(rng, p_full, k) if k else 0
+    failures = attempts - k
     stops = np.zeros(len(probs), dtype=np.int64)
     if failures:
         reach = np.concatenate(([1.0], np.cumprod(probs[:-1])))
@@ -243,7 +271,7 @@ def toss_fragmented(
     costs = schedule.step_query_costs
     # Python ints: the int64 dot product wraps for long runs of tiny p_full
     queries = sum(int(e) * int(c) for e, c in zip(executions, costs))
-    return FragmentedRun(k + failures, k, queries, executions, probs)
+    return FragmentedRun(attempts, k, queries, executions, probs)
 
 
 def expected_queries_per_success(schedule: Schedule) -> float:

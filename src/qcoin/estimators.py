@@ -11,7 +11,8 @@ additive-precision estimator into a relative-precision one.
 
 Every estimator runs R independent repetitions at once from one seeded
 generator: the toss counts are drawn as arrays from their exact
-distributions, never toss by toss, and R = 1 is a single estimate.
+distributions by ``qcoin.coin``'s samplers, never toss by toss, and R = 1
+is a single estimate.
 """
 
 from __future__ import annotations
@@ -22,19 +23,11 @@ from typing import Callable
 
 import numpy as np
 
-from .coin import (
-    _MAX_DRAW_COUNT,
-    CoinSpec,
-    _check_toss_count,
-    _toss_probability,
-    query_cost,
-)
+from .coin import CoinSpec, draw_heads, draw_tosses_to_heads, query_cost
 from .record import Record
 
 _TOSS_BUDGET = 100_000_000  # tosses per repetition of an additive-runner call
 _ROUND_CAP = 64  # halving rounds of relative_from_additive before giving up
-# numpy's negative_binomial limit on (1 - p) / p (n + 10 sqrt(n))
-_NEGBIN_MAX = _MAX_DRAW_COUNT - 10.0 * math.sqrt(_MAX_DRAW_COUNT)
 
 
 def z_quantile(delta: float) -> float:
@@ -153,9 +146,8 @@ def algorithm1(
     """
     if tosses < 1:
         raise ValueError("tosses must be >= 1")
-    _check_toss_count("count", tosses)
-    p = _toss_probability(spec)
-    heads = np.random.default_rng(seed).binomial(tosses, p, size=reps)
+    heads = draw_heads(np.random.default_rng(seed), spec.heads_probability, tosses,
+                       size=reps)
     p_hat, eps_p = ac_estimate(heads, tosses, delta)
     return Estimate(
         value=p_hat,
@@ -186,27 +178,9 @@ def algorithm2(
         raise ValueError("target_successes must be >= 1")
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
-    p = _toss_probability(spec)
-    if p <= 0.0:
-        raise ValueError("success probability is zero; no success can occur")
-    expected = k / p
-    budget = f"expected tosses = {k} / p = {expected:.6g}"
-    # numpy's negative_binomial refuses (1 - p) / p (k + 10 sqrt(k)) past
-    # _NEGBIN_MAX, the limit of the Poisson draw inside it
-    reach = (1.0 - p) / p * (k + 10.0 * math.sqrt(k))
-    if expected > _MAX_DRAW_COUNT or reach > _NEGBIN_MAX:
-        raise ValueError(
-            f"toss budget infeasible: {budget}; numpy's int64 negative-binomial "
-            f"draw of the tosses needs k / p <= 2^63 - 1 = {_MAX_DRAW_COUNT} and "
-            f"(1 - p) / p (k + 10 sqrt(k)) <= {_NEGBIN_MAX:.6g}"
-        )
-    failures = np.random.default_rng(seed).negative_binomial(k, p, size=reps)
-    if np.any(failures > _MAX_DRAW_COUNT - k):  # k + failures would wrap int64
-        raise ValueError(
-            f"toss budget infeasible: a repetition's toss count passed "
-            f"2^63 - 1 = {_MAX_DRAW_COUNT} ({budget})"
-        )
-    total = k + failures
+    total = draw_tosses_to_heads(
+        np.random.default_rng(seed), spec.heads_probability, k, size=reps
+    )
     eps_r = 1.0 / math.sqrt(delta * k)
     value = k / total
     return Estimate(
@@ -285,7 +259,7 @@ def make_additive_runner(spec: CoinSpec, seed: int) -> AdditiveRunner:
     infeasible budget, raised before it is drawn.
     """
     rng = np.random.default_rng(seed)
-    p = _toss_probability(spec)
+    p = spec.heads_probability
     q = query_cost(spec.beta, 0.0)
 
     def runner(eps_p: float, delta_step: float, reps: int = 1) -> Estimate:
@@ -297,7 +271,7 @@ def make_additive_runner(spec: CoinSpec, seed: int) -> AdditiveRunner:
         active = np.arange(reps)
         batch = np.full(reps, 256, dtype=np.int64)
         while active.size:
-            heads[active] += rng.binomial(batch, p)
+            heads[active] += draw_heads(rng, p, batch)
             tossed[active] += batch
             est_p, est_eps = ac_estimate(heads[active], tossed[active], delta_step)
             p_hat[active] = est_p

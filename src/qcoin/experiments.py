@@ -487,15 +487,18 @@ def read_layer_series(path: str | Path) -> LayerSeries:
         if not line.strip():
             continue
         layers_s, succ_s, shots_s = line.split(",")
-        depths.append(int(layers_s))
-        shots = int(shots_s)
-        succ = int(succ_s)
+        layers, shots, succ = int(layers_s), int(shots_s), int(succ_s)
+        if layers > 2**63 - 1:  # LayerSeries holds int64 depths
+            raise ValueError(f"series row layers = {layers} exceeds 2^63 - 1")
+        depths.append(layers)
         if shots < 1:
             raise ValueError(f"series row shots = {shots} must be >= 1")
         if not 0 <= succ <= shots:
             raise ValueError(f"successes {succ} outside [0, {shots}]")
         shots_seen.add(shots)
         measured.append(succ / shots)
+    if not depths:
+        raise ValueError("series CSV has no rows after its header")
     if len(shots_seen) != 1:
         raise ValueError("all series rows must use the same shot count")
     if depths[-1] - depths[0] > _MAX_DEPTH_SPAN:

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .coin import _check_toss_count
+from .coin import draw_heads
 from .record import Record, ValueRecord
 
 _MAX_ITERATIONS = 200  # Gauss-Newton iterations before FitConvergenceError
@@ -89,10 +89,8 @@ def simulate_noisy_tosses(
     p_ideal: float, xi: float, layers: int, shots: int, seed: int
 ) -> int:
     """Binomial draw of successes at the noisy probability, seeded."""
-    _check_toss_count("shots", shots)
     pbar = noisy_success_probability(p_ideal, xi, layers)
-    rng = np.random.default_rng(seed)
-    return int(rng.binomial(shots, pbar))
+    return int(draw_heads(np.random.default_rng(seed), pbar, shots, name="shots"))
 
 
 def identity_insertion_depths(base_layers: int, insertions: int) -> list[int]:

@@ -64,6 +64,9 @@ SERIES_NO_CONVERGENCE = (
 )
 # the fitted curve would have 10^12 rows, one per layer of the span
 SERIES_WIDE_SPAN = "layers,successes,shots\n1,900,1000\n2,890,1000\n1000000000000,500,1000\n"
+# depths close together, so within the span cap, but past int64
+SERIES_PAST_INT64 = ("layers,successes,shots\n100000000000000000000,600,1000\n"
+                     "100000000000000000002,590,1000\n100000000000000000004,580,1000\n")
 
 
 @pytest.mark.parametrize("argv, files, code, message", [
@@ -92,10 +95,19 @@ SERIES_WIDE_SPAN = "layers,successes,shots\n1,900,1000\n2,890,1000\n100000000000
     (["sweep", "--config", "cfg.txt", "--xi", "0.037"],
      {"cfg.txt": "insertions = 100000000000\n"}, 2,
      "field 'insertions' must be <= 10000"),
+    (["fragment", "--config", "cfg.txt", "--beta", "0"],
+     {"cfg.txt": "frag_successes = 10000000000000000000\n"}, 2,
+     "expected tosses = 10000000000000000000 / p = 1e+19"),
+    (["noise-fit", "--series", "series.csv"], {"series.csv": SERIES_PAST_INT64}, 2,
+     "series row layers = 100000000000000000000 exceeds 2^63 - 1"),
+    (["noise-fit", "--series", "series.csv"], {"series.csv": "layers,successes,shots\n"},
+     2, "series CSV has no rows"),
 ], ids=["input-error", "runtime-error", "spec-missing-field", "spec-short-edge",
         "spec-not-object", "series-zero-shots", "schedule-size-cap",
         "sweep-instances-cap", "generate-instances-cap", "sweep-qubit-cap",
-        "fragment-qubit-cap", "series-span-cap", "sweep-insertions-cap"])
+        "fragment-qubit-cap", "series-span-cap", "sweep-insertions-cap",
+        "fragment-successes-past-int64", "series-depth-past-int64",
+        "series-header-only"])
 def test_process_error_exit_is_one_line(tmp_path, argv, files, code, message):
     for name, text in files.items():
         (tmp_path / name).write_text(text)

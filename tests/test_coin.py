@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,13 +330,66 @@ def test_fragmented_queries_are_exact_beyond_int64():
     assert run.queries_per_success > 0
 
 
-@pytest.mark.parametrize("beta, l", [(40.0, 4), (1e4, 20)])
-def test_fragmented_infeasible_probability_raises(beta, l):
+@pytest.mark.parametrize("beta, l, message", [
+    (40.0, 4, r"toss budget infeasible: expected tosses = 2000 / p = 4\.70771e\+20;"),
+    (1e4, 20, "success probability is zero"),
+], ids=["40.0-4", "10000.0-20"])
+def test_fragmented_infeasible_probability_raises(beta, l, message):
     # p_full = e^-40 is too small to sample 2000 successes; e^-1e4 is 0
     spectrum = zero_spectrum()
     sched = uniform_schedule(spectrum, beta, l, 1e-6)
-    with pytest.raises(ValueError, match=r"p_full = .*k/p_full"):
+    with pytest.raises(ValueError, match=message):
         toss_fragmented(sched, 2000, seed=1)
+
+
+def test_fragmented_and_algorithm2_share_the_toss_budget_rule():
+    # both wait for k heads through draw_tosses_to_heads: the same (k, p)
+    # is refused with the same message
+    spectrum = zero_spectrum()
+    sched = uniform_schedule(spectrum, 40.0, 1, 1e-6)
+    coin = CoinSpec(spectrum, 40.0)
+    assert float(np.prod(sched.step_probabilities)) == coin.heads_probability
+    with pytest.raises(ValueError) as frag:
+        toss_fragmented(sched, 2000, seed=1)
+    with pytest.raises(ValueError) as alg2:
+        algorithm2(coin, 2000, seed=1)
+    assert str(frag.value) == str(alg2.value)
+    assert str(frag.value).startswith("toss budget infeasible: expected tosses = 2000")
+
+
+def test_fragmented_attempts_past_int64_are_rejected(monkeypatch):
+    # a failure count that would wrap k + failures (and step_executions)
+    # past int64 is refused after the draw, as in algorithm2
+    sched = uniform_schedule(zero_spectrum(), 1.0, 2, 1e-6)
+
+    class HugeDraws:
+        def negative_binomial(self, n, p, size=None):
+            return 2**63 - n  # one past 2^63 - 1 - k
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: HugeDraws())
+    with pytest.raises(ValueError, match=r"toss count passed 2\^63 - 1"):
+        toss_fragmented(sched, 3, seed=0)
+
+
+def test_tosses_to_heads_refuses_a_head_count_past_float_range():
+    # k / p would overflow float64 (exit 3); the budget rule refuses it first
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=r"toss budget infeasible: .* / p = inf;"):
+        qcoin.coin.draw_tosses_to_heads(rng, 1.0, 10**400)
+
+
+def test_coin_owns_every_draw():
+    # every head count and every wait in the package is drawn by coin's two
+    # samplers, and no module reaches into coin's private names
+    package = Path(qcoin.coin.__file__).parent
+    for path in package.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        if path.name != "coin.py":
+            assert "binomial(" not in text, path.name
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.module in ("coin", "qcoin.coin"):
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, (path.name, private)
 
 
 def test_fragmented_average_query_bound_equal_probability_schedule():

@@ -556,7 +556,8 @@ def test_cli_fragment_infeasible_probability_is_input_error(tmp_path, capsys):
         "--out", str(tmp_path / "frag"),
     ]) == 2
     err = capsys.readouterr().err
-    assert "p_full" in err and len(err.strip().splitlines()) == 1
+    assert "toss budget infeasible: expected tosses = 2000 / p = " in err
+    assert len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv, count", [
