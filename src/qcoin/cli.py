@@ -55,11 +55,7 @@ def _add_config_overrides(sub: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace):
-    overrides = {
-        key: getattr(args, key, None)
-        for key in ("seed", "shots", "betas", "eps_r", "delta", "xi", "layers",
-                    "model", "n_qubits", "instances", "reps")
-    }
+    overrides = {k: v for k, v in vars(args).items() if k in ExperimentConfig.fields}
     return load_config(args.config, **overrides)
 
 

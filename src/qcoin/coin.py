@@ -48,8 +48,6 @@ class CoinSpec(Record):
     __slots__ = fields + ("heads_probability",)
 
     def __init__(self, spectrum: Spectrum, beta: float) -> None:
-        if beta < 0:
-            raise ValueError("beta must be non-negative")
         self._set(spectrum=spectrum, beta=beta,
                   heads_probability=ideal_coin_probability(spectrum, beta))
 
@@ -220,21 +218,13 @@ class FragmentedRun(Record):
     ``queries`` is the exact total query cost.
     """
 
-    __slots__ = fields = (
-        "attempts", "successes", "queries", "step_executions", "step_probabilities"
-    )
+    __slots__ = fields = ("attempts", "successes", "queries", "step_executions")
 
     def __init__(
-        self,
-        attempts: int,
-        successes: int,
-        queries: int,
-        step_executions: np.ndarray,
-        step_probabilities: np.ndarray,
+        self, attempts: int, successes: int, queries: int, step_executions: np.ndarray
     ) -> None:
         self._set(attempts=attempts, successes=successes, queries=queries,
-                  step_executions=step_executions,
-                  step_probabilities=step_probabilities)
+                  step_executions=step_executions)
 
     @property
     def queries_per_success(self) -> float:
@@ -271,7 +261,7 @@ def toss_fragmented(
     costs = schedule.step_query_costs
     # Python ints: the int64 dot product wraps for long runs of tiny p_full
     queries = sum(int(e) * int(c) for e, c in zip(executions, costs))
-    return FragmentedRun(attempts, k, queries, executions, probs)
+    return FragmentedRun(attempts, k, queries, executions)
 
 
 def expected_queries_per_success(schedule: Schedule) -> float:

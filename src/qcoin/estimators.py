@@ -99,32 +99,22 @@ class Estimate(Record):
     the oracle cost of one toss.
     """
 
-    __slots__ = fields = (
-        "value", "half_width", "relative_target", "confidence", "samples",
-        "queries_per_sample", "algorithm", "rounds",
-    )
+    __slots__ = fields = ("value", "half_width", "samples", "queries_per_sample", "rounds")
 
     def __init__(
         self,
         value: np.ndarray,
         half_width: np.ndarray,
-        relative_target: float | None,
-        confidence: float,
         samples: np.ndarray,
         queries_per_sample: int,
-        algorithm: str,
         rounds: np.ndarray | None = None,
     ) -> None:
         if np.any(half_width < 0):
             raise ValueError("half_width must be non-negative")
-        if not 0 < confidence < 1:
-            raise ValueError("confidence must be in (0, 1)")
         if np.any(samples < 0):
             raise ValueError("samples must be non-negative")
-        self._set(value=value, half_width=half_width,
-                  relative_target=relative_target, confidence=confidence,
-                  samples=samples, queries_per_sample=queries_per_sample,
-                  algorithm=algorithm, rounds=rounds)
+        self._set(value=value, half_width=half_width, samples=samples,
+                  queries_per_sample=queries_per_sample, rounds=rounds)
 
     @property
     def samples_used(self) -> int:
@@ -152,11 +142,8 @@ def algorithm1(
     return Estimate(
         value=p_hat,
         half_width=eps_p,
-        relative_target=None,
-        confidence=1.0 - delta,
         samples=np.full(reps, tosses, dtype=np.int64),
         queries_per_sample=query_cost(spec.beta, 0.0),
-        algorithm="alg1",
     )
 
 
@@ -186,11 +173,8 @@ def algorithm2(
     return Estimate(
         value=value,
         half_width=eps_r * value,
-        relative_target=eps_r,
-        confidence=1.0 - delta,
         samples=total,
         queries_per_sample=query_cost(spec.beta, 0.0),
-        algorithm="alg2",
     )
 
 
@@ -234,11 +218,8 @@ def relative_from_additive(
             return Estimate(
                 value=value,
                 half_width=half_width,
-                relative_target=eps_r,
-                confidence=1.0 - delta,
                 samples=samples,
                 queries_per_sample=est.queries_per_sample,
-                algorithm="iterative",
                 rounds=rounds,
             )
     raise RuntimeError(
@@ -290,11 +271,8 @@ def make_additive_runner(spec: CoinSpec, seed: int) -> AdditiveRunner:
         return Estimate(
             value=p_hat,
             half_width=eps_hat,
-            relative_target=None,
-            confidence=1.0 - delta_step,
             samples=tossed,
             queries_per_sample=q,
-            algorithm="alg1",
         )
 
     return runner

@@ -148,6 +148,12 @@ class ExperimentConfig(ValueRecord):
         if self.insertions > _MAX_INSERTIONS:
             raise ValueError(f"field 'insertions' must be <= {_MAX_INSERTIONS}: "
                              f"every inserted depth is simulated and fitted")
+        if self.layers + 2 * self.insertions > 2**63 - 1:
+            raise ValueError(
+                f"field 'layers' must be <= 2^63 - 1 - 2 * insertions = "
+                f"{2**63 - 1 - 2 * self.insertions}: the noise fit's depths "
+                f"layers + 2k are int64"
+            )
         if not self.betas or not all(0 <= b < math.inf for b in self.betas):
             raise ValueError("field 'betas' must be non-empty, finite and non-negative")
         if not 0 < self.delta < 1:

@@ -25,8 +25,13 @@ def boltzmann_sum(spectrum: Spectrum, beta: float) -> float:
 
     Each term lies in (0, 1] and the ground state's is 1, so S is in [1, 2^n]
     at beta >= 0.  Z, p and the schedule steps take the ground-state factor
-    out of S, so none of them overflows where Z or exp(beta) would.
+    out of S, so none of them overflows where Z or exp(beta) would.  A beta
+    that is negative, infinite or NaN (a command's beta times a norm bound
+    past float64) is an input error.
     """
+    if not 0 <= beta < math.inf:
+        raise ValueError(f"coin beta must be finite and non-negative, got {beta} "
+                         f"(norm bound {spectrum.norm_bound})")
     return float(np.sum(np.exp(-beta * (spectrum.values - spectrum.values[0]))))
 
 
@@ -82,8 +87,6 @@ def oracle_report(spectrum: Spectrum, beta: float) -> OracleReport:
 
     Z and the free energy are read from log Z.
     """
-    if not 0 <= beta < math.inf:
-        raise ValueError(f"beta must be finite and non-negative, got {beta}")
     log_z = log_partition_function(spectrum, beta)
     p = ideal_coin_probability(spectrum, beta)
     free_energy = -log_z / beta if beta > 0 else math.inf

@@ -65,6 +65,8 @@ SERIES_NO_CONVERGENCE = (
 # the fitted curve would have 10^12 rows, one per layer of the span
 SERIES_WIDE_SPAN = "layers,successes,shots\n1,900,1000\n2,890,1000\n1000000000000,500,1000\n"
 # depths close together, so within the span cap, but past int64
+# --beta 1e308 times the instance's norm bound (~2.76) is inf
+COIN_BETA_PAST_FLOAT64 = "coin beta must be finite and non-negative, got inf (norm bound 2.7"
 SERIES_PAST_INT64 = ("layers,successes,shots\n100000000000000000000,600,1000\n"
                      "100000000000000000002,590,1000\n100000000000000000004,580,1000\n")
 
@@ -102,12 +104,27 @@ SERIES_PAST_INT64 = ("layers,successes,shots\n100000000000000000000,600,1000\n"
      "series row layers = 100000000000000000000 exceeds 2^63 - 1"),
     (["noise-fit", "--series", "series.csv"], {"series.csv": "layers,successes,shots\n"},
      2, "series CSV has no rows"),
+    (["sweep", "--n-qubits", "4", "--beta", "1e308"], {}, 2, COIN_BETA_PAST_FLOAT64),
+    (["coverage", "alg1", "--n-qubits", "4", "--beta", "1e308"], {}, 2,
+     COIN_BETA_PAST_FLOAT64),
+    (["coverage", "alg2", "--n-qubits", "4", "--beta", "1e308"], {}, 2,
+     COIN_BETA_PAST_FLOAT64),
+    (["coverage", "iterative", "--n-qubits", "4", "--beta", "1e308"], {}, 2,
+     COIN_BETA_PAST_FLOAT64),
+    (["fragment", "--n-qubits", "4", "--beta", "1e308"], {}, 2, COIN_BETA_PAST_FLOAT64),
+    (["sweep", "--n-qubits", "4", "--instances", "1", "--xi", "0.037",
+      "--layers", "100000000000000000000"], {}, 2, "field 'layers' must be <="),
+    (["sweep", "--n-qubits", "4", "--instances", "1", "--xi", "0.037",
+      "--layers", "9223372036854775800"], {}, 2, "field 'layers' must be <="),
 ], ids=["input-error", "runtime-error", "spec-missing-field", "spec-short-edge",
         "spec-not-object", "series-zero-shots", "schedule-size-cap",
         "sweep-instances-cap", "generate-instances-cap", "sweep-qubit-cap",
         "fragment-qubit-cap", "series-span-cap", "sweep-insertions-cap",
         "fragment-successes-past-int64", "series-depth-past-int64",
-        "series-header-only"])
+        "series-header-only", "sweep-coin-beta-past-float64",
+        "alg1-coin-beta-past-float64", "alg2-coin-beta-past-float64",
+        "iterative-coin-beta-past-float64", "fragment-coin-beta-past-float64",
+        "layers-past-python-int64", "layers-depths-past-int64"])
 def test_process_error_exit_is_one_line(tmp_path, argv, files, code, message):
     for name, text in files.items():
         (tmp_path / name).write_text(text)

@@ -149,7 +149,7 @@ def test_algorithm1_certain_coin():
     est = algorithm1(zero_coin(0.0), tosses=2000, delta=0.05, seed=1)
     assert abs(est.value - 1.0) <= est.half_width
     assert est.samples_used == 2000
-    assert est.algorithm == "alg1"
+    assert est.rounds is None  # a fixed-budget estimate has no halving rounds
 
 
 def test_algorithm1_coverage_ideal_coin():
@@ -272,9 +272,7 @@ def constant_runner(value, calls=None):
             calls.append(reps)
         return Estimate(
             value=np.full(reps, value), half_width=np.full(reps, eps_additive),
-            relative_target=None, confidence=1.0 - delta_step,
             samples=np.ones(reps, dtype=np.int64), queries_per_sample=0,
-            algorithm="alg1",
         )
 
     return runner
@@ -284,7 +282,7 @@ def test_relative_from_additive_stops_immediately_at_zmax():
     est = relative_from_additive(constant_runner(1.0), eps_r=0.1, delta=0.05, reps=3)
     assert est.rounds.tolist() == [1, 1, 1]
     assert est.samples_used == 3
-    assert est.algorithm == "iterative"
+    assert est.half_width.tolist() == [0.05, 0.05, 0.05]  # eps_r / 2 in round 1
 
 
 def test_relative_from_additive_round_count():
@@ -303,8 +301,8 @@ def test_relative_from_additive_rounds_per_repetition():
     def runner(eps_additive, delta_step, reps):
         calls.append(reps)
         value = next(values)
-        return Estimate(value, np.full(reps, eps_additive), None, 1.0 - delta_step,
-                        np.full(reps, 10, dtype=np.int64), 2, "alg1")
+        return Estimate(value, np.full(reps, eps_additive),
+                        np.full(reps, 10, dtype=np.int64), 2)
 
     est = relative_from_additive(runner, eps_r=0.2, delta=0.05, reps=3)
     assert calls == [3, 2, 1]
@@ -402,11 +400,9 @@ def test_make_additive_runner_calls_advance_one_generator():
 def test_estimate_json_and_validation():
     value, one = np.array([10.0, 10.0]), np.ones(2, dtype=np.int64)
     with pytest.raises(ValueError, match="half_width"):
-        Estimate(value, np.array([1.0, -1.0]), None, 0.95, one, 0, "alg1")
-    with pytest.raises(ValueError, match="confidence"):
-        Estimate(value, np.ones(2), None, 1.5, one, 0, "alg1")
+        Estimate(value, np.array([1.0, -1.0]), one, 0)
     with pytest.raises(ValueError, match="samples"):
-        Estimate(value, np.ones(2), None, 0.95, np.array([1, -1]), 0, "alg1")
+        Estimate(value, np.ones(2), np.array([1, -1]), 0)
 
 
 def test_estimators_past_float64_exp():

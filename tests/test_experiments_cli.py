@@ -594,6 +594,16 @@ def test_cli_additive_runner_budget_is_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("algorithm", ["alg1", "alg2", "iterative"])
+def test_cli_coverage_accepts_delta_below_float64_resolution(tmp_path, capsys, algorithm):
+    # 1 - 1e-17 rounds to 1 in float64, yet delta = 1e-17 is a valid failure
+    # probability: no estimator turns it into a confidence level
+    assert main(["coverage", algorithm, "--n-qubits", "4", "--delta", "1e-17",
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / f"coverage_{algorithm}.json").read_text())
+    assert report["delta"] == 1e-17 and report["coverage"] == 1.0
+
+
+@pytest.mark.parametrize("algorithm", ["alg1", "alg2", "iterative"])
 def test_cli_coverage_past_float64_exp(tmp_path, capsys, algorithm):
     # beta_coin passes ~709, where Z and 2^n e^beta overflow float64, while
     # this instance's degenerate ground state keeps p = 0.125: Z is written

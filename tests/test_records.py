@@ -6,8 +6,8 @@ import pickle
 import numpy as np
 import pytest
 
-from qcoin.coin import CoinSpec, toss_fragmented, uniform_schedule
-from qcoin.estimators import algorithm1
+from qcoin.coin import CoinSpec, FragmentedRun, toss_fragmented, uniform_schedule
+from qcoin.estimators import Estimate, algorithm1
 from qcoin.experiments import ExperimentConfig
 from qcoin.hamiltonian import generate_random_ising_graph, generate_random_qrbm, unit_spectrum
 from qcoin.noise import LayerSeries, NoiseFit, NoiseModel
@@ -84,3 +84,12 @@ def test_as_dict_lists_the_fields_in_order():
     doc = config.as_dict()
     assert list(doc) == list(ExperimentConfig.fields)
     assert doc["seed"] == 3 and doc["betas"] == config.betas
+
+
+def test_result_records_hold_no_echo_of_their_arguments():
+    # eps_r, the confidence 1 - delta and the estimator's name are what the
+    # caller passed, and the step probabilities are the schedule's: the
+    # result records keep only what the run produced
+    assert Estimate.fields == (
+        "value", "half_width", "samples", "queries_per_sample", "rounds")
+    assert FragmentedRun.fields == ("attempts", "successes", "queries", "step_executions")
