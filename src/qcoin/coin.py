@@ -134,15 +134,14 @@ class Schedule(Record):
     The values are in half-beta units: step k runs the coin at inverse
     temperature 2 w_k, w_k = betas[k] - betas[k-1], and ``per_step_eps`` is
     its approximation-error budget, used for cost accounting.  The ideal
-    ``step_probabilities`` (``_step_probability``) are computed once, at
-    construction; their product telescopes to the unfragmented heads
-    probability.  ``step_query_costs`` depends on the widths alone and is
-    read from ``required_degree``'s cache on access, so a step too wide to
-    certify in float64 (2 w past ~1490) leaves the probabilities usable.
+    ``step_probabilities`` (``_step_probability``) and the
+    ``step_query_costs`` (``query_cost`` of each step) are computed once, at
+    construction; the probabilities' product telescopes to the unfragmented
+    heads probability.
     """
 
     fields = ("spectrum", "betas", "per_step_eps")
-    __slots__ = fields + ("step_probabilities",)
+    __slots__ = fields + ("step_probabilities", "step_query_costs")
 
     def __init__(
         self, spectrum: Spectrum, betas: np.ndarray, per_step_eps: np.ndarray
@@ -153,19 +152,22 @@ class Schedule(Record):
             raise ValueError("schedule needs at least one step")
         if betas[0] != 0.0:
             raise ValueError("schedule must start at 0")
-        if np.any(np.diff(betas) < 0):
+        widths = np.diff(betas)
+        if np.any(widths < 0):
             raise ValueError("schedule must be non-decreasing")
         if eps.shape != (len(betas) - 1,):
             raise ValueError("per_step_eps must have one entry per step")
         s = [boltzmann_sum(spectrum, 2.0 * b) for b in betas]
         probs = np.array([
             _step_probability(spectrum, w, s_lo, s_hi)
-            for w, s_lo, s_hi in zip(np.diff(betas), s, s[1:])
+            for w, s_lo, s_hi in zip(widths, s, s[1:])
         ])
-        for arr in (betas, eps, probs):
+        costs = np.array([query_cost(2.0 * w, e) for w, e in zip(widths, eps)],
+                         dtype=np.int64)
+        for arr in (betas, eps, probs, costs):
             arr.setflags(write=False)
         self._set(spectrum=spectrum, betas=betas, per_step_eps=eps,
-                  step_probabilities=probs)
+                  step_probabilities=probs, step_query_costs=costs)
 
     @property
     def l(self) -> int:
@@ -174,16 +176,6 @@ class Schedule(Record):
     @property
     def step_widths(self) -> np.ndarray:
         return np.diff(self.betas)
-
-    @property
-    def step_query_costs(self) -> np.ndarray:
-        return np.array(
-            [
-                query_cost(2.0 * w, e)
-                for w, e in zip(self.step_widths, self.per_step_eps)
-            ],
-            dtype=np.int64,
-        )
 
 
 def _step_probability(spectrum: Spectrum, w: float, s_lo: float, s_hi: float) -> float:

@@ -237,14 +237,26 @@ def make_additive_runner(spec: CoinSpec, seed: int) -> AdditiveRunner:
     Every draw of every call comes from one generator seeded once, so the
     calls see independent tosses and a wrapper run is fully deterministic.
     A batch that would take a repetition past ``_TOSS_BUDGET`` tosses is an
-    infeasible budget, raised before it is drawn.
+    infeasible budget, raised before it is drawn; so is a precision below
+    the smallest half-width that ``_TOSS_BUDGET`` tosses can give, raised
+    before any draw.
     """
     rng = np.random.default_rng(seed)
     p = spec.heads_probability
     q = query_cost(spec.beta, 0.0)
 
+    def over_budget(eps_p: float) -> ValueError:
+        return ValueError(
+            f"toss budget infeasible: an additive run at precision "
+            f"{eps_p:.3g} on a coin with p = {p:.6g} needs more than "
+            f"_TOSS_BUDGET = {_TOSS_BUDGET} tosses"
+        )
+
     def runner(eps_p: float, delta_step: float, reps: int = 1) -> Estimate:
         z = z_quantile(delta_step)
+        # after n tosses the Agresti-Coull half-width is >= z^2 / (2 (n + z^2))
+        if eps_p < z * z / (2.0 * (_TOSS_BUDGET + z * z)):
+            raise over_budget(eps_p)
         heads = np.zeros(reps, dtype=np.int64)
         tossed = np.zeros(reps, dtype=np.int64)
         p_hat = np.empty(reps)
@@ -262,11 +274,7 @@ def make_additive_runner(spec: CoinSpec, seed: int) -> AdditiveRunner:
             needed = np.ceil(z * z * est_p * (1.0 - est_p) / eps_p**2)
             next_batch = np.clip(needed - tossed[active], 256, 4_000_000)
             if np.any(tossed[active] + next_batch > _TOSS_BUDGET):
-                raise ValueError(
-                    f"toss budget infeasible: an additive run at precision "
-                    f"{eps_p:.3g} on a coin with p = {p:.6g} needs more than "
-                    f"_TOSS_BUDGET = {_TOSS_BUDGET} tosses"
-                )
+                raise over_budget(eps_p)
             batch = next_batch.astype(np.int64)
         return Estimate(
             value=p_hat,

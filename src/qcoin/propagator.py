@@ -2,144 +2,93 @@
 
 A toss of the coin costs as many block-encoding queries as the degree of
 the polynomial ftilde that a circuit would apply in place of the
-propagator, sub-normalized by alpha = exp(-beta/2).  ``required_degree``
-is the smallest degree d whose truncation has spectral error
-
-    max_{x in [-1, 1]} | alpha * ftilde_d(x) - alpha * exp(-beta x / 2) |
-
-at most eps_prime, measured on a dense Chebyshev-spaced grid or bounded
-by the coefficient tail.  The coefficients are the Jacobi-Anger
-truncation: with b = beta/2,
+propagator, sub-normalized by alpha = exp(-beta/2).  The polynomial is the
+Jacobi-Anger truncation: with b = beta/2,
 
     exp(-b x) = I_0(b) + 2 * sum_{k>=1} (-1)^k I_k(b) T_k(x),
 
-where I_k is the modified Bessel function of the first kind.  The
-polynomial itself is never formed here: the coin is ideal.
+where I_k is the modified Bessel function of the first kind.  Since
+|T_k| <= 1 on [-1, 1], the sub-normalized error of the degree-d truncation
+is at most the coefficient tail sum_{k>d} m_k, with
+
+    m_k = (2 - delta_k0) I_k(b) exp(-b),    sum_{k>=0} m_k = 1
+
+(the generating function exp(b cos t) = I_0(b) + 2 sum_k I_k(b) cos(k t)
+at t = 0; Abramowitz & Stegun 9.6).  ``required_degree`` is the smallest d
+whose tail is at most eps_prime.  The m_k come from Miller's backward
+recurrence I_{k-1} = (2k/b) I_k + I_{k+1} (W. Gautschi, SIAM Review 9,
+1967), run on the ratios I_k / I_{k-1} and normalized by the unit sum, so
+no I_k(b) or exp(b) is ever formed and nothing overflows at any finite
+beta.  The polynomial itself is never formed here: the coin is ideal.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
-GRID_SIZE = 10_000
 _DEGREE_CAP = 20_000
 
 
-def modified_bessel_i(order: int, x: float) -> float:
-    """Modified Bessel function I_order(x) by its ascending power series.
+def subnormalized_coefficients(b: float, floor: float) -> np.ndarray:
+    """m_0, ..., m_n: the coefficients (2 - delta_k0) I_k(b) exp(-b), b > 0.
 
-    All series terms are positive for x > 0, so there is no cancellation;
-    relative accuracy is ~1e-13 over the domain used here (|x| <= ~700,
-    bounded by float64 range since I_0(x) ~ exp(x)/sqrt(2 pi x)).  Negative
-    arguments use the parity identity I_k(-x) = (-1)^k I_k(x).
+    The window starts at the Gaussian envelope m_k ~ exp(-k^2 / (2b)), at
+    n ~ sqrt(2 b ln(1/floor)), and doubles until its last entry is below
+    ``floor``.  The recurrence starts from I_{n+1} = 0, which overstates
+    m_n and loses accuracy only in the last few entries.  A window past
+    ``_DEGREE_CAP`` is refused before it is allocated.
     """
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    if x < 0:
-        return (-1.0) ** (order % 2) * modified_bessel_i(order, -x)
-    if x == 0.0:
-        return 1.0 if order == 0 else 0.0
-    half = x / 2.0
-    term = 1.0
-    for j in range(1, order + 1):
-        term *= half / j
-        if term == 0.0:
-            return 0.0  # underflow: the true value is below double range
-    total = term
-    q = half * half
-    m = 0
-    while m < 100_000:
-        m += 1
-        term *= q / (m * (m + order))
-        updated = total + term
-        if updated == total:
-            return total
-        total = updated
-    raise RuntimeError("Bessel series did not converge")
-
-
-@lru_cache(maxsize=1)
-def _cheb_grid() -> np.ndarray:
-    """Chebyshev-spaced certification grid on [-1, 1] (GRID_SIZE points)."""
-    j = np.arange(GRID_SIZE)
-    x = np.cos(np.pi * (j + 0.5) / GRID_SIZE)
-    x.setflags(write=False)
-    return x
-
-
-def _coefficient_mags(beta: float, eps_floor: float) -> np.ndarray:
-    """Magnitudes of the sub-normalized Jacobi-Anger coefficients.
-
-    Entry k is |c_k| * exp(-beta/2) = (2 - delta_k0) I_k(beta/2) exp(-beta/2),
-    an order-one quantity.  The window extends past the Bessel turnover until
-    the magnitudes drop below ``eps_floor``, so suffix sums bound every
-    relevant truncation tail.
-    """
-    b = beta / 2.0
-    scale = math.exp(-b)
-    if scale == 0.0:
-        raise ValueError(f"beta={beta} is too large for float64 certification")
-    mags = [modified_bessel_i(0, b) * scale]
-    if not math.isfinite(mags[0]):
-        raise ValueError(f"beta={beta} is too large for float64 certification")
-    floor = max(eps_floor, 1e-305)
-    k = 0
-    while k <= b or mags[-1] >= floor:
-        k += 1
-        if k > _DEGREE_CAP:
-            raise RuntimeError("coefficient window exceeded the degree cap")
-        mags.append(2.0 * modified_bessel_i(k, b) * scale)
-    return np.array(mags)
-
-
-def _truncation_errors(beta: float, mags: np.ndarray) -> Iterator[tuple[int, float]]:
-    """Yield (d, grid error of the degree-d truncation) for d = 0, 1, ...
-
-    Shared by the degree search and the tests' reference approximant
-    (``tests/approximant.py``), so both certify through the identical
-    floating-point path.
-    """
-    x = _cheb_grid()
-    target = np.exp(-beta * (1.0 + x) * 0.5)
-    partial = np.full_like(x, mags[0])
-    yield 0, float(np.abs(partial - target).max())
-    t_prev = np.ones_like(x)
-    t_cur = np.array(x)
-    for d in range(1, len(mags)):
-        coeff = mags[d] if d % 2 == 0 else -mags[d]
-        partial = partial + coeff * t_cur
-        yield d, float(np.abs(partial - target).max())
-        t_prev, t_cur = t_cur, 2.0 * x * t_cur - t_prev
+    window = max(math.sqrt(-2.0 * b * math.log(floor)), 8.0)
+    while True:
+        if window > _DEGREE_CAP:
+            raise ValueError(
+                f"Chebyshev degree of exp(-beta x / 2) at beta = {2.0 * b:.6g} "
+                f"exceeds the degree cap {_DEGREE_CAP}"
+            )
+        n = math.ceil(window)
+        ratios = np.empty(n)  # ratios[k - 1] = I_k(b) / I_{k-1}(b)
+        r = 0.0
+        for k in range(n, 0, -1):
+            r = 1.0 / (2.0 * k / b + r)
+            ratios[k - 1] = r
+        mags = np.empty(n + 1)
+        mags[0] = 1.0
+        np.cumprod(ratios, out=mags[1:])
+        mags[1:] *= 2.0
+        mags /= mags.sum()
+        if mags[-1] < floor:
+            return mags
+        window = 2.0 * n
 
 
 @lru_cache(maxsize=4096)
 def required_degree(beta: float, eps_prime: float) -> int:
-    """Smallest truncation degree certified to reach error <= eps_prime.
+    """Smallest truncation degree d whose coefficient tail is <= eps_prime.
 
-    Certification walks the degrees upward.  A degree is accepted when the
-    grid error passes, or when the coefficient tail bound
-    sum_{k>d} |c_k| exp(-beta/2) passes; the tail bound is a rigorous upper
-    bound on the true spectral error and takes over below the ~1e-15 noise
-    floor of grid evaluation, where requests such as eps_prime = 1e-16 from
-    ideal-coin cost accounting would otherwise be undecidable.
+    The tail sum_{k>d} m_k is summed from the far end of the window, plus
+    m_n b / (n + 1/2) for the coefficients past it: I_{k+1}(b) / I_k(b) <=
+    b / (k + 1/2 + b) (Amos, Math. Comp. 28, 1974) bounds them by a
+    geometric series.  The tail bounds the true spectral error, so a
+    request such as eps_prime = 1e-16 from ideal-coin cost accounting is
+    decided exactly, however far below float64 resolution it lies.
     """
     if beta < 0:
         raise ValueError("beta must be non-negative")
     if not 0 < eps_prime <= 1:
         raise ValueError(f"eps_prime must be in (0, 1], got {eps_prime}")
-    if beta == 0.0:
+    b = beta / 2.0
+    if b == 0.0:
         return 0
-    mags = _coefficient_mags(beta, eps_prime * 1e-6)
-    suffix = np.concatenate([np.cumsum(mags[::-1])[::-1], [0.0]])
-    beyond_window = mags[-1]  # slack standing in for the truncated remainder
-    for d, grid_err in _truncation_errors(beta, mags):
-        if grid_err <= eps_prime or suffix[d + 1] + beyond_window <= eps_prime:
-            return d
-    raise RuntimeError("degree certification failed")  # unreachable: tail -> 0
+    # eps_prime * 1e-6 may underflow to 0; the smallest float is met by m_n = 0
+    mags = subnormalized_coefficients(b, max(eps_prime * 1e-6, math.ulp(0.0)))
+    n = len(mags) - 1
+    tails = np.cumsum(mags[:0:-1])[::-1] + mags[-1] * b / (n + 0.5)
+    # tails[d] bounds the error at degree d; tails[n - 1] < eps_prime, since
+    # m_n < eps_prime / 1e6 and the cap keeps b / (n + 1/2) below ~730
+    return int(np.argmax(tails <= eps_prime))
 
 
 def eps_prime_for_relative_error(beta: float, n_qubits: int, eps_r: float) -> float:

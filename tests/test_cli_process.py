@@ -116,6 +116,12 @@ SERIES_PAST_INT64 = ("layers,successes,shots\n100000000000000000000,600,1000\n"
       "--layers", "100000000000000000000"], {}, 2, "field 'layers' must be <="),
     (["sweep", "--n-qubits", "4", "--instances", "1", "--xi", "0.037",
       "--layers", "9223372036854775800"], {}, 2, "field 'layers' must be <="),
+    (["coverage", "alg1", "--n-qubits", "4", "--beta", "1e7"], {}, 2,
+     "exceeds the degree cap 20000"),
+    (["fragment", "--n-qubits", "4", "--beta", "1e7"], {}, 2,
+     "exceeds the degree cap 20000"),
+    (["coverage", "iterative", "--n-qubits", "4", "--eps-r", "1e-300"], {}, 2,
+     "toss budget infeasible: an additive run at precision 5e-301"),
 ], ids=["input-error", "runtime-error", "spec-missing-field", "spec-short-edge",
         "spec-not-object", "series-zero-shots", "schedule-size-cap",
         "sweep-instances-cap", "generate-instances-cap", "sweep-qubit-cap",
@@ -124,7 +130,9 @@ SERIES_PAST_INT64 = ("layers,successes,shots\n100000000000000000000,600,1000\n"
         "series-header-only", "sweep-coin-beta-past-float64",
         "alg1-coin-beta-past-float64", "alg2-coin-beta-past-float64",
         "iterative-coin-beta-past-float64", "fragment-coin-beta-past-float64",
-        "layers-past-python-int64", "layers-depths-past-int64"])
+        "layers-past-python-int64", "layers-depths-past-int64",
+        "alg1-degree-past-cap", "fragment-degree-past-cap",
+        "iterative-precision-past-budget"])
 def test_process_error_exit_is_one_line(tmp_path, argv, files, code, message):
     for name, text in files.items():
         (tmp_path / name).write_text(text)

@@ -201,6 +201,29 @@ def test_schedule_validation():
     assert Schedule.fields == ("spectrum", "betas", "per_step_eps")
 
 
+def test_schedule_costs_each_step_once_at_construction(monkeypatch):
+    calls = []
+    cost = qcoin.coin.query_cost
+    monkeypatch.setattr(qcoin.coin, "query_cost",
+                        lambda beta, eps: calls.append(beta) or cost(beta, eps))
+    sched = uniform_schedule(zero_spectrum(), 4.0, 4, 1e-6)
+    assert len(calls) == 4
+    costs = sched.step_query_costs
+    assert costs is sched.step_query_costs and not costs.flags.writeable
+    assert costs.dtype == np.int64 and list(costs) == [cost(1.0, 2.5e-7)] * 4
+    expected_queries_per_success(sched)
+    fragmented_query_bound(sched)
+    toss_fragmented(sched, 10, seed=1)
+    assert len(calls) == 4
+
+
+def test_schedule_costs_a_step_past_float64_bessel_range():
+    # one step at coin beta 4000, where I_0(beta / 2) overflows float64
+    sched = uniform_schedule(zero_spectrum(), 4000.0, 1, 1e-6)
+    assert list(sched.step_query_costs) == [required_degree(4000.0, 1e-6)]
+    assert sched.step_query_costs[0] > required_degree(1400.0, 1e-6)
+
+
 def test_step_probability_zero_width_step():
     spectrum = zero_spectrum()
     sched = Schedule(spectrum, np.array([0.0, 0.0]), np.array([1e-3]))

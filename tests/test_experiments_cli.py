@@ -26,6 +26,7 @@ import qcoin
 from qcoin.hamiltonian import generate_random_ising_graph, spec_from_json, unit_spectrum
 from qcoin.noise import fit_noise_model, identity_insertion_depths, simulate_noisy_tosses
 from qcoin.oracle import ideal_coin_probability, log_partition_function
+from qcoin.propagator import required_degree
 
 SMALL_CFG = """
 # minimal sweep configuration
@@ -621,6 +622,33 @@ def test_cli_coverage_past_float64_exp(tmp_path, capsys, algorithm):
         assert report["theory"]["z_max"] is None
         assert report["theory"]["log_z_max"] == pytest.approx(
             math.log(16.0) + report["beta_coin"], rel=1e-15)
+
+
+@pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+def test_cli_coverage_past_float64_bessel_range(tmp_path, capsys, algorithm):
+    # beta_coin ~1,653: I_0(beta_coin / 2) overflows float64, yet the degree
+    # certifies from the coefficient tail and p stays 0.125
+    assert main([
+        "coverage", algorithm, "--n-qubits", "4", "--beta", "600", "--reps", "3",
+        "--out", str(tmp_path),
+    ]) == 0
+    report = json.loads((tmp_path / f"coverage_{algorithm}.json").read_text())
+    assert report["beta_coin"] == pytest.approx(1653.17, rel=1e-5)
+    degree = required_degree(report["beta_coin"], 1e-16)
+    assert report["mean_queries"] == pytest.approx(degree * report["mean_samples"],
+                                                   rel=1e-12)
+
+
+@pytest.mark.parametrize("eps_r", ["1e-300", "1e-160"])
+def test_cli_iterative_precision_past_the_toss_budget_is_input_error(
+    tmp_path, capsys, eps_r
+):
+    # eps_r / 2 squared underflows (1e-300) or its reciprocal overflows
+    # (1e-160): the run is refused before any draw, with no numpy warning
+    assert main(["coverage", "iterative", "--n-qubits", "4", "--eps-r", eps_r,
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "toss budget infeasible" in err and len(err.strip().splitlines()) == 1
 
 
 def _reject_constant(name):

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from approximant import chebyshev_coefficients
+from approximant import chebyshev_coefficients, modified_bessel_i, reference_degree
 from dense_oracle import Hamiltonian, apply_approximant, build_ising, exact_propagator
 from qcoin.hamiltonian import generate_random_ising_graph, unit_spectrum
 from qcoin.oracle import exact_partition_function
 from qcoin.propagator import (
+    _DEGREE_CAP,
     eps_prime_for_relative_error,
-    modified_bessel_i,
     required_degree,
+    subnormalized_coefficients,
 )
 
 Z1 = Hamiltonian(np.array([[1, 0], [0, -1]], dtype=complex), 1, 1.0)
@@ -177,6 +178,59 @@ def test_required_degree_accepts_tiny_eps_for_cost_accounting():
     # below the grid noise floor the tail-bound certificate must take over
     d = required_degree(5.0, 1e-16)
     assert d > required_degree(5.0, 1e-10)
+
+
+def test_required_degree_equals_reference_rule():
+    # the tests' reference certifies by grid error or power-series tail; its
+    # I_0(beta/2) overflows past beta ~1,430
+    for beta in np.geomspace(0.01, 1400.0, 32):
+        for eps in np.geomspace(0.9, 1e-40, 12):
+            beta, eps = float(beta), float(eps)
+            assert required_degree(beta, eps) == reference_degree(beta, eps), (beta, eps)
+
+
+def test_subnormalized_coefficients_match_power_series():
+    # the window's last few entries carry the recurrence's start-up error;
+    # every entry 1e6 times above the floor, the range a certification at
+    # eps_prime = 1e6 * floor reads, matches the power series
+    floor = 1e-30
+    for b in np.geomspace(0.005, 700.0, 24):
+        b = float(b)
+        mags = subnormalized_coefficients(b, floor)
+        assert mags[-1] < floor
+        scale = math.exp(-b)
+        for k in np.flatnonzero(mags >= 1e6 * floor):
+            expected = (2.0 - (k == 0)) * modified_bessel_i(int(k), b) * scale
+            assert mags[k] == pytest.approx(expected, rel=1e-12), (b, k)
+
+
+def test_required_degree_past_float64_bessel_range():
+    # I_k(beta/2) overflows float64 here; the tail is checked against the
+    # exponentially scaled Bessel functions ive(k, b) = I_k(b) exp(-b)
+    special = pytest.importorskip("scipy.special")
+    for beta in (1653.17, 1e4, 1e5):
+        b = beta / 2.0
+        for eps in (1e-4, 1e-16, 1e-40):
+            d = required_degree(beta, eps)
+            terms = 2.0 * special.ive(np.arange(d, 4 * d + 100), b)
+            tail = float(terms[1:].sum())
+            assert tail <= eps * (1.0 + 1e-9) < tail + terms[0], (beta, eps)
+
+
+def test_required_degree_down_to_the_smallest_float():
+    # floors below the smallest normal float still end the window, and the
+    # degree keeps growing as eps_prime shrinks
+    for beta in (1.0, 1e3, 1e5):
+        degrees = [required_degree(beta, eps) for eps in (1e-300, 1e-305, 1e-310, 5e-324)]
+        assert all(a < b for a, b in zip(degrees, degrees[1:])), (beta, degrees)
+
+
+def test_required_degree_past_the_cap_is_refused(monkeypatch):
+    # the window is checked against the cap before its arrays exist
+    monkeypatch.setattr(np, "empty", lambda *a, **k: pytest.fail("allocated"))
+    for beta in (3e7, 1e12, 1e308):
+        with pytest.raises(ValueError, match=f"exceeds the degree cap {_DEGREE_CAP}"):
+            required_degree(beta, 1e-16)
 
 
 def test_apply_approximant_zero_hamiltonian():
