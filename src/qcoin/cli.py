@@ -37,7 +37,7 @@ def _beta_list(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
 
-def _add_config_overrides(sub: argparse.ArgumentParser) -> None:
+def _add_config_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=Path, help="flat key=value config file")
     sub.add_argument("--seed", type=int, help="root seed override")
     sub.add_argument("--shots", type=int, help="shots per sample point")
@@ -52,6 +52,7 @@ def _add_config_overrides(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n-qubits", type=int, dest="n_qubits")
     sub.add_argument("--instances", type=int)
     sub.add_argument("--reps", type=int)
+    sub.add_argument("--out", required=True, help="output directory")
 
 
 def _config_from_args(args: argparse.Namespace):
@@ -60,7 +61,7 @@ def _config_from_args(args: argparse.Namespace):
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    ExperimentConfig(instances=args.instances)  # the config file's count rule
+    ExperimentConfig(instances=args.instances, seed=args.seed)  # the config file's rules
     seeds = SeedStream(args.seed)
     files = {
         f"instance_{idx:03d}.json": _instance_spec(args, seeds.next()).to_json() + "\n"
@@ -72,10 +73,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    seed = args.seed or 0
+    ExperimentConfig(seed=seed)  # the config file's seed rule
     if args.spec is not None:
         spec = spec_from_json(Path(args.spec).read_text(encoding="utf-8"))
     else:
-        spec = _instance_spec(args, args.seed if args.seed is not None else 0)
+        spec = _instance_spec(args, seed)
     spectrum = unit_spectrum(spec)
     reports = []
     for beta in args.betas or (1.0,):
@@ -122,56 +125,66 @@ def _cmd_fragment(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_instance_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--model", choices=("ising", "qrbm"), default="ising")
+    sub.add_argument("--n-qubits", type=int, dest="n_qubits", default=4)
+    sub.add_argument("--n-visible", type=int, dest="n_visible", default=2)
+    sub.add_argument("--n-hidden", type=int, dest="n_hidden", default=2)
+
+
+def _add_generate_args(sub: argparse.ArgumentParser) -> None:
+    _add_instance_args(sub)
+    sub.add_argument("--instances", type=int, default=1)
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--out", required=True, help="output directory")
+
+
+def _add_oracle_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--spec", type=Path, help="instance spec JSON file")
+    _add_instance_args(sub)
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--beta", type=_beta_list, dest="betas")
+    sub.add_argument("--out", type=Path, help="output JSON path (default stdout)")
+
+
+def _add_coverage_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("algorithm", choices=("alg1", "alg2", "iterative"))
+    _add_config_args(sub)
+
+
+def _add_noise_fit_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--series", required=True, type=Path,
+                     help="CSV with columns layers,successes,shots")
+    sub.add_argument("--out", required=True, help="output directory")
+
+
+# one row per subcommand: help text, argument adder, handler
+_COMMANDS = {
+    "generate": ("write random instance spec files", _add_generate_args, _cmd_generate),
+    "oracle": ("exact reference values for an instance", _add_oracle_args, _cmd_oracle),
+    "sweep": ("beta sweep with sampling and mitigation", _add_config_args, _cmd_sweep),
+    "coverage": ("repetition study of an estimator", _add_coverage_args, _cmd_coverage),
+    "noise-fit": ("fit a depth-series CSV", _add_noise_fit_args, _cmd_noise_fit),
+    "fragment": ("fragmented-coin cost study", _add_config_args, _cmd_fragment),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``qcoin`` parser, with every subcommand's arguments or only ``command``'s.
+
+    Every subcommand is added either way, so the top-level usage, help and
+    invalid-choice texts do not depend on ``command``.
+    """
     parser = argparse.ArgumentParser(
         prog="qcoin",
         description="Quantum-coin partition function estimation experiments",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    gen = subs.add_parser("generate", help="write random instance spec files")
-    gen.add_argument("--model", choices=("ising", "qrbm"), default="ising")
-    gen.add_argument("--n-qubits", type=int, dest="n_qubits", default=4)
-    gen.add_argument("--n-visible", type=int, dest="n_visible", default=2)
-    gen.add_argument("--n-hidden", type=int, dest="n_hidden", default=2)
-    gen.add_argument("--instances", type=int, default=1)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--out", required=True, help="output directory")
-    gen.set_defaults(func=_cmd_generate)
-
-    orc = subs.add_parser("oracle", help="exact reference values for an instance")
-    orc.add_argument("--spec", type=Path, help="instance spec JSON file")
-    orc.add_argument("--model", choices=("ising", "qrbm"), default="ising")
-    orc.add_argument("--n-qubits", type=int, dest="n_qubits", default=4)
-    orc.add_argument("--n-visible", type=int, dest="n_visible", default=2)
-    orc.add_argument("--n-hidden", type=int, dest="n_hidden", default=2)
-    orc.add_argument("--seed", type=int)
-    orc.add_argument("--beta", type=_beta_list, dest="betas")
-    orc.add_argument("--out", type=Path, help="output JSON path (default stdout)")
-    orc.set_defaults(func=_cmd_oracle)
-
-    swp = subs.add_parser("sweep", help="beta sweep with sampling and mitigation")
-    _add_config_overrides(swp)
-    swp.add_argument("--out", required=True, help="output directory")
-    swp.set_defaults(func=_cmd_sweep)
-
-    cov = subs.add_parser("coverage", help="repetition study of an estimator")
-    cov.add_argument("algorithm", choices=("alg1", "alg2", "iterative"))
-    _add_config_overrides(cov)
-    cov.add_argument("--out", required=True, help="output directory")
-    cov.set_defaults(func=_cmd_coverage)
-
-    nft = subs.add_parser("noise-fit", help="fit a depth-series CSV")
-    nft.add_argument("--series", required=True, type=Path,
-                     help="CSV with columns layers,successes,shots")
-    nft.add_argument("--out", required=True, help="output directory")
-    nft.set_defaults(func=_cmd_noise_fit)
-
-    frg = subs.add_parser("fragment", help="fragmented-coin cost study")
-    _add_config_overrides(frg)
-    frg.add_argument("--out", required=True, help="output directory")
-    frg.set_defaults(func=_cmd_fragment)
-
+    for name, (help_text, add_args, handler) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        if command is None or command == name:
+            add_args(sub)
+        sub.set_defaults(func=handler)
     return parser
 
 
@@ -188,9 +201,8 @@ def _freeze_heap_at_exit() -> None:
     atexit.register(gc.freeze)
 
 
-def main(argv: list[str] | None = None) -> int:
-    _freeze_heap_at_exit()  # before parsing, so argparse's error exit is fast too
-    args = build_parser().parse_args(argv)
+def _run(args: argparse.Namespace) -> int:
+    """Run a parsed command; map its errors to one stderr line and an exit code."""
     try:
         with np.errstate(over="raise"):  # FloatingPointError, not a silent inf
             return args.func(args)
@@ -205,5 +217,28 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def main(argv: list[str] | None = None) -> int:
+    """Run one ``qcoin`` command; return its exit code.
+
+    The cyclic collector is paused for the whole command, parsing included,
+    and then put back as the caller had it, so a command makes no collector
+    pass; what it leaves in reference cycles (the parser, mostly) waits for
+    the caller's next pass.
+    """
+    _freeze_heap_at_exit()  # before parsing, so argparse's error exit is fast too
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level parser has no option that takes a value, so the first
+    # argument that names a subcommand is the one argparse runs
+    command = next((arg for arg in argv if arg in _COMMANDS), None)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(build_parser(command).parse_args(argv))
+    finally:
+        if collecting:
+            gc.enable()
+
+
 if __name__ == "__main__":
+    gc.disable()  # this process ends with the command: no collection after the import
     sys.exit(main())

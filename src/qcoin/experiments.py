@@ -133,6 +133,8 @@ class ExperimentConfig(ValueRecord):
                      "layers", "reps", "frag_successes"):
             if int(getattr(self, name)) < 1:
                 raise ValueError(f"field {name!r} must be >= 1")
+        if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
+            raise ValueError("field 'seed' must be >= 0")
         if self.reps > _MAX_REPS:
             raise ValueError(
                 f"field 'reps' must be <= {_MAX_REPS}: a coverage command holds "
@@ -483,17 +485,21 @@ def run_coverage(config: ExperimentConfig, algorithm: str,
 
 def read_layer_series(path: str | Path) -> LayerSeries:
     """Read a depth series CSV with columns (layers, successes, shots)."""
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if not lines or lines[0].strip().lower() != ",".join(_SERIES_COLUMNS):
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    header = next((i for i, line in enumerate(lines) if line.strip()), None)
+    if header is None or lines[header].strip().lower() != ",".join(_SERIES_COLUMNS):
         raise ValueError("series CSV must start with header 'layers,successes,shots'")
     depths: list[int] = []
     measured: list[float] = []
     shots_seen: set[int] = set()
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[header + 1:], start=header + 2):
         if not line.strip():
             continue
-        layers_s, succ_s, shots_s = line.split(",")
-        layers, shots, succ = int(layers_s), int(shots_s), int(succ_s)
+        try:
+            layers, succ, shots = (int(cell) for cell in line.split(","))
+        except ValueError:  # a cell that is no integer, or too few or too many
+            raise ValueError(f"series line {lineno}: expected the integer fields "
+                             f"{','.join(_SERIES_COLUMNS)}") from None
         if layers > 2**63 - 1:  # LayerSeries holds int64 depths
             raise ValueError(f"series row layers = {layers} exceeds 2^63 - 1")
         depths.append(layers)

@@ -1,9 +1,11 @@
 """The CLI across a real process boundary: ``python -m qcoin.cli`` in a subprocess.
 
-``main`` registers ``gc.freeze`` with ``atexit``, so a CLI process skips the
-collector's pass at interpreter exit.  These tests check that a process still
-exits with the right code, prints the same lines and writes the same files as
-an in-process call, and that nothing is frozen before the process exits.
+``main`` pauses the cyclic collector for the command and registers
+``gc.freeze`` with ``atexit``, so a CLI process makes no collector pass after
+its import.  These tests check that a process still exits with the right
+code, prints the same lines and writes the same files as an in-process call,
+that nothing is frozen before the process exits, and that an in-process
+caller gets its collector back as it had it.
 """
 
 import atexit
@@ -16,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import qcoin
-from qcoin.cli import main
+from qcoin.cli import build_parser, main
 
 SRC = Path(qcoin.__file__).resolve().parents[1]
 
@@ -69,6 +71,8 @@ SERIES_WIDE_SPAN = "layers,successes,shots\n1,900,1000\n2,890,1000\n100000000000
 COIN_BETA_PAST_FLOAT64 = "coin beta must be finite and non-negative, got inf (norm bound 2.7"
 SERIES_PAST_INT64 = ("layers,successes,shots\n100000000000000000000,600,1000\n"
                      "100000000000000000002,590,1000\n100000000000000000004,580,1000\n")
+SERIES_LINE_3 = "series line 3: expected the integer fields layers,successes,shots"
+SEED_BELOW_ZERO = "field 'seed' must be >= 0"
 
 
 @pytest.mark.parametrize("argv, files, code, message", [
@@ -122,6 +126,20 @@ SERIES_PAST_INT64 = ("layers,successes,shots\n100000000000000000000,600,1000\n"
      "exceeds the degree cap 20000"),
     (["coverage", "iterative", "--n-qubits", "4", "--eps-r", "1e-300"], {}, 2,
      "toss budget infeasible: an additive run at precision 5e-301"),
+    (["sweep", "--seed", "-1"], {}, 2, SEED_BELOW_ZERO),
+    (["coverage", "alg1", "--seed", "-1"], {}, 2, SEED_BELOW_ZERO),
+    (["fragment", "--seed", "-1"], {}, 2, SEED_BELOW_ZERO),
+    (["generate", "--seed", "-1"], {}, 2, SEED_BELOW_ZERO),
+    (["oracle", "--seed", "-1"], {}, 2, SEED_BELOW_ZERO),
+    (["noise-fit", "--series", "series.csv"],
+     {"series.csv": "layers,successes,shots\n10,900,1000\n12,880\n14,860,1000\n"},
+     2, SERIES_LINE_3),
+    (["noise-fit", "--series", "series.csv"],
+     {"series.csv": "layers,successes,shots\n10,900,1000\n12,880,1000,7\n14,860,1000\n"},
+     2, SERIES_LINE_3),
+    (["noise-fit", "--series", "series.csv"],
+     {"series.csv": "layers,successes,shots\n10,900,1000\n12,8.8e2,1000\n14,860,1000\n"},
+     2, SERIES_LINE_3),
 ], ids=["input-error", "runtime-error", "spec-missing-field", "spec-short-edge",
         "spec-not-object", "series-zero-shots", "schedule-size-cap",
         "sweep-instances-cap", "generate-instances-cap", "sweep-qubit-cap",
@@ -132,7 +150,10 @@ SERIES_PAST_INT64 = ("layers,successes,shots\n100000000000000000000,600,1000\n"
         "iterative-coin-beta-past-float64", "fragment-coin-beta-past-float64",
         "layers-past-python-int64", "layers-depths-past-int64",
         "alg1-degree-past-cap", "fragment-degree-past-cap",
-        "iterative-precision-past-budget"])
+        "iterative-precision-past-budget", "sweep-seed-negative",
+        "coverage-seed-negative", "fragment-seed-negative", "generate-seed-negative",
+        "oracle-seed-negative", "series-row-short", "series-row-long",
+        "series-cell-not-integer"])
 def test_process_error_exit_is_one_line(tmp_path, argv, files, code, message):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -187,3 +208,90 @@ def test_process_import_generates_no_record_code():
     proc = run_process([], code="import sys, qcoin.cli; print('dataclasses' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# runs the module as python -m does, so its __main__ block is part of the probe
+COLLECTION_PROBE = """
+import atexit, gc, runpy, sys
+import qcoin.cli
+del sys.modules["qcoin.cli"]  # runpy warns when the module it runs is already imported
+gc.collect()  # so running the module body again stays below the first pass's threshold
+starts = []
+gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(info))
+atexit.register(lambda: print("collections:", len(starts)))
+runpy.run_module("qcoin.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["oracle", "--n-qubits", "4", "--beta", "1"], 0),
+    (["coverage", "alg1", "--n-qubits", "4", "--beta", "1", "--reps", "20", "--out",
+      "cov"], 0),
+    (["sweep"], 2),  # argparse: --out is required
+], ids=["oracle", "coverage", "argparse-error"])
+def test_process_makes_no_collection_from_main_to_exit(tmp_path, argv, code):
+    proc = run_process(argv, code=COLLECTION_PROBE, cwd=tmp_path)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "collections: 0"
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("argv, code", [
+    (["oracle", "--n-qubits", "4", "--beta", "1"], 0),
+    (["sweep", "--shots", "0", "--out", "out"], 2),
+    (["noise-fit", "--series", "series.csv", "--out", "out"], 3),
+    (["sweep"], None),  # argparse raises SystemExit: --out is required
+], ids=["exit-0", "exit-2", "exit-3", "argparse-exit"])
+def test_in_process_main_puts_the_collector_back(tmp_path, monkeypatch, argv, code,
+                                                 collecting):
+    (tmp_path / "series.csv").write_text(SERIES_NO_CONVERGENCE)
+    monkeypatch.chdir(tmp_path)
+    starts = []
+
+    def callback(phase, info):  # counts the passes that start while main runs
+        frame = sys._getframe()
+        while frame is not None and frame.f_code is not main.__code__:
+            frame = frame.f_back
+        if frame is not None:
+            starts.append(phase)
+
+    was_enabled = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    gc.callbacks.append(callback)
+    try:
+        if code is None:
+            with pytest.raises(SystemExit):
+                main(argv)
+        else:
+            assert main(argv) == code
+        assert gc.isenabled() is collecting
+    finally:
+        gc.callbacks.remove(callback)
+        (gc.enable if was_enabled else gc.disable)()
+    assert starts == []  # no collector pass while the command ran
+
+
+# one argument list per subcommand, each with options of its own
+PARSER_ARGVS = {
+    "generate": ["generate", "--model", "qrbm", "--instances", "2", "--out", "specs"],
+    "oracle": ["oracle", "--spec", "s.json", "--beta", "0.5,2"],
+    "sweep": ["sweep", "--xi", "0.037", "--beta", "1,2", "--out", "sweep"],
+    "coverage": ["coverage", "alg2", "--reps", "3", "--seed", "5", "--out", "cov"],
+    "noise-fit": ["noise-fit", "--series", "series.csv", "--out", "fit"],
+    "fragment": ["fragment", "--config", "cfg.txt", "--out", "frag"],
+}
+
+
+@pytest.mark.parametrize("command", PARSER_ARGVS)
+def test_one_command_parser_matches_the_full_parser(capsys, command):
+    one, full = build_parser(command), build_parser()
+    argv = PARSER_ARGVS[command]
+    assert one.parse_args(argv) == full.parse_args(argv)
+    assert one.format_help() == full.format_help()
+    helps = []
+    for parser in (one, full):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and f"usage: qcoin {command}" in helps[0]
+    assert set(PARSER_ARGVS) == set(full._subparsers._group_actions[0].choices)

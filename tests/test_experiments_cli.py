@@ -73,6 +73,9 @@ def test_load_config_overrides_and_validation(tmp_path):
         load_config(path, betas=(-1.0,))
     with pytest.raises(ValueError, match="reps"):
         load_config(path, reps=1_000_001)
+    assert load_config(path, seed=0).seed == 0
+    with pytest.raises(ValueError, match="field 'seed' must be >= 0"):
+        load_config(path, seed=-1)
     # the size caps hold before anything is built
     assert load_config(path, instances=10_000, schedule_sizes=(10_000,)).instances == 10_000
     with pytest.raises(ValueError, match="field 'instances' must be <= 10000"):
@@ -222,6 +225,10 @@ def test_layer_series_csv_round_trip(tmp_path):
         read_layer_series(bad)
     bad.write_text("layers,successes,shots\n10,0,0\n12,0,0\n")
     with pytest.raises(ValueError, match="shots = 0 must be >= 1"):
+        read_layer_series(bad)
+    # a malformed row is named by its line in the file, blank lines included
+    bad.write_text("\n\nlayers,successes,shots\n10,900,1000\n\n12,880\n")
+    with pytest.raises(ValueError, match="^series line 6: expected the integer fields"):
         read_layer_series(bad)
 
 
