@@ -2,18 +2,20 @@
 
 Subcommands: generate, oracle, sweep, coverage, noise-fit, fragment.
 Exit codes: 0 success, 2 configuration/input error, 3 runtime, fit or
-float64-range error.
+float64-range error.  Every subcommand's options are rows of one table:
+a well-formed command line is parsed from it directly, and argparse,
+built from the same rows, is imported only for help, usage and errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import functools
 import gc
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,36 +33,25 @@ from .experiments import (
 )
 from .hamiltonian import spec_from_json, unit_spectrum
 from .oracle import oracle_report
+from .record import ValueRecord
 
 
 def _beta_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        import argparse  # the error path only; argparse words the message
+
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list of numbers, got {text!r}") from None
 
 
-def _add_config_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", type=Path, help="flat key=value config file")
-    sub.add_argument("--seed", type=int, help="root seed override")
-    sub.add_argument("--shots", type=int, help="shots per sample point")
-    sub.add_argument("--beta", type=_beta_list, dest="betas",
-                     help="comma-separated beta values")
-    sub.add_argument("--eps-r", type=float, dest="eps_r",
-                     help="relative-error target")
-    sub.add_argument("--delta", type=float, help="failure probability")
-    sub.add_argument("--xi", type=float, help="depolarizing strength per layer")
-    sub.add_argument("--layers", type=int, help="base circuit depth")
-    sub.add_argument("--model", choices=("ising", "qrbm"))
-    sub.add_argument("--n-qubits", type=int, dest="n_qubits")
-    sub.add_argument("--instances", type=int)
-    sub.add_argument("--reps", type=int)
-    sub.add_argument("--out", required=True, help="output directory")
-
-
-def _config_from_args(args: argparse.Namespace):
+def _config_from_args(args: SimpleNamespace):
     overrides = {k: v for k, v in vars(args).items() if k in ExperimentConfig.fields}
     return load_config(args.config, **overrides)
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
+def _cmd_generate(args: SimpleNamespace) -> int:
     ExperimentConfig(instances=args.instances, seed=args.seed)  # the config file's rules
     seeds = SeedStream(args.seed)
     files = {
@@ -72,7 +63,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: SimpleNamespace) -> int:
     seed = args.seed or 0
     ExperimentConfig(seed=seed)  # the config file's seed rule
     if args.spec is not None:
@@ -96,7 +87,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: SimpleNamespace) -> int:
     config = _config_from_args(args)
     summary = run_sweep(config, args.out)
     print(json.dumps({"config_hash": summary["config_hash"],
@@ -104,7 +95,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_coverage(args: argparse.Namespace) -> int:
+def _cmd_coverage(args: SimpleNamespace) -> int:
     config = _config_from_args(args)
     report = run_coverage(config, args.algorithm, args.out)
     print(json.dumps({"algorithm": args.algorithm,
@@ -112,78 +103,147 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_noise_fit(args: argparse.Namespace) -> int:
+def _cmd_noise_fit(args: SimpleNamespace) -> int:
     report = run_noise_fit(args.series, args.out)
     print(json.dumps({"xi": report["xi"], "xi_sigma": report["xi_sigma"]}))
     return 0
 
 
-def _cmd_fragment(args: argparse.Namespace) -> int:
+def _cmd_fragment(args: SimpleNamespace) -> int:
     config = _config_from_args(args)
     run_fragment(config, args.out)
     print(json.dumps({"schedule_sizes": list(config.schedule_sizes)}))
     return 0
 
 
-def _add_instance_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--model", choices=("ising", "qrbm"), default="ising")
-    sub.add_argument("--n-qubits", type=int, dest="n_qubits", default=4)
-    sub.add_argument("--n-visible", type=int, dest="n_visible", default=2)
-    sub.add_argument("--n-hidden", type=int, dest="n_hidden", default=2)
+class _Option(ValueRecord):
+    """One row of the option table: a ``--flag`` and its argparse keywords."""
+
+    __slots__ = fields = ("flag", "dest", "type", "default", "required", "choices", "help")
+
+    def __init__(self, flag: str, type=None, *, dest: str | None = None, default=None,
+                 required: bool = False, choices: tuple | None = None,
+                 help: str | None = None) -> None:
+        self._set(flag=flag, dest=dest or flag[2:].replace("-", "_"), type=type,
+                  default=default, required=required, choices=choices, help=help)
 
 
-def _add_generate_args(sub: argparse.ArgumentParser) -> None:
-    _add_instance_args(sub)
-    sub.add_argument("--instances", type=int, default=1)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--out", required=True, help="output directory")
+_MODELS = ("ising", "qrbm")
+_OUT_DIR = _Option("--out", required=True, help="output directory")
+_CONFIG_OPTIONS = (
+    _Option("--config", Path, help="flat key=value config file"),
+    _Option("--seed", int, help="root seed override"),
+    _Option("--shots", int, help="shots per sample point"),
+    _Option("--beta", _beta_list, dest="betas", help="comma-separated beta values"),
+    _Option("--eps-r", float, help="relative-error target"),
+    _Option("--delta", float, help="failure probability"),
+    _Option("--xi", float, help="depolarizing strength per layer"),
+    _Option("--layers", int, help="base circuit depth"),
+    _Option("--model", choices=_MODELS),
+    _Option("--n-qubits", int),
+    _Option("--instances", int),
+    _Option("--reps", int),
+    _OUT_DIR,
+)
+_INSTANCE_OPTIONS = (
+    _Option("--model", choices=_MODELS, default="ising"),
+    _Option("--n-qubits", int, default=4),
+    _Option("--n-visible", int, default=2),
+    _Option("--n-hidden", int, default=2),
+)
 
-
-def _add_oracle_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--spec", type=Path, help="instance spec JSON file")
-    _add_instance_args(sub)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--beta", type=_beta_list, dest="betas")
-    sub.add_argument("--out", type=Path, help="output JSON path (default stdout)")
-
-
-def _add_coverage_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("algorithm", choices=("alg1", "alg2", "iterative"))
-    _add_config_args(sub)
-
-
-def _add_noise_fit_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--series", required=True, type=Path,
-                     help="CSV with columns layers,successes,shots")
-    sub.add_argument("--out", required=True, help="output directory")
-
-
-# one row per subcommand: help text, argument adder, handler
+# one row per subcommand: help text, positional (dest, choices) or None,
+# options in help order, handler
 _COMMANDS = {
-    "generate": ("write random instance spec files", _add_generate_args, _cmd_generate),
-    "oracle": ("exact reference values for an instance", _add_oracle_args, _cmd_oracle),
-    "sweep": ("beta sweep with sampling and mitigation", _add_config_args, _cmd_sweep),
-    "coverage": ("repetition study of an estimator", _add_coverage_args, _cmd_coverage),
-    "noise-fit": ("fit a depth-series CSV", _add_noise_fit_args, _cmd_noise_fit),
-    "fragment": ("fragmented-coin cost study", _add_config_args, _cmd_fragment),
+    "generate": ("write random instance spec files", None, (
+        *_INSTANCE_OPTIONS,
+        _Option("--instances", int, default=1),
+        _Option("--seed", int, default=0),
+        _OUT_DIR,
+    ), _cmd_generate),
+    "oracle": ("exact reference values for an instance", None, (
+        _Option("--spec", Path, help="instance spec JSON file"),
+        *_INSTANCE_OPTIONS,
+        _Option("--seed", int),
+        _Option("--beta", _beta_list, dest="betas"),
+        _Option("--out", Path, help="output JSON path (default stdout)"),
+    ), _cmd_oracle),
+    "sweep": ("beta sweep with sampling and mitigation", None, _CONFIG_OPTIONS,
+              _cmd_sweep),
+    "coverage": ("repetition study of an estimator",
+                 ("algorithm", ("alg1", "alg2", "iterative")), _CONFIG_OPTIONS,
+                 _cmd_coverage),
+    "noise-fit": ("fit a depth-series CSV", None, (
+        _Option("--series", Path, required=True,
+                help="CSV with columns layers,successes,shots"),
+        _OUT_DIR,
+    ), _cmd_noise_fit),
+    "fragment": ("fragmented-coin cost study", None, _CONFIG_OPTIONS, _cmd_fragment),
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``qcoin`` parser, with every subcommand's arguments or only ``command``'s.
+def _parse_direct(argv: list[str]) -> SimpleNamespace | None:
+    """Parse a well-formed command line from the option table, or return None.
 
-    Every subcommand is added either way, so the top-level usage, help and
-    invalid-choice texts do not depend on ``command``.
+    Well-formed is the subcommand first, coverage's algorithm right after
+    it, then ``--flag value`` pairs with full flag names: each flag at most
+    once, no value starting with ``-``, and every type conversion, choice
+    and required flag passing.  Such a line gets the namespace argparse
+    gives it.  Any other line, help included, is left to ``build_parser``.
     """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command, rest = argv[0], argv[1:]
+    _, positional, options, handler = _COMMANDS[command]
+    values = {"command": command, "func": handler}
+    values.update((opt.dest, opt.default) for opt in options)
+    if positional is not None:
+        dest, choices = positional
+        if not rest or rest[0] not in choices:
+            return None
+        values[dest], rest = rest[0], rest[1:]
+    if len(rest) % 2:
+        return None
+    by_flag = {opt.flag: opt for opt in options}
+    given = set()
+    for flag, text in zip(rest[::2], rest[1::2]):
+        if flag not in by_flag or flag in given or text.startswith("-"):
+            return None
+        given.add(flag)
+        opt = by_flag[flag]
+        try:
+            value = text if opt.type is None else opt.type(text)
+        except Exception:  # argparse converts the text again, and reports or raises
+            return None
+        if opt.choices is not None and value not in opt.choices:
+            return None
+        values[opt.dest] = value
+    if any(opt.required and opt.flag not in given for opt in options):
+        return None
+    return SimpleNamespace(**values)
+
+
+def build_parser():
+    """The ``qcoin`` argparse parser, built from the option table.
+
+    ``main`` needs it only for the lines ``_parse_direct`` leaves: help,
+    usage, every error text and the syntax only argparse accepts
+    (``--out=x``, abbreviations, repeated flags, ``-1`` values).
+    """
+    import argparse  # here only, so a well-formed command never imports it
+
     parser = argparse.ArgumentParser(
         prog="qcoin",
         description="Quantum-coin partition function estimation experiments",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_args, handler) in _COMMANDS.items():
+    for name, (help_text, positional, options, handler) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
-        if command is None or command == name:
-            add_args(sub)
+        if positional is not None:
+            sub.add_argument(positional[0], choices=positional[1])
+        for opt in options:
+            sub.add_argument(opt.flag, dest=opt.dest, type=opt.type, default=opt.default,
+                             required=opt.required, choices=opt.choices, help=opt.help)
         sub.set_defaults(func=handler)
     return parser
 
@@ -201,7 +261,7 @@ def _freeze_heap_at_exit() -> None:
     atexit.register(gc.freeze)
 
 
-def _run(args: argparse.Namespace) -> int:
+def _run(args: SimpleNamespace) -> int:
     """Run a parsed command; map its errors to one stderr line and an exit code."""
     try:
         with np.errstate(over="raise"):  # FloatingPointError, not a silent inf
@@ -222,23 +282,32 @@ def main(argv: list[str] | None = None) -> int:
 
     The cyclic collector is paused for the whole command, parsing included,
     and then put back as the caller had it, so a command makes no collector
-    pass; what it leaves in reference cycles (the parser, mostly) waits for
-    the caller's next pass.
+    pass; what it leaves in reference cycles (argparse's parser, when the
+    line needed it) waits for the caller's next pass.
     """
     _freeze_heap_at_exit()  # before parsing, so argparse's error exit is fast too
     argv = sys.argv[1:] if argv is None else argv
-    # the top-level parser has no option that takes a value, so the first
-    # argument that names a subcommand is the one argparse runs
-    command = next((arg for arg in argv if arg in _COMMANDS), None)
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _run(build_parser(command).parse_args(argv))
+        args = _parse_direct(argv)
+        if args is None:
+            args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
+        return _run(args)
     finally:
         if collecting:
             gc.enable()
 
 
+def entry() -> int:
+    """The installed ``qcoin`` script and ``python -m qcoin.cli``: run ``main``.
+
+    The process ends with the command, so the collector stays off from here
+    on and the process makes no collector pass after its import.
+    """
+    gc.disable()
+    return main()
+
+
 if __name__ == "__main__":
-    gc.disable()  # this process ends with the command: no collection after the import
-    sys.exit(main())
+    sys.exit(entry())

@@ -5,20 +5,25 @@
 its import.  These tests check that a process still exits with the right
 code, prints the same lines and writes the same files as an in-process call,
 that nothing is frozen before the process exits, and that an in-process
-caller gets its collector back as it had it.
+caller gets its collector back as it had it.  A well-formed command line is
+parsed from the option table without argparse; the last tests check that
+parse against argparse's on the same lines.
 """
 
 import atexit
+import contextlib
 import gc
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qcoin
-from qcoin.cli import build_parser, main
+from qcoin.cli import _COMMANDS, _parse_direct, build_parser, main
 
 SRC = Path(qcoin.__file__).resolve().parents[1]
 
@@ -221,16 +226,30 @@ gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(info)
 atexit.register(lambda: print("collections:", len(starts)))
 runpy.run_module("qcoin.cli", run_name="__main__")
 """
+# calls the entry as the console-script wrapper of the installed qcoin does
+SCRIPT_PROBE = """
+import atexit, gc, re, sys
+from qcoin.cli import entry
+gc.collect()
+starts = []
+gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(info))
+atexit.register(lambda: print("collections:", len(starts)))
+if __name__ == "__main__":
+    sys.argv[0] = re.sub(r"(-script\\.pyw|\\.exe)?$", "", sys.argv[0])
+    sys.exit(entry())
+"""
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["oracle", "--n-qubits", "4", "--beta", "1"], 0),
-    (["coverage", "alg1", "--n-qubits", "4", "--beta", "1", "--reps", "20", "--out",
-      "cov"], 0),
-    (["sweep"], 2),  # argparse: --out is required
-], ids=["oracle", "coverage", "argparse-error"])
-def test_process_makes_no_collection_from_main_to_exit(tmp_path, argv, code):
-    proc = run_process(argv, code=COLLECTION_PROBE, cwd=tmp_path)
+@pytest.mark.parametrize("probe, argv, code", [
+    (COLLECTION_PROBE, ["oracle", "--n-qubits", "4", "--beta", "1"], 0),
+    (COLLECTION_PROBE, ["coverage", "alg1", "--n-qubits", "4", "--beta", "1", "--reps",
+                        "20", "--out", "cov"], 0),
+    (COLLECTION_PROBE, ["sweep"], 2),  # argparse: --out is required
+    (SCRIPT_PROBE, ["coverage", "alg1", "--n-qubits", "4", "--beta", "1", "--reps",
+                    "20", "--out", "cov"], 0),
+], ids=["oracle", "coverage", "argparse-error", "script-entry"])
+def test_process_makes_no_collection_from_main_to_exit(tmp_path, probe, argv, code):
+    proc = run_process(argv, code=probe, cwd=tmp_path)
     assert proc.returncode == code, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "collections: 0"
 
@@ -284,14 +303,121 @@ PARSER_ARGVS = {
 
 @pytest.mark.parametrize("command", PARSER_ARGVS)
 def test_one_command_parser_matches_the_full_parser(capsys, command):
-    one, full = build_parser(command), build_parser()
+    full = build_parser()
     argv = PARSER_ARGVS[command]
-    assert one.parse_args(argv) == full.parse_args(argv)
-    assert one.format_help() == full.format_help()
-    helps = []
-    for parser in (one, full):
-        with pytest.raises(SystemExit):
-            parser.parse_args([command, "--help"])
-        helps.append(capsys.readouterr().out)
-    assert helps[0] == helps[1] and f"usage: qcoin {command}" in helps[0]
+    direct = _parse_direct(argv)
+    assert direct is not None and vars(direct) == vars(full.parse_args(argv))
+    with pytest.raises(SystemExit):
+        full.parse_args([command, "--help"])
+    help_text = capsys.readouterr().out
+    assert f"usage: qcoin {command}" in help_text
+    assert all(opt.flag in help_text for opt in _COMMANDS[command][2])
     assert set(PARSER_ARGVS) == set(full._subparsers._group_actions[0].choices)
+
+
+def good_values(opt):
+    """Values the option's type and choices accept."""
+    if opt.choices is not None:
+        return list(opt.choices)
+    if opt.type is int:
+        return ["0", "3", "12"]
+    if opt.type is float:
+        return ["0.5", "1e-3"]
+    if opt.flag == "--beta":
+        return ["1", "0.5,2"]
+    return ["out", "x=y", "a b", ""]
+
+
+# values a type or choice rejects, or argparse reads as a flag or as no value
+BAD_VALUES = ["-1", "-x", "--", ",", "1,,2", "nan", "1.5", "abc", "="]
+STRAYS = ["-h", "--help", "--bogus", "stray", "alg1", "alg9", "bogus", "--"]
+
+
+@st.composite
+def command_lines(draw):
+    """Argument lists built from the option table, well-formed or nearly so."""
+    command = draw(st.sampled_from(list(_COMMANDS)))
+    _, positional, options, _ = _COMMANDS[command]
+    pieces = []
+    for opt in options:
+        # most of the time each required flag, a quarter of the time each other one
+        if draw(st.integers(0, 9)) > 0 if opt.required else draw(st.integers(0, 3)) == 0:
+            value = draw(st.sampled_from(good_values(opt) + BAD_VALUES
+                                         if draw(st.integers(0, 5)) == 0
+                                         else good_values(opt)))
+            pieces.append([opt.flag, value])
+    pieces = draw(st.permutations(pieces))
+    tokens = [token for piece in pieces for token in piece]
+    if positional is not None:
+        tokens.insert(0, draw(st.sampled_from([*positional[1], "alg9"])))
+    for _ in range(draw(st.integers(0, 2))):  # malformed pieces, anywhere
+        opt = draw(st.sampled_from(options))
+        value = draw(st.sampled_from(good_values(opt) + BAD_VALUES))
+        piece = draw(st.sampled_from([
+            [f"{opt.flag}={value}"],                                      # = form
+            [opt.flag[:draw(st.integers(3, len(opt.flag) - 1))], value],  # abbreviation
+            [opt.flag, value],                               # repeat, or a bad value
+            [draw(st.sampled_from(STRAYS))],                 # help, stray token
+        ]))
+        at = draw(st.integers(0, len(tokens)))
+        tokens[at:at] = piece
+    return [draw(st.sampled_from([command, command, command, "bogus", "-h"])), *tokens]
+
+
+@pytest.mark.parametrize("argv", [
+    ["coverage", "alg1", "--out=cov"],
+    ["coverage", "alg1", "--n-q", "4", "--out", "cov"],
+    ["coverage", "--n-qubits", "4", "alg1", "--out", "cov"],
+    ["coverage", "alg1", "--seed", "3", "--seed", "5", "--out", "cov"],
+    ["coverage", "alg1", "--seed", "-1", "--out", "cov"],
+    ["sweep", "--out", "s", "-h"],
+    ["sweep", "--beta", ",", "--out", "s"],
+    ["sweep"],
+    ["oracle", "--n-qubits"],
+    [],
+], ids=["equals-form", "abbreviation", "positional-late", "repeated-flag",
+        "dash-value", "help", "bad-value", "required-missing", "no-value", "empty"])
+def test_direct_parse_leaves_unusual_syntax_to_argparse(argv):
+    assert _parse_direct(argv) is None
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=400)
+@given(argv=command_lines())
+def test_direct_parse_matches_argparse_or_defers(argv):
+    direct = _parse_direct(argv)
+    if direct is None:
+        return
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        parsed = build_parser().parse_args(argv)  # SystemExit fails the test
+    assert vars(direct) == vars(parsed)
+
+
+MODULES_PROBE = """
+import sys
+import qcoin.cli
+loaded = lambda: sorted({"argparse", "gettext", "locale"} & set(sys.modules))
+print("after import:", loaded())
+code = qcoin.cli.main(sys.argv[1:])
+print("after main:", loaded())
+sys.exit(code)
+"""
+
+
+def test_process_well_formed_command_imports_no_argparse(tmp_path):
+    argv = ["coverage", "alg1", "--n-qubits", "4", "--beta", "1", "--reps", "20",
+            "--out", "cov"]
+    proc = run_process(argv, code=MODULES_PROBE, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "after import: []"
+    assert proc.stdout.splitlines()[-1] == "after main: []"
+
+
+@pytest.mark.parametrize("command", [["sweep", "--n-qubits", "4"], ["oracle"]])
+def test_process_malformed_beta_names_the_list(tmp_path, command):
+    proc = run_process([*command, "--beta", ",", "--out", "s"], cwd=tmp_path)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert lines[0].startswith(f"usage: qcoin {command[0]}")
+    assert lines[-1] == (f"qcoin {command[0]}: error: argument --beta: expected a "
+                         "comma-separated list of numbers, got ','")
+    assert not (tmp_path / "s").exists()
