@@ -67,7 +67,7 @@ from .oracle import (
 )
 from .record import ValueRecord
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 # a coverage command holds every repetition in memory, up to ~180 B each
 _MAX_REPS = 1_000_000
 # sweep and generate build every instance's seed and spec before writing

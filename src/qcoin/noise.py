@@ -8,8 +8,11 @@ probability toward 1/2:
 
 Inserting identity layer pairs amplifies the noise without changing the
 ideal outcome, so measurements at several depths determine (xi, p) by
-nonlinear least squares; inverting the map mitigates any later measurement
-taken at a known depth.
+least squares.  For a fixed xi the model is linear in p, so the fit
+profiles p out and searches xi in one dimension: a grid over [0, 1] finds
+the global minimum's bracket, and the sign of the profile's slope narrows
+it (Bates & Watts, Nonlinear Regression Analysis, 1988).  Inverting the map
+mitigates any later measurement taken at a known depth.
 """
 
 from __future__ import annotations
@@ -21,19 +24,20 @@ import numpy as np
 from .coin import draw_heads
 from .record import Record, ValueRecord
 
-_MAX_ITERATIONS = 200  # Gauss-Newton iterations before FitConvergenceError
+# the profile is scanned at xi = 0 and at xi 3.7% apart from 1e-16 to 1
+# (1 - xi rounds to 1 below about 5.6e-17).  Where p sits at 0 or 1 far
+# down the decay, a basin of the profile spans a few percent of xi: half as
+# many points miss one in tests/test_noise.py
+_XI_GRID = np.concatenate([[0.0], np.logspace(-16.0, 0.0, 1023)])
+# 10 rounds of 32 sections narrow a bracket of two grid steps (7% of xi) by
+# 32^10 ~ 1e15, past float precision
+_SECTIONS = 32
+_ROUNDS = 10
+_BLOCK = 2**18  # xi-by-depth cells per vectorised block of the profile
 
 
 class FitDegenerateError(ValueError):
     """The depth series carries no signal (all points at the 1/2 fixed point)."""
-
-
-class FitConvergenceError(RuntimeError):
-    """The least-squares iteration hit its cap without converging."""
-
-    def __init__(self, message: str, best: "NoiseFit"):
-        super().__init__(message)
-        self.best = best
 
 
 class NoiseModel(ValueRecord):
@@ -154,28 +158,36 @@ def fitted_curve(fit: NoiseFit, depths: np.ndarray) -> tuple[np.ndarray, np.ndar
     return _forward(theta, depths), np.sqrt(np.maximum(variance, 0.0))
 
 
-def _initial_guess(series: LayerSeries) -> np.ndarray:
-    """Two-point log-ratio of the centered signal, inverted at the first depth."""
-    centered = series.measured_p - 0.5
-    first, last = centered[0], centered[-1]
-    span = int(series.depths[-1] - series.depths[0])
-    xi0 = 0.02
-    if first != 0.0:
-        ratio = last / first
-        if 0.0 < ratio < 1.0:
-            xi0 = 1.0 - ratio ** (1.0 / span)
-    xi0 = min(max(xi0, 1e-6), 0.999)
-    p0 = 0.5 + first / (1.0 - xi0) ** series.depths[0]
-    return np.array([xi0, min(max(p0, 0.0), 1.0)])
+def _profile(xi: np.ndarray, depths: np.ndarray, centered: np.ndarray):
+    """Residual sum, its slope in xi, and the best c = p - 1/2, at each xi.
+
+    For a fixed xi the model 1/2 + c (1 - xi)^L is linear in c, so c is the
+    least-squares ratio, clipped so that p stays in [0, 1].  By the envelope
+    theorem the slope of the profile is the partial derivative at that c.
+    The xi are taken in blocks of at most _BLOCK xi-by-depth cells.
+    """
+    parts = []
+    for block in np.array_split(xi, max(1, len(xi) * len(depths) // _BLOCK)):
+        block = block[:, None]
+        below = (1.0 - block) ** (depths - 1.0)
+        a = (1.0 - block) * below
+        aa = (a * a).sum(-1)
+        c = np.clip((a * centered).sum(-1) / np.where(aa > 0.0, aa, 1.0), -0.5, 0.5)
+        r = c[:, None] * a - centered
+        parts.append(((r * r).sum(-1), -2.0 * c * (r * depths * below).sum(-1), c))
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def fit_noise_model(series: LayerSeries) -> NoiseFit:
-    """Least-squares fit of (xi, p) to the depth series.
+    """Least-squares fit of (xi, p) to the depth series, global in xi.
 
-    Gauss-Newton with Levenberg-style damping; parameters are kept inside
-    the box [0, 1]^2 by projection.  Parameter standard deviations come
-    from the Jacobian-based covariance (J^T J)^-1 scaled by the residual
-    variance, floored at the known binomial shot variance.
+    p is profiled out, and the residual sum over xi is scanned on a fixed
+    grid.  The bracket around the grid's best point is then narrowed on the
+    sign of the profile's slope, as in bisection but testing the sign at
+    _SECTIONS - 1 points per vectorised step, down to float precision.
+    Parameter standard deviations come from the Jacobian-based covariance
+    (J^T J)^-1 scaled by the residual variance, floored at the known
+    binomial shot variance.  ``iterations`` counts the profile evaluations.
     """
     if len(series.depths) < 3:
         raise ValueError("need at least 3 depth points to fit two parameters")
@@ -185,49 +197,23 @@ def fit_noise_model(series: LayerSeries) -> NoiseFit:
         )
     depths = series.depths.astype(float)
     y = series.measured_p
-    theta = _initial_guess(series)
-    r = _forward(theta, depths) - y
-    ss = float(r @ r)
-    damping = 1e-3
-    converged = False
-    iterations = 0
-    for iterations in range(1, _MAX_ITERATIONS + 1):
-        jac = _jacobian(theta, depths)
-        grad = jac.T @ r
-        hess = jac.T @ jac
-        # active-set reduction: freeze coordinates pinned at a bound whose
-        # gradient points outward, else the projected joint step zigzags
-        # along the boundary without converging
-        free = ~(
-            ((theta <= 0.0) & (grad > 0.0)) | ((theta >= 1.0) & (grad < 0.0))
-        )
-        if not free.any():
-            converged = True
-            break
-        accepted = False
-        for _ in range(40):
-            step = np.zeros(2)
-            hess_f = hess[np.ix_(free, free)]
-            step[free] = np.linalg.solve(
-                hess_f + damping * np.diag(np.maximum(np.diag(hess_f), 1e-12)),
-                -grad[free],
-            )
-            candidate = np.clip(theta + step, 0.0, 1.0)
-            r_new = _forward(candidate, depths) - y
-            ss_new = float(r_new @ r_new)
-            if ss_new <= ss:
-                accepted = True
-                break
-            damping *= 10.0
-        if not accepted:
-            break
-        moved = float(np.max(np.abs(candidate - theta)))
-        improvement = ss - ss_new
-        theta, r, ss = candidate, r_new, ss_new
-        damping = max(damping / 3.0, 1e-12)
-        if moved < 1e-12 or improvement < 1e-16 * max(ss, 1e-30):
-            converged = True
-            break
+    centered = y - 0.5
+    grid_ss = _profile(_XI_GRID, depths, centered)[0]
+    best = int(np.argmin(grid_ss))
+    lo, hi = _XI_GRID[max(best - 1, 0)], _XI_GRID[min(best + 1, len(_XI_GRID) - 1)]
+    for _ in range(_ROUNDS):
+        points = np.linspace(lo, hi, _SECTIONS + 1)
+        rising = _profile(points[1:-1], depths, centered)[1] > 0.0
+        k = int(np.argmax(rising)) if rising.any() else _SECTIONS - 1
+        lo, hi = points[k], points[k + 1]
+    # the grid's best point stays a candidate: where the slope is all
+    # rounding, as near xi = 0 on a series that fits exactly, the narrowing
+    # can drift off the minimum
+    candidates = np.array([_XI_GRID[best], lo])
+    ss, _, c = _profile(candidates, depths, centered)
+    pick = int(np.argmin(ss))
+    theta = np.array([candidates[pick], 0.5 + c[pick]])
+    ss = float(ss[pick])
 
     jac = _jacobian(theta, depths)
     dof = max(len(y) - 2, 1)
@@ -241,19 +227,14 @@ def fit_noise_model(series: LayerSeries) -> NoiseFit:
     except np.linalg.LinAlgError:
         cov = np.linalg.pinv(jac.T @ jac) * s2
     sigmas = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    fit = NoiseFit(
+    return NoiseFit(
         model=NoiseModel(xi=float(theta[0]), xi_sigma=float(sigmas[0])),
         p_hat=float(theta[1]),
         p_sigma=float(sigmas[1]),
         residual_norm=math.sqrt(ss),
         covariance=cov,
-        iterations=iterations,
+        iterations=len(_XI_GRID) + _ROUNDS * (_SECTIONS - 1) + len(candidates),
     )
-    if not converged and iterations >= _MAX_ITERATIONS:
-        raise FitConvergenceError(
-            f"no convergence after {_MAX_ITERATIONS} iterations", best=fit
-        )
-    return fit
 
 
 def mitigate(

@@ -34,7 +34,6 @@ from qcoin.hamiltonian import (
     unit_spectrum,
 )
 from qcoin.noise import (
-    FitConvergenceError,
     LayerSeries,
     NoiseModel,
     fit_noise_model,
@@ -207,10 +206,7 @@ def test_noise_round_trip_and_fit_recovery():
             trial_rng = np.random.default_rng(seed)
             successes = trial_rng.binomial(shots, pbar)
             series = LayerSeries(np.array(depths), successes / shots, shots)
-            try:
-                fit = fit_noise_model(series)
-            except FitConvergenceError as err:
-                fit = err.best
+            fit = fit_noise_model(series)
             hits += abs(fit.model.xi - xi_true) <= 2.0 * fit.model.xi_sigma
         assert hits / trials >= 0.90
 

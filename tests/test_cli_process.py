@@ -65,10 +65,20 @@ def test_process_matches_in_process_main(tmp_path, capsys, argv):
 
 
 SERIES_ZERO_SHOTS = "layers,successes,shots\n10,0,0\n12,0,0\n14,0,0\n"
-# a depth series on which the Gauss-Newton fit hits its iteration cap
-SERIES_NO_CONVERGENCE = (
+SERIES_FIVE_SHOTS = (
     "layers,successes,shots\n3,4,5\n48,3,5\n86,2,5\n119,1,5\n152,5,5\n"
 )
+# no input is known to make the noise fit fail, so exit 3 comes from a fit
+# that raises, put in place before main runs
+FAILING_FIT_PROBE = """
+import sys
+import qcoin.experiments
+def fit_noise_model(series):
+    raise RuntimeError("the noise fit failed")
+qcoin.experiments.fit_noise_model = fit_noise_model
+from qcoin.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
 # the fitted curve would have 10^12 rows, one per layer of the span
 SERIES_WIDE_SPAN = "layers,successes,shots\n1,900,1000\n2,890,1000\n1000000000000,500,1000\n"
 # depths close together, so within the span cap, but past int64
@@ -82,8 +92,8 @@ SEED_BELOW_ZERO = "field 'seed' must be >= 0"
 
 @pytest.mark.parametrize("argv, files, code, message", [
     (["sweep", "--shots", "0"], {}, 2, "field 'shots' must be >= 1"),
-    (["noise-fit", "--series", "series.csv"], {"series.csv": SERIES_NO_CONVERGENCE},
-     3, "no convergence after 200 iterations"),
+    (["noise-fit", "--series", "series.csv"], {"series.csv": SERIES_FIVE_SHOTS},
+     3, "the noise fit failed"),  # through FAILING_FIT_PROBE
     (["oracle", "--spec", "s.json"], {"s.json": '{"kind": "ising"}'}, 2,
      "spec field 'n_qubits' is missing"),
     (["oracle", "--spec", "s.json"],
@@ -162,7 +172,8 @@ SEED_BELOW_ZERO = "field 'seed' must be >= 0"
 def test_process_error_exit_is_one_line(tmp_path, argv, files, code, message):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
-    proc = run_process([*argv, "--out", str(tmp_path / "out")], cwd=tmp_path)
+    proc = run_process([*argv, "--out", str(tmp_path / "out")], cwd=tmp_path,
+                       code=FAILING_FIT_PROBE if code == 3 else None)
     assert proc.returncode == code
     assert message in proc.stderr and "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
@@ -263,8 +274,13 @@ def test_process_makes_no_collection_from_main_to_exit(tmp_path, probe, argv, co
 ], ids=["exit-0", "exit-2", "exit-3", "argparse-exit"])
 def test_in_process_main_puts_the_collector_back(tmp_path, monkeypatch, argv, code,
                                                  collecting):
-    (tmp_path / "series.csv").write_text(SERIES_NO_CONVERGENCE)
+    (tmp_path / "series.csv").write_text(SERIES_FIVE_SHOTS)
     monkeypatch.chdir(tmp_path)
+    if code == 3:  # no input is known to make the noise fit fail
+        def fit_noise_model(series):
+            raise RuntimeError("the noise fit failed")
+
+        monkeypatch.setattr("qcoin.experiments.fit_noise_model", fit_noise_model)
     starts = []
 
     def callback(phase, info):  # counts the passes that start while main runs

@@ -28,6 +28,8 @@ from qcoin.noise import fit_noise_model, identity_insertion_depths, simulate_noi
 from qcoin.oracle import ideal_coin_probability, log_partition_function
 from qcoin.propagator import required_degree
 
+from noise_reference import rss_bound
+
 SMALL_CFG = """
 # minimal sweep configuration
 model = ising
@@ -700,6 +702,40 @@ def test_cli_noise_fit_degenerate_is_input_error(tmp_path, capsys):
     assert main([
         "noise-fit", "--series", str(series_path), "--out", str(tmp_path / "nf"),
     ]) == 2
+
+
+SWEEP_N4_XI = ["sweep", "--n-qubits", "4", "--instances", "1", "--beta", "1", "--xi", "0.01"]
+
+
+@pytest.mark.parametrize("argv, files, xi, p_hat", [
+    # a series that says nothing about xi: the minimum is at xi = 0
+    (["noise-fit", "--series", "series.csv"],
+     {"series.csv": "layers,successes,shots\n26,504,1000\n37,489,1000\n"
+                    "48,502,1000\n59,495,1000\n"}, 0.0, 0.4975),
+    (["noise-fit", "--series", "series.csv"],
+     {"series.csv": "layers,successes,shots\n3,4,5\n48,3,5\n86,2,5\n119,1,5\n152,5,5\n"},
+     0.04227, 0.8459),
+    ([*SWEEP_N4_XI, "--shots", "300", "--seed", "114"], {}, 0.0, 0.555),
+    ([*SWEEP_N4_XI, "--shots", "30", "--seed", "31", "--config", "cfg.txt"],
+     {"cfg.txt": "fit_beta = 0.5\n"}, 0.0704, 0.2351),
+], ids=["noise-fit-flat", "noise-fit-five-shots", "sweep-seed-114", "sweep-fit-beta-seed-31"])
+def test_cli_noise_fit_reaches_the_global_minimum(tmp_path, capsys, monkeypatch, argv,
+                                                  files, xi, p_hat):
+    # flat or few-shot series, on which a local search can stop at xi = 1 or not
+    # converge
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "out"]) == 0
+    if argv[0] == "noise-fit":
+        fit = json.loads((tmp_path / "out" / "noise_fit.json").read_text())
+        series = read_layer_series(tmp_path / "series.csv")
+        assert fit["residual"] ** 2 <= rss_bound(series.depths, series.measured_p)
+    else:
+        fit = json.loads((tmp_path / "out" / "sweep_summary.json").read_text())["noise_fit"]
+    assert fit["xi"] == pytest.approx(xi, rel=1e-3, abs=0.0)  # 0 exactly where no decay shows
+    assert fit["p_hat"] == pytest.approx(p_hat, rel=1e-3)
+    assert fit["xi_sigma"] > 0.0
 
 
 def test_cli_noise_fit_curve_error_writes_nothing(tmp_path, capsys, monkeypatch):

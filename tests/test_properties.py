@@ -1,4 +1,4 @@
-"""Property test: every `oracle` and `sweep` input ends in an answer or exit 2.
+"""Property tests: every `oracle`, `sweep` and `noise-fit` input ends in an answer or exit 2.
 
 Inputs range over both models up to 8 qubits, betas up to 1.4e3 (coin betas
 far past float64's exp range) and shot counts up to 1e19 (past the 2^63 - 1
@@ -8,8 +8,14 @@ escape ``main``.  Only the values float64 cannot hold may be empty or null:
 the z cells of ``sweep.csv``, and ``z_beta``, ``mean_trials`` and
 ``free_energy`` (also None at beta = 0) of an oracle report.
 
+``noise-fit`` reads depth series drawn from the forward model, with 3-8
+depths, 1-10^5 shots, xi in [0, 0.5] and p in [0, 1], so series with little
+or no signal come up often.  Its residual sum must also reach the global
+minimum: at most the dense-grid reference of ``noise_reference.py``.
+
 The examples are derandomized and no example database is kept, so the test
 is deterministic and writes nothing outside its temporary directories.
+Each test runs 200 examples.
 """
 
 import contextlib
@@ -21,7 +27,10 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from noise_reference import rss_bound
 from qcoin.cli import main
+from qcoin.experiments import read_layer_series
+from qcoin.noise import simulate_noisy_tosses
 
 SETTINGS = settings(database=None, derandomize=True, deadline=None, max_examples=200)
 TEXT_COLUMNS = {"model", "instance", "config_hash"}
@@ -116,3 +125,39 @@ def test_sweep_writes_finite_values_or_exits_2(instance, beta, seed, shots):
                 assert row["instance"] == "mean" or key in Z_COLUMNS | NOISE_COLUMNS, key
             else:
                 assert math.isfinite(float(value)), (key, value)
+
+
+@st.composite
+def series_csvs(draw):
+    """A depth-series CSV drawn from the forward model, low-signal ones included."""
+    depths = [draw(st.integers(1, 100))]
+    for _ in range(draw(st.integers(2, 7))):
+        depths.append(depths[-1] + draw(st.integers(1, 30)))
+    shots = draw(st.integers(1, 10**5))
+    xi, p, seed = draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 1.0)), draw(seeds)
+    rows = [f"{d},{simulate_noisy_tosses(p, xi, d, shots, seed + i)},{shots}\n"
+            for i, d in enumerate(depths)]
+    return "layers,successes,shots\n" + "".join(rows)
+
+
+@SETTINGS
+@given(text=series_csvs())
+def test_noise_fit_reaches_the_minimum_or_exits_2(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        series_path = Path(tmp) / "series.csv"
+        series_path.write_text(text)
+        target = Path(tmp) / "out"
+        code, _, err = run(["noise-fit", "--series", str(series_path),
+                            "--out", str(target)])
+        if not assert_exit_2_or_written(code, err, target):
+            return
+        report = json.loads((target / "noise_fit.json").read_text(),
+                            parse_constant=_reject_constant)
+        lines = (target / "noise_fit_curve.csv").read_text().splitlines()
+        series = read_layer_series(series_path)
+    for key, value in report.items():
+        if key != "kind":
+            assert math.isfinite(value), (key, value)
+    for line in lines[1:]:
+        assert all(math.isfinite(float(cell)) for cell in line.split(",")), line
+    assert report["residual"] ** 2 <= rss_bound(series.depths, series.measured_p)
