@@ -74,10 +74,9 @@ def _cmd_oracle(args: SimpleNamespace) -> int:
     reports = []
     for beta in args.betas or (1.0,):
         beta_coin = spectrum.norm_bound * beta
-        report = oracle_report(spectrum, beta_coin)
         reports.append(
             {"beta": beta, "beta_coin": beta_coin, "norm_bound": spectrum.norm_bound,
-             **report.as_dict()}
+             **oracle_report(spectrum, beta_coin)}
         )
     text = json_text({"kind": "oracle", "reports": reports})
     if args.out is not None:

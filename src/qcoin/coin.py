@@ -2,12 +2,14 @@
 
 A coin toss is the success/failure of post-selecting the block-encoding
 ancillas after applying the propagator to the maximally mixed input state.
-The coin is fully characterized by its heads probability, computed once
-per ``CoinSpec``, and the estimators read only Bernoulli-process
-statistics, so the samplers draw counts from their exact distributions
-instead of simulating tosses one by one.  Every draw in the package is
-``draw_heads`` (a binomial head count) or ``draw_tosses_to_heads`` (the
-k + NegBin(k, p) tosses until k heads), which check numpy's int64 limits.
+The coin is fully characterized by its heads probability p
+(``oracle.ideal_coin_probability``) and the query cost of one toss
+(``query_cost``), and the estimators read only Bernoulli-process
+statistics, so the samplers take p and draw counts from their exact
+distributions instead of simulating tosses one by one.  Every draw in
+the package is ``draw_heads`` (a binomial head count) or
+``draw_tosses_to_heads`` (the k + NegBin(k, p) tosses until k heads),
+which check numpy's int64 limits.
 Every draw is reproducible from its 64-bit seed via numpy's PCG64
 generator (``numpy.random.default_rng``); ``SeedStream`` derives the seeds.
 
@@ -33,23 +35,6 @@ _EPS_PRIME_FLOOR = 1e-16  # cost accounting for the ideal coin
 _MAX_DRAW_COUNT = 2**63 - 1  # numpy's int64 draws: counts in, counts out
 # the limit of the Poisson draw inside numpy's negative_binomial
 _NEGBIN_MAX = _MAX_DRAW_COUNT - 10.0 * math.sqrt(_MAX_DRAW_COUNT)
-
-
-class CoinSpec(Record):
-    """Coin definition: unit spectrum and inverse temperature.
-
-    The coin is ideal: it applies exp(-beta H / 2), sub-normalized by
-    exp(-beta/2), which is implied, never stored.  ``heads_probability``
-    is ``ideal_coin_probability(spectrum, beta)``, computed once, at
-    construction.
-    """
-
-    fields = ("spectrum", "beta")
-    __slots__ = fields + ("heads_probability",)
-
-    def __init__(self, spectrum: Spectrum, beta: float) -> None:
-        self._set(spectrum=spectrum, beta=beta,
-                  heads_probability=ideal_coin_probability(spectrum, beta))
 
 
 class SeedStream:
@@ -120,34 +105,30 @@ def draw_tosses_to_heads(rng: np.random.Generator, p: float, k: int, size=None):
     return k + failures
 
 
-def toss(spec: CoinSpec, count: int, seed: int) -> int:
-    """Number of heads in ``count`` i.i.d. coin tosses, deterministic per seed.
-
-    Each toss costs ``query_cost(spec.beta, 0.0)`` queries.
-    """
-    return int(draw_heads(np.random.default_rng(seed), spec.heads_probability, count))
+def toss(p: float, count: int, seed: int) -> int:
+    """Heads in ``count`` i.i.d. tosses at probability p, deterministic per seed."""
+    return int(draw_heads(np.random.default_rng(seed), p, count))
 
 
 class Schedule(Record):
     """Inverse-temperature schedule 0 = beta_0 <= ... <= beta_l = beta/2 on a spectrum.
 
     The values are in half-beta units: step k runs the coin at inverse
-    temperature 2 w_k, w_k = betas[k] - betas[k-1], and ``per_step_eps`` is
-    its approximation-error budget, used for cost accounting.  The ideal
-    ``step_probabilities`` (``_step_probability``) and the
-    ``step_query_costs`` (``query_cost`` of each step) are computed once, at
-    construction; the probabilities' product telescopes to the unfragmented
-    heads probability.
+    temperature 2 w_k, w_k = betas[k] - betas[k-1], at a cost of
+    ``step_query_costs[k-1]`` queries, which the schedule's builder
+    certifies.  The ideal ``step_probabilities`` (``_step_probability``)
+    are computed once, at construction; their product telescopes to the
+    unfragmented heads probability.
     """
 
-    fields = ("spectrum", "betas", "per_step_eps")
-    __slots__ = fields + ("step_probabilities", "step_query_costs")
+    fields = ("spectrum", "betas", "step_query_costs")
+    __slots__ = fields + ("step_probabilities",)
 
     def __init__(
-        self, spectrum: Spectrum, betas: np.ndarray, per_step_eps: np.ndarray
+        self, spectrum: Spectrum, betas: np.ndarray, step_query_costs: np.ndarray
     ) -> None:
         betas = np.asarray(betas, dtype=float)
-        eps = np.asarray(per_step_eps, dtype=float)
+        costs = np.asarray(step_query_costs, dtype=np.int64)
         if betas.ndim != 1 or len(betas) < 2:
             raise ValueError("schedule needs at least one step")
         if betas[0] != 0.0:
@@ -155,19 +136,17 @@ class Schedule(Record):
         widths = np.diff(betas)
         if np.any(widths < 0):
             raise ValueError("schedule must be non-decreasing")
-        if eps.shape != (len(betas) - 1,):
-            raise ValueError("per_step_eps must have one entry per step")
+        if costs.shape != (len(betas) - 1,):
+            raise ValueError("step_query_costs must have one entry per step")
         s = [boltzmann_sum(spectrum, 2.0 * b) for b in betas]
         probs = np.array([
             _step_probability(spectrum, w, s_lo, s_hi)
             for w, s_lo, s_hi in zip(widths, s, s[1:])
         ])
-        costs = np.array([query_cost(2.0 * w, e) for w, e in zip(widths, eps)],
-                         dtype=np.int64)
-        for arr in (betas, eps, probs, costs):
+        for arr in (betas, costs, probs):
             arr.setflags(write=False)
-        self._set(spectrum=spectrum, betas=betas, per_step_eps=eps,
-                  step_probabilities=probs, step_query_costs=costs)
+        self._set(spectrum=spectrum, betas=betas, step_query_costs=costs,
+                  step_probabilities=probs)
 
     @property
     def l(self) -> int:
@@ -190,7 +169,12 @@ def _step_probability(spectrum: Spectrum, w: float, s_lo: float, s_hi: float) ->
 def uniform_schedule(
     spectrum: Spectrum, beta: float, l: int, eps_total: float
 ) -> Schedule:
-    """Evenly spaced schedule with the error budget split evenly."""
+    """Evenly spaced schedule with the error budget split evenly.
+
+    Every step is costed at the nominal width, ``query_cost(beta / l,
+    eps_total / l)``: one certification per schedule, though the widths
+    of ``np.linspace`` may differ in the last bit.
+    """
     if l < 1:
         raise ValueError("need at least one step")
     if beta < 0:
@@ -198,7 +182,7 @@ def uniform_schedule(
     return Schedule(
         spectrum,
         betas=np.linspace(0.0, beta / 2.0, l + 1),
-        per_step_eps=np.full(l, eps_total / l),
+        step_query_costs=np.full(l, query_cost(beta / l, eps_total / l)),
     )
 
 
@@ -315,7 +299,8 @@ def equal_step_schedule(
                 hi = mid
         betas.append(0.5 * (lo + hi))
     betas.append(beta / 2.0)
-    return Schedule(spectrum, np.array(betas), np.full(l, eps_total / l))
+    costs = [query_cost(2.0 * w, eps_total / l) for w in np.diff(betas)]
+    return Schedule(spectrum, np.array(betas), np.array(costs))
 
 
 def schedule_size_lower_bound(p_full: float, b: float) -> float:

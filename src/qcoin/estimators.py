@@ -2,11 +2,13 @@
 
 The heads probability is p = exp(-beta) Z / 2^n, so an estimate of p with
 relative precision eps_r is an estimate of the partition function Z with
-the same relative precision; callers form Z where they write it.  Two
-sampling strategies are implemented.  The first tosses a fixed number of
-coins and reports the Agresti-Coull proportion estimate; the second tosses
-until a fixed number of successes, whose mean waiting time is 1/p and
-directly yields a relative-precision estimate.  A halving wrapper turns any
+the same relative precision; callers form Z where they write it.  An
+estimator takes the coin as p and the query cost of one toss, the only
+two numbers the Bernoulli process needs.  Two sampling strategies are
+implemented.  The first tosses a fixed number of coins and reports the
+Agresti-Coull proportion estimate; the second tosses until a fixed
+number of successes, whose mean waiting time is 1/p and directly yields
+a relative-precision estimate.  A halving wrapper turns any
 additive-precision estimator into a relative-precision one.
 
 Every estimator runs R independent repetitions at once from one seeded
@@ -23,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coin import CoinSpec, draw_heads, draw_tosses_to_heads, query_cost
+from .coin import draw_heads, draw_tosses_to_heads
 from .record import Record
 
 _TOSS_BUDGET = 100_000_000  # tosses per repetition of an additive-runner call
@@ -128,7 +130,8 @@ class Estimate(Record):
 
 
 def algorithm1(
-    spec: CoinSpec, tosses: int, delta: float, seed: int, reps: int = 1
+    p: float, queries_per_toss: int, tosses: int, delta: float, seed: int,
+    reps: int = 1,
 ) -> Estimate:
     """Fixed-budget estimator: toss, then the Agresti-Coull p_hat.
 
@@ -136,20 +139,19 @@ def algorithm1(
     """
     if tosses < 1:
         raise ValueError("tosses must be >= 1")
-    heads = draw_heads(np.random.default_rng(seed), spec.heads_probability, tosses,
-                       size=reps)
+    heads = draw_heads(np.random.default_rng(seed), p, tosses, size=reps)
     p_hat, eps_p = ac_estimate(heads, tosses, delta)
     return Estimate(
         value=p_hat,
         half_width=eps_p,
         samples=np.full(reps, tosses, dtype=np.int64),
-        queries_per_sample=query_cost(spec.beta, 0.0),
+        queries_per_sample=queries_per_toss,
     )
 
 
 def algorithm2(
-    spec: CoinSpec, target_successes: int, seed: int, delta: float = 0.25,
-    reps: int = 1,
+    p: float, queries_per_toss: int, target_successes: int, seed: int,
+    delta: float = 0.25, reps: int = 1,
 ) -> Estimate:
     """Waiting-time estimator: toss until the success budget k.
 
@@ -165,16 +167,14 @@ def algorithm2(
         raise ValueError("target_successes must be >= 1")
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
-    total = draw_tosses_to_heads(
-        np.random.default_rng(seed), spec.heads_probability, k, size=reps
-    )
+    total = draw_tosses_to_heads(np.random.default_rng(seed), p, k, size=reps)
     eps_r = 1.0 / math.sqrt(delta * k)
     value = k / total
     return Estimate(
         value=value,
         half_width=eps_r * value,
         samples=total,
-        queries_per_sample=query_cost(spec.beta, 0.0),
+        queries_per_sample=queries_per_toss,
     )
 
 
@@ -228,7 +228,7 @@ def relative_from_additive(
     )
 
 
-def make_additive_runner(spec: CoinSpec, seed: int) -> AdditiveRunner:
+def make_additive_runner(p: float, queries_per_toss: int, seed: int) -> AdditiveRunner:
     """Additive-precision estimator of p on a coin, for the halving wrapper.
 
     Each repetition tosses in batches of its own size until its
@@ -242,8 +242,6 @@ def make_additive_runner(spec: CoinSpec, seed: int) -> AdditiveRunner:
     before any draw.
     """
     rng = np.random.default_rng(seed)
-    p = spec.heads_probability
-    q = query_cost(spec.beta, 0.0)
 
     def over_budget(eps_p: float) -> ValueError:
         return ValueError(
@@ -280,7 +278,7 @@ def make_additive_runner(spec: CoinSpec, seed: int) -> AdditiveRunner:
             value=p_hat,
             half_width=eps_hat,
             samples=tossed,
-            queries_per_sample=q,
+            queries_per_sample=queries_per_toss,
         )
 
     return runner

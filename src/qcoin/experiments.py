@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .coin import (
-    CoinSpec,
     SeedStream,
+    query_cost,
     toss,
     toss_fragmented,
     uniform_schedule,
@@ -177,17 +177,27 @@ class ExperimentConfig(ValueRecord):
             raise ValueError("field 'frag_eps' must be positive and finite")
 
 
-_INT_FIELDS = {"n_qubits", "n_visible", "n_hidden", "instances", "shots",
-               "layers", "insertions", "reps", "seed", "frag_successes"}
-_FLOAT_FIELDS = {"delta", "eps_r", "xi", "fit_beta", "frag_eps"}
-_LIST_FLOAT_FIELDS = {"betas"}
-_LIST_INT_FIELDS = {"schedule_sizes"}
+def _numbers(parse):
+    return lambda val: tuple(parse(v) for v in val.split(","))
+
+
+# the config fields that are not text: field -> (parser, what a value must be)
+_PARSERS = {
+    **dict.fromkeys(("n_qubits", "n_visible", "n_hidden", "instances", "shots",
+                     "layers", "insertions", "reps", "seed", "frag_successes"),
+                    (int, "an integer")),
+    **dict.fromkeys(("delta", "eps_r", "xi", "fit_beta", "frag_eps"),
+                    (float, "a number")),
+    "betas": (_numbers(float), "a comma-separated list of numbers"),
+    "schedule_sizes": (_numbers(int), "a comma-separated list of integers"),
+}
 
 
 def parse_config(text: str) -> dict:
     """Parse the flat config grammar: ``key = value`` lines, ``#`` comments.
 
-    Lists are comma-separated.  Unknown keys are rejected.
+    Lists are comma-separated.  Unknown keys are rejected, and so is a
+    value that does not parse, naming its line and field.
     """
     known = set(ExperimentConfig.fields)
     values: dict = {}
@@ -202,20 +212,13 @@ def parse_config(text: str) -> dict:
         val = val.strip()
         if key not in known:
             raise ValueError(f"config line {lineno}: unknown field {key!r}")
-        values[key] = _coerce(key, val)
+        parse, kind = _PARSERS.get(key, (str, "text"))
+        try:
+            values[key] = parse(val)
+        except ValueError:
+            raise ValueError(f"config line {lineno}: field {key!r} must be {kind}, "
+                             f"got {val!r}") from None
     return values
-
-
-def _coerce(key: str, val: str):
-    if key in _INT_FIELDS:
-        return int(val)
-    if key in _FLOAT_FIELDS:
-        return float(val)
-    if key in _LIST_FLOAT_FIELDS:
-        return tuple(float(v) for v in val.split(","))
-    if key in _LIST_INT_FIELDS:
-        return tuple(int(v) for v in val.split(","))
-    return val
 
 
 def load_config(path: str | Path | None = None, **overrides) -> ExperimentConfig:
@@ -273,15 +276,14 @@ def _instance_spec(config, instance_seed: int):
 
 
 def learn_noise_model(
-    config: ExperimentConfig, fit_coin: CoinSpec, seeds: SeedStream
+    config: ExperimentConfig, p_ideal: float, seeds: SeedStream
 ) -> tuple[NoiseFit, LayerSeries]:
     """Identity-insertion noise learning on a reference circuit.
 
-    Simulates the depth series for the configured xi on the fit circuit
-    (the sweep passes its first instance at ``fit_beta``) and fits (xi, p)
-    back out.
+    Simulates the depth series for the configured xi on the fit circuit,
+    whose ideal heads probability is ``p_ideal`` (the sweep passes its
+    first instance's at ``fit_beta``), and fits (xi, p) back out.
     """
-    p_ideal = fit_coin.heads_probability
     depths = identity_insertion_depths(config.layers, config.insertions)
     successes = [
         simulate_noisy_tosses(p_ideal, config.xi, depth, config.shots, seeds.next())
@@ -345,13 +347,12 @@ def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> dict:
         lam = spectrum.norm_bound
         log_dim = math.log(spectrum.dim)
         if idx == 0 and config.xi is not None:
-            fit_coin = CoinSpec(spectrum, lam * config.fit_beta)
-            fit, _ = learn_noise_model(config, fit_coin, seeds)
+            p_fit = ideal_coin_probability(spectrum, lam * config.fit_beta)
+            fit, _ = learn_noise_model(config, p_fit, seeds)
         for beta in config.betas:
             beta_coin = lam * beta
-            coin = CoinSpec(spectrum, beta_coin)
-            p_exact = coin.heads_probability
-            successes = toss(coin, config.shots, seeds.next())
+            p_exact = ideal_coin_probability(spectrum, beta_coin)
+            successes = toss(p_exact, config.shots, seeds.next())
             p_hat, _ = ac_estimate(successes, config.shots, config.delta)
             row = {
                 "model": config.model, "instance": idx, "instance_seed": iseed,
@@ -426,8 +427,7 @@ def run_coverage(config: ExperimentConfig, algorithm: str,
     beta = config.betas[0]
     spectrum = unit_spectrum(spec)
     beta_coin = spectrum.norm_bound * beta
-    coin = CoinSpec(spectrum, beta_coin)
-    p = coin.heads_probability
+    p = ideal_coin_probability(spectrum, beta_coin)
     log_z_exact = log_partition_function(spectrum, beta_coin)
 
     theory: dict = {}
@@ -445,13 +445,14 @@ def run_coverage(config: ExperimentConfig, algorithm: str,
         theory["log_z_max"] = log_z_max
         theory["z_max"] = exp_or_none(log_z_max)
 
+    q = query_cost(beta_coin, 0.0)  # the ideal coin's queries per toss
     if algorithm == "alg1":
-        est = algorithm1(coin, budget, config.delta, seed, config.reps)
+        est = algorithm1(p, q, budget, config.delta, seed, config.reps)
     elif algorithm == "alg2":
-        est = algorithm2(coin, budget, seed, config.delta, config.reps)
+        est = algorithm2(p, q, budget, seed, config.delta, config.reps)
     else:
         est = relative_from_additive(
-            make_additive_runner(coin, seed), config.eps_r, config.delta, config.reps
+            make_additive_runner(p, q, seed), config.eps_r, config.delta, config.reps
         )
     hits = int(np.count_nonzero(np.abs(est.value - p) <= config.eps_r * p))
 

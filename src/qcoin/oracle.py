@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from .hamiltonian import Spectrum
-from .record import ValueRecord
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp of it is still finite
 
@@ -59,41 +58,23 @@ def ideal_coin_probability(spectrum: Spectrum, beta: float) -> float:
     return ground * boltzmann_sum(spectrum, beta) / spectrum.dim
 
 
-class OracleReport(ValueRecord):
-    """Exact reference values for one (spectrum, beta) pair.
+def oracle_report(spectrum: Spectrum, beta: float) -> dict:
+    """The exact reference values of the coin at inverse temperature beta.
 
-    ``p_suc_ideal`` is the ideal coin probability exp(-beta) Z / 2^n;
-    ``mean_trials`` is its geometric mean 1/p.
-    ``z_beta`` is None where float64 cannot hold Z, ``mean_trials`` where
-    it cannot hold 1/p, and ``free_energy`` at beta = 0 or where it cannot
-    hold -log Z / beta.
-    """
-
-    __slots__ = fields = ("z_beta", "free_energy", "p_suc_ideal", "mean_trials")
-
-    def __init__(
-        self,
-        z_beta: float | None,
-        free_energy: float | None,
-        p_suc_ideal: float,
-        mean_trials: float | None,
-    ) -> None:
-        self._set(z_beta=z_beta, free_energy=free_energy, p_suc_ideal=p_suc_ideal,
-                  mean_trials=mean_trials)
-
-
-def oracle_report(spectrum: Spectrum, beta: float) -> OracleReport:
-    """Build the full reference report for the coin at inverse temperature beta.
-
-    Z and the free energy are read from log Z.
+    A dict of ``z_beta`` (Z, read from log Z), ``free_energy`` (-log Z /
+    beta), ``p_suc_ideal`` (the ideal coin probability exp(-beta) Z / 2^n)
+    and ``mean_trials`` (its geometric mean 1/p), as ``qcoin oracle``
+    writes it.  ``z_beta`` is None where float64 cannot hold Z,
+    ``mean_trials`` where it cannot hold 1/p, and ``free_energy`` at
+    beta = 0 or where it cannot hold -log Z / beta.
     """
     log_z = log_partition_function(spectrum, beta)
     p = ideal_coin_probability(spectrum, beta)
     free_energy = -log_z / beta if beta > 0 else math.inf
     mean_trials = 1.0 / p if p > 0 else math.inf
-    return OracleReport(
-        z_beta=exp_or_none(log_z),
-        free_energy=free_energy if math.isfinite(free_energy) else None,
-        p_suc_ideal=p,
-        mean_trials=mean_trials if math.isfinite(mean_trials) else None,
-    )
+    return {
+        "z_beta": exp_or_none(log_z),
+        "free_energy": free_energy if math.isfinite(free_energy) else None,
+        "p_suc_ideal": p,
+        "mean_trials": mean_trials if math.isfinite(mean_trials) else None,
+    }

@@ -13,9 +13,9 @@ import pytest
 
 from approximant import biased_heads_probability, chebyshev_coefficients
 from qcoin.coin import (
-    CoinSpec,
     equal_step_schedule,
     fragmented_query_bound,
+    query_cost,
     toss_fragmented,
     uniform_schedule,
 )
@@ -41,7 +41,7 @@ from qcoin.noise import (
     mitigate,
     noisy_success_probability,
 )
-from qcoin.oracle import exact_partition_function
+from qcoin.oracle import exact_partition_function, ideal_coin_probability
 from qcoin.propagator import required_degree
 
 
@@ -67,9 +67,12 @@ def random_unit_spectrum(index, seed):
 
 
 def standard_ising_coin(beta=1.0, seed=123):
+    """Heads probability and per-toss cost of the standard 4-qubit Ising coin,
+    with its spectrum and coin beta."""
     spectrum = unit_spectrum(generate_random_ising_graph(4, seed))
     beta_coin = spectrum.norm_bound * beta
-    return CoinSpec(spectrum, beta_coin), spectrum, beta_coin
+    p = ideal_coin_probability(spectrum, beta_coin)
+    return p, query_cost(beta_coin, 0.0), spectrum, beta_coin
 
 
 def test_eq4_identity():
@@ -80,7 +83,7 @@ def test_eq4_identity():
         for index in range(100):
             spectrum = random_unit_spectrum(index, int(rng.integers(0, 2**31)))
             beta = float(rng.uniform(0.0, 10.0))
-            p = CoinSpec(spectrum, beta).heads_probability
+            p = ideal_coin_probability(spectrum, beta)
             z = exact_partition_function(spectrum, beta)
             assert p * math.exp(beta) * spectrum.dim == pytest.approx(z, rel=1e-12)
         assert time.monotonic() - start < 10.0
@@ -96,7 +99,7 @@ def test_bias_bound():
             eps = float(10.0 ** rng.uniform(-6.0, -1.5))
             approx = chebyshev_coefficients(beta, required_degree(beta, eps))
             spectrum = random_unit_spectrum(index, int(rng.integers(0, 2**31)))
-            ideal = CoinSpec(spectrum, beta).heads_probability
+            ideal = ideal_coin_probability(spectrum, beta)
             biased = biased_heads_probability(spectrum, approx)
             assert abs(biased - ideal) <= 3.0 * eps
         assert time.monotonic() - start < 30.0
@@ -105,10 +108,9 @@ def test_bias_bound():
 def test_thm1_coverage():
     """Fixed-budget estimator: relative error <= 0.2 in >= 93% of 400 runs."""
     with criterion("Thm.1 coverage (400 reps, eps_r=0.2, delta=0.05)"):
-        coin, _, _ = standard_ising_coin(beta=1.0, seed=123)
-        p = coin.heads_probability
+        p, q, _, _ = standard_ising_coin(beta=1.0, seed=123)
         budget = sample_count_thm1(p, 0.2, 0.05)
-        est = algorithm1(coin, budget, 0.05, seed=99, reps=400)
+        est = algorithm1(p, q, budget, 0.05, seed=99, reps=400)
         hits = np.count_nonzero(np.abs(est.value - p) <= 0.2 * p)
         assert hits / 400 >= 0.93
 
@@ -116,11 +118,10 @@ def test_thm1_coverage():
 def test_thm2_coverage_and_cost():
     """Waiting-time estimator: coverage >= 70% and mean cost on prediction."""
     with criterion("Thm.2 coverage and mean total tosses (400 reps)"):
-        coin, _, _ = standard_ising_coin(beta=1.0, seed=123)
-        p = coin.heads_probability
+        p, q, _, _ = standard_ising_coin(beta=1.0, seed=123)
         budget = success_count_thm2(0.2, 0.25)
         assert budget == 100
-        est = algorithm2(coin, budget, seed=7, delta=0.25, reps=400)
+        est = algorithm2(p, q, budget, seed=7, delta=0.25, reps=400)
         hits = np.count_nonzero(np.abs(est.value - p) <= 0.2 * p)
         assert hits / 400 >= 0.70
         predicted = expected_total_tosses_thm2(p, 0.2, 0.25)
@@ -157,8 +158,7 @@ def test_eq12_scaling():
 def test_fragmentation():
     """Step-probability product, sampler frequency, and query-cost bound."""
     with criterion("Fragmented coin: product identity, sampler, query bound"):
-        coin, spectrum, beta_coin = standard_ising_coin(beta=1.0, seed=123)
-        p_full = coin.heads_probability
+        p_full, _, spectrum, beta_coin = standard_ising_coin(beta=1.0, seed=123)
         for l in (1, 2, 4, 8):
             sched = uniform_schedule(spectrum, beta_coin, l, 1e-6)
             product = math.prod(sched.step_probabilities)

@@ -155,6 +155,12 @@ SEED_BELOW_ZERO = "field 'seed' must be >= 0"
     (["noise-fit", "--series", "series.csv"],
      {"series.csv": "layers,successes,shots\n10,900,1000\n12,8.8e2,1000\n14,860,1000\n"},
      2, SERIES_LINE_3),
+    (["sweep", "--config", "run.cfg"], {"run.cfg": "n_qubits = four\n"}, 2,
+     "config line 1: field 'n_qubits' must be an integer, got 'four'"),
+    (["sweep", "--config", "run.cfg"], {"run.cfg": "seed = 3\nbetas = 1,,2\n"}, 2,
+     "config line 2: field 'betas' must be a comma-separated list of numbers, got '1,,2'"),
+    (["coverage", "alg1", "--config", "run.cfg"], {"run.cfg": "# noise\nxi =\n"}, 2,
+     "config line 2: field 'xi' must be a number, got ''"),
 ], ids=["input-error", "runtime-error", "spec-missing-field", "spec-short-edge",
         "spec-not-object", "series-zero-shots", "schedule-size-cap",
         "sweep-instances-cap", "generate-instances-cap", "sweep-qubit-cap",
@@ -168,7 +174,8 @@ SEED_BELOW_ZERO = "field 'seed' must be >= 0"
         "iterative-precision-past-budget", "sweep-seed-negative",
         "coverage-seed-negative", "fragment-seed-negative", "generate-seed-negative",
         "oracle-seed-negative", "series-row-short", "series-row-long",
-        "series-cell-not-integer"])
+        "series-cell-not-integer", "config-int-not-integer",
+        "config-list-empty-entry", "config-float-empty"])
 def test_process_error_exit_is_one_line(tmp_path, argv, files, code, message):
     for name, text in files.items():
         (tmp_path / name).write_text(text)

@@ -7,7 +7,6 @@ import pytest
 
 from approximant import biased_heads_probability, chebyshev_coefficients
 from qcoin.coin import (
-    CoinSpec,
     Schedule,
     equal_step_schedule,
     expected_queries_per_success,
@@ -19,7 +18,7 @@ from qcoin.coin import (
     uniform_schedule,
 )
 import qcoin.coin
-from qcoin.estimators import algorithm1, algorithm2, make_additive_runner
+from qcoin.estimators import algorithm1, algorithm2
 from qcoin.hamiltonian import (
     Spectrum,
     generate_random_ising_graph,
@@ -34,15 +33,11 @@ def zero_spectrum(n=2):
     return Spectrum(np.zeros(2**n), 1.0)
 
 
-def zero_coin(beta, n=2):
-    """Coin with H = 0: heads probability exactly exp(-beta)."""
-    return CoinSpec(zero_spectrum(n), beta)
-
-
 def unit_ising_coin(seed, beta):
+    """Heads probability of a unit 4-qubit Ising coin, its spectrum and coin beta."""
     spectrum = unit_spectrum(generate_random_ising_graph(4, seed))
     beta_coin = spectrum.norm_bound * beta
-    return CoinSpec(spectrum, beta_coin), spectrum, beta_coin
+    return ideal_coin_probability(spectrum, beta_coin), spectrum, beta_coin
 
 
 def _chi2_pvalue_2x2(heads_a, n_a, heads_b, n_b):
@@ -55,29 +50,27 @@ def _chi2_pvalue_2x2(heads_a, n_a, heads_b, n_b):
 
 
 def test_coin_spec_validation():
-    spectrum = zero_spectrum()
-    with pytest.raises(ValueError):
-        CoinSpec(spectrum, -1.0)
-    assert CoinSpec.fields == ("spectrum", "beta")
+    # the coin is specified by a unit spectrum and a coin beta >= 0
+    with pytest.raises(ValueError, match="non-negative"):
+        ideal_coin_probability(zero_spectrum(), -1.0)
 
 
 def test_success_probability_beta_zero_is_one():
-    assert zero_coin(0.0).heads_probability == pytest.approx(1.0, abs=1e-15)
+    assert ideal_coin_probability(zero_spectrum(), 0.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_success_probability_identity_hamiltonian():
     # H = identity: every eigenvalue 1, so p = exp(-2 beta)
     spectrum = Spectrum(np.ones(2), 1.0)
     for beta in (0.3, 1.0, 2.5):
-        assert CoinSpec(spectrum, beta).heads_probability == pytest.approx(
+        assert ideal_coin_probability(spectrum, beta) == pytest.approx(
             math.exp(-2.0 * beta), rel=1e-12
         )
 
 
 def test_success_probability_matches_oracle_identity():
     for seed in range(10):
-        coin, spectrum, beta_coin = unit_ising_coin(seed, 1.0)
-        p = coin.heads_probability
+        p, spectrum, beta_coin = unit_ising_coin(seed, 1.0)
         z = exact_partition_function(spectrum, beta_coin)
         assert p * math.exp(beta_coin) * spectrum.dim == pytest.approx(z, rel=1e-12)
 
@@ -85,19 +78,7 @@ def test_success_probability_matches_oracle_identity():
 def test_success_probability_rejects_wide_spectrum():
     # a spectrum outside [-1, 1] cannot be built, so no coin can read one
     with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-        CoinSpec(Spectrum(np.array([-2.0, 2.0]), 2.0), 1.0)
-
-
-def test_heads_probability_computed_once_per_coin(monkeypatch):
-    coin, _, _ = unit_ising_coin(3, 1.0)
-    assert coin.heads_probability == ideal_coin_probability(coin.spectrum, coin.beta)
-    calls = []
-    monkeypatch.setattr(qcoin.coin, "ideal_coin_probability",
-                        lambda spectrum, beta: calls.append(spectrum) or 0.5)
-    toss(coin, 100, seed=1)
-    algorithm2(coin, 5, seed=2)
-    make_additive_runner(coin, seed=3)(1.0 / (16 * math.exp(coin.beta)), 0.05)
-    assert calls == []
+        Spectrum(np.array([-2.0, 2.0]), 2.0)
 
 
 def test_bias_bound_for_certified_approximants():
@@ -108,51 +89,47 @@ def test_bias_bound_for_certified_approximants():
         eps = float(10.0 ** rng.uniform(-6, -2))
         approx = chebyshev_coefficients(beta, required_degree(beta, eps))
         _, spectrum, _ = unit_ising_coin(int(rng.integers(0, 500)), 1.0)
-        ideal = CoinSpec(spectrum, beta).heads_probability
+        ideal = ideal_coin_probability(spectrum, beta)
         biased = biased_heads_probability(spectrum, approx)
         assert abs(biased - ideal) <= 3.0 * eps
 
 
 def test_toss_all_heads_at_probability_one():
-    assert toss(zero_coin(0.0), 200, seed=1) == 200
+    assert toss(1.0, 200, seed=1) == 200
 
 
 def test_toss_empty_stream():
-    heads = toss(zero_coin(1.0), 0, seed=1)
+    heads = toss(math.exp(-1.0), 0, seed=1)
     assert heads == 0 and isinstance(heads, int)
 
 
 def test_toss_count_limit_is_int64():
     # numpy's binomial draws at most 2^63 - 1 tosses; a larger count is an
     # infeasible budget (exit 2), not an OverflowError (exit 3)
-    heads = toss(zero_coin(-math.log(0.38)), 2**63 - 1, seed=1)
+    heads = toss(0.38, 2**63 - 1, seed=1)
     assert isinstance(heads, int) and abs(heads / (2**63 - 1) - 0.38) <= 1e-6
     with pytest.raises(ValueError, match=r"count = 9223372036854775808 exceeds 2\^63 - 1"):
-        toss(zero_coin(1.0), 2**63, seed=1)
+        toss(math.exp(-1.0), 2**63, seed=1)
 
 
 def test_toss_heads_fraction_near_paper_scale_probability():
     # p = 0.38 (the hardware-experiment scale); binomial 3.4-sigma tolerance
-    beta = -math.log(0.38)
-    coin = zero_coin(beta)
-    assert coin.heads_probability == pytest.approx(0.38, rel=1e-14)
-    heads = toss(coin, 3000, seed=2024)
+    heads = toss(0.38, 3000, seed=2024)
     assert abs(heads / 3000 - 0.38) <= 0.03
 
 
 def test_toss_determinism_and_query_accounting():
-    coin, _, beta_coin = unit_ising_coin(3, 1.0)
-    counts = [toss(coin, 500, seed=s) for s in range(42, 52)]
-    assert counts == [toss(coin, 500, seed=s) for s in range(42, 52)]
+    p, _, beta_coin = unit_ising_coin(3, 1.0)
+    counts = [toss(p, 500, seed=s) for s in range(42, 52)]
+    assert counts == [toss(p, 500, seed=s) for s in range(42, 52)]
     assert len(set(counts)) > 1
-    est = algorithm1(coin, 500, 0.05, seed=42)
+    est = algorithm1(p, query_cost(beta_coin, 0.0), 500, 0.05, seed=42)
     assert est.queries_used == 500 * query_cost(beta_coin, 0.0)
 
 
 def test_heads_fraction_converges():
     for p, seed in ((0.01, 11), (0.1, 12), (0.5, 13)):
-        heads = toss(zero_coin(-math.log(p)) if p < 1 else zero_coin(0.0),
-                     100_000, seed=seed)
+        heads = toss(p, 100_000, seed=seed)
         tol = 4.0 * math.sqrt(p * (1 - p) / 100_000)
         assert abs(heads / 100_000 - p) <= tol
 
@@ -182,7 +159,7 @@ def test_uniform_schedule_shapes():
 
     sched = uniform_schedule(spectrum, 2.0, 4, 1e-3)
     assert np.allclose(sched.betas, [0.0, 0.25, 0.5, 0.75, 1.0], atol=0)
-    assert np.allclose(sched.per_step_eps, 2.5e-4, atol=0)
+    assert list(sched.step_query_costs) == [query_cost(0.5, 2.5e-4)] * 4
     assert math.fsum(np.diff(sched.betas)) == pytest.approx(1.0, rel=1e-15)
     assert sched.betas[-1] == 1.0
 
@@ -193,28 +170,33 @@ def test_uniform_schedule_shapes():
 def test_schedule_validation():
     spectrum = zero_spectrum()
     with pytest.raises(ValueError):
-        Schedule(spectrum, np.array([0.5, 1.0]), np.array([1e-3]))  # must start at 0
+        Schedule(spectrum, np.array([0.5, 1.0]), np.array([3]))  # must start at 0
     with pytest.raises(ValueError):
-        Schedule(spectrum, np.array([0.0, 1.0, 0.5]), np.array([1e-3, 1e-3]))
-    with pytest.raises(ValueError):
-        Schedule(spectrum, np.array([0.0, 1.0]), np.array([1e-3, 1e-3]))
-    assert Schedule.fields == ("spectrum", "betas", "per_step_eps")
+        Schedule(spectrum, np.array([0.0, 1.0, 0.5]), np.array([3, 3]))
+    with pytest.raises(ValueError, match="one entry per step"):
+        Schedule(spectrum, np.array([0.0, 1.0]), np.array([3, 3]))
+    assert Schedule.fields == ("spectrum", "betas", "step_query_costs")
 
 
 def test_schedule_costs_each_step_once_at_construction(monkeypatch):
+    # a uniform schedule certifies its one nominal width once; an equal-step
+    # schedule costs each of its steps; nothing is costed after construction
     calls = []
     cost = qcoin.coin.query_cost
     monkeypatch.setattr(qcoin.coin, "query_cost",
                         lambda beta, eps: calls.append(beta) or cost(beta, eps))
     sched = uniform_schedule(zero_spectrum(), 4.0, 4, 1e-6)
-    assert len(calls) == 4
+    assert calls == [1.0]
     costs = sched.step_query_costs
     assert costs is sched.step_query_costs and not costs.flags.writeable
     assert costs.dtype == np.int64 and list(costs) == [cost(1.0, 2.5e-7)] * 4
     expected_queries_per_success(sched)
     fragmented_query_bound(sched)
     toss_fragmented(sched, 10, seed=1)
-    assert len(calls) == 4
+    assert calls == [1.0]
+    equal = equal_step_schedule(zero_spectrum(), 4.0, 4, 1e-6)
+    assert len(calls) == 5
+    assert list(equal.step_query_costs) == [cost(b, 2.5e-7) for b in calls[1:]]
 
 
 def test_schedule_costs_a_step_past_float64_bessel_range():
@@ -226,7 +208,7 @@ def test_schedule_costs_a_step_past_float64_bessel_range():
 
 def test_step_probability_zero_width_step():
     spectrum = zero_spectrum()
-    sched = Schedule(spectrum, np.array([0.0, 0.0]), np.array([1e-3]))
+    sched = Schedule(spectrum, np.array([0.0, 0.0]), np.array([0]))
     (p,) = sched.step_probabilities
     assert p == pytest.approx(1.0, abs=1e-15)
 
@@ -241,8 +223,7 @@ def test_step_probability_zero_hamiltonian():
 
 
 def test_step_probabilities_telescope_to_full_coin():
-    coin, spectrum, beta_coin = unit_ising_coin(7, 1.5)
-    p_full = coin.heads_probability
+    p_full, spectrum, beta_coin = unit_ising_coin(7, 1.5)
     for l in (1, 2, 4, 8):
         sched = uniform_schedule(spectrum, beta_coin, l, 1e-6)
         product = math.prod(sched.step_probabilities)
@@ -264,10 +245,9 @@ def test_step_probabilities_past_float64_exp():
 
 
 def test_fragmented_single_step_equivalent_to_plain_toss():
-    coin, spectrum, beta_coin = unit_ising_coin(3, 1.0)
+    p, spectrum, beta_coin = unit_ising_coin(3, 1.0)
     sched = uniform_schedule(spectrum, beta_coin, 1, 1e-6)
-    p = coin.heads_probability
-    plain = toss(coin, 10_000, seed=5)
+    plain = toss(p, 10_000, seed=5)
     target = int(round(10_000 * p))
     run = toss_fragmented(sched, target, seed=6)
     p_value = _chi2_pvalue_2x2(plain, 10_000, run.successes, run.attempts)
@@ -370,12 +350,12 @@ def test_fragmented_and_algorithm2_share_the_toss_budget_rule():
     # is refused with the same message
     spectrum = zero_spectrum()
     sched = uniform_schedule(spectrum, 40.0, 1, 1e-6)
-    coin = CoinSpec(spectrum, 40.0)
-    assert float(np.prod(sched.step_probabilities)) == coin.heads_probability
+    p = ideal_coin_probability(spectrum, 40.0)
+    assert float(np.prod(sched.step_probabilities)) == p
     with pytest.raises(ValueError) as frag:
         toss_fragmented(sched, 2000, seed=1)
     with pytest.raises(ValueError) as alg2:
-        algorithm2(coin, 2000, seed=1)
+        algorithm2(p, query_cost(40.0, 0.0), 2000, seed=1)
     assert str(frag.value) == str(alg2.value)
     assert str(frag.value).startswith("toss budget infeasible: expected tosses = 2000")
 
@@ -452,6 +432,6 @@ def test_schedule_size_lower_bound_values():
 def test_qrbm_coin_identity():
     spectrum = unit_spectrum(generate_random_qrbm(2, 2, 9))
     beta_coin = spectrum.norm_bound
-    p = CoinSpec(spectrum, beta_coin).heads_probability
+    p = ideal_coin_probability(spectrum, beta_coin)
     z = exact_partition_function(spectrum, beta_coin)
     assert p * math.exp(beta_coin) * 16 == pytest.approx(z, rel=1e-12)

@@ -1,11 +1,13 @@
+import ast
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from approximant import biased_heads_probability, chebyshev_coefficients
-from qcoin.coin import CoinSpec
+from qcoin.coin import query_cost
 from qcoin.estimators import (
     Estimate,
     ac_estimate,
@@ -20,7 +22,7 @@ from qcoin.estimators import (
 )
 import qcoin.estimators
 from qcoin.hamiltonian import Spectrum, generate_random_ising_graph, unit_spectrum
-from qcoin.oracle import exact_partition_function
+from qcoin.oracle import exact_partition_function, ideal_coin_probability
 from qcoin.propagator import eps_prime_for_relative_error, required_degree
 
 # Phi^-1(1 - delta/2) frozen from 30-digit arithmetic
@@ -29,19 +31,23 @@ Z_1E9 = 6.1094102048693971
 Z_05 = 0.67448975019608174
 
 
-def zero_coin(beta, n=2):
-    return CoinSpec(Spectrum(np.zeros(2**n), 1.0), beta)
+def zero_coin(beta):
+    """Heads probability exp(-beta) and per-toss cost of the H = 0 coin at beta."""
+    return math.exp(-beta), query_cost(beta, 0.0)
 
 
-def synthetic_coin(p, n=2):
-    """Coin with exact heads probability p via H = 0 and beta = -log p."""
-    return zero_coin(-math.log(p), n=n)
+def synthetic_coin(p):
+    """Heads probability p and per-toss cost of the H = 0 coin at beta = -log p."""
+    return p, query_cost(-math.log(p), 0.0)
 
 
 def ising_coin(seed, beta):
+    """Heads probability and per-toss cost of a unit 4-qubit Ising coin,
+    with its spectrum and coin beta."""
     spectrum = unit_spectrum(generate_random_ising_graph(4, seed))
     beta_coin = spectrum.norm_bound * beta
-    return CoinSpec(spectrum, beta_coin), spectrum, beta_coin
+    p = ideal_coin_probability(spectrum, beta_coin)
+    return p, query_cost(beta_coin, 0.0), spectrum, beta_coin
 
 
 def test_z_quantile_paper_values():
@@ -146,24 +152,23 @@ def test_expected_total_tosses_thm2():
 
 
 def test_algorithm1_certain_coin():
-    est = algorithm1(zero_coin(0.0), tosses=2000, delta=0.05, seed=1)
+    est = algorithm1(*zero_coin(0.0), tosses=2000, delta=0.05, seed=1)
     assert abs(est.value - 1.0) <= est.half_width
     assert est.samples_used == 2000
     assert est.rounds is None  # a fixed-budget estimate has no halving rounds
 
 
 def test_algorithm1_coverage_ideal_coin():
-    coin, _, _ = ising_coin(123, 1.0)
-    p = coin.heads_probability
+    p, q, _, _ = ising_coin(123, 1.0)
     budget = sample_count_thm1(p, 0.2, 0.05)
-    est = algorithm1(coin, budget, 0.05, seed=99, reps=100)
+    est = algorithm1(p, q, budget, 0.05, seed=99, reps=100)
     hits = np.count_nonzero(np.abs(est.value - p) <= 0.2 * p)
     assert hits / 100 >= 0.93
 
 
 def test_algorithm1_coverage_with_approximation_budget():
     # eps' = eps_r Z / (6 e^beta 2^n) keeps bias within the error budget
-    coin, spectrum, beta_coin = ising_coin(123, 1.0)
+    p, _, spectrum, beta_coin = ising_coin(123, 1.0)
     z = exact_partition_function(spectrum, beta_coin)
     eps_r = 0.2
     eps_prime = eps_prime_for_relative_error(beta_coin, 4, eps_r) * z
@@ -171,9 +176,8 @@ def test_algorithm1_coverage_with_approximation_budget():
     assert approx.certified_error <= eps_prime
     # the estimators read only the heads probability: a coin with p~ is the biased coin
     biased_coin = synthetic_coin(biased_heads_probability(spectrum, approx))
-    p = coin.heads_probability
     budget = sample_count_thm1(p, eps_r, 0.05)
-    est = algorithm1(biased_coin, budget, 0.05, seed=101, reps=200)
+    est = algorithm1(*biased_coin, budget, 0.05, seed=101, reps=200)
     hits = np.count_nonzero(np.abs(est.value - p) <= eps_r * p)
     assert hits / 200 >= 0.93
     # the budget sits exactly at the theorem condition Z eps_r/(6 e^b 2^n)
@@ -183,13 +187,13 @@ def test_algorithm1_coverage_with_approximation_budget():
 
 
 def test_algorithm2_certain_coin():
-    est = algorithm2(zero_coin(0.0), target_successes=50, seed=3)
+    est = algorithm2(*zero_coin(0.0), target_successes=50, seed=3)
     assert est.samples_used == 50  # every waiting time is 1
     assert est.value == pytest.approx(1.0, rel=1e-12)
 
 
 def test_algorithm2_waiting_time_mean():
-    est = algorithm2(synthetic_coin(0.5), target_successes=100_000, seed=8)
+    est = algorithm2(*synthetic_coin(0.5), target_successes=100_000, seed=8)
     r_bar = est.samples_used / 100_000
     assert 1.99 <= r_bar <= 2.01
     assert est.value == pytest.approx(1.0 / r_bar, rel=1e-12)
@@ -203,10 +207,10 @@ def test_algorithm2_waits_past_int64_are_rejected(monkeypatch):
                            (3e-19, 4, "1.33333e+19")):
         message = re.escape(f"expected tosses = {k} / p = {expected};")
         with pytest.raises(ValueError, match=message):
-            algorithm2(synthetic_coin(p), k, seed=0)
+            algorithm2(*synthetic_coin(p), k, seed=0)
     # just inside numpy's limit the draws go through; a wrapped total
     # would be negative
-    assert algorithm2(synthetic_coin(2e-18), 2, seed=0, reps=50).samples.min() >= 2
+    assert algorithm2(*synthetic_coin(2e-18), 2, seed=0, reps=50).samples.min() >= 2
 
     class HugeDraws:  # failures that would wrap k + failures past int64
         def negative_binomial(self, n, p, size):
@@ -214,7 +218,7 @@ def test_algorithm2_waits_past_int64_are_rejected(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", lambda seed: HugeDraws())
     with pytest.raises(ValueError, match=r"toss count passed 2\^63 - 1"):
-        algorithm2(synthetic_coin(0.5), 2, seed=0)
+        algorithm2(*synthetic_coin(0.5), 2, seed=0)
 
 
 @pytest.mark.parametrize("p", [0.5, 0.01])
@@ -223,7 +227,7 @@ def test_algorithm2_total_tosses_moments(p):
     # the sample variance's spread uses NegBin's excess kurtosis
     # 6/k + p^2/(k(1-p))
     k, reps = 100, 20_000
-    totals = algorithm2(synthetic_coin(p), k, seed=5, reps=reps).samples
+    totals = algorithm2(*synthetic_coin(p), k, seed=5, reps=reps).samples
     mean, var = k / p, k * (1.0 - p) / p**2
     assert abs(totals.mean() - mean) <= 5.0 * math.sqrt(var / reps)
     kurt = 6.0 / k + p**2 / (k * (1.0 - p))
@@ -231,11 +235,10 @@ def test_algorithm2_total_tosses_moments(p):
 
 
 def test_algorithm2_coverage():
-    coin, _, _ = ising_coin(123, 1.0)
-    p = coin.heads_probability
+    p, q, _, _ = ising_coin(123, 1.0)
     budget = success_count_thm2(0.2, 0.25)
     assert budget == 100
-    est = algorithm2(coin, budget, seed=7, delta=0.25, reps=200)
+    est = algorithm2(p, q, budget, seed=7, delta=0.25, reps=200)
     hits = np.count_nonzero(np.abs(est.value - p) <= 0.2 * p)
     assert hits / 200 >= 0.75
     predicted = expected_total_tosses_thm2(p, 0.2, 0.25)
@@ -321,10 +324,9 @@ def test_relative_from_additive_round_cap():
 
 
 def test_relative_from_additive_end_to_end_coverage():
-    coin, _, _ = ising_coin(55, 2.0)
-    p = coin.heads_probability
+    p, q, _, _ = ising_coin(55, 2.0)
     eps_r, delta = 0.2, 0.1
-    est = relative_from_additive(make_additive_runner(coin, 31), eps_r, delta, reps=200)
+    est = relative_from_additive(make_additive_runner(p, q, 31), eps_r, delta, reps=200)
     hits = np.count_nonzero(np.abs(est.value - p) <= eps_r * p)
     assert hits / 200 >= 1.0 - delta
     assert abs(np.median(est.rounds) - math.ceil(math.log2(1.0 / p))) <= 2
@@ -352,14 +354,13 @@ def test_coverage_at_measurable_delta(algorithm, p):
     reps, eps_r, delta = 2000, 0.2, 0.3
     coin = synthetic_coin(p)
     if algorithm == "alg1":
-        budget = sample_count_thm1(coin.heads_probability, eps_r, delta)
-        est = algorithm1(coin, budget, delta, seed=41, reps=reps)
+        budget = sample_count_thm1(p, eps_r, delta)
+        est = algorithm1(*coin, budget, delta, seed=41, reps=reps)
     elif algorithm == "alg2":
         k = success_count_thm2(eps_r, delta)
-        est = algorithm2(coin, k, seed=42, delta=delta, reps=reps)
+        est = algorithm2(*coin, k, seed=42, delta=delta, reps=reps)
     else:
-        est = relative_from_additive(make_additive_runner(coin, 43), eps_r, delta, reps)
-    p = coin.heads_probability
+        est = relative_from_additive(make_additive_runner(*coin, 43), eps_r, delta, reps)
     misses = np.count_nonzero(np.abs(est.value - p) > eps_r * p)
     limit = binomial_upper_quantile(reps, delta, 1e-6)
     assert 650 <= limit <= 750
@@ -368,21 +369,21 @@ def test_coverage_at_measurable_delta(algorithm, p):
 
 def test_additive_runner_infeasible_budget_is_input_error():
     # at p = 1e-6 an additive precision of 1e-8 needs ~4e10 tosses
-    runner = make_additive_runner(synthetic_coin(1e-6), 3)
+    runner = make_additive_runner(*synthetic_coin(1e-6), 3)
     with pytest.raises(ValueError, match=r"toss budget infeasible: .* p = 1e-06 .*"
                        r"_TOSS_BUDGET = 100000000 tosses"):
         runner(1e-8, 0.05, 4)
 
 
-def p_units(coin, eps_z):
+def p_units(eps_z, beta_coin, dim=16):
     """An additive precision on Z, in units of p."""
-    return eps_z / (coin.spectrum.dim * math.exp(coin.beta))
+    return eps_z / (dim * math.exp(beta_coin))
 
 
 def test_make_additive_runner_deterministic():
-    coin, _, _ = ising_coin(3, 1.0)
-    est_a = make_additive_runner(coin, 12)(p_units(coin, 0.5), 0.1)
-    est_b = make_additive_runner(coin, 12)(p_units(coin, 0.5), 0.1)
+    p, q, _, beta_coin = ising_coin(3, 1.0)
+    est_a = make_additive_runner(p, q, 12)(p_units(0.5, beta_coin), 0.1)
+    est_b = make_additive_runner(p, q, 12)(p_units(0.5, beta_coin), 0.1)
     assert est_a.value == est_b.value
     assert est_a.samples_used == est_b.samples_used
 
@@ -390,10 +391,10 @@ def test_make_additive_runner_deterministic():
 def test_make_additive_runner_calls_advance_one_generator():
     # the halving wrapper's rounds must see fresh tosses: a runner that
     # reseeded its generator per call would repeat the first call's draws
-    coin, _, _ = ising_coin(3, 1.0)
-    runner = make_additive_runner(coin, 12)
-    est_a = runner(p_units(coin, 0.5), 0.1)
-    est_b = runner(p_units(coin, 0.5), 0.1)
+    p, q, _, beta_coin = ising_coin(3, 1.0)
+    runner = make_additive_runner(p, q, 12)
+    est_a = runner(p_units(0.5, beta_coin), 0.1)
+    est_b = runner(p_units(0.5, beta_coin), 0.1)
     assert est_a.value != est_b.value
 
 
@@ -407,11 +408,26 @@ def test_estimate_json_and_validation():
 
 def test_estimators_past_float64_exp():
     # coin beta 800: e^beta and Z overflow float64, while p = 0.5 exactly
-    coin = CoinSpec(Spectrum(np.array([-1.0, -1.0, 1.0, 1.0]), 1.0), 800.0)
-    assert coin.heads_probability == 0.5
+    p = ideal_coin_probability(Spectrum(np.array([-1.0, -1.0, 1.0, 1.0]), 1.0), 800.0)
+    assert p == 0.5
+    q = query_cost(800.0, 0.0)
     for est in (
-        algorithm1(coin, 2000, 0.05, seed=1),
-        algorithm2(coin, 400, seed=2),
-        relative_from_additive(make_additive_runner(coin, 3), 0.2, 0.05),
+        algorithm1(p, q, 2000, 0.05, seed=1),
+        algorithm2(p, q, 400, seed=2),
+        relative_from_additive(make_additive_runner(p, q, 3), 0.2, 0.05),
     ):
         assert abs(est.value - 0.5) <= est.half_width
+
+
+def test_estimators_read_only_the_heads_probability():
+    # an estimator takes p and the per-toss cost: it imports neither the
+    # spectrum nor the oracle, and from qcoin.coin only the two samplers
+    tree = ast.parse(Path(qcoin.estimators.__file__).read_text(encoding="utf-8"))
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules[node.module] = {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            modules.update((a.name, set()) for a in node.names)
+    assert modules["coin"] == {"draw_heads", "draw_tosses_to_heads"}
+    assert not [m for m in modules if "hamiltonian" in m or "oracle" in m]

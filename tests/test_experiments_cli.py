@@ -21,7 +21,7 @@ from qcoin.experiments import (
     run_sweep,
     write_layer_series,
 )
-from qcoin.coin import CoinSpec, SeedStream
+from qcoin.coin import SeedStream
 import qcoin
 from qcoin.hamiltonian import generate_random_ising_graph, spec_from_json, unit_spectrum
 from qcoin.noise import fit_noise_model, identity_insertion_depths, simulate_noisy_tosses
@@ -327,12 +327,48 @@ def test_run_fragment_sums_each_schedule_point_once(tmp_path, monkeypatch):
     assert len(calls) == 1 + sum(l + 1 for l in sizes)
 
 
+@pytest.mark.parametrize("model, n, beta, sizes", [
+    ("ising", 4, 0.2, (1, 2, 4, 8)),
+    ("ising", 8, 0.9, (1, 2, 4, 8)),
+    ("qrbm", 4, 0.2, (1, 2, 4, 8)),
+    ("ising", 4, 3.7, (3, 5, 7)),
+], ids=["ising4", "ising8-beta0.9", "qrbm", "ising4-beta3.7-odd-sizes"])
+def test_run_fragment_certifies_one_degree_per_schedule_size(tmp_path, model, n, beta,
+                                                             sizes):
+    # a uniform schedule's steps share one nominal width, so each size takes
+    # one uncached certification, whatever widths np.linspace rounds to
+    config = ExperimentConfig(model=model, n_qubits=n, betas=(beta,), seed=0,
+                              schedule_sizes=sizes, frag_successes=300)
+    required_degree.cache_clear()
+    run_fragment(config, tmp_path)
+    assert required_degree.cache_info().misses == len(sizes)
+
+
+def test_run_coverage_sums_the_spectrum_twice(monkeypatch):
+    # a coverage command reads its coin from two Boltzmann sums, one for the
+    # heads probability p and one for log Z; the estimators take p and the
+    # per-toss cost, and never read the spectrum
+    calls = []
+    original = qcoin.oracle.boltzmann_sum
+
+    def counting(spectrum, beta):
+        calls.append(beta)
+        return original(spectrum, beta)
+
+    monkeypatch.setattr(qcoin.oracle, "boltzmann_sum", counting)
+    config = ExperimentConfig(model="ising", n_qubits=4, betas=(1.0,), reps=20, seed=5)
+    for algorithm in ("alg1", "alg2", "iterative"):
+        calls.clear()
+        run_coverage(config, algorithm)
+        assert len(calls) == 2 and calls[0] == calls[1], algorithm
+
+
 DENSE_OR_DELETED_NAMES = {
     "Hamiltonian", "build_ising", "build_qrbm", "build_hamiltonian",
     "PropagatorExact", "exact_propagator", "apply_approximant", "_clenshaw_matrix",
     "exact_free_energy", "geometric_stats",
     "ChebyshevApproximant", "chebyshev_coefficients", "_clenshaw", "success_probability",
-    "_shifted_mean",
+    "_shifted_mean", "CoinSpec", "OracleReport",
 }
 
 
@@ -347,7 +383,7 @@ def test_run_sweep_decomposes_each_instance_at_most_once(
     # the unit spectrum built from the instance parameters.  The dense matrix
     # and its eigenvectors are the tests' oracle (tests/dense_oracle.py) alone.
     for module in (qcoin, qcoin.hamiltonian, qcoin.propagator, qcoin.oracle,
-                   qcoin.coin):
+                   qcoin.coin, qcoin.estimators, qcoin.experiments, qcoin.cli):
         assert not DENSE_OR_DELETED_NAMES & set(vars(module))
     for path in Path(qcoin.__file__).parent.glob("*.py"):
         assert "dense_oracle" not in path.read_text(encoding="utf-8")
@@ -379,8 +415,8 @@ def test_learn_noise_model_smoke():
     config = ExperimentConfig(model="ising", n_qubits=4, xi=0.037, shots=3000, seed=2)
     spectrum = unit_spectrum(generate_random_ising_graph(4, 123))
     beta_coin = spectrum.norm_bound * config.fit_beta
-    coin = CoinSpec(spectrum, beta_coin)
-    fit, series = learn_noise_model(config, coin, SeedStream(2))
+    p_fit = ideal_coin_probability(spectrum, beta_coin)
+    fit, series = learn_noise_model(config, p_fit, SeedStream(2))
     assert 0.0 <= fit.model.xi <= 1.0
     assert len(series.depths) == config.insertions + 1
 

@@ -6,27 +6,23 @@ import pickle
 import numpy as np
 import pytest
 
-from qcoin.coin import CoinSpec, FragmentedRun, toss_fragmented, uniform_schedule
+from qcoin.coin import FragmentedRun, toss_fragmented, uniform_schedule
 from qcoin.estimators import Estimate, algorithm1
 from qcoin.experiments import ExperimentConfig
 from qcoin.hamiltonian import generate_random_ising_graph, generate_random_qrbm, unit_spectrum
 from qcoin.noise import LayerSeries, NoiseFit, NoiseModel
-from qcoin.oracle import oracle_report
 
 
 def _records():
     spectrum = unit_spectrum(generate_random_ising_graph(4, 5))
-    coin = CoinSpec(spectrum, 1.0)
     schedule = uniform_schedule(spectrum, 1.0, 2, 1e-6)
     return [
         spectrum,
         generate_random_ising_graph(4, 5),
         generate_random_qrbm(2, 2, 3),
-        oracle_report(spectrum, 1.0),
-        coin,
         schedule,
         toss_fragmented(schedule, 10, 3),
-        algorithm1(coin, 100, 0.05, 1, reps=3),
+        algorithm1(0.5, 7, 100, 0.05, 1, reps=3),
         NoiseModel(0.01, 0.001),
         LayerSeries([10, 12, 14], [0.6, 0.58, 0.57], 100),
         NoiseFit(NoiseModel(0.01), 0.6, 0.01, 0.0, np.eye(2), 3),
@@ -37,7 +33,7 @@ def _records():
 RECORDS = _records()
 IDS = [type(r).__name__ for r in RECORDS]
 # records that hold no arrays compare by value; the others by identity
-VALUE_TYPES = {"IsingSpec", "OracleReport", "NoiseModel", "ExperimentConfig"}
+VALUE_TYPES = {"IsingSpec", "NoiseModel", "ExperimentConfig"}
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=IDS)
