@@ -6,10 +6,10 @@ The coin is fully characterized by its heads probability p
 (``oracle.ideal_coin_probability``) and the query cost of one toss
 (``query_cost``), and the estimators read only Bernoulli-process
 statistics, so the samplers take p and draw counts from their exact
-distributions instead of simulating tosses one by one.  Every draw in
-the package is ``draw_heads`` (a binomial head count) or
-``draw_tosses_to_heads`` (the k + NegBin(k, p) tosses until k heads),
-which check numpy's int64 limits.
+distributions instead of simulating tosses one by one.  Every head count
+and every wait in the package is drawn by ``draw_heads`` (a binomial head
+count) or ``draw_tosses_to_heads`` (the k + NegBin(k, p) tosses until k
+heads), which check numpy's int64 limits.
 Every draw is reproducible from its 64-bit seed via numpy's PCG64
 generator (``numpy.random.default_rng``); ``SeedStream`` derives the seeds.
 
@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .hamiltonian import Spectrum
-from .oracle import boltzmann_sum, ideal_coin_probability
+from .oracle import boltzmann_sum
 from .propagator import required_degree
 from .record import Record
 
@@ -152,10 +152,6 @@ class Schedule(Record):
     def l(self) -> int:
         return len(self.betas) - 1
 
-    @property
-    def step_widths(self) -> np.ndarray:
-        return np.diff(self.betas)
-
 
 def _step_probability(spectrum: Spectrum, w: float, s_lo: float, s_hi: float) -> float:
     """p = exp(-2 w (1 + lambda_min)) S(2 b_hi) / S(2 b_lo) for a step of width w.
@@ -269,38 +265,6 @@ def fragmented_query_bound(
         return max_cost * float(np.sum(2.0 ** (b * np.arange(1, l + 1))))
     factor = 2.0**b / (2.0**b - 1.0)
     return max_cost * factor / float(np.prod(probs))
-
-
-def equal_step_schedule(
-    spectrum: Spectrum, beta: float, l: int, eps_total: float
-) -> Schedule:
-    """Schedule whose steps all have (numerically) equal success probability.
-
-    Built by bisection on each breakpoint: the step probability is
-    non-increasing in the step's upper endpoint, so each beta_k is pinned to
-    make p_k equal to the geometric mean of the total success probability.
-    """
-    if l < 1:
-        raise ValueError("need at least one step")
-    p_total = ideal_coin_probability(spectrum, beta)
-    target = p_total ** (1.0 / l)
-    betas = [0.0]
-    for k in range(1, l):
-        lo, hi = betas[-1], beta / 2.0
-        s_lo = boltzmann_sum(spectrum, 2.0 * betas[-1])
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            p_mid = _step_probability(
-                spectrum, mid - betas[-1], s_lo, boltzmann_sum(spectrum, 2.0 * mid)
-            )
-            if p_mid > target:
-                lo = mid
-            else:
-                hi = mid
-        betas.append(0.5 * (lo + hi))
-    betas.append(beta / 2.0)
-    costs = [query_cost(2.0 * w, eps_total / l) for w in np.diff(betas)]
-    return Schedule(spectrum, np.array(betas), np.array(costs))
 
 
 def schedule_size_lower_bound(p_full: float, b: float) -> float:

@@ -71,8 +71,10 @@ SCHEMA_VERSION = 8
 # a coverage command holds every repetition in memory, up to ~180 B each
 _MAX_REPS = 1_000_000
 # sweep and generate build every instance's seed and spec before writing
-# anything; a 12-qubit Ising spec holds ~4.4 KB and takes ~3.5 ms to draw
-# (2-vCPU x86-64 host), so the cap is ~44 MB and ~35 s of specs
+# anything; a 12-qubit Ising spec holds ~3.6 KB and takes ~0.35 ms to draw
+# (2-vCPU x86-64 host), so the cap is ~36 MB and ~3.5 s of specs.  A whole
+# n = 12 sweep at the cap, default betas and shots, took ~25 s and 139 MB
+# peak RSS (same host)
 _MAX_INSTANCES = 10_000
 # a noisy sweep simulates and fits one depth per insertion; each costs one
 # seed and one binomial draw, ~38 us (same host), so ~0.4 s at the cap
@@ -81,8 +83,9 @@ _MAX_INSERTIONS = 10_000
 # fragment run ~30 us per step at n = 12 (same host): ~0.3 s per size at the cap
 _MAX_SCHEDULE_SIZE = 10_000
 # noise-fit writes one curve row per layer from the first depth to the last;
-# a row costs ~5 us and ~17 B (same host): ~0.8 s, 80 MB peak RSS and a
-# 1.7 MB curve file at the cap
+# a row costs ~6 us and ~47 B (same host).  At the cap the command took
+# 4.6-5.0 s, 3.4-3.8 s of it the fit, and 88 MB peak RSS, and wrote a
+# 4.7 MB curve file
 _MAX_DEPTH_SPAN = 100_000
 
 
@@ -521,14 +524,6 @@ def read_layer_series(path: str | Path) -> LayerSeries:
         depths=np.array(depths), measured_p=np.array(measured),
         shots_per_point=shots_seen.pop(),
     )
-
-
-def write_layer_series(path: str | Path, depths, successes, shots: int) -> None:
-    """Write a depth series CSV that ``read_layer_series`` reads back."""
-    path = Path(path)
-    rows = [{"layers": int(d), "successes": int(s), "shots": shots}
-            for d, s in zip(depths, successes)]
-    write_outputs(path.parent, {path.name: csv_text(_SERIES_COLUMNS, rows)})
 
 
 def run_noise_fit(series_path: str | Path, out_dir: str | Path) -> dict:

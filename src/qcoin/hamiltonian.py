@@ -64,10 +64,6 @@ class Spectrum(Record):
     def dim(self) -> int:
         return len(self.values)
 
-    @property
-    def n_qubits(self) -> int:
-        return self.dim.bit_length() - 1
-
 
 class IsingSpec(ValueRecord):
     """Edge list of a random-graph Ising coupling model, H = sum J_ij Z_i Z_j.

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from approximant import biased_heads_probability, chebyshev_coefficients
+from equal_schedule import equal_step_schedule
 from qcoin.coin import (
-    equal_step_schedule,
     fragmented_query_bound,
     query_cost,
     toss_fragmented,

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from approximant import biased_heads_probability, chebyshev_coefficients
+from equal_schedule import equal_step_schedule
 from qcoin.coin import (
     Schedule,
-    equal_step_schedule,
     expected_queries_per_success,
     fragmented_query_bound,
     query_cost,
@@ -218,7 +218,7 @@ def test_step_probability_zero_hamiltonian():
     sched = uniform_schedule(spectrum, 2.0, 4, 1e-3)
     probs = sched.step_probabilities
     assert probs.shape == (4,)
-    for p, width in zip(probs, sched.step_widths):
+    for p, width in zip(probs, np.diff(sched.betas)):
         assert p == pytest.approx(math.exp(-2.0 * width), rel=1e-14)
 
 

@@ -221,6 +221,16 @@ def test_algorithm2_waits_past_int64_are_rejected(monkeypatch):
         algorithm2(*synthetic_coin(0.5), 2, seed=0)
 
 
+def test_algorithm2_half_width_is_the_chebyshev_guarantee():
+    # the stated half-width is eps_r p_hat with eps_r = 1 / sqrt(delta k);
+    # leaving out delta would narrow it by sqrt(delta), 4.5x at delta = 0.05
+    k, delta = 100, 0.05
+    est = algorithm2(*synthetic_coin(0.3), k, seed=11, delta=delta, reps=50)
+    np.testing.assert_allclose(
+        est.half_width, est.value / math.sqrt(delta * k), rtol=1e-15, atol=0.0
+    )
+
+
 @pytest.mark.parametrize("p", [0.5, 0.01])
 def test_algorithm2_total_tosses_moments(p):
     # the total of k geometric waits has mean k/p and variance k(1-p)/p^2;

@@ -1,3 +1,5 @@
+import ast
+import importlib.util
 import json
 import math
 import sys
@@ -19,7 +21,6 @@ from qcoin.experiments import (
     run_fragment,
     run_noise_fit,
     run_sweep,
-    write_layer_series,
 )
 from qcoin.coin import SeedStream
 import qcoin
@@ -29,6 +30,7 @@ from qcoin.oracle import ideal_coin_probability, log_partition_function
 from qcoin.propagator import required_degree
 
 from noise_reference import rss_bound
+from series_file import write_layer_series
 
 SMALL_CFG = """
 # minimal sweep configuration
@@ -409,6 +411,83 @@ def test_run_sweep_decomposes_each_instance_at_most_once(
     for i, argv in enumerate(commands):
         assert main([*argv, "--out", str(tmp_path / f"out{i}")]) == 0
     assert calls == []
+
+
+REPO = Path(__file__).resolve().parent.parent
+# Package names with no caller outside the tests yet.  ROADMAP item 5 (cost
+# each toss at the paper's eps' budget) gives this one its caller.
+TEST_ONLY_ALLOWED = {"propagator.eps_prime_for_relative_error"}
+
+
+def _package_definitions(tree):
+    """(qualified name, name, node) of each top-level function and class,
+    and of each public method and property of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def _references(tree, by_string):
+    """(name, line) of each name read, attribute, and with ``by_string``
+    each string constant, the way perfbench's tables name what they wrap."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif (by_string and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
+            yield node.value, node.lineno
+
+
+def test_every_package_name_has_a_caller_outside_the_tests():
+    # The package holds only what a command, tool or benchmark runs; the
+    # tests' reference code lives in tests/.  Names are matched by name
+    # alone, so a method counts as called wherever any attribute of its
+    # name is read.
+    package = Path(qcoin.__file__).parent
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    callers: dict[str, list[tuple[Path, int]]] = {}
+    for path, tree in trees.items():
+        for name, line in _references(tree, by_string=False):
+            callers.setdefault(name, []).append((path, line))
+    for path in [*REPO.glob("tools/*.py"), *REPO.glob("perfbench/*.py")]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, line in _references(tree, by_string=True):
+            callers.setdefault(name, []).append((path, line))
+    test_only = []
+    for path, tree in trees.items():
+        for qualname, name, node in _package_definitions(tree):
+            outside = [c for c in callers.get(name, [])
+                       if not (c[0] == path and node.lineno <= c[1] <= node.end_lineno)]
+            if not outside:
+                test_only.append(f"{path.stem}.{qualname}")
+    assert sorted(test_only) == sorted(TEST_ONLY_ALLOWED), (
+        f"called only from tests or nowhere: {', '.join(test_only)}")
+
+
+def test_compare_commands_use_every_input_file():
+    # tools/compare_outputs.py runs each line of tools/compare_commands.txt
+    # in a copy of tools/compare_inputs/: every input file a line names is
+    # there, and every file there is named by some line
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", REPO / "tools" / "compare_outputs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    named = set()
+    for args in tool.read_commands(REPO / "tools" / "compare_commands.txt"):
+        for i, arg in enumerate(args):
+            flag, eq, value = arg.partition("=")
+            if flag in ("--config", "--series", "--spec"):
+                named.add(value if eq else args[i + 1])
+    given = {path.name for path in (REPO / "tools" / "compare_inputs").iterdir()}
+    assert sorted(named - given) == []
+    assert sorted(given - named) == []
 
 
 def test_learn_noise_model_smoke():

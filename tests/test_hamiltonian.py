@@ -213,7 +213,7 @@ def test_rescale_zero_norm_bound():
 
 def test_spectrum_validation():
     spectrum = Spectrum(np.array([-1.0, 0.5]), 2.0)
-    assert (spectrum.n_qubits, spectrum.dim) == (1, 2)
+    assert (spectrum.dim.bit_length() - 1, spectrum.dim) == (1, 2)
     assert not spectrum.values.flags.writeable
     for bad in ([0.0], [0.0, 0.0, 0.0], np.zeros((2, 2)), [0.5, -0.5],
                 [-1.5, 0.0], [0.0, np.nan]):
@@ -235,7 +235,7 @@ def test_qrbm_unit_spectrum_matches_dense_eigh(n_visible, n_hidden):
     for seed in range(3):
         spec = generate_random_qrbm(n_visible, n_hidden, seed)
         spectrum = unit_spectrum(spec)
-        assert spectrum.n_qubits == n_visible + n_hidden
+        assert spectrum.dim.bit_length() - 1 == n_visible + n_hidden
         assert spectrum.norm_bound == build_qrbm(spec).norm_bound
         assert np.abs(spectrum.values - dense_unit_eigenvalues(spec)).max() <= 1e-13
 
