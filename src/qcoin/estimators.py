@@ -9,7 +9,8 @@ implemented.  The first tosses a fixed number of coins and reports the
 Agresti-Coull proportion estimate; the second tosses until a fixed
 number of successes, whose mean waiting time is 1/p and directly yields
 a relative-precision estimate.  A halving wrapper turns any
-additive-precision estimator into a relative-precision one.
+additive-precision estimator into a relative-precision one.  The budget
+functions carry eps_r and delta; an estimate holds only what its run drew.
 
 Every estimator runs R independent repetitions at once from one seeded
 generator: the toss counts are drawn as arrays from their exact
@@ -95,27 +96,24 @@ def expected_total_tosses_thm2(p: float, eps_r: float, delta: float) -> float:
 class Estimate(Record):
     """Heads-probability estimates of independent repetitions, in units of p.
 
-    Entry i of ``value``, ``half_width``, ``samples`` and ``rounds`` belongs
-    to repetition i; a single estimate is one repetition.  ``samples``
-    holds each repetition's tosses (int64), and ``queries_per_sample`` is
-    the oracle cost of one toss.
+    Entry i of ``value``, ``samples`` and ``rounds`` (the halving round that
+    stopped it; None outside the wrapper) belongs to repetition i; a single
+    estimate is one repetition.  ``samples`` holds each repetition's tosses
+    (int64), and ``queries_per_sample`` is the oracle cost of one toss.
     """
 
-    __slots__ = fields = ("value", "half_width", "samples", "queries_per_sample", "rounds")
+    __slots__ = fields = ("value", "samples", "queries_per_sample", "rounds")
 
     def __init__(
         self,
         value: np.ndarray,
-        half_width: np.ndarray,
         samples: np.ndarray,
         queries_per_sample: int,
         rounds: np.ndarray | None = None,
     ) -> None:
-        if np.any(half_width < 0):
-            raise ValueError("half_width must be non-negative")
         if np.any(samples < 0):
             raise ValueError("samples must be non-negative")
-        self._set(value=value, half_width=half_width, samples=samples,
+        self._set(value=value, samples=samples,
                   queries_per_sample=queries_per_sample, rounds=rounds)
 
     @property
@@ -140,10 +138,8 @@ def algorithm1(
     if tosses < 1:
         raise ValueError("tosses must be >= 1")
     heads = draw_heads(np.random.default_rng(seed), p, tosses, size=reps)
-    p_hat, eps_p = ac_estimate(heads, tosses, delta)
     return Estimate(
-        value=p_hat,
-        half_width=eps_p,
+        value=ac_estimate(heads, tosses, delta)[0],
         samples=np.full(reps, tosses, dtype=np.int64),
         queries_per_sample=queries_per_toss,
     )
@@ -151,28 +147,23 @@ def algorithm1(
 
 def algorithm2(
     p: float, queries_per_toss: int, target_successes: int, seed: int,
-    delta: float = 0.25, reps: int = 1,
+    reps: int = 1,
 ) -> Estimate:
     """Waiting-time estimator: toss until the success budget k.
 
     The estimate is 1 / r_bar, the reciprocal mean waiting time.  The total
     tosses of a repetition, the sum of k geometric waits, is drawn as
     k + NegBin(k, p) (failures before the k-th success), one draw for all
-    ``reps`` repetitions.  The reported half-width is the
-    distribution-free (Chebyshev) guarantee eps_r = 1 / sqrt(delta * k)
-    that holds with confidence 1 - delta.
+    ``reps`` repetitions.  With k = ``success_count_thm2(eps_r, delta)``
+    the estimate is within eps_r of p, relatively, with confidence
+    1 - delta by Chebyshev's inequality.
     """
     k = target_successes
     if k < 1:
         raise ValueError("target_successes must be >= 1")
-    if not 0 < delta < 1:
-        raise ValueError("delta must be in (0, 1)")
     total = draw_tosses_to_heads(np.random.default_rng(seed), p, k, size=reps)
-    eps_r = 1.0 / math.sqrt(delta * k)
-    value = k / total
     return Estimate(
-        value=value,
-        half_width=eps_r * value,
+        value=k / total,
         samples=total,
         queries_per_sample=queries_per_toss,
     )
@@ -199,25 +190,21 @@ def relative_from_additive(
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
     value = np.empty(reps)
-    half_width = np.empty(reps)
     samples = np.zeros(reps, dtype=np.int64)
     rounds = np.zeros(reps, dtype=np.int64)
     running = np.arange(reps)
     for r in range(1, _ROUND_CAP + 1):
-        eps_additive = eps_r / 2.0**r
         delta_r = (6.0 / math.pi**2) * delta / r**2
-        est = runner(eps_additive, delta_r, running.size)
+        est = runner(eps_r / 2.0**r, delta_r, running.size)
         samples[running] += est.samples
         stop = est.value > 1.0 / 2.0**r
         done = running[stop]
         value[done] = est.value[stop]
-        half_width[done] = eps_additive
         rounds[done] = r
         running = running[~stop]
         if not running.size:
             return Estimate(
                 value=value,
-                half_width=half_width,
                 samples=samples,
                 queries_per_sample=est.queries_per_sample,
                 rounds=rounds,
@@ -258,7 +245,6 @@ def make_additive_runner(p: float, queries_per_toss: int, seed: int) -> Additive
         heads = np.zeros(reps, dtype=np.int64)
         tossed = np.zeros(reps, dtype=np.int64)
         p_hat = np.empty(reps)
-        eps_hat = np.empty(reps)
         active = np.arange(reps)
         batch = np.full(reps, 256, dtype=np.int64)
         while active.size:
@@ -266,7 +252,6 @@ def make_additive_runner(p: float, queries_per_toss: int, seed: int) -> Additive
             tossed[active] += batch
             est_p, est_eps = ac_estimate(heads[active], tossed[active], delta_step)
             p_hat[active] = est_p
-            eps_hat[active] = est_eps
             going = est_eps > eps_p
             active, est_p = active[going], est_p[going]
             needed = np.ceil(z * z * est_p * (1.0 - est_p) / eps_p**2)
@@ -276,7 +261,6 @@ def make_additive_runner(p: float, queries_per_toss: int, seed: int) -> Additive
             batch = next_batch.astype(np.int64)
         return Estimate(
             value=p_hat,
-            half_width=eps_hat,
             samples=tossed,
             queries_per_sample=queries_per_toss,
         )

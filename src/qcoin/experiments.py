@@ -76,8 +76,11 @@ _MAX_REPS = 1_000_000
 # n = 12 sweep at the cap, default betas and shots, took ~25 s and 139 MB
 # peak RSS (same host)
 _MAX_INSTANCES = 10_000
-# a noisy sweep simulates and fits one depth per insertion; each costs one
-# seed and one binomial draw, ~38 us (same host), so ~0.4 s at the cap
+# a noisy sweep simulates and fits one depth per insertion.  At the cap the
+# simulation (one seed and one binomial draw per depth, ~31 us) took ~0.31 s
+# and the fit of the 10,001 depths ~0.41 s (same host); the whole
+# `sweep --n-qubits 4 --instances 1 --xi 0.037` took 1.05-1.10 s and 49 MB
+# peak RSS, against 0.28 s and 36 MB without --xi
 _MAX_INSERTIONS = 10_000
 # a schedule of l steps takes l + 1 sums over the 2^n eigenvalues, and a
 # fragment run ~30 us per step at n = 12 (same host): ~0.3 s per size at the cap
@@ -417,7 +420,8 @@ def run_coverage(config: ExperimentConfig, algorithm: str,
                  out_dir: str | Path | None = None) -> dict:
     """Repeat an estimator and report the fraction hitting its relative target.
 
-    All ``config.reps`` repetitions come from one estimator call on one
+    The study runs at ``config.betas[0]`` only; any further betas are
+    ignored.  All ``config.reps`` repetitions come from one estimator call on one
     generator, seeded from the stream's next seed after the instance's.
     Z is written in log space, and linearly (``z_exact``, ``theory.z_max``)
     where float64 holds it, otherwise as null (``exp_or_none``).
@@ -452,7 +456,7 @@ def run_coverage(config: ExperimentConfig, algorithm: str,
     if algorithm == "alg1":
         est = algorithm1(p, q, budget, config.delta, seed, config.reps)
     elif algorithm == "alg2":
-        est = algorithm2(p, q, budget, seed, config.delta, config.reps)
+        est = algorithm2(p, q, budget, seed, config.reps)
     else:
         est = relative_from_additive(
             make_additive_runner(p, q, seed), config.eps_r, config.delta, config.reps
@@ -543,7 +547,11 @@ def run_noise_fit(series_path: str | Path, out_dir: str | Path) -> dict:
 
 
 def run_fragment(config: ExperimentConfig, out_dir: str | Path) -> dict:
-    """Fragmented-coin cost study across schedule sizes."""
+    """Fragmented-coin cost study across schedule sizes.
+
+    The study runs at ``config.betas[0]`` only; any further betas are
+    ignored (the default config's five betas give a run at 0.2).
+    """
     chash = config_hash(config)
     seeds = SeedStream(config.seed)
     instance_seed = seeds.next()

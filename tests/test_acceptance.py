@@ -121,7 +121,7 @@ def test_thm2_coverage_and_cost():
         p, q, _, _ = standard_ising_coin(beta=1.0, seed=123)
         budget = success_count_thm2(0.2, 0.25)
         assert budget == 100
-        est = algorithm2(p, q, budget, seed=7, delta=0.25, reps=400)
+        est = algorithm2(p, q, budget, seed=7, reps=400)
         hits = np.count_nonzero(np.abs(est.value - p) <= 0.2 * p)
         assert hits / 400 >= 0.70
         predicted = expected_total_tosses_thm2(p, 0.2, 0.25)

@@ -153,7 +153,7 @@ def test_expected_total_tosses_thm2():
 
 def test_algorithm1_certain_coin():
     est = algorithm1(*zero_coin(0.0), tosses=2000, delta=0.05, seed=1)
-    assert abs(est.value - 1.0) <= est.half_width
+    assert abs(est.value - 1.0) <= ac_estimate(2000, 2000, 0.05)[1]
     assert est.samples_used == 2000
     assert est.rounds is None  # a fixed-budget estimate has no halving rounds
 
@@ -221,16 +221,6 @@ def test_algorithm2_waits_past_int64_are_rejected(monkeypatch):
         algorithm2(*synthetic_coin(0.5), 2, seed=0)
 
 
-def test_algorithm2_half_width_is_the_chebyshev_guarantee():
-    # the stated half-width is eps_r p_hat with eps_r = 1 / sqrt(delta k);
-    # leaving out delta would narrow it by sqrt(delta), 4.5x at delta = 0.05
-    k, delta = 100, 0.05
-    est = algorithm2(*synthetic_coin(0.3), k, seed=11, delta=delta, reps=50)
-    np.testing.assert_allclose(
-        est.half_width, est.value / math.sqrt(delta * k), rtol=1e-15, atol=0.0
-    )
-
-
 @pytest.mark.parametrize("p", [0.5, 0.01])
 def test_algorithm2_total_tosses_moments(p):
     # the total of k geometric waits has mean k/p and variance k(1-p)/p^2;
@@ -248,7 +238,7 @@ def test_algorithm2_coverage():
     p, q, _, _ = ising_coin(123, 1.0)
     budget = success_count_thm2(0.2, 0.25)
     assert budget == 100
-    est = algorithm2(p, q, budget, seed=7, delta=0.25, reps=200)
+    est = algorithm2(p, q, budget, seed=7, reps=200)
     hits = np.count_nonzero(np.abs(est.value - p) <= 0.2 * p)
     assert hits / 200 >= 0.75
     predicted = expected_total_tosses_thm2(p, 0.2, 0.25)
@@ -284,8 +274,8 @@ def constant_runner(value, calls=None):
         if calls is not None:
             calls.append(reps)
         return Estimate(
-            value=np.full(reps, value), half_width=np.full(reps, eps_additive),
-            samples=np.ones(reps, dtype=np.int64), queries_per_sample=0,
+            value=np.full(reps, value), samples=np.ones(reps, dtype=np.int64),
+            queries_per_sample=0,
         )
 
     return runner
@@ -295,7 +285,6 @@ def test_relative_from_additive_stops_immediately_at_zmax():
     est = relative_from_additive(constant_runner(1.0), eps_r=0.1, delta=0.05, reps=3)
     assert est.rounds.tolist() == [1, 1, 1]
     assert est.samples_used == 3
-    assert est.half_width.tolist() == [0.05, 0.05, 0.05]  # eps_r / 2 in round 1
 
 
 def test_relative_from_additive_round_count():
@@ -314,16 +303,43 @@ def test_relative_from_additive_rounds_per_repetition():
     def runner(eps_additive, delta_step, reps):
         calls.append(reps)
         value = next(values)
-        return Estimate(value, np.full(reps, eps_additive),
-                        np.full(reps, 10, dtype=np.int64), 2)
+        return Estimate(value, np.full(reps, 10, dtype=np.int64), 2)
 
     est = relative_from_additive(runner, eps_r=0.2, delta=0.05, reps=3)
     assert calls == [3, 2, 1]
     assert est.rounds.tolist() == [1, 3, 2]
     assert est.value.tolist() == [1.0, 0.3, 0.3]
-    assert est.half_width.tolist() == [0.1, 0.025, 0.05]
     assert est.samples.tolist() == [10, 30, 20]
     assert est.queries_used == 120
+
+
+def test_relative_from_additive_failure_budget_per_round():
+    # round r runs at failure budget (6/pi^2) delta / r^2, so the budgets
+    # of all rounds sum to delta
+    eps_r, delta = 0.2, 0.05
+    calls = []
+
+    def runner(eps_additive, delta_step, reps):
+        calls.append((eps_additive, delta_step))
+        return Estimate(np.full(reps, 1e-3), np.ones(reps, dtype=np.int64), 0)
+
+    est = relative_from_additive(runner, eps_r, delta, reps=2)
+    assert est.rounds.tolist() == [10, 10]  # 1e-3 > 2^-10 is the first stop
+    assert len(calls) == 10
+    for r, (eps_additive, delta_step) in enumerate(calls, start=1):
+        assert eps_additive == eps_r / 2.0**r
+        assert delta_step == pytest.approx(
+            (6.0 / math.pi**2) * delta / r**2, rel=1e-15, abs=0.0)
+
+
+def test_relative_from_additive_stops_only_above_the_threshold():
+    # an estimate of exactly 1/2^r does not exceed 1/2^r: at 1/4 the
+    # wrapper goes on past round 2 and stops in round 3
+    calls = []
+    est = relative_from_additive(constant_runner(0.25, calls), 0.1, 0.05, reps=2)
+    assert est.rounds.tolist() == [3, 3]
+    assert calls == [2, 2, 2]
+    assert est.value.tolist() == [0.25, 0.25]
 
 
 def test_relative_from_additive_round_cap():
@@ -368,7 +384,7 @@ def test_coverage_at_measurable_delta(algorithm, p):
         est = algorithm1(*coin, budget, delta, seed=41, reps=reps)
     elif algorithm == "alg2":
         k = success_count_thm2(eps_r, delta)
-        est = algorithm2(*coin, k, seed=42, delta=delta, reps=reps)
+        est = algorithm2(*coin, k, seed=42, reps=reps)
     else:
         est = relative_from_additive(make_additive_runner(*coin, 43), eps_r, delta, reps)
     misses = np.count_nonzero(np.abs(est.value - p) > eps_r * p)
@@ -409,11 +425,8 @@ def test_make_additive_runner_calls_advance_one_generator():
 
 
 def test_estimate_json_and_validation():
-    value, one = np.array([10.0, 10.0]), np.ones(2, dtype=np.int64)
-    with pytest.raises(ValueError, match="half_width"):
-        Estimate(value, np.array([1.0, -1.0]), one, 0)
     with pytest.raises(ValueError, match="samples"):
-        Estimate(value, np.ones(2), np.array([1, -1]), 0)
+        Estimate(np.array([10.0, 10.0]), np.array([1, -1]), 0)
 
 
 def test_estimators_past_float64_exp():
@@ -421,12 +434,14 @@ def test_estimators_past_float64_exp():
     p = ideal_coin_probability(Spectrum(np.array([-1.0, -1.0, 1.0, 1.0]), 1.0), 800.0)
     assert p == 0.5
     q = query_cost(800.0, 0.0)
-    for est in (
-        algorithm1(p, q, 2000, 0.05, seed=1),
-        algorithm2(p, q, 400, seed=2),
-        relative_from_additive(make_additive_runner(p, q, 3), 0.2, 0.05),
-    ):
-        assert abs(est.value - 0.5) <= est.half_width
+    # each estimate within the width its own arguments give: Agresti-Coull's,
+    # Chebyshev's p_hat / sqrt(delta k) at delta = 0.25, eps_r / 2^rounds
+    alg1 = algorithm1(p, q, 2000, 0.05, seed=1)
+    assert abs(alg1.value - 0.5) <= z_quantile(0.05) * np.sqrt(alg1.value * (1 - alg1.value) / 2000)
+    alg2 = algorithm2(p, q, 400, seed=2)
+    assert abs(alg2.value - 0.5) <= alg2.value / math.sqrt(0.25 * 400)
+    wrapped = relative_from_additive(make_additive_runner(p, q, 3), 0.2, 0.05)
+    assert abs(wrapped.value - 0.5) <= 0.2 / 2.0**wrapped.rounds
 
 
 def test_estimators_read_only_the_heads_probability():

@@ -2,6 +2,7 @@ import ast
 import importlib.util
 import json
 import math
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 from qcoin.cli import main
 from qcoin.experiments import (
+    SCHEMA_VERSION,
     ExperimentConfig,
     config_hash,
     learn_noise_model,
@@ -488,6 +490,17 @@ def test_compare_commands_use_every_input_file():
     given = {path.name for path in (REPO / "tools" / "compare_inputs").iterdir()}
     assert sorted(named - given) == []
     assert sorted(given - named) == []
+
+
+def test_readme_config_example_and_schema_version_match_the_code():
+    # README's experiment.cfg example parses into a config, and its output
+    # heading names the schema version the commands write
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^```ini\n(# experiment\.cfg\n.*?)^```$", readme, re.M | re.S)
+    config = ExperimentConfig(**parse_config(block.group(1)))
+    assert config.insertions == 5 and config.schedule_sizes == (1, 2, 4, 8)
+    heading = re.findall(r"^### Output files \(schema version (\d+)\)$", readme, re.M)
+    assert heading == [str(SCHEMA_VERSION)]
 
 
 def test_learn_noise_model_smoke():

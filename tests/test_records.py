@@ -86,6 +86,5 @@ def test_result_records_hold_no_echo_of_their_arguments():
     # eps_r, the confidence 1 - delta and the estimator's name are what the
     # caller passed, and the step probabilities are the schedule's: the
     # result records keep only what the run produced
-    assert Estimate.fields == (
-        "value", "half_width", "samples", "queries_per_sample", "rounds")
+    assert Estimate.fields == ("value", "samples", "queries_per_sample", "rounds")
     assert FragmentedRun.fields == ("attempts", "successes", "queries", "step_executions")
