@@ -64,12 +64,11 @@ def _cmd_generate(args: SimpleNamespace) -> int:
 
 
 def _cmd_oracle(args: SimpleNamespace) -> int:
-    seed = args.seed or 0
-    ExperimentConfig(seed=seed)  # the config file's seed rule
+    ExperimentConfig(seed=args.seed)  # the config file's seed rule
     if args.spec is not None:
         spec = spec_from_json(Path(args.spec).read_text(encoding="utf-8"))
     else:
-        spec = _instance_spec(args, seed)
+        spec = _instance_spec(args, args.seed)
     spectrum = unit_spectrum(spec)
     reports = []
     for beta in args.betas or (1.0,):
@@ -144,6 +143,14 @@ _CONFIG_OPTIONS = (
     _Option("--reps", int),
     _OUT_DIR,
 )
+
+
+def _config_options(flags: str) -> tuple[_Option, ...]:
+    """``--config``, the rows named in ``flags`` and ``--out``, in the table's order."""
+    keep = {"--config", *(f"--{flag}" for flag in flags.split()), "--out"}
+    return tuple(opt for opt in _CONFIG_OPTIONS if opt.flag in keep)
+
+
 _INSTANCE_OPTIONS = (
     _Option("--model", choices=_MODELS, default="ising"),
     _Option("--n-qubits", int, default=4),
@@ -152,7 +159,7 @@ _INSTANCE_OPTIONS = (
 )
 
 # one row per subcommand: help text, positional (dest, choices) or None,
-# options in help order, handler
+# options in help order (a config command's: the fields its runner reads), handler
 _COMMANDS = {
     "generate": ("write random instance spec files", None, (
         *_INSTANCE_OPTIONS,
@@ -163,21 +170,23 @@ _COMMANDS = {
     "oracle": ("exact reference values for an instance", None, (
         _Option("--spec", Path, help="instance spec JSON file"),
         *_INSTANCE_OPTIONS,
-        _Option("--seed", int),
+        _Option("--seed", int, default=0),
         _Option("--beta", _beta_list, dest="betas"),
         _Option("--out", Path, help="output JSON path (default stdout)"),
     ), _cmd_oracle),
-    "sweep": ("beta sweep with sampling and mitigation", None, _CONFIG_OPTIONS,
-              _cmd_sweep),
+    "sweep": ("beta sweep with sampling and mitigation", None, _config_options(
+        "seed shots beta delta xi layers model n-qubits instances"), _cmd_sweep),
     "coverage": ("repetition study of an estimator",
-                 ("algorithm", ("alg1", "alg2", "iterative")), _CONFIG_OPTIONS,
+                 ("algorithm", ("alg1", "alg2", "iterative")),
+                 _config_options("seed beta eps-r delta model n-qubits reps"),
                  _cmd_coverage),
     "noise-fit": ("fit a depth-series CSV", None, (
         _Option("--series", Path, required=True,
                 help="CSV with columns layers,successes,shots"),
         _OUT_DIR,
     ), _cmd_noise_fit),
-    "fragment": ("fragmented-coin cost study", None, _CONFIG_OPTIONS, _cmd_fragment),
+    "fragment": ("fragmented-coin cost study", None,
+                 _config_options("seed beta model n-qubits"), _cmd_fragment),
 }
 
 

@@ -156,6 +156,9 @@ class ExperimentConfig(ValueRecord):
         if self.insertions > _MAX_INSERTIONS:
             raise ValueError(f"field 'insertions' must be <= {_MAX_INSERTIONS}: "
                              f"every inserted depth is simulated and fitted")
+        if self.xi is not None and self.insertions < 2:
+            raise ValueError("field 'insertions' must be >= 2 when xi is set: the "
+                             "noise fit needs 3 depths")
         if self.layers + 2 * self.insertions > 2**63 - 1:
             raise ValueError(
                 f"field 'layers' must be <= 2^63 - 1 - 2 * insertions = "
@@ -179,8 +182,8 @@ class ExperimentConfig(ValueRecord):
                 f"field 'schedule_sizes' must hold sizes <= {_MAX_SCHEDULE_SIZE}: "
                 f"each step sums over all 2^n eigenvalues"
             )
-        if not 0 < self.frag_eps < math.inf:
-            raise ValueError("field 'frag_eps' must be positive and finite")
+        if not 0 < self.frag_eps <= 1:  # the total error budget of a schedule
+            raise ValueError("field 'frag_eps' must be in (0, 1]")
 
 
 def _numbers(parse):

@@ -161,6 +161,10 @@ SEED_BELOW_ZERO = "field 'seed' must be >= 0"
      "config line 2: field 'betas' must be a comma-separated list of numbers, got '1,,2'"),
     (["coverage", "alg1", "--config", "run.cfg"], {"run.cfg": "# noise\nxi =\n"}, 2,
      "config line 2: field 'xi' must be a number, got ''"),
+    (["fragment", "--config", "run.cfg"], {"run.cfg": "frag_eps = 5\n"}, 2,
+     "field 'frag_eps' must be in (0, 1]"),
+    (["sweep", "--config", "run.cfg", "--xi", "0.037"], {"run.cfg": "insertions = 1\n"},
+     2, "field 'insertions' must be >= 2 when xi is set: the noise fit needs 3 depths"),
 ], ids=["input-error", "runtime-error", "spec-missing-field", "spec-short-edge",
         "spec-not-object", "series-zero-shots", "schedule-size-cap",
         "sweep-instances-cap", "generate-instances-cap", "sweep-qubit-cap",
@@ -175,7 +179,8 @@ SEED_BELOW_ZERO = "field 'seed' must be >= 0"
         "coverage-seed-negative", "fragment-seed-negative", "generate-seed-negative",
         "oracle-seed-negative", "series-row-short", "series-row-long",
         "series-cell-not-integer", "config-int-not-integer",
-        "config-list-empty-entry", "config-float-empty"])
+        "config-list-empty-entry", "config-float-empty", "frag-eps-above-one",
+        "noisy-insertions-below-two"])
 def test_process_error_exit_is_one_line(tmp_path, argv, files, code, message):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -233,14 +238,19 @@ def test_process_import_generates_no_record_code():
     assert proc.stdout.strip() == "False"
 
 
-# runs the module as python -m does, so its __main__ block is part of the probe
+# runs the module as python -m does, so its __main__ block is part of the probe;
+# passes are counted from the entry's gc.disable, the first call to it, so the
+# second run of the module body before it is not counted
 COLLECTION_PROBE = """
 import atexit, gc, runpy, sys
 import qcoin.cli
 del sys.modules["qcoin.cli"]  # runpy warns when the module it runs is already imported
-gc.collect()  # so running the module body again stays below the first pass's threshold
-starts = []
-gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(info))
+starts, entered, disable = [], [], gc.disable
+def entry_disable():
+    entered.append(True)
+    disable()
+gc.disable = entry_disable
+gc.callbacks.append(lambda phase, info: phase == "start" and entered and starts.append(info))
 atexit.register(lambda: print("collections:", len(starts)))
 runpy.run_module("qcoin.cli", run_name="__main__")
 """

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcoin.cli import main
+from qcoin.cli import _COMMANDS, _CONFIG_OPTIONS, main
 from qcoin.experiments import (
     SCHEMA_VERSION,
     ExperimentConfig,
@@ -88,6 +88,17 @@ def test_load_config_overrides_and_validation(tmp_path):
         load_config(path, instances=10_001)
     with pytest.raises(ValueError, match="field 'schedule_sizes' must hold sizes <= 10000"):
         load_config(path, schedule_sizes=(1, 10**15))
+    # frag_eps is a schedule's total error budget
+    assert load_config(path, frag_eps=1.0).frag_eps == 1.0
+    for frag_eps in (1.5, 1e300):
+        with pytest.raises(ValueError, match=r"field 'frag_eps' must be in \(0, 1\]"):
+            load_config(path, frag_eps=frag_eps)
+    # the noise fit needs 3 depths, layers + 2k for k = 0..insertions
+    assert load_config(path, insertions=0).insertions == 0
+    assert load_config(path, xi=0.037, insertions=2).insertions == 2
+    for insertions in (0, 1):
+        with pytest.raises(ValueError, match="field 'insertions' must be >= 2 when xi"):
+            load_config(path, xi=0.037, insertions=insertions)
 
 
 def test_config_hash_stability():
@@ -822,6 +833,60 @@ def test_cli_oracle_underflowed_probability(tmp_path, capsys):
 def test_config_fields_are_the_config_file_keys():
     text = "\n".join(f"{name} = 1" for name in ExperimentConfig.fields)
     assert list(parse_config(text)) == list(ExperimentConfig.fields)
+
+
+def _config_reads(functions, name):
+    """Fields read as ``config.<field>`` in ``name`` and in each function of
+    ``functions`` that it hands ``config`` to, directly or further down."""
+    reads = set()
+    for node in ast.walk(functions[name]):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "config"):
+            reads.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in functions
+              and any(isinstance(arg, ast.Name) and arg.id == "config"
+                      for arg in node.args)):
+            reads |= _config_reads(functions, node.func.id)
+    return reads
+
+
+def test_config_commands_offer_the_flags_their_runner_reads():
+    # a config command's flags, less --config and --out, set exactly the
+    # fields of the option table that its runner reads: no flag is a no-op,
+    # and none that the runner reads is missing
+    path = Path(qcoin.__file__).parent / "experiments.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    table = {opt.dest for opt in _CONFIG_OPTIONS} - {"config", "out"}
+    mismatched = []
+    for command, runner in [("sweep", "run_sweep"), ("coverage", "run_coverage"),
+                            ("fragment", "run_fragment")]:
+        offered = {opt.dest for opt in _COMMANDS[command][2]} - {"config", "out"}
+        read = _config_reads(functions, runner) & table
+        if offered != read:
+            mismatched.append((command, sorted(offered - read), sorted(read - offered)))
+    assert mismatched == [], "(command, offered but not read, read but not offered)"
+
+
+# the config flags that each config command's runner does not read
+DROPPED_FLAGS = {
+    ("sweep",): "--eps-r --reps",
+    ("coverage", "alg1"): "--shots --xi --layers --instances",
+    ("fragment",): "--shots --eps-r --delta --xi --layers --instances --reps",
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flags in DROPPED_FLAGS.items() for flag in flags.split()])
+def test_cli_config_command_rejects_a_flag_it_does_not_read(tmp_path, capsys, command,
+                                                            flag):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, "--n-qubits", "4", flag, "3", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert f"error: unrecognized arguments: {flag} 3" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_noise_fit_degenerate_is_input_error(tmp_path, capsys):
