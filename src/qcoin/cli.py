@@ -64,6 +64,14 @@ def _cmd_generate(args: SimpleNamespace) -> int:
 
 
 def _cmd_oracle(args: SimpleNamespace) -> int:
+    instance = (*_INSTANCE_OPTIONS, _SEED)  # the flags that --spec replaces
+    given = [opt.flag for opt in instance if getattr(args, opt.dest) is not None]
+    if args.spec is not None and given:
+        raise ValueError(f"--spec gives the instance, so {' '.join(given)} cannot be "
+                         f"given with it")
+    for opt in instance:
+        if getattr(args, opt.dest) is None:
+            setattr(args, opt.dest, opt.default)
     ExperimentConfig(seed=args.seed)  # the config file's seed rule
     if args.spec is not None:
         spec = spec_from_json(Path(args.spec).read_text(encoding="utf-8"))
@@ -157,6 +165,7 @@ _INSTANCE_OPTIONS = (
     _Option("--n-visible", int, default=2),
     _Option("--n-hidden", int, default=2),
 )
+_SEED = _Option("--seed", int, default=0)
 
 # one row per subcommand: help text, positional (dest, choices) or None,
 # options in help order (a config command's: the fields its runner reads), handler
@@ -164,13 +173,14 @@ _COMMANDS = {
     "generate": ("write random instance spec files", None, (
         *_INSTANCE_OPTIONS,
         _Option("--instances", int, default=1),
-        _Option("--seed", int, default=0),
+        _SEED,
         _OUT_DIR,
     ), _cmd_generate),
     "oracle": ("exact reference values for an instance", None, (
         _Option("--spec", Path, help="instance spec JSON file"),
-        *_INSTANCE_OPTIONS,
-        _Option("--seed", int, default=0),
+        # None unless given: a flag that --spec replaces is an error beside it
+        *(_Option(opt.flag, opt.type, dest=opt.dest, choices=opt.choices)
+          for opt in (*_INSTANCE_OPTIONS, _SEED)),
         _Option("--beta", _beta_list, dest="betas"),
         _Option("--out", Path, help="output JSON path (default stdout)"),
     ), _cmd_oracle),
@@ -240,11 +250,21 @@ def build_parser():
     """
     import argparse  # here only, so a well-formed command never imports it
 
+    class Subcommand(argparse.ArgumentParser):
+        """A subcommand's parser, which reports an argument it does not know
+        with its own usage, not the top-level one."""
+
+        def parse_known_args(self, args=None, namespace=None):
+            namespace, extras = super().parse_known_args(args, namespace)
+            if extras:
+                self.error(f"unrecognized arguments: {' '.join(extras)}")
+            return namespace, extras
+
     parser = argparse.ArgumentParser(
         prog="qcoin",
         description="Quantum-coin partition function estimation experiments",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=Subcommand)
     for name, (help_text, positional, options, handler) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
         if positional is not None:

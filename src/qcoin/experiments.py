@@ -67,7 +67,7 @@ from .oracle import (
 )
 from .record import ValueRecord
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 # a coverage command holds every repetition in memory, up to ~180 B each
 _MAX_REPS = 1_000_000
 # sweep and generate build every instance's seed and spec before writing
@@ -77,17 +77,17 @@ _MAX_REPS = 1_000_000
 # peak RSS (same host)
 _MAX_INSTANCES = 10_000
 # a noisy sweep simulates and fits one depth per insertion.  At the cap the
-# simulation (one seed and one binomial draw per depth, ~31 us) took ~0.31 s
-# and the fit of the 10,001 depths ~0.41 s (same host); the whole
-# `sweep --n-qubits 4 --instances 1 --xi 0.037` took 1.05-1.10 s and 49 MB
-# peak RSS, against 0.28 s and 36 MB without --xi
+# simulation (one seed and one binomial draw per depth, ~22 us) took ~0.22 s
+# and the fit of the 10,001 depths 0.05-0.06 s (same host); the whole
+# `sweep --n-qubits 4 --instances 1 --xi 0.037` took 0.39-0.48 s and 43 MB
+# peak RSS, against 0.16-0.18 s and 36 MB without --xi
 _MAX_INSERTIONS = 10_000
 # a schedule of l steps takes l + 1 sums over the 2^n eigenvalues, and a
 # fragment run ~30 us per step at n = 12 (same host): ~0.3 s per size at the cap
 _MAX_SCHEDULE_SIZE = 10_000
 # noise-fit writes one curve row per layer from the first depth to the last;
 # a row costs ~6 us and ~47 B (same host).  At the cap the command took
-# 4.6-5.0 s, 3.4-3.8 s of it the fit, and 88 MB peak RSS, and wrote a
+# 1.8-2.2 s, 0.5-0.6 s of it the fit, and 89 MB peak RSS, and wrote a
 # 4.7 MB curve file
 _MAX_DEPTH_SPAN = 100_000
 

@@ -10,8 +10,9 @@ Inserting identity layer pairs amplifies the noise without changing the
 ideal outcome, so measurements at several depths determine (xi, p) by
 least squares.  For a fixed xi the model is linear in p, so the fit
 profiles p out and searches xi in one dimension: a grid over [0, 1] finds
-the global minimum's bracket, and the sign of the profile's slope narrows
-it (Bates & Watts, Nonlinear Regression Analysis, 1988).  Inverting the map
+the global minimum's bracket, and a bracketed root of the profile's slope
+refines it (Bates & Watts, Nonlinear Regression Analysis, 1988; Brent,
+Algorithms for Minimization without Derivatives, 1973).  Inverting the map
 mitigates any later measurement taken at a known depth.
 """
 
@@ -29,11 +30,15 @@ from .record import Record, ValueRecord
 # down the decay, a basin of the profile spans a few percent of xi: half as
 # many points miss one in tests/test_noise.py
 _XI_GRID = np.concatenate([[0.0], np.logspace(-16.0, 0.0, 1023)])
-# 10 rounds of 32 sections narrow a bracket of two grid steps (7% of xi) by
-# 32^10 ~ 1e15, past float precision
-_SECTIONS = 32
-_ROUNDS = 10
-_BLOCK = 2**18  # xi-by-depth cells per vectorised block of the profile
+# log of the rounded 1 - xi, the base that _profile_at sees (log1p(-xi) would
+# rank the xi below 5.6e-17 that it cannot tell apart); -inf at xi = 1
+with np.errstate(divide="ignore"):
+    _LOG_DECAY = np.log(1.0 - _XI_GRID)
+_BLOCK = 2**18  # xi-by-depth cells per vectorised block of the grid pass
+# the root search stops at a bracket of 2 eps, 4 ulps of 1 - xi (or of xi)
+_TOL = math.ulp(1.0)
+_MAX_STEPS = 100  # slope evaluations of one root search; ~10 is usual
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 class FitDegenerateError(ValueError):
@@ -158,36 +163,70 @@ def fitted_curve(fit: NoiseFit, depths: np.ndarray) -> tuple[np.ndarray, np.ndar
     return _forward(theta, depths), np.sqrt(np.maximum(variance, 0.0))
 
 
-def _profile(xi: np.ndarray, depths: np.ndarray, centered: np.ndarray):
-    """Residual sum, its slope in xi, and the best c = p - 1/2, at each xi.
+def _profile_at(xi: float, depths: np.ndarray, centered: np.ndarray):
+    """Residual sum, its slope in xi, and the best c = p - 1/2, at one xi.
 
     For a fixed xi the model 1/2 + c (1 - xi)^L is linear in c, so c is the
     least-squares ratio, clipped so that p stays in [0, 1].  By the envelope
     theorem the slope of the profile is the partial derivative at that c.
-    The xi are taken in blocks of at most _BLOCK xi-by-depth cells.
     """
-    parts = []
-    for block in np.array_split(xi, max(1, len(xi) * len(depths) // _BLOCK)):
-        block = block[:, None]
-        below = (1.0 - block) ** (depths - 1.0)
-        a = (1.0 - block) * below
-        aa = (a * a).sum(-1)
-        c = np.clip((a * centered).sum(-1) / np.where(aa > 0.0, aa, 1.0), -0.5, 0.5)
-        r = c[:, None] * a - centered
-        parts.append(((r * r).sum(-1), -2.0 * c * (r * depths * below).sum(-1), c))
-    return tuple(np.concatenate(part) for part in zip(*parts))
+    below = (1.0 - xi) ** (depths - 1.0)
+    a = (1.0 - xi) * below
+    aa = float(a @ a)
+    c = min(max(float(a @ centered) / aa, -0.5), 0.5) if aa > 0.0 else 0.0
+    r = c * a - centered
+    return float(r @ r), -2.0 * c * float((r * depths) @ below), c
+
+
+def _rising_root(slope, lo: float, hi: float) -> tuple[float, int]:
+    """Where slope(xi) turns from <= 0 to > 0 in [lo, hi], and the evaluations made.
+
+    Brent's method (1973, ch. 4): secant or inverse quadratic steps inside the
+    bracket, bisection where they would not shrink it fast enough.  It ends at
+    a zero slope, a bracket of 2 _TOL or _MAX_STEPS evaluations; where the
+    slope keeps one sign across [lo, hi], at the end it falls towards.
+    """
+    a, fa, b, fb = lo, slope(lo), hi, slope(hi)
+    if fa > 0.0 or fb <= 0.0:
+        return (lo if fa > 0.0 else hi), 2
+    c, fc, d, e = a, fa, b - a, b - a
+    for steps in range(2, _MAX_STEPS):
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc, d, e = a, fa, b - a, b - a
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        m = 0.5 * (c - b)
+        if abs(m) <= _TOL or fb == 0.0:
+            return b, steps
+        if abs(e) < _TOL or abs(fa) <= abs(fb):
+            d = e = m
+        else:
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = abs(p), (-q if p > 0.0 else q)
+            ok = 2.0 * p < min(3.0 * m * q - abs(_TOL * q), abs(e * q))
+            d, e = (p / q, d) if ok else (m, m)
+        a, fa = b, fb
+        b += d if abs(d) > _TOL else math.copysign(_TOL, m)
+        fb = slope(b)
+    return b, _MAX_STEPS
 
 
 def fit_noise_model(series: LayerSeries) -> NoiseFit:
     """Least-squares fit of (xi, p) to the depth series, global in xi.
 
-    p is profiled out, and the residual sum over xi is scanned on a fixed
-    grid.  The bracket around the grid's best point is then narrowed on the
-    sign of the profile's slope, as in bisection but testing the sign at
-    _SECTIONS - 1 points per vectorised step, down to float precision.
-    Parameter standard deviations come from the Jacobian-based covariance
-    (J^T J)^-1 scaled by the residual variance, floored at the known
-    binomial shot variance.  ``iterations`` counts the profile evaluations.
+    p is profiled out, and the residual sum is scanned on a fixed grid of xi
+    (decays exp(L log(1 - xi)), in blocks of at most _BLOCK cells); between
+    the grid neighbours of its best point, a bracketed root of the profile's
+    slope refines xi to float precision.  Standard deviations come from the
+    Jacobian covariance (J^T J)^-1 scaled by the residual variance, floored
+    at the binomial shot variance.  ``iterations`` counts the profile
+    evaluations: grid points, root-finder steps and candidates.
     """
     if len(series.depths) < 3:
         raise ValueError("need at least 3 depth points to fit two parameters")
@@ -198,42 +237,45 @@ def fit_noise_model(series: LayerSeries) -> NoiseFit:
     depths = series.depths.astype(float)
     y = series.measured_p
     centered = y - 0.5
-    grid_ss = _profile(_XI_GRID, depths, centered)[0]
-    best = int(np.argmin(grid_ss))
-    lo, hi = _XI_GRID[max(best - 1, 0)], _XI_GRID[min(best + 1, len(_XI_GRID) - 1)]
-    for _ in range(_ROUNDS):
-        points = np.linspace(lo, hi, _SECTIONS + 1)
-        rising = _profile(points[1:-1], depths, centered)[1] > 0.0
-        k = int(np.argmax(rising)) if rising.any() else _SECTIONS - 1
-        lo, hi = points[k], points[k + 1]
-    # the grid's best point stays a candidate: where the slope is all
-    # rounding, as near xi = 0 on a series that fits exactly, the narrowing
-    # can drift off the minimum
-    candidates = np.array([_XI_GRID[best], lo])
-    ss, _, c = _profile(candidates, depths, centered)
-    pick = int(np.argmin(ss))
-    theta = np.array([candidates[pick], 0.5 + c[pick]])
-    ss = float(ss[pick])
+    grid_ss, rows = [], max(1, _BLOCK // len(depths))
+    for start in range(0, len(_LOG_DECAY), rows):
+        a = np.exp(np.multiply.outer(_LOG_DECAY[start:start + rows], depths))
+        aa = np.einsum("ij,ij->i", a, a)
+        a *= np.clip(a @ centered / np.where(aa > 0.0, aa, 1.0), -0.5, 0.5)[:, None]
+        a -= centered  # the residuals themselves: their sum stays exact on an exact series
+        grid_ss.append(np.einsum("ij,ij->i", a, a))
+    best = int(np.argmin(np.concatenate(grid_ss)))
+    # an ulp short of xi = 1, where every decay is 0 and so is the slope
+    lo = _XI_GRID[max(best - 1, 0)]
+    hi = min(_XI_GRID[min(best + 1, len(_XI_GRID) - 1)], _BELOW_ONE)
+    root, steps = _rising_root(lambda xi: _profile_at(xi, depths, centered)[1],
+                               float(lo), float(hi))
+    # the grid's best point stays a candidate and wins a tie: where the slope
+    # is all rounding (xi ~ 0 on an exact series) the root can drift off
+    candidates = (float(_XI_GRID[best]), root)
+    profiles = [_profile_at(xi, depths, centered) for xi in candidates]
+    pick = min(range(len(candidates)), key=lambda k: profiles[k][0])
+    ss, _, c = profiles[pick]
+    xi = candidates[pick]
 
-    jac = _jacobian(theta, depths)
+    jac = _jacobian((xi, 0.5 + c), depths)
     dof = max(len(y) - 2, 1)
     # Residual variance floored at the known binomial shot variance: with only
     # a few depth points the chi-square fluctuation of RSS/dof would otherwise
     # underestimate the parameter spread half the time.
     shot_var = float(np.mean(np.maximum(y * (1.0 - y), 1e-12)))
     s2 = max(ss / dof, shot_var / series.shots_per_point)
-    try:
-        cov = np.linalg.inv(jac.T @ jac) * s2
-    except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(jac.T @ jac) * s2
-    sigmas = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    (xx, xp), (_, pp) = jtj = jac.T @ jac
+    det = xx * pp - xp * xp  # the 2x2 inverse in closed form, pinv where singular
+    cov = (np.array([[pp, -xp], [-xp, xx]]) / det if det > 0.0 else np.linalg.pinv(jtj)) * s2
+    xi_sigma, p_sigma = (math.sqrt(max(float(v), 0.0)) for v in cov.diagonal())
     return NoiseFit(
-        model=NoiseModel(xi=float(theta[0]), xi_sigma=float(sigmas[0])),
-        p_hat=float(theta[1]),
-        p_sigma=float(sigmas[1]),
+        model=NoiseModel(xi=xi, xi_sigma=xi_sigma),
+        p_hat=0.5 + c,
+        p_sigma=p_sigma,
         residual_norm=math.sqrt(ss),
         covariance=cov,
-        iterations=len(_XI_GRID) + _ROUNDS * (_SECTIONS - 1) + len(candidates),
+        iterations=len(_XI_GRID) + steps + len(candidates),
     )
 
 

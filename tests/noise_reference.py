@@ -12,24 +12,34 @@ from __future__ import annotations
 import numpy as np
 
 DENSE_XI = np.concatenate([[0.0], np.logspace(-16.0, 0.0, 10**5)])
-_DECAY = 1.0 - DENSE_XI
+
+
+def profile_rss(xi, depths, measured_p) -> np.ndarray:
+    """The residual sum at each xi, with p the clipped least-squares value."""
+    centered = np.asarray(measured_p, dtype=float)[:, None] - 0.5
+    a = (1.0 - np.asarray(xi, dtype=float)) ** np.asarray(depths, dtype=float)[:, None]
+    aa = (a * a).sum(axis=0)  # a is depth by xi
+    c = np.clip((a * centered).sum(axis=0) / np.where(aa > 0.0, aa, 1.0), -0.5, 0.5)
+    r = c * a - centered
+    return (r * r).sum(axis=0)
 
 
 def dense_grid_rss(depths, measured_p) -> float:
     """The least residual sum of (xi, p) over the dense xi grid."""
-    centered = np.asarray(measured_p, dtype=float)[:, None] - 0.5
-    a = _DECAY ** np.asarray(depths, dtype=float)[:, None]  # depth by xi
-    aa = (a * a).sum(axis=0)
-    c = np.clip((a * centered).sum(axis=0) / np.where(aa > 0.0, aa, 1.0), -0.5, 0.5)
-    r = c * a - centered
-    return float((r * r).sum(axis=0).min())
+    return float(profile_rss(DENSE_XI, depths, measured_p).min())
+
+
+def rounding_slack(rss, depths) -> float:
+    """A residual sum plus the rounding that a comparison with it allows.
+
+    The sum times 1 + 1e-12, plus the squared float64 rounding of the
+    residuals, so an exact series (sum ~1e-33) compares by rounding.
+    """
+    eps = np.finfo(float).eps
+    return rss * (1.0 + 1e-12) + len(depths) * eps**2
 
 
 def rss_bound(depths, measured_p) -> float:
-    """The residual sum a global fit may not exceed.
-
-    The reference times 1 + 1e-12, plus the squared float64 rounding of the
-    residuals, so an exact series (reference ~1e-33) compares by rounding.
-    """
-    eps = np.finfo(float).eps
-    return dense_grid_rss(depths, measured_p) * (1.0 + 1e-12) + len(depths) * eps**2
+    """The residual sum a global fit may not exceed: the dense grid's, with
+    rounding_slack."""
+    return rounding_slack(dense_grid_rss(depths, measured_p), depths)

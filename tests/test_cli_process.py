@@ -454,3 +454,33 @@ def test_process_malformed_beta_names_the_list(tmp_path, command):
     assert lines[-1] == (f"qcoin {command[0]}: error: argument --beta: expected a "
                          "comma-separated list of numbers, got ','")
     assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--model", "ising"), ("--n-qubits", "4"), ("--n-visible", "2"), ("--n-hidden", "2"),
+    ("--seed", "0"),
+])
+def test_process_oracle_spec_rejects_the_flags_it_replaces(tmp_path, flag, value):
+    # each value is the flag's default, so only an explicit flag is rejected
+    (tmp_path / "s.json").write_text(
+        '{"kind": "ising", "n_qubits": 2, "edges": [[0, 1, 0.5]], "seed": 0}')
+    proc = run_process(["oracle", "--spec", "s.json", flag, value, "--out", "o.json"],
+                       cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: --spec gives the instance, so {flag} cannot be "
+                           "given with it\n")
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("argv, unknown", [
+    (["coverage", "alg1", "--n-qubits", "4", "--shots", "5", "--out", "cov"], "--shots 5"),
+    (["oracle", "--bogus", "--out", "o.json"], "--bogus"),
+    (["noise-fit", "--series", "s.csv", "--xi", "0.1", "--out", "fit"], "--xi 0.1"),
+], ids=["dropped-config-flag", "unknown-flag", "config-flag-on-noise-fit"])
+def test_process_unknown_flag_is_reported_by_its_subcommand(tmp_path, argv, unknown):
+    proc = run_process(argv, cwd=tmp_path)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert lines[0].startswith(f"usage: qcoin {argv[0]} ")
+    assert lines[-1] == f"qcoin {argv[0]}: error: unrecognized arguments: {unknown}"
+    assert not any(tmp_path.iterdir())

@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from noise_reference import rss_bound
+from noise_reference import profile_rss, rounding_slack, rss_bound
 
 from qcoin.noise import (
+    _XI_GRID,
     FitDegenerateError,
     LayerSeries,
     NoiseModel,
@@ -127,26 +129,72 @@ def test_fit_needs_three_points():
         fit_noise_model(series)
 
 
+def random_series(rng):
+    """A series from the forward model at random depths, xi, p and shots."""
+    depths = np.cumsum(rng.integers(1, 20, size=rng.integers(3, 9)))
+    shots = int(10 ** rng.uniform(1, 5))
+    xi = 10 ** rng.uniform(-4, math.log10(0.5))
+    p = float(rng.uniform())
+    successes = [simulate_noisy_tosses(p, xi, int(d), shots, seed=int(rng.integers(2**32)))
+                 for d in depths]
+    return LayerSeries(depths, np.array(successes) / shots, shots)
+
+
 def test_fit_reaches_the_dense_grid_minimum():
     # 300 seeded series from the forward model, low-signal ones included:
     # the fit finds the global least-squares minimum on every one
     rng = np.random.default_rng(19)
     fitted = 0
     for _ in range(300):
-        depths = np.cumsum(rng.integers(1, 20, size=rng.integers(3, 9)))
-        shots = int(10 ** rng.uniform(1, 5))
-        xi = 10 ** rng.uniform(-4, math.log10(0.5))
-        p = float(rng.uniform())
-        successes = [simulate_noisy_tosses(p, xi, int(d), shots, seed=int(rng.integers(2**32)))
-                     for d in depths]
-        series = LayerSeries(depths, np.array(successes) / shots, shots)
+        series = random_series(rng)
         try:
             fit = fit_noise_model(series)
         except FitDegenerateError:
             continue
         fitted += 1
-        assert fit.residual_norm ** 2 <= rss_bound(depths, series.measured_p)
+        assert fit.residual_norm ** 2 <= rss_bound(series.depths, series.measured_p)
     assert fitted >= 290
+
+
+def test_fit_is_a_minimum_of_the_profile_to_float_resolution():
+    # a relative step of 1e-9 either side (1e-15 up from xi = 0) finds no
+    # lower residual sum than the fitted xi's, up to rounding
+    rng = np.random.default_rng(23)
+    checked = 0
+    for _ in range(200):
+        series = random_series(rng)
+        try:
+            xi = fit_noise_model(series).model.xi
+        except FitDegenerateError:
+            continue
+        checked += 1
+        steps = [xi * (1.0 - 1e-9), xi * (1.0 + 1e-9)] if xi > 0.0 else [1e-15]
+        rss = profile_rss([xi, *[min(step, 1.0) for step in steps]], series.depths,
+                          series.measured_p)
+        assert rss[0] <= rounding_slack(rss[1:].min(), series.depths), (xi, rss)
+    assert checked >= 190
+
+
+def test_fit_iterations_count_the_evaluations_made():
+    # 1,024 grid points and 2 candidates, plus 2 or more slope evaluations
+    counts = []
+    for xi in (PAPER_XI, 0.0):
+        pbar = [noisy_success_probability(PAPER_P, xi, d) for d in DEPTHS]
+        counts.append(fit_noise_model(LayerSeries(np.array(DEPTHS), np.array(pbar),
+                                                  3000)).iterations)
+    assert counts[0] != counts[1]
+    assert all(len(_XI_GRID) + 4 <= count <= 1100 for count in counts), counts
+
+
+def test_fit_next_to_xi_one_raises_no_warning():
+    # the grid's least residual sum is at its last point but one, so the root
+    # search brackets xi = 1, where log(1 - xi) = -inf and every decay is 0
+    depths, measured = np.array([1, 2, 3]), np.array([106, 109, 106]) / 214
+    assert int(np.argmin(profile_rss(_XI_GRID, depths, measured))) == len(_XI_GRID) - 2
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        fit = fit_noise_model(LayerSeries(depths, measured, 214))
+    assert fit.residual_norm ** 2 <= rss_bound(depths, measured)
 
 
 @pytest.mark.parametrize("depths, successes, shots", [
