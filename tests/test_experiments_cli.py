@@ -540,8 +540,27 @@ def test_seeded_outputs_match_golden(tmp_path, capsys, model, command):
     # match exactly and floats to 1e-12 relative; product_rel_err, itself a
     # rounding error, must stay below 1e-12.
     assert main([command, "--model", model, "--out", str(tmp_path)]) == 0
-    golden_header, golden = read_rows(GOLDEN / f"{model}_{command}.csv")
-    header, rows = read_rows(tmp_path / f"{command}.csv")
+    _assert_rows_match_golden(tmp_path / f"{command}.csv",
+                              GOLDEN / f"{model}_{command}.csv")
+
+
+@pytest.mark.parametrize("name, args", [
+    ("ising_sweep_xi", ["--model", "ising", "--xi", "0.037"]),
+    ("clamped_sweep_xi", ["--n-qubits", "6", "--beta", "100", "--seed", "7",
+                          "--xi", "0.037"]),
+])
+def test_noisy_sweep_outputs_match_golden(tmp_path, capsys, name, args):
+    # tests/data/<name>.csv hold noisy sweeps written by schema-version-9
+    # qcoin: the fitted noise model mitigates every row, and in the clamped
+    # sweep every mitigated value falls outside [0, 1].  Same rules as the
+    # noiseless goldens above.
+    assert main(["sweep", *args, "--out", str(tmp_path)]) == 0
+    _assert_rows_match_golden(tmp_path / "sweep.csv", GOLDEN / f"{name}.csv")
+
+
+def _assert_rows_match_golden(path, golden_path):
+    golden_header, golden = read_rows(golden_path)
+    header, rows = read_rows(path)
     assert header == golden_header and len(rows) == len(golden)
     for row, gold in zip(rows, golden):
         for key, expected in gold.items():
