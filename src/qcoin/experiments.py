@@ -55,7 +55,6 @@ from .noise import (
     fitted_curve,
     identity_insertion_depths,
     mitigate,
-    propagate_uncertainty,
     simulate_noisy_tosses,
     NoiseFit,
 )
@@ -378,14 +377,13 @@ def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> dict:
                 )
                 p_noisy_hat, _ = ac_estimate(n_succ, config.shots, config.delta)
                 p_noisy_sigma = math.sqrt(p_noisy_hat * (1.0 - p_noisy_hat) / config.shots)
-                p_mit, clamped = mitigate(p_noisy_hat, fit.model, config.layers)
+                p_mit, p_mit_sigma, clamped = mitigate(
+                    p_noisy_hat, p_noisy_sigma, fit.xi, fit.xi_sigma, config.layers
+                )
                 row.update(
                     noisy_successes=n_succ, p_noisy_hat=p_noisy_hat,
                     p_noisy_sigma=p_noisy_sigma, p_mitigated=p_mit,
-                    p_mitigated_sigma=propagate_uncertainty(
-                        p_noisy_hat, p_noisy_sigma, fit.model, config.layers
-                    ),
-                    mitigation_clamped=clamped,
+                    p_mitigated_sigma=p_mit_sigma, mitigation_clamped=clamped,
                     z_mitigated=_z_from_p(log_dim + beta_coin, p_mit),
                 )
             rows.append(row)
@@ -420,7 +418,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> dict:
 
 
 def run_coverage(config: ExperimentConfig, algorithm: str,
-                 out_dir: str | Path | None = None) -> dict:
+                 out_dir: str | Path) -> dict:
     """Repeat an estimator and report the fraction hitting its relative target.
 
     The study runs at ``config.betas[0]`` only; any further betas are
@@ -489,8 +487,7 @@ def run_coverage(config: ExperimentConfig, algorithm: str,
             "min": int(est.rounds.min()),
             "max": int(est.rounds.max()),
         }
-    if out_dir is not None:
-        write_outputs(out_dir, {f"coverage_{algorithm}.json": json_text(report)})
+    write_outputs(out_dir, {f"coverage_{algorithm}.json": json_text(report)})
     return report
 
 

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .coin import draw_heads
-from .record import Record, ValueRecord
+from .record import Record
 
 # the profile is scanned at xi = 0 and at xi 3.7% apart from 1e-16 to 1
 # (1 - xi rounds to 1 below about 5.6e-17).  Where p sits at 0 or 1 far
@@ -43,19 +43,6 @@ _BELOW_ONE = math.nextafter(1.0, 0.0)
 
 class FitDegenerateError(ValueError):
     """The depth series carries no signal (all points at the 1/2 fixed point)."""
-
-
-class NoiseModel(ValueRecord):
-    """Per-layer depolarizing strength with its fit standard deviation."""
-
-    __slots__ = fields = ("xi", "xi_sigma")
-
-    def __init__(self, xi: float, xi_sigma: float = 0.0) -> None:
-        if not 0.0 <= xi <= 1.0:
-            raise ValueError(f"xi must be in [0, 1], got {xi}")
-        if xi_sigma < 0.0:
-            raise ValueError("xi_sigma must be non-negative")
-        self._set(xi=xi, xi_sigma=xi_sigma)
 
 
 class LayerSeries(Record):
@@ -112,30 +99,32 @@ def identity_insertion_depths(base_layers: int, insertions: int) -> list[int]:
 
 
 class NoiseFit(Record):
-    """Result of fitting (xi, p) to a depth series."""
+    """Result of fitting (xi, p) to a depth series, each with its 1-sigma."""
 
     __slots__ = fields = (
-        "model", "p_hat", "p_sigma", "residual_norm", "covariance", "iterations"
+        "xi", "xi_sigma", "p_hat", "p_sigma", "residual_norm", "covariance",
+        "iterations",
     )
 
     def __init__(
         self,
-        model: NoiseModel,
+        xi: float,
+        xi_sigma: float,
         p_hat: float,
         p_sigma: float,
         residual_norm: float,
         covariance: np.ndarray,
         iterations: int,
     ) -> None:
-        self._set(model=model, p_hat=p_hat, p_sigma=p_sigma,
+        self._set(xi=xi, xi_sigma=xi_sigma, p_hat=p_hat, p_sigma=p_sigma,
                   residual_norm=residual_norm, covariance=covariance,
                   iterations=iterations)
 
     def summary(self) -> dict:
         """The fitted values that sweep and noise-fit reports carry."""
         return {
-            "xi": self.model.xi,
-            "xi_sigma": self.model.xi_sigma,
+            "xi": self.xi,
+            "xi_sigma": self.xi_sigma,
             "p_hat": self.p_hat,
             "p_sigma": self.p_sigma,
             "residual": self.residual_norm,
@@ -156,7 +145,7 @@ def _jacobian(theta: np.ndarray, depths: np.ndarray) -> np.ndarray:
 
 def fitted_curve(fit: NoiseFit, depths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The fitted pbar at each depth and its first-order 1-sigma band."""
-    theta = np.array([fit.model.xi, fit.p_hat])
+    theta = np.array([fit.xi, fit.p_hat])
     depths = np.asarray(depths, dtype=float)
     jac = _jacobian(theta, depths)
     variance = np.sum((jac @ fit.covariance) * jac, axis=1)
@@ -270,7 +259,8 @@ def fit_noise_model(series: LayerSeries) -> NoiseFit:
     cov = (np.array([[pp, -xp], [-xp, xx]]) / det if det > 0.0 else np.linalg.pinv(jtj)) * s2
     xi_sigma, p_sigma = (math.sqrt(max(float(v), 0.0)) for v in cov.diagonal())
     return NoiseFit(
-        model=NoiseModel(xi=xi, xi_sigma=xi_sigma),
+        xi=xi,
+        xi_sigma=xi_sigma,
         p_hat=0.5 + c,
         p_sigma=p_sigma,
         residual_norm=math.sqrt(ss),
@@ -280,28 +270,21 @@ def fit_noise_model(series: LayerSeries) -> NoiseFit:
 
 
 def mitigate(
-    measured_p: float, model: NoiseModel, layers: int
-) -> tuple[float, bool]:
-    """Invert the noise map; returns (value clamped to [0, 1], clamped flag)."""
-    if model.xi >= 1.0:
+    measured_p: float, p_sigma: float, xi: float, xi_sigma: float, layers: int
+) -> tuple[float, float, bool]:
+    """Invert the noise map at depth ``layers``.
+
+    Returns the value clamped to [0, 1], its first-order 1-sigma from
+    (p_sigma, xi_sigma), and whether the value was clamped.
+    """
+    if xi >= 1.0:
         raise ValueError("xi = 1 leaves no signal; the noise map is singular")
     if layers < 0:
         raise ValueError("layers must be non-negative")
-    decay = (1.0 - model.xi) ** layers
-    raw = 0.5 + (measured_p - 0.5) / decay
-    clamped_value = min(max(raw, 0.0), 1.0)
-    return clamped_value, clamped_value != raw
-
-
-def propagate_uncertainty(
-    measured_p: float, p_sigma: float, model: NoiseModel, layers: int
-) -> float:
-    """First-order uncertainty of the mitigated value from (sigma_p, sigma_xi)."""
     if p_sigma < 0:
         raise ValueError("p_sigma must be non-negative")
-    if model.xi >= 1.0:
-        raise ValueError("xi = 1 leaves no signal; the noise map is singular")
-    decay = (1.0 - model.xi) ** layers
-    d_measured = 1.0 / decay
-    d_xi = (measured_p - 0.5) * layers / ((1.0 - model.xi) ** (layers + 1))
-    return math.hypot(d_measured * p_sigma, d_xi * model.xi_sigma)
+    decay = (1.0 - xi) ** layers
+    raw = 0.5 + (measured_p - 0.5) / decay
+    value = min(max(raw, 0.0), 1.0)
+    d_xi = (measured_p - 0.5) * layers / ((1.0 - xi) ** (layers + 1))
+    return value, math.hypot(1.0 / decay * p_sigma, d_xi * xi_sigma), value != raw

@@ -25,7 +25,6 @@ beta.  The polynomial itself is never formed here: the coin is ideal.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -64,7 +63,6 @@ def subnormalized_coefficients(b: float, floor: float) -> np.ndarray:
         window = 2.0 * n
 
 
-@lru_cache(maxsize=4096)
 def required_degree(beta: float, eps_prime: float) -> int:
     """Smallest truncation degree d whose coefficient tail is <= eps_prime.
 

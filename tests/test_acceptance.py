@@ -35,7 +35,6 @@ from qcoin.hamiltonian import (
 )
 from qcoin.noise import (
     LayerSeries,
-    NoiseModel,
     fit_noise_model,
     identity_insertion_depths,
     mitigate,
@@ -192,7 +191,7 @@ def test_noise_round_trip_and_fit_recovery():
             xi = float(rng.uniform(0.0, 0.5))
             layers = int(rng.integers(0, 13))
             pbar = noisy_success_probability(p, xi, layers)
-            back, _ = mitigate(pbar, NoiseModel(xi=xi), layers)
+            back = mitigate(pbar, 0.0, xi, 0.0, layers)[0]
             assert abs(back - p) <= 1e-12
 
         depths = identity_insertion_depths(10, 5)
@@ -207,7 +206,7 @@ def test_noise_round_trip_and_fit_recovery():
             successes = trial_rng.binomial(shots, pbar)
             series = LayerSeries(np.array(depths), successes / shots, shots)
             fit = fit_noise_model(series)
-            hits += abs(fit.model.xi - xi_true) <= 2.0 * fit.model.xi_sigma
+            hits += abs(fit.xi - xi_true) <= 2.0 * fit.xi_sigma
         assert hits / trials >= 0.90
 
 

@@ -174,12 +174,12 @@ def test_run_sweep_noiseless_has_empty_noise_columns(tmp_path):
     assert rows[0]["p_mitigated"] == ""
 
 
-def test_run_coverage_alg1_and_alg2():
+def test_run_coverage_alg1_and_alg2(tmp_path):
     config = ExperimentConfig(
         model="ising", n_qubits=4, instances=1, betas=(1.0,), reps=60,
         eps_r=0.2, delta=0.05, seed=3,
     )
-    report = run_coverage(config, "alg1")
+    report = run_coverage(config, "alg1", tmp_path)
     assert report["coverage"] >= 0.9
     assert report["theory"]["sample_count"] == report["mean_samples"]
 
@@ -187,19 +187,19 @@ def test_run_coverage_alg1_and_alg2():
         model="ising", n_qubits=4, instances=1, betas=(1.0,), reps=60,
         eps_r=0.2, delta=0.25, seed=3,
     )
-    report2 = run_coverage(config2, "alg2")
+    report2 = run_coverage(config2, "alg2", tmp_path)
     assert report2["coverage"] >= 0.7
     assert report2["theory"]["success_count"] == 100
     with pytest.raises(ValueError):
-        run_coverage(config, "alg3")
+        run_coverage(config, "alg3", tmp_path)
 
 
-def test_run_coverage_iterative_rounds():
+def test_run_coverage_iterative_rounds(tmp_path):
     config = ExperimentConfig(
         model="ising", n_qubits=3, instances=1, betas=(2.0,), reps=40,
         eps_r=0.2, delta=0.1, seed=17,
     )
-    report = run_coverage(config, "iterative")
+    report = run_coverage(config, "iterative", tmp_path)
     assert report["coverage"] >= 0.9
     predicted = math.log2(report["theory"]["z_max"] / report["z_exact"])
     assert abs(report["rounds"]["median"] - predicted) <= 2.0
@@ -207,7 +207,8 @@ def test_run_coverage_iterative_rounds():
 
 @pytest.mark.parametrize("reps", [10, 400])
 @pytest.mark.parametrize("algorithm", ["alg1", "alg2", "iterative"])
-def test_run_coverage_seeds_one_generator_per_command(monkeypatch, algorithm, reps):
+def test_run_coverage_seeds_one_generator_per_command(tmp_path, monkeypatch, algorithm,
+                                                        reps):
     # the instance's generator, then one generator for every repetition,
     # seeded from the stream's next seed
     seeded = []
@@ -222,7 +223,7 @@ def test_run_coverage_seeds_one_generator_per_command(monkeypatch, algorithm, re
         model="ising", n_qubits=4, instances=1, betas=(2.0,), reps=reps,
         eps_r=0.2, delta=0.1, seed=17,
     )
-    run_coverage(config, algorithm)
+    run_coverage(config, algorithm, tmp_path)
     stream = SeedStream(17)
     assert seeded == [stream.next(), stream.next()]
 
@@ -269,7 +270,7 @@ def test_run_noise_fit_outputs(tmp_path):
     assert all(float(r["band_sigma"]) >= 0 for r in rows)
     # the curve against the forward map and its gradient, one depth at a time
     fit = fit_noise_model(read_layer_series(series_path))
-    xi, p_hat = fit.model.xi, fit.p_hat
+    xi, p_hat = fit.xi, fit.p_hat
     for row in rows:
         depth = int(row["layers"])
         grad = np.array([-depth * (1.0 - xi) ** (depth - 1) * (p_hat - 0.5),
@@ -348,18 +349,24 @@ def test_run_fragment_sums_each_schedule_point_once(tmp_path, monkeypatch):
     ("qrbm", 4, 0.2, (1, 2, 4, 8)),
     ("ising", 4, 3.7, (3, 5, 7)),
 ], ids=["ising4", "ising8-beta0.9", "qrbm", "ising4-beta3.7-odd-sizes"])
-def test_run_fragment_certifies_one_degree_per_schedule_size(tmp_path, model, n, beta,
-                                                             sizes):
+def test_run_fragment_certifies_one_degree_per_schedule_size(tmp_path, monkeypatch,
+                                                             model, n, beta, sizes):
     # a uniform schedule's steps share one nominal width, so each size takes
-    # one uncached certification, whatever widths np.linspace rounds to
+    # one certification, whatever widths np.linspace rounds to
+    calls = []
+
+    def counting(step_beta, eps_prime):
+        calls.append(step_beta)
+        return required_degree(step_beta, eps_prime)
+
+    monkeypatch.setattr(qcoin.coin, "required_degree", counting)
     config = ExperimentConfig(model=model, n_qubits=n, betas=(beta,), seed=0,
                               schedule_sizes=sizes, frag_successes=300)
-    required_degree.cache_clear()
     run_fragment(config, tmp_path)
-    assert required_degree.cache_info().misses == len(sizes)
+    assert len(calls) == len(sizes)
 
 
-def test_run_coverage_sums_the_spectrum_twice(monkeypatch):
+def test_run_coverage_sums_the_spectrum_twice(tmp_path, monkeypatch):
     # a coverage command reads its coin from two Boltzmann sums, one for the
     # heads probability p and one for log Z; the estimators take p and the
     # per-toss cost, and never read the spectrum
@@ -374,7 +381,7 @@ def test_run_coverage_sums_the_spectrum_twice(monkeypatch):
     config = ExperimentConfig(model="ising", n_qubits=4, betas=(1.0,), reps=20, seed=5)
     for algorithm in ("alg1", "alg2", "iterative"):
         calls.clear()
-        run_coverage(config, algorithm)
+        run_coverage(config, algorithm, tmp_path)
         assert len(calls) == 2 and calls[0] == calls[1], algorithm
 
 
@@ -383,7 +390,8 @@ DENSE_OR_DELETED_NAMES = {
     "PropagatorExact", "exact_propagator", "apply_approximant", "_clenshaw_matrix",
     "exact_free_energy", "geometric_stats",
     "ChebyshevApproximant", "chebyshev_coefficients", "_clenshaw", "success_probability",
-    "_shifted_mean", "CoinSpec", "OracleReport",
+    "_shifted_mean", "CoinSpec", "OracleReport", "NoiseModel",
+    "propagate_uncertainty",
 }
 
 
@@ -398,7 +406,8 @@ def test_run_sweep_decomposes_each_instance_at_most_once(
     # the unit spectrum built from the instance parameters.  The dense matrix
     # and its eigenvectors are the tests' oracle (tests/dense_oracle.py) alone.
     for module in (qcoin, qcoin.hamiltonian, qcoin.propagator, qcoin.oracle,
-                   qcoin.coin, qcoin.estimators, qcoin.experiments, qcoin.cli):
+                   qcoin.coin, qcoin.estimators, qcoin.noise, qcoin.experiments,
+                   qcoin.cli):
         assert not DENSE_OR_DELETED_NAMES & set(vars(module))
     for path in Path(qcoin.__file__).parent.glob("*.py"):
         assert "dense_oracle" not in path.read_text(encoding="utf-8")
@@ -430,6 +439,18 @@ REPO = Path(__file__).resolve().parent.parent
 # Package names with no caller outside the tests yet.  ROADMAP item 5 (cost
 # each toss at the paper's eps' budget) gives this one its caller.
 TEST_ONLY_ALLOWED = {"propagator.eps_prime_for_relative_error"}
+# public methods and properties named like a member of another package class,
+# so the name scan cannot tell their readers apart; each is read in the package
+SHARED_NAMES = {
+    # hamiltonian.unit_spectrum: _check_qubit_count(spec.n_qubits) on a QrbmSpec
+    "QrbmSpec.n_qubits",
+    # hamiltonian.unit_spectrum: lam = spec.norm_bound or 1.0, for either spec
+    "IsingSpec.norm_bound",
+    "QrbmSpec.norm_bound",
+    # cli._cmd_generate: _instance_spec(args, seeds.next()).to_json(), either spec
+    "IsingSpec.to_json",
+    "QrbmSpec.to_json",
+}
 
 
 def _package_definitions(tree):
@@ -457,11 +478,36 @@ def _references(tree, by_string):
             yield node.value, node.lineno
 
 
+def _shared_member_names(trees):
+    """``Class.name`` of each public method and property of a top-level class
+    whose name is also a field, method or property of another such class."""
+    members: dict[str, set[str]] = {}
+    methods = []
+    for tree in trees.values():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            names = members.setdefault(node.name, set())
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    names.add(item.name)
+                    if not item.name.startswith("_"):
+                        methods.append((node.name, item.name))
+                elif isinstance(item, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id in ("fields", "__slots__")
+                        for t in item.targets):
+                    names.update(c.value for c in ast.walk(item.value)
+                                 if isinstance(c, ast.Constant))
+    return [f"{cls}.{name}" for cls, name in methods
+            if any(name in names for other, names in members.items() if other != cls)]
+
+
 def test_every_package_name_has_a_caller_outside_the_tests():
     # The package holds only what a command, tool or benchmark runs; the
     # tests' reference code lives in tests/.  Names are matched by name
     # alone, so a method counts as called wherever any attribute of its
-    # name is read.
+    # name is read; a method or property whose name another class's member
+    # shares is therefore listed in SHARED_NAMES with a reader of its own.
     package = Path(qcoin.__file__).parent
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))}
@@ -482,6 +528,7 @@ def test_every_package_name_has_a_caller_outside_the_tests():
                 test_only.append(f"{path.stem}.{qualname}")
     assert sorted(test_only) == sorted(TEST_ONLY_ALLOWED), (
         f"called only from tests or nowhere: {', '.join(test_only)}")
+    assert sorted(_shared_member_names(trees)) == sorted(SHARED_NAMES)
 
 
 def test_compare_commands_use_every_input_file():
@@ -520,7 +567,7 @@ def test_learn_noise_model_smoke():
     beta_coin = spectrum.norm_bound * config.fit_beta
     p_fit = ideal_coin_probability(spectrum, beta_coin)
     fit, series = learn_noise_model(config, p_fit, SeedStream(2))
-    assert 0.0 <= fit.model.xi <= 1.0
+    assert 0.0 <= fit.xi <= 1.0
     assert len(series.depths) == config.insertions + 1
 
 

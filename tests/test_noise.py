@@ -10,12 +10,10 @@ from qcoin.noise import (
     _XI_GRID,
     FitDegenerateError,
     LayerSeries,
-    NoiseModel,
     fit_noise_model,
     identity_insertion_depths,
     mitigate,
     noisy_success_probability,
-    propagate_uncertainty,
     simulate_noisy_tosses,
 )
 
@@ -101,7 +99,7 @@ def test_fit_recovers_exact_data():
     pbar = [noisy_success_probability(PAPER_P, PAPER_XI, d) for d in DEPTHS]
     series = LayerSeries(np.array(DEPTHS), np.array(pbar), 3000)
     fit = fit_noise_model(series)
-    assert fit.model.xi == pytest.approx(PAPER_XI, abs=1e-6)
+    assert fit.xi == pytest.approx(PAPER_XI, abs=1e-6)
     assert fit.p_hat == pytest.approx(PAPER_P, abs=1e-6)
     assert fit.residual_norm < 1e-10
 
@@ -113,7 +111,7 @@ def test_fit_recovers_exact_data_to_float_precision(xi, p):
     # search on the residual sum alone can resolve
     pbar = [noisy_success_probability(p, xi, d) for d in DEPTHS]
     fit = fit_noise_model(LayerSeries(np.array(DEPTHS), np.array(pbar), 3000))
-    assert fit.model.xi == pytest.approx(xi, rel=1e-11)
+    assert fit.xi == pytest.approx(xi, rel=1e-11)
     assert fit.p_hat == pytest.approx(p, rel=1e-11)
 
 
@@ -164,7 +162,7 @@ def test_fit_is_a_minimum_of_the_profile_to_float_resolution():
     for _ in range(200):
         series = random_series(rng)
         try:
-            xi = fit_noise_model(series).model.xi
+            xi = fit_noise_model(series).xi
         except FitDegenerateError:
             continue
         checked += 1
@@ -219,7 +217,7 @@ def test_fit_shot_noise_calibration_short():
     for i in range(60):
         series = synthetic_series(PAPER_XI, PAPER_P, 3000, seed=900 + i)
         fit = fit_noise_model(series)
-        hits += abs(fit.model.xi - PAPER_XI) <= 2.0 * fit.model.xi_sigma
+        hits += abs(fit.xi - PAPER_XI) <= 2.0 * fit.xi_sigma
     assert hits / 60 >= 0.85
 
 
@@ -229,7 +227,7 @@ def test_fit_sigma_is_often_large_at_paper_scale():
     for i in range(100):
         series = synthetic_series(PAPER_XI, PAPER_P, 3000, seed=4000 + i)
         fit = fit_noise_model(series)
-        large += fit.model.xi_sigma / PAPER_XI > 0.5
+        large += fit.xi_sigma / PAPER_XI > 0.5
     assert large / 100 >= 0.10
 
 
@@ -240,14 +238,13 @@ def test_fit_consistency_more_shots_tighter():
         for i in range(80):
             series = synthetic_series(PAPER_XI, PAPER_P, shots, seed=7000 + i)
             fit = fit_noise_model(series)
-            deviations.append(abs(fit.model.xi - PAPER_XI))
+            deviations.append(abs(fit.xi - PAPER_XI))
         errs[shots] = float(np.median(deviations))
     assert errs[3000] >= 5.0 * errs[300_000]
 
 
 def test_mitigate_identity_and_round_trip():
-    model = NoiseModel(xi=0.0)
-    value, clamped = mitigate(0.37, model, 12)
+    value, _, clamped = mitigate(0.37, 0.0, 0.0, 0.0, 12)
     assert value == 0.37 and not clamped
 
     rng = np.random.default_rng(5)
@@ -256,47 +253,50 @@ def test_mitigate_identity_and_round_trip():
         xi = float(rng.uniform(0.0, 0.5))
         layers = int(rng.integers(0, 13))
         pbar = noisy_success_probability(p, xi, layers)
-        back, _ = mitigate(pbar, NoiseModel(xi=xi), layers)
-        assert back == pytest.approx(p, abs=1e-12)
+        assert mitigate(pbar, 0.0, xi, 0.0, layers)[0] == pytest.approx(p, abs=1e-12)
 
 
 def test_mitigate_frozen_example_and_errors():
-    value, clamped = mitigate(PBAR_EXAMPLE, NoiseModel(xi=PAPER_XI), 10)
+    value, _, clamped = mitigate(PBAR_EXAMPLE, 0.0, PAPER_XI, 0.0, 10)
     assert value == pytest.approx(PAPER_P, abs=1e-12)
     assert not clamped
-    with pytest.raises(ValueError):
-        mitigate(0.4, NoiseModel(xi=1.0), 10)
+    for xi in (1.0, 1.5):
+        with pytest.raises(ValueError, match="xi = 1 leaves no signal"):
+            mitigate(0.4, 0.0, xi, 0.0, 10)
+    with pytest.raises(ValueError, match="layers must be non-negative"):
+        mitigate(0.4, 0.0, PAPER_XI, 0.0, -1)
+    with pytest.raises(ValueError, match="p_sigma must be non-negative"):
+        mitigate(0.4, -0.01, PAPER_XI, 0.0, 10)
 
 
 def test_mitigate_clamps_out_of_range():
     # measured value beyond the physical band must clamp and flag
-    value, clamped = mitigate(0.95, NoiseModel(xi=0.2), 10)
+    value, _, clamped = mitigate(0.95, 0.0, 0.2, 0.0, 10)
     assert clamped and value == 1.0
-    value, clamped = mitigate(0.05, NoiseModel(xi=0.2), 10)
+    value, _, clamped = mitigate(0.05, 0.0, 0.2, 0.0, 10)
     assert clamped and value == 0.0
 
 
 def test_propagate_uncertainty_known_cases():
-    model = NoiseModel(xi=0.1, xi_sigma=0.0)
-    sigma = propagate_uncertainty(0.4, 0.02, model, 8)
+    sigma = mitigate(0.4, 0.02, 0.1, 0.0, 8)[1]
     assert sigma == pytest.approx(0.02 / (1 - 0.1) ** 8, rel=1e-12)
-    assert propagate_uncertainty(0.4, 0.0, NoiseModel(0.1, 0.0), 8) == 0.0
+    assert mitigate(0.4, 0.0, 0.1, 0.0, 8)[1] == 0.0
 
 
 def test_propagate_uncertainty_matches_finite_differences():
-    model = NoiseModel(xi=PAPER_XI, xi_sigma=0.028)
+    xi, xi_sigma = PAPER_XI, 0.028
     measured, sigma_p, layers = PBAR_EXAMPLE, 0.009, 10
-    analytic = propagate_uncertainty(measured, sigma_p, model, layers)
+    analytic = mitigate(measured, sigma_p, xi, xi_sigma, layers)[1]
     step = 1e-6
     d_p = (
-        mitigate(measured + step, model, layers)[0]
-        - mitigate(measured - step, model, layers)[0]
+        mitigate(measured + step, 0.0, xi, 0.0, layers)[0]
+        - mitigate(measured - step, 0.0, xi, 0.0, layers)[0]
     ) / (2 * step)
     d_xi = (
-        mitigate(measured, NoiseModel(model.xi + step), layers)[0]
-        - mitigate(measured, NoiseModel(model.xi - step), layers)[0]
+        mitigate(measured, 0.0, xi + step, 0.0, layers)[0]
+        - mitigate(measured, 0.0, xi - step, 0.0, layers)[0]
     ) / (2 * step)
-    numeric = math.hypot(d_p * sigma_p, d_xi * model.xi_sigma)
+    numeric = math.hypot(d_p * sigma_p, d_xi * xi_sigma)
     assert analytic == pytest.approx(numeric, rel=0.05)
 
 
@@ -307,5 +307,3 @@ def test_layer_series_validation():
         LayerSeries(np.array([10, 12]), np.array([0.4, 1.2]), 100)
     with pytest.raises(ValueError):
         LayerSeries(np.array([0, 2]), np.array([0.4, 0.41]), 100)
-    with pytest.raises(ValueError):
-        NoiseModel(xi=1.5)

@@ -10,7 +10,7 @@ from qcoin.coin import FragmentedRun, toss_fragmented, uniform_schedule
 from qcoin.estimators import Estimate, algorithm1
 from qcoin.experiments import ExperimentConfig
 from qcoin.hamiltonian import generate_random_ising_graph, generate_random_qrbm, unit_spectrum
-from qcoin.noise import LayerSeries, NoiseFit, NoiseModel
+from qcoin.noise import LayerSeries, NoiseFit
 
 
 def _records():
@@ -23,9 +23,8 @@ def _records():
         schedule,
         toss_fragmented(schedule, 10, 3),
         algorithm1(0.5, 7, 100, 0.05, 1, reps=3),
-        NoiseModel(0.01, 0.001),
         LayerSeries([10, 12, 14], [0.6, 0.58, 0.57], 100),
-        NoiseFit(NoiseModel(0.01), 0.6, 0.01, 0.0, np.eye(2), 3),
+        NoiseFit(0.01, 0.001, 0.6, 0.01, 0.0, np.eye(2), 3),
         ExperimentConfig(),
     ]
 
@@ -33,7 +32,7 @@ def _records():
 RECORDS = _records()
 IDS = [type(r).__name__ for r in RECORDS]
 # records that hold no arrays compare by value; the others by identity
-VALUE_TYPES = {"IsingSpec", "NoiseModel", "ExperimentConfig"}
+VALUE_TYPES = {"IsingSpec", "ExperimentConfig"}
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=IDS)
