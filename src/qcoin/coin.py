@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .hamiltonian import Spectrum
-from .oracle import boltzmann_sum
+from .oracle import step_probabilities
 from .propagator import required_degree
 from .record import Record
 
@@ -57,18 +57,18 @@ def query_cost(beta: float, eps_prime: float) -> int:
     return required_degree(beta, max(eps_prime, _EPS_PRIME_FLOOR))
 
 
-def draw_heads(rng: np.random.Generator, p: float, count, size=None, name="count"):
+def draw_heads(rng: np.random.Generator, p: float, count, size=None):
     """Heads in ``count`` tosses at probability p (clipped to [0, 1]): one draw.
 
     ``count`` is an int or an int64 array of counts.  An int past numpy's
-    int64 limit is an infeasible budget, reported as ``name``.
+    int64 limit is an infeasible budget.
     """
     if not isinstance(count, np.ndarray):
         if count < 0:
-            raise ValueError(f"{name} must be non-negative")
+            raise ValueError("count must be non-negative")
         if count > _MAX_DRAW_COUNT:
             raise ValueError(
-                f"toss budget infeasible: {name} = {count} exceeds 2^63 - 1 = "
+                f"toss budget infeasible: count = {count} exceeds 2^63 - 1 = "
                 f"{_MAX_DRAW_COUNT}, the most tosses one binomial draw takes"
             )
     return rng.binomial(count, min(max(p, 0.0), 1.0), size=size)
@@ -116,7 +116,7 @@ class Schedule(Record):
     The values are in half-beta units: step k runs the coin at inverse
     temperature 2 w_k, w_k = betas[k] - betas[k-1], at a cost of
     ``step_query_costs[k-1]`` queries, which the schedule's builder
-    certifies.  The ideal ``step_probabilities`` (``_step_probability``)
+    certifies.  The ideal ``step_probabilities`` (``oracle.step_probabilities``)
     are computed once, at construction; their product telescopes to the
     unfragmented heads probability.
     """
@@ -133,16 +133,11 @@ class Schedule(Record):
             raise ValueError("schedule needs at least one step")
         if betas[0] != 0.0:
             raise ValueError("schedule must start at 0")
-        widths = np.diff(betas)
-        if np.any(widths < 0):
+        if np.any(np.diff(betas) < 0):
             raise ValueError("schedule must be non-decreasing")
         if costs.shape != (len(betas) - 1,):
             raise ValueError("step_query_costs must have one entry per step")
-        s = [boltzmann_sum(spectrum, 2.0 * b) for b in betas]
-        probs = np.array([
-            _step_probability(spectrum, w, s_lo, s_hi)
-            for w, s_lo, s_hi in zip(widths, s, s[1:])
-        ])
+        probs = step_probabilities(spectrum, betas)
         for arr in (betas, costs, probs):
             arr.setflags(write=False)
         self._set(spectrum=spectrum, betas=betas, step_query_costs=costs,
@@ -151,15 +146,6 @@ class Schedule(Record):
     @property
     def l(self) -> int:
         return len(self.betas) - 1
-
-
-def _step_probability(spectrum: Spectrum, w: float, s_lo: float, s_hi: float) -> float:
-    """p = exp(-2 w (1 + lambda_min)) S(2 b_hi) / S(2 b_lo) for a step of width w.
-
-    This is Z(2 b_hi) / (e^{2 w} Z(2 b_lo)) with exp(-2 b lambda_min) taken out
-    of both Z: the exponent is at most ~0 and S >= 1, so nothing overflows.
-    """
-    return math.exp(-2.0 * w * (1.0 + float(spectrum.values[0]))) * s_hi / s_lo
 
 
 def uniform_schedule(

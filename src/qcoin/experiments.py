@@ -55,7 +55,7 @@ from .noise import (
     fitted_curve,
     identity_insertion_depths,
     mitigate,
-    simulate_noisy_tosses,
+    noisy_success_probability,
     NoiseFit,
 )
 from .oracle import (
@@ -140,6 +140,9 @@ class ExperimentConfig(ValueRecord):
                 raise ValueError(f"field {name!r} must be >= 1")
         if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
             raise ValueError("field 'seed' must be >= 0")
+        if self.shots > 2**63 - 1:
+            raise ValueError(f"field 'shots' must be <= 2^63 - 1 = {2**63 - 1}: the "
+                             f"shots of one row are one int64 binomial draw")
         if self.reps > _MAX_REPS:
             raise ValueError(
                 f"field 'reps' must be <= {_MAX_REPS}: a coverage command holds "
@@ -294,7 +297,8 @@ def learn_noise_model(
     """
     depths = identity_insertion_depths(config.layers, config.insertions)
     successes = [
-        simulate_noisy_tosses(p_ideal, config.xi, depth, config.shots, seeds.next())
+        toss(noisy_success_probability(p_ideal, config.xi, depth), config.shots,
+             seeds.next())
         for depth in depths
     ]
     series = LayerSeries(
@@ -303,6 +307,15 @@ def learn_noise_model(
         shots_per_point=config.shots,
     )
     return fit_noise_model(series), series
+
+
+def _drawable_coin_probability(spectrum, beta_coin: float) -> float:
+    """The ideal heads probability; an input error where it underflows to 0.0."""
+    p = ideal_coin_probability(spectrum, beta_coin)
+    if p == 0.0:
+        raise ValueError(f"the coin's heads probability underflows to 0 at beta_coin = "
+                         f"{beta_coin:.6g}: no head can be drawn")
+    return p
 
 
 def _z_from_p(log_scale: float, p: float) -> float | None:
@@ -372,9 +385,8 @@ def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> dict:
                 "z_hat": _z_from_p(log_dim + beta_coin, p_hat),
             }
             if fit is not None:
-                n_succ = simulate_noisy_tosses(
-                    p_exact, config.xi, config.layers, config.shots, seeds.next()
-                )
+                pbar = noisy_success_probability(p_exact, config.xi, config.layers)
+                n_succ = toss(pbar, config.shots, seeds.next())
                 p_noisy_hat, _ = ac_estimate(n_succ, config.shots, config.delta)
                 p_noisy_sigma = math.sqrt(p_noisy_hat * (1.0 - p_noisy_hat) / config.shots)
                 p_mit, p_mit_sigma, clamped = mitigate(
@@ -435,7 +447,7 @@ def run_coverage(config: ExperimentConfig, algorithm: str,
     beta = config.betas[0]
     spectrum = unit_spectrum(spec)
     beta_coin = spectrum.norm_bound * beta
-    p = ideal_coin_probability(spectrum, beta_coin)
+    p = _drawable_coin_probability(spectrum, beta_coin)
     log_z_exact = log_partition_function(spectrum, beta_coin)
 
     theory: dict = {}
@@ -559,7 +571,7 @@ def run_fragment(config: ExperimentConfig, out_dir: str | Path) -> dict:
     beta = config.betas[0]
     spectrum = unit_spectrum(spec)
     beta_coin = spectrum.norm_bound * beta
-    p_full = ideal_coin_probability(spectrum, beta_coin)
+    p_full = _drawable_coin_probability(spectrum, beta_coin)
     rows = []
     for l in config.schedule_sizes:
         schedule = uniform_schedule(spectrum, beta_coin, l, config.frag_eps)

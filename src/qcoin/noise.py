@@ -22,7 +22,6 @@ import math
 
 import numpy as np
 
-from .coin import draw_heads
 from .record import Record
 
 # the profile is scanned at xi = 0 and at xi 3.7% apart from 1e-16 to 1
@@ -79,14 +78,6 @@ def noisy_success_probability(p_ideal: float, xi: float, layers: int) -> float:
     if layers < 0:
         raise ValueError("layers must be non-negative")
     return _forward((xi, p_ideal), layers)
-
-
-def simulate_noisy_tosses(
-    p_ideal: float, xi: float, layers: int, shots: int, seed: int
-) -> int:
-    """Binomial draw of successes at the noisy probability, seeded."""
-    pbar = noisy_success_probability(p_ideal, xi, layers)
-    return int(draw_heads(np.random.default_rng(seed), pbar, shots, name="shots"))
 
 
 def identity_insertion_depths(base_layers: int, insertions: int) -> list[int]:

@@ -2,9 +2,10 @@
 
 Everything here is the reference the statistical machinery is tested
 against: exact partition functions, free energies, ideal coin success
-probabilities and waiting-time moments, all read off a unit ``Spectrum``
-through one reduction, ``boltzmann_sum``, and one float64-range rule,
-``exp_or_none``.
+probabilities, schedule step probabilities and waiting-time moments, all
+read off a unit ``Spectrum`` through one reduction, ``boltzmann_sum``, and
+one float64-range rule, ``exp_or_none``.  No other module but
+``hamiltonian`` reads the spectrum's values.
 """
 
 from __future__ import annotations
@@ -56,6 +57,21 @@ def ideal_coin_probability(spectrum: Spectrum, beta: float) -> float:
     """
     ground = math.exp(-beta * (1.0 + float(spectrum.values[0])))
     return ground * boltzmann_sum(spectrum, beta) / spectrum.dim
+
+
+def step_probabilities(spectrum: Spectrum, betas: np.ndarray) -> np.ndarray:
+    """Each schedule step's p = exp(-2 w (1 + lambda_min)) S(2 b_hi) / S(2 b_lo).
+
+    ``betas`` is a schedule in half-beta units, and a step of width
+    w = b_hi - b_lo runs the coin at 2 w.  p is Z(2 b_hi) / (e^{2 w} Z(2 b_lo))
+    with exp(-2 b lambda_min) taken out of both Z: the exponent is at most ~0
+    and S >= 1, so nothing overflows.
+    """
+    s = [boltzmann_sum(spectrum, 2.0 * b) for b in betas]
+    return np.array([
+        math.exp(-2.0 * w * (1.0 + float(spectrum.values[0]))) * s_hi / s_lo
+        for w, s_lo, s_hi in zip(np.diff(betas), s, s[1:])
+    ])
 
 
 def oracle_report(spectrum: Spectrum, beta: float) -> dict:

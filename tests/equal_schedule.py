@@ -12,7 +12,7 @@ import numpy as np
 
 from qcoin import coin
 from qcoin.hamiltonian import Spectrum
-from qcoin.oracle import boltzmann_sum, ideal_coin_probability
+from qcoin.oracle import ideal_coin_probability, step_probabilities
 
 
 def equal_step_schedule(
@@ -32,12 +32,9 @@ def equal_step_schedule(
     betas = [0.0]
     for k in range(1, l):
         lo, hi = betas[-1], beta / 2.0
-        s_lo = boltzmann_sum(spectrum, 2.0 * betas[-1])
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            p_mid = coin._step_probability(
-                spectrum, mid - betas[-1], s_lo, boltzmann_sum(spectrum, 2.0 * mid)
-            )
+            (p_mid,) = step_probabilities(spectrum, np.array([betas[-1], mid]))
             if p_mid > target:
                 lo = mid
             else:

@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 import qcoin
 from qcoin.cli import _COMMANDS, _parse_direct, build_parser, main
+from series_file import write_layer_series
 
 SRC = Path(qcoin.__file__).resolve().parents[1]
 
@@ -425,10 +426,12 @@ def test_direct_parse_matches_argparse_or_defers(argv):
     assert vars(direct) == vars(parsed)
 
 
+# argparse serves only malformed lines and help; numpy.random (~6 ms to
+# import) only the commands that draw
 MODULES_PROBE = """
 import sys
 import qcoin.cli
-loaded = lambda: sorted({"argparse", "gettext", "locale"} & set(sys.modules))
+loaded = lambda: sorted({"argparse", "gettext", "locale", "numpy.random"} & set(sys.modules))
 print("after import:", loaded())
 code = qcoin.cli.main(sys.argv[1:])
 print("after main:", loaded())
@@ -440,6 +443,16 @@ def test_process_well_formed_command_imports_no_argparse(tmp_path):
     argv = ["coverage", "alg1", "--n-qubits", "4", "--beta", "1", "--reps", "20",
             "--out", "cov"]
     proc = run_process(argv, code=MODULES_PROBE, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "after import: []"
+    assert proc.stdout.splitlines()[-1] == "after main: ['numpy.random']"
+
+
+def test_process_noise_fit_imports_no_numpy_random(tmp_path):
+    write_layer_series(tmp_path / "s.csv", [10, 12, 14, 16, 18],
+                       [620, 601, 590, 575, 566], 1000)
+    proc = run_process(["noise-fit", "--series", "s.csv", "--out", "fit"],
+                       code=MODULES_PROBE, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "after import: []"
     assert proc.stdout.splitlines()[-1] == "after main: []"

@@ -24,10 +24,12 @@ from qcoin.experiments import (
     run_noise_fit,
     run_sweep,
 )
-from qcoin.coin import SeedStream
+from qcoin.coin import SeedStream, toss
 import qcoin
 from qcoin.hamiltonian import generate_random_ising_graph, spec_from_json, unit_spectrum
-from qcoin.noise import fit_noise_model, identity_insertion_depths, simulate_noisy_tosses
+from qcoin.noise import (
+    fit_noise_model, identity_insertion_depths, noisy_success_probability,
+)
 from qcoin.oracle import ideal_coin_probability, log_partition_function
 from qcoin.propagator import required_degree
 
@@ -230,7 +232,8 @@ def test_run_coverage_seeds_one_generator_per_command(tmp_path, monkeypatch, alg
 
 def test_layer_series_csv_round_trip(tmp_path):
     depths = identity_insertion_depths(10, 5)
-    successes = [simulate_noisy_tosses(0.38, 0.037, d, 3000, 50 + d) for d in depths]
+    successes = [toss(noisy_success_probability(0.38, 0.037, d), 3000, 50 + d)
+                 for d in depths]
     path = tmp_path / "series.csv"
     write_layer_series(path, depths, successes, 3000)
     series = read_layer_series(path)
@@ -334,8 +337,7 @@ def test_run_fragment_sums_each_schedule_point_once(tmp_path, monkeypatch):
         calls.append(beta)
         return original(spectrum, beta)
 
-    for module in (qcoin.oracle, qcoin.coin):
-        monkeypatch.setattr(module, "boltzmann_sum", counting)
+    monkeypatch.setattr(qcoin.oracle, "boltzmann_sum", counting)
     sizes = (1, 2, 4, 8)
     config = ExperimentConfig(model="ising", n_qubits=4, betas=(1.0,), seed=5,
                               schedule_sizes=sizes, frag_successes=300)
@@ -391,8 +393,24 @@ DENSE_OR_DELETED_NAMES = {
     "exact_free_energy", "geometric_stats",
     "ChebyshevApproximant", "chebyshev_coefficients", "_clenshaw", "success_probability",
     "_shifted_mean", "CoinSpec", "OracleReport", "NoiseModel",
-    "propagate_uncertainty",
+    "propagate_uncertainty", "simulate_noisy_tosses", "_step_probability",
 }
+
+
+def test_each_decision_has_one_module():
+    # the noise extrapolation acts on a heads probability and draws nothing
+    # (the sweep draws its noisy shots with coin.toss), and only the oracle
+    # prices the coin from the spectrum that hamiltonian builds
+    package = Path(qcoin.__file__).parent
+    tree = ast.parse((package / "noise.py").read_text(encoding="utf-8"))
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names if alias.name.startswith("qcoin")}
+    assert imported == {"record"}
+    readers = {path.name for path in package.glob("*.py")
+               if "spectrum.values" in path.read_text(encoding="utf-8")}
+    assert readers <= {"hamiltonian.py", "oracle.py"} and "oracle.py" in readers
 
 
 @pytest.mark.parametrize(
@@ -778,9 +796,9 @@ def test_cli_fragment_infeasible_probability_is_input_error(tmp_path, capsys):
 @pytest.mark.parametrize("argv, count", [
     (["coverage", "alg1", "--n-qubits", "12", "--beta", "8"], "count = "),
     (["sweep", "--n-qubits", "4", "--shots", "10000000000000000000"],
-     "count = 10000000000000000000"),
+     "field 'shots' must be <= 2^63 - 1"),
     (["sweep", "--n-qubits", "4", "--shots", "10000000000000000000", "--xi", "0.037"],
-     "shots = 10000000000000000000"),
+     "field 'shots' must be <= 2^63 - 1"),
     # alg2's expected tosses 500 / p: 7.3e20 (p = 6.9e-19), then 1.8e95,
     # where the coin beta also passes float64's exp limit
     (["coverage", "alg2", "--n-qubits", "8", "--seed", "3", "--beta", "8",
@@ -794,6 +812,20 @@ def test_cli_toss_count_past_int64_is_input_error(tmp_path, capsys, argv, count)
     assert main([*argv, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert count in err and "2^63 - 1" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["coverage", "alg1"], ["coverage", "alg2"], ["coverage", "iterative"], ["fragment"],
+], ids=["alg1", "alg2", "iterative", "fragment"])
+def test_cli_underflowed_coin_is_one_input_error(tmp_path, capsys, argv):
+    # at coin beta ~2.6e6 this instance's heads probability underflows to
+    # 0.0: every sampling command reports it before any draw
+    out = tmp_path / "out"
+    assert main([*argv, "--n-qubits", "12", "--beta", "1e5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: the coin's heads probability underflows to 0 at "
+                   "beta_coin = 2.6269e+06: no head can be drawn\n")
+    assert not out.exists()
 
 
 def test_cli_additive_runner_budget_is_input_error(tmp_path, capsys):

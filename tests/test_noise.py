@@ -6,6 +6,7 @@ import pytest
 
 from noise_reference import profile_rss, rounding_slack, rss_bound
 
+from qcoin.coin import toss
 from qcoin.noise import (
     _XI_GRID,
     FitDegenerateError,
@@ -14,7 +15,6 @@ from qcoin.noise import (
     identity_insertion_depths,
     mitigate,
     noisy_success_probability,
-    simulate_noisy_tosses,
 )
 
 # (1 - 0.037)^10 and the forward-model value at p = 0.38, frozen from
@@ -73,16 +73,17 @@ def test_large_depth_limit():
         assert abs(noisy_success_probability(0.9, xi, layers) - 0.5) < 1e-6
 
 
+def noisy_tosses(p_ideal, xi, layers, shots, seed):
+    """Heads in ``shots`` tosses of the noisy coin, drawn as the sweep draws them."""
+    return toss(noisy_success_probability(p_ideal, xi, layers), shots, seed)
+
+
 def test_simulate_noisy_tosses():
-    assert simulate_noisy_tosses(0.4, 0.1, 5, 0, seed=1) == 0
-    assert simulate_noisy_tosses(1.0, 0.0, 5, 300, seed=1) == 300
-    successes = simulate_noisy_tosses(PAPER_P, PAPER_XI, 10, 3000, seed=77)
+    assert noisy_tosses(0.4, 0.1, 5, 0, seed=1) == 0
+    assert noisy_tosses(1.0, 0.0, 5, 300, seed=1) == 300
+    successes = noisy_tosses(PAPER_P, PAPER_XI, 10, 3000, seed=77)
     assert abs(successes / 3000 - PBAR_EXAMPLE) <= 0.03
-    assert simulate_noisy_tosses(0.4, 0.1, 5, 100, seed=4) == simulate_noisy_tosses(
-        0.4, 0.1, 5, 100, seed=4
-    )
-    with pytest.raises(ValueError, match=r"shots = 9223372036854775808 exceeds 2\^63 - 1"):
-        simulate_noisy_tosses(0.4, 0.1, 5, 2**63, seed=1)
+    assert noisy_tosses(0.4, 0.1, 5, 100, seed=4) == noisy_tosses(0.4, 0.1, 5, 100, seed=4)
 
 
 def test_identity_insertion_depths():
@@ -133,7 +134,7 @@ def random_series(rng):
     shots = int(10 ** rng.uniform(1, 5))
     xi = 10 ** rng.uniform(-4, math.log10(0.5))
     p = float(rng.uniform())
-    successes = [simulate_noisy_tosses(p, xi, int(d), shots, seed=int(rng.integers(2**32)))
+    successes = [noisy_tosses(p, xi, int(d), shots, seed=int(rng.integers(2**32)))
                  for d in depths]
     return LayerSeries(depths, np.array(successes) / shots, shots)
 

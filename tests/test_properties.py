@@ -30,7 +30,8 @@ from hypothesis import given, settings, strategies as st
 from noise_reference import rss_bound
 from qcoin.cli import main
 from qcoin.experiments import read_layer_series
-from qcoin.noise import simulate_noisy_tosses
+from qcoin.coin import toss
+from qcoin.noise import noisy_success_probability
 
 SETTINGS = settings(database=None, derandomize=True, deadline=None, max_examples=200)
 TEXT_COLUMNS = {"model", "instance", "config_hash"}
@@ -135,7 +136,7 @@ def series_csvs(draw):
         depths.append(depths[-1] + draw(st.integers(1, 30)))
     shots = draw(st.integers(1, 10**5))
     xi, p, seed = draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 1.0)), draw(seeds)
-    rows = [f"{d},{simulate_noisy_tosses(p, xi, d, shots, seed + i)},{shots}\n"
+    rows = [f"{d},{toss(noisy_success_probability(p, xi, d), shots, seed + i)},{shots}\n"
             for i, d in enumerate(depths)]
     return "layers,successes,shots\n" + "".join(rows)
 
