@@ -21,6 +21,8 @@ import numpy as np
 
 from .coin import SeedStream
 from .experiments import (
+    COVERAGE_ALGORITHMS,
+    MODELS,
     ExperimentConfig,
     _instance_spec,
     json_text,
@@ -48,15 +50,15 @@ def _beta_list(text: str) -> tuple[float, ...]:
 
 def _config_from_args(args: SimpleNamespace):
     overrides = {k: v for k, v in vars(args).items() if k in ExperimentConfig.fields}
-    return load_config(args.config, **overrides)
+    return load_config(getattr(args, "config", None), **overrides)
 
 
 def _cmd_generate(args: SimpleNamespace) -> int:
-    ExperimentConfig(instances=args.instances, seed=args.seed)  # the config file's rules
-    seeds = SeedStream(args.seed)
+    config = _config_from_args(args)
+    seeds = SeedStream(config.seed)
     files = {
-        f"instance_{idx:03d}.json": _instance_spec(args, seeds.next()).to_json() + "\n"
-        for idx in range(args.instances)
+        f"instance_{idx:03d}.json": _instance_spec(config, seeds.next()).to_json() + "\n"
+        for idx in range(config.instances)
     }
     for path in write_outputs(args.out, files):
         print(path)
@@ -64,19 +66,17 @@ def _cmd_generate(args: SimpleNamespace) -> int:
 
 
 def _cmd_oracle(args: SimpleNamespace) -> int:
-    instance = (*_INSTANCE_OPTIONS, _SEED)  # the flags that --spec replaces
-    given = [opt.flag for opt in instance if getattr(args, opt.dest) is not None]
+    # the field flags but --beta give the instance and its seed, as --spec does
+    given = {name: getattr(args, name) for name in ExperimentConfig.fields
+             if name != "betas" and getattr(args, name, None) is not None}
     if args.spec is not None and given:
-        raise ValueError(f"--spec gives the instance, so {' '.join(given)} cannot be "
-                         f"given with it")
-    for opt in instance:
-        if getattr(args, opt.dest) is None:
-            setattr(args, opt.dest, opt.default)
-    ExperimentConfig(seed=args.seed)  # the config file's seed rule
+        flags = " ".join(f"--{name.replace('_', '-')}" for name in given)
+        raise ValueError(f"--spec gives the instance, so {flags} cannot be given with it")
     if args.spec is not None:
         spec = spec_from_json(Path(args.spec).read_text(encoding="utf-8"))
     else:
-        spec = _instance_spec(args, args.seed)
+        config = load_config(None, **given)
+        spec = _instance_spec(config, config.seed)
     spectrum = unit_spectrum(spec)
     reports = []
     for beta in args.betas or (1.0,):
@@ -94,18 +94,14 @@ def _cmd_oracle(args: SimpleNamespace) -> int:
 
 
 def _cmd_sweep(args: SimpleNamespace) -> int:
-    config = _config_from_args(args)
-    summary = run_sweep(config, args.out)
-    print(json.dumps({"config_hash": summary["config_hash"],
-                      "rows": summary["rows"]}))
+    summary = run_sweep(_config_from_args(args), args.out)
+    print(json.dumps({"config_hash": summary["config_hash"], "rows": summary["rows"]}))
     return 0
 
 
 def _cmd_coverage(args: SimpleNamespace) -> int:
-    config = _config_from_args(args)
-    report = run_coverage(config, args.algorithm, args.out)
-    print(json.dumps({"algorithm": args.algorithm,
-                      "coverage": report["coverage"]}))
+    report = run_coverage(_config_from_args(args), args.algorithm, args.out)
+    print(json.dumps({"algorithm": args.algorithm, "coverage": report["coverage"]}))
     return 0
 
 
@@ -116,9 +112,8 @@ def _cmd_noise_fit(args: SimpleNamespace) -> int:
 
 
 def _cmd_fragment(args: SimpleNamespace) -> int:
-    config = _config_from_args(args)
-    run_fragment(config, args.out)
-    print(json.dumps({"schedule_sizes": list(config.schedule_sizes)}))
+    summary = run_fragment(_config_from_args(args), args.out)
+    print(json.dumps({"schedule_sizes": summary["schedule_sizes"]}))
     return 0
 
 
@@ -134,8 +129,12 @@ class _Option(ValueRecord):
                   default=default, required=required, choices=choices, help=help)
 
 
-_MODELS = ("ising", "qrbm")
 _OUT_DIR = _Option("--out", required=True, help="output directory")
+# like every config field's flag, None unless given: the config has the defaults
+_INSTANCE_OPTIONS = (
+    _Option("--model", choices=MODELS),
+    *(_Option(flag, int) for flag in ("--n-qubits", "--n-visible", "--n-hidden")),
+)
 _CONFIG_OPTIONS = (
     _Option("--config", Path, help="flat key=value config file"),
     _Option("--seed", int, help="root seed override"),
@@ -145,8 +144,7 @@ _CONFIG_OPTIONS = (
     _Option("--delta", float, help="failure probability"),
     _Option("--xi", float, help="depolarizing strength per layer"),
     _Option("--layers", int, help="base circuit depth"),
-    _Option("--model", choices=_MODELS),
-    _Option("--n-qubits", int),
+    *_INSTANCE_OPTIONS[:2],
     _Option("--instances", int),
     _Option("--reps", int),
     _OUT_DIR,
@@ -159,35 +157,26 @@ def _config_options(flags: str) -> tuple[_Option, ...]:
     return tuple(opt for opt in _CONFIG_OPTIONS if opt.flag in keep)
 
 
-_INSTANCE_OPTIONS = (
-    _Option("--model", choices=_MODELS, default="ising"),
-    _Option("--n-qubits", int, default=4),
-    _Option("--n-visible", int, default=2),
-    _Option("--n-hidden", int, default=2),
-)
-_SEED = _Option("--seed", int, default=0)
-
 # one row per subcommand: help text, positional (dest, choices) or None,
 # options in help order (a config command's: the fields its runner reads), handler
 _COMMANDS = {
     "generate": ("write random instance spec files", None, (
         *_INSTANCE_OPTIONS,
         _Option("--instances", int, default=1),
-        _SEED,
+        _Option("--seed", int),
         _OUT_DIR,
     ), _cmd_generate),
     "oracle": ("exact reference values for an instance", None, (
         _Option("--spec", Path, help="instance spec JSON file"),
-        # None unless given: a flag that --spec replaces is an error beside it
-        *(_Option(opt.flag, opt.type, dest=opt.dest, choices=opt.choices)
-          for opt in (*_INSTANCE_OPTIONS, _SEED)),
+        *_INSTANCE_OPTIONS,
+        _Option("--seed", int),
         _Option("--beta", _beta_list, dest="betas"),
         _Option("--out", Path, help="output JSON path (default stdout)"),
     ), _cmd_oracle),
     "sweep": ("beta sweep with sampling and mitigation", None, _config_options(
         "seed shots beta delta xi layers model n-qubits instances"), _cmd_sweep),
     "coverage": ("repetition study of an estimator",
-                 ("algorithm", ("alg1", "alg2", "iterative")),
+                 ("algorithm", COVERAGE_ALGORITHMS),
                  _config_options("seed beta eps-r delta model n-qubits reps"),
                  _cmd_coverage),
     "noise-fit": ("fit a depth-series CSV", None, (

@@ -89,6 +89,14 @@ _MAX_SCHEDULE_SIZE = 10_000
 # 1.8-2.2 s, 0.5-0.6 s of it the fit, and 89 MB peak RSS, and wrote a
 # 4.7 MB curve file
 _MAX_DEPTH_SPAN = 100_000
+# the config fields capped above, each with its cap and the reason for it
+_CAPS = {
+    "reps": (_MAX_REPS, "a coverage command holds every repetition in memory"),
+    "instances": (_MAX_INSTANCES, "every instance is built before any output is written"),
+    "insertions": (_MAX_INSERTIONS, "every inserted depth is simulated and fitted"),
+}
+MODELS = ("ising", "qrbm")  # a config's instance models
+COVERAGE_ALGORITHMS = ("alg1", "alg2", "iterative")  # the estimators of run_coverage
 
 
 class ExperimentConfig(ValueRecord):
@@ -132,8 +140,9 @@ class ExperimentConfig(ValueRecord):
             schedule_sizes=schedule_sizes, frag_eps=frag_eps,
             frag_successes=frag_successes,
         )
-        if self.model not in ("ising", "qrbm"):
-            raise ValueError(f"field 'model' must be ising or qrbm, got {self.model!r}")
+        if self.model not in MODELS:
+            raise ValueError(f"field 'model' must be {' or '.join(MODELS)}, "
+                             f"got {self.model!r}")
         for name in ("n_qubits", "n_visible", "n_hidden", "instances", "shots",
                      "layers", "reps", "frag_successes"):
             if int(getattr(self, name)) < 1:
@@ -143,21 +152,11 @@ class ExperimentConfig(ValueRecord):
         if self.shots > 2**63 - 1:
             raise ValueError(f"field 'shots' must be <= 2^63 - 1 = {2**63 - 1}: the "
                              f"shots of one row are one int64 binomial draw")
-        if self.reps > _MAX_REPS:
-            raise ValueError(
-                f"field 'reps' must be <= {_MAX_REPS}: a coverage command holds "
-                f"every repetition in memory"
-            )
-        if self.instances > _MAX_INSTANCES:
-            raise ValueError(
-                f"field 'instances' must be <= {_MAX_INSTANCES}: every instance "
-                f"is built before any output is written"
-            )
+        for name, (cap, why) in _CAPS.items():
+            if getattr(self, name) > cap:
+                raise ValueError(f"field {name!r} must be <= {cap}: {why}")
         if self.insertions < 0:
             raise ValueError("field 'insertions' must be >= 0")
-        if self.insertions > _MAX_INSERTIONS:
-            raise ValueError(f"field 'insertions' must be <= {_MAX_INSERTIONS}: "
-                             f"every inserted depth is simulated and fitted")
         if self.xi is not None and self.insertions < 2:
             raise ValueError("field 'insertions' must be >= 2 when xi is set: the "
                              "noise fit needs 3 depths")
@@ -207,11 +206,12 @@ _PARSERS = {
 def parse_config(text: str) -> dict:
     """Parse the flat config grammar: ``key = value`` lines, ``#`` comments.
 
-    Lists are comma-separated.  Unknown keys are rejected, and so is a
-    value that does not parse, naming its line and field.
+    Lists are comma-separated.  Unknown keys are rejected, and so are a
+    value that does not parse and a key set twice, naming the line and field.
     """
     known = set(ExperimentConfig.fields)
     values: dict = {}
+    set_on: dict[str, int] = {}  # key -> the line that sets it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -223,6 +223,9 @@ def parse_config(text: str) -> dict:
         val = val.strip()
         if key not in known:
             raise ValueError(f"config line {lineno}: unknown field {key!r}")
+        if set_on.setdefault(key, lineno) != lineno:
+            raise ValueError(f"config line {lineno}: field {key!r} is already set "
+                             f"on line {set_on[key]}")
         parse, kind = _PARSERS.get(key, (str, "text"))
         try:
             values[key] = parse(val)
@@ -279,8 +282,8 @@ def write_outputs(out_dir: str | Path, files: dict[str, str]) -> list[Path]:
     return paths
 
 
-def _instance_spec(config, instance_seed: int):
-    """Random spec of the model that ``config`` (or a CLI namespace) names."""
+def _instance_spec(config: ExperimentConfig, instance_seed: int):
+    """Random spec of the model that ``config`` names."""
     if config.model == "ising":
         return generate_random_ising_graph(config.n_qubits, instance_seed)
     return generate_random_qrbm(config.n_visible, config.n_hidden, instance_seed)
@@ -439,7 +442,7 @@ def run_coverage(config: ExperimentConfig, algorithm: str,
     Z is written in log space, and linearly (``z_exact``, ``theory.z_max``)
     where float64 holds it, otherwise as null (``exp_or_none``).
     """
-    if algorithm not in ("alg1", "alg2", "iterative"):
+    if algorithm not in COVERAGE_ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     seeds = SeedStream(config.seed)
     spec = _instance_spec(config, seeds.next())
@@ -525,6 +528,8 @@ def read_layer_series(path: str | Path) -> LayerSeries:
         depths.append(layers)
         if shots < 1:
             raise ValueError(f"series row shots = {shots} must be >= 1")
+        if shots > 2**63 - 1:  # the config's shots cap: a row's shots are int64
+            raise ValueError(f"series line {lineno}: shots must be <= 2^63 - 1")
         if not 0 <= succ <= shots:
             raise ValueError(f"successes {succ} outside [0, {shots}]")
         shots_seen.add(shots)

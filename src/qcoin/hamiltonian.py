@@ -221,7 +221,10 @@ def _is_json_int(value) -> bool:
 
 
 def _is_finite_number(value) -> bool:
-    return _is_json_int(value) or (isinstance(value, float) and math.isfinite(value))
+    try:
+        return (_is_json_int(value) or isinstance(value, float)) and math.isfinite(value)
+    except OverflowError:  # an int past float64's range
+        return False
 
 
 def _json_field(doc, name: str, kind: type):
@@ -242,6 +245,8 @@ def _json_array(doc: dict, name: str) -> np.ndarray:
     value = _json_field(doc, name, list)
     try:
         values = np.array(value, dtype=float)
+    except OverflowError:  # an int past float64's range, which is no finite number
+        values = np.array(math.inf)
     except (TypeError, ValueError) as exc:
         raise ValueError(
             f"spec field {name!r} is not an array of numbers: {exc}"

@@ -87,6 +87,9 @@ SERIES_WIDE_SPAN = "layers,successes,shots\n1,900,1000\n2,890,1000\n100000000000
 COIN_BETA_PAST_FLOAT64 = "coin beta must be finite and non-negative, got inf (norm bound 2.7"
 SERIES_PAST_INT64 = ("layers,successes,shots\n100000000000000000000,600,1000\n"
                      "100000000000000000002,590,1000\n100000000000000000004,580,1000\n")
+# shots past the config's int64 cap, and past float64 too
+SERIES_SHOTS_PAST_INT64 = "layers,successes,shots\n10,5,1{0}\n12,5,1{0}\n14,5,1{0}\n".format(
+    "0" * 400)
 SERIES_LINE_3 = "series line 3: expected the integer fields layers,successes,shots"
 SEED_BELOW_ZERO = "field 'seed' must be >= 0"
 
@@ -166,6 +169,15 @@ SEED_BELOW_ZERO = "field 'seed' must be >= 0"
      "field 'frag_eps' must be in (0, 1]"),
     (["sweep", "--config", "run.cfg", "--xi", "0.037"], {"run.cfg": "insertions = 1\n"},
      2, "field 'insertions' must be >= 2 when xi is set: the noise fit needs 3 depths"),
+    (["noise-fit", "--series", "series.csv"], {"series.csv": SERIES_SHOTS_PAST_INT64}, 2,
+     "series line 2: shots must be <= 2^63 - 1"),
+    (["sweep", "--config", "run.cfg"], {"run.cfg": "seed = 3\n# again\nseed = 4\n"}, 2,
+     "config line 3: field 'seed' is already set on line 1"),
+    (["generate", "--model", "qrbm", "--n-qubits", "0"], {}, 2,
+     "field 'n_qubits' must be >= 1"),
+    (["oracle", "--model", "qrbm", "--n-qubits", "0"], {}, 2,
+     "field 'n_qubits' must be >= 1"),
+    (["oracle", "--n-hidden", "-3"], {}, 2, "field 'n_hidden' must be >= 1"),
 ], ids=["input-error", "runtime-error", "spec-missing-field", "spec-short-edge",
         "spec-not-object", "series-zero-shots", "schedule-size-cap",
         "sweep-instances-cap", "generate-instances-cap", "sweep-qubit-cap",
@@ -181,7 +193,8 @@ SEED_BELOW_ZERO = "field 'seed' must be >= 0"
         "oracle-seed-negative", "series-row-short", "series-row-long",
         "series-cell-not-integer", "config-int-not-integer",
         "config-list-empty-entry", "config-float-empty", "frag-eps-above-one",
-        "noisy-insertions-below-two"])
+        "noisy-insertions-below-two", "series-shots-past-int64", "config-key-set-twice",
+        "generate-qrbm-n-qubits-0", "oracle-qrbm-n-qubits-0", "oracle-n-hidden-negative"])
 def test_process_error_exit_is_one_line(tmp_path, argv, files, code, message):
     for name, text in files.items():
         (tmp_path / name).write_text(text)

@@ -101,6 +101,11 @@ def test_load_config_overrides_and_validation(tmp_path):
     for insertions in (0, 1):
         with pytest.raises(ValueError, match="field 'insertions' must be >= 2 when xi"):
             load_config(path, xi=0.037, insertions=insertions)
+    # a field is set once: a second line for it names both lines
+    path.write_text(SMALL_CFG + "n_qubits = 5\n")
+    with pytest.raises(ValueError, match=re.escape(
+            "config line 11: field 'n_qubits' is already set on line 4")):
+        load_config(path)
 
 
 def test_config_hash_stability():
@@ -411,6 +416,18 @@ def test_each_decision_has_one_module():
     readers = {path.name for path in package.glob("*.py")
                if "spectrum.values" in path.read_text(encoding="utf-8")}
     assert readers <= {"hamiltonian.py", "oracle.py"} and "oracle.py" in readers
+    # the config alone holds each command parameter's default and rule: the
+    # CLI gives no instance or seed flag a default, builds no config itself,
+    # and spells no model or algorithm name
+    instance_flags = {"--model", "--n-qubits", "--n-visible", "--n-hidden", "--seed"}
+    defaulted = [(command, opt.flag) for command, (_, _, options, _) in _COMMANDS.items()
+                 for opt in options if opt.flag in instance_flags and opt.default is not None]
+    assert defaulted == []
+    cli = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(cli) if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "ExperimentConfig"]
+    assert not [node.lineno for node in ast.walk(cli) if isinstance(node, ast.Constant)
+                and node.value in ("ising", "qrbm", "alg1", "alg2", "iterative")]
 
 
 @pytest.mark.parametrize(
@@ -465,7 +482,7 @@ SHARED_NAMES = {
     # hamiltonian.unit_spectrum: lam = spec.norm_bound or 1.0, for either spec
     "IsingSpec.norm_bound",
     "QrbmSpec.norm_bound",
-    # cli._cmd_generate: _instance_spec(args, seeds.next()).to_json(), either spec
+    # cli._cmd_generate: _instance_spec(config, seeds.next()).to_json(), either spec
     "IsingSpec.to_json",
     "QrbmSpec.to_json",
 }
@@ -689,9 +706,9 @@ def test_cli_generate_and_oracle(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--n-qubits", "0"], "n_qubits >= 2"),
+    (["--n-qubits", "0"], "field 'n_qubits' must be >= 1"),
     (["--n-qubits", "1"], "n_qubits >= 2"),
-    (["--model", "qrbm", "--n-visible", "0"], "n_visible and n_hidden must be positive"),
+    (["--model", "qrbm", "--n-visible", "0"], "field 'n_visible' must be >= 1"),
     (["--instances", "0"], "field 'instances' must be >= 1"),
     (["--instances", "-1"], "field 'instances' must be >= 1"),
 ], ids=["n-qubits-0", "n-qubits-1", "qrbm-n-visible-0", "instances-0",

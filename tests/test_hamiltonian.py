@@ -370,9 +370,14 @@ QRBM_DOC = {"kind": "qrbm", "seed": 0, "params": {
     ({**QRBM_DOC, "params": {**QRBM_DOC["params"], "biases": [0.1, None]}},
      "spec field 'biases' must hold finite numbers"),
     ({**QRBM_DOC, "params": {"n_visible": 1}}, "spec field 'n_hidden' is missing"),
+    # integers that float64 cannot hold are no finite numbers
+    ({**ISING_DOC, "edges": [[0, 1, 10**400]]}, "spec field 'edges': entry 0"),
+    ({**QRBM_DOC, "params": {**QRBM_DOC["params"], "couplings": [[-10**400]]}},
+     "spec field 'couplings' must hold finite numbers"),
 ], ids=["not-object", "no-kind", "kind-null", "ising-no-n", "n-string", "short-edge",
         "float-vertex", "nan-weight", "bool-seed", "huge-n", "params-list",
-        "couplings-object", "biases-null", "no-n-hidden"])
+        "couplings-object", "biases-null", "no-n-hidden", "weight-past-float64",
+        "coupling-past-float64"])
 def test_spec_from_json_names_the_bad_field(doc, message):
     assert type(spec_from_json(json.dumps(ISING_DOC))) is IsingSpec
     assert type(spec_from_json(json.dumps(QRBM_DOC))) is QrbmSpec
