@@ -32,9 +32,9 @@ from .propagator import required_degree
 from .record import Record
 
 _EPS_PRIME_FLOOR = 1e-16  # cost accounting for the ideal coin
-_MAX_DRAW_COUNT = 2**63 - 1  # numpy's int64 draws: counts in, counts out
+MAX_DRAW_COUNT = 2**63 - 1  # int64: numpy's draw counts in and out, depths, shots
 # the limit of the Poisson draw inside numpy's negative_binomial
-_NEGBIN_MAX = _MAX_DRAW_COUNT - 10.0 * math.sqrt(_MAX_DRAW_COUNT)
+_NEGBIN_MAX = MAX_DRAW_COUNT - 10.0 * math.sqrt(MAX_DRAW_COUNT)
 
 
 class SeedStream:
@@ -66,10 +66,10 @@ def draw_heads(rng: np.random.Generator, p: float, count, size=None):
     if not isinstance(count, np.ndarray):
         if count < 0:
             raise ValueError("count must be non-negative")
-        if count > _MAX_DRAW_COUNT:
+        if count > MAX_DRAW_COUNT:
             raise ValueError(
                 f"toss budget infeasible: count = {count} exceeds 2^63 - 1 = "
-                f"{_MAX_DRAW_COUNT}, the most tosses one binomial draw takes"
+                f"{MAX_DRAW_COUNT}, the most tosses one binomial draw takes"
             )
     return rng.binomial(count, min(max(p, 0.0), 1.0), size=size)
 
@@ -89,18 +89,18 @@ def draw_tosses_to_heads(rng: np.random.Generator, p: float, k: int, size=None):
     except OverflowError:  # k is past float64's range
         expected = math.inf
     budget = f"expected tosses = {k} / p = {expected:.6g}"
-    if (expected > _MAX_DRAW_COUNT
+    if (expected > MAX_DRAW_COUNT
             or (1.0 - p) / p * (k + 10.0 * math.sqrt(k)) > _NEGBIN_MAX):
         raise ValueError(
             f"toss budget infeasible: {budget}; numpy's int64 negative-binomial "
-            f"draw of the tosses needs k / p <= 2^63 - 1 = {_MAX_DRAW_COUNT} and "
+            f"draw of the tosses needs k / p <= 2^63 - 1 = {MAX_DRAW_COUNT} and "
             f"(1 - p) / p (k + 10 sqrt(k)) <= {_NEGBIN_MAX:.6g}"
         )
     failures = rng.negative_binomial(k, p, size=size)
-    if np.any(failures > _MAX_DRAW_COUNT - k):  # k + failures would wrap int64
+    if np.any(failures > MAX_DRAW_COUNT - k):  # k + failures would wrap int64
         raise ValueError(
             f"toss budget infeasible: a toss count passed "
-            f"2^63 - 1 = {_MAX_DRAW_COUNT} ({budget})"
+            f"2^63 - 1 = {MAX_DRAW_COUNT} ({budget})"
         )
     return k + failures
 
@@ -222,35 +222,32 @@ def toss_fragmented(
     return FragmentedRun(attempts, k, queries, executions)
 
 
+def _queries_per_success(probs: np.ndarray, costs: np.ndarray) -> float:
+    """sum_j q_j / prod_{k>=j} p_k by suffix products; inf past float64."""
+    with np.errstate(over="ignore", divide="ignore"):
+        suffix = np.cumprod(probs[::-1])[::-1]
+        return float(np.sum(costs / suffix))
+
+
 def expected_queries_per_success(schedule: Schedule) -> float:
     """Mean queries per fragmented success: sum_j q_j / prod_{k>=j} p_k."""
-    # suffix products prod_{k=j..l} p_k
-    suffix = np.cumprod(schedule.step_probabilities[::-1])[::-1]
-    return float(np.sum(schedule.step_query_costs / suffix))
+    return _queries_per_success(schedule.step_probabilities, schedule.step_query_costs)
 
 
-def fragmented_query_bound(
-    schedule: Schedule, assume_equal_probabilities: bool = True
-) -> float:
-    """Upper bound on the expected queries per fragmented success.
+def fragmented_query_bound(schedule: Schedule) -> float | None:
+    """Upper bound on the expected queries per fragmented success, any schedule.
 
-    With ``assume_equal_probabilities`` (the closed form; valid when every
-    step probability equals 2^-b):
-        max_j q_j * 2^b/(2^b - 1) / p_total,
-    where p_total = prod_j p_j = e^-beta Z_beta / 2^n.
-    Otherwise the rigorous geometric-sum form for any schedule, with b from
-    the smallest step probability:  max_j q_j * sum_{m=1}^{l} 2^{m b}.
+    The expected cost of the worst-step schedule: l steps, each at the
+    smallest step probability and the largest step cost, that is
+    max_j q_j * sum_{m=1}^{l} p_min^-m.  It is formed by the expected
+    cost's own operations in the same order, and float64 rounding is
+    monotone in each operand, so it is never below
+    ``expected_queries_per_success``.  None where float64 cannot hold it.
     """
     l = schedule.l
-    probs = schedule.step_probabilities
-    max_cost = float(schedule.step_query_costs.max(initial=0))
-    b = -math.log2(float(probs.min()))
-    if b <= 0:
-        return max_cost * l
-    if not assume_equal_probabilities:
-        return max_cost * float(np.sum(2.0 ** (b * np.arange(1, l + 1))))
-    factor = 2.0**b / (2.0**b - 1.0)
-    return max_cost * factor / float(np.prod(probs))
+    bound = _queries_per_success(np.full(l, schedule.step_probabilities.min()),
+                                 np.full(l, schedule.step_query_costs.max()))
+    return bound if math.isfinite(bound) else None
 
 
 def schedule_size_lower_bound(p_full: float, b: float) -> float:

@@ -10,9 +10,9 @@ Every command computes all of its results first and then hands each
 file's text to ``write_outputs``, so a command that fails writes nothing.
 A CSV file has one header, a ``_*_COLUMNS`` tuple below (versioned by
 SCHEMA_VERSION); its rows are dicts keyed by column, and a column a row
-lacks is an empty cell.  JSON reports write null where float64 cannot hold
-a value: coverage's z_exact and theory.z_max, and oracle's z_beta and
-mean_trials.
+lacks is an empty cell, as is a value float64 cannot hold (sweep's Z columns,
+fragment's query bound).  JSON reports write null there: coverage's z_exact
+and theory.z_max, and oracle's z_beta and mean_trials.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .coin import (
+    MAX_DRAW_COUNT,
     SeedStream,
     query_cost,
     toss,
@@ -66,7 +67,7 @@ from .oracle import (
 )
 from .record import ValueRecord
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 # a coverage command holds every repetition in memory, up to ~180 B each
 _MAX_REPS = 1_000_000
 # sweep and generate build every instance's seed and spec before writing
@@ -96,6 +97,8 @@ _CAPS = {
     "insertions": (_MAX_INSERTIONS, "every inserted depth is simulated and fitted"),
 }
 MODELS = ("ising", "qrbm")  # a config's instance models
+# the instance counts a model does not read: giving one is an input error
+_OTHER_MODEL_COUNTS = {"ising": ("n_visible", "n_hidden"), "qrbm": ("n_qubits",)}
 COVERAGE_ALGORITHMS = ("alg1", "alg2", "iterative")  # the estimators of run_coverage
 
 
@@ -149,9 +152,9 @@ class ExperimentConfig(ValueRecord):
                 raise ValueError(f"field {name!r} must be >= 1")
         if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
             raise ValueError("field 'seed' must be >= 0")
-        if self.shots > 2**63 - 1:
-            raise ValueError(f"field 'shots' must be <= 2^63 - 1 = {2**63 - 1}: the "
-                             f"shots of one row are one int64 binomial draw")
+        if self.shots > MAX_DRAW_COUNT:
+            raise ValueError(f"field 'shots' must be <= 2^63 - 1 = {MAX_DRAW_COUNT}: "
+                             f"the shots of one row are one int64 binomial draw")
         for name, (cap, why) in _CAPS.items():
             if getattr(self, name) > cap:
                 raise ValueError(f"field {name!r} must be <= {cap}: {why}")
@@ -160,10 +163,10 @@ class ExperimentConfig(ValueRecord):
         if self.xi is not None and self.insertions < 2:
             raise ValueError("field 'insertions' must be >= 2 when xi is set: the "
                              "noise fit needs 3 depths")
-        if self.layers + 2 * self.insertions > 2**63 - 1:
+        if self.layers + 2 * self.insertions > MAX_DRAW_COUNT:
             raise ValueError(
                 f"field 'layers' must be <= 2^63 - 1 - 2 * insertions = "
-                f"{2**63 - 1 - 2 * self.insertions}: the noise fit's depths "
+                f"{MAX_DRAW_COUNT - 2 * self.insertions}: the noise fit's depths "
                 f"layers + 2k are int64"
             )
         if not self.betas or not all(0 <= b < math.inf for b in self.betas):
@@ -241,7 +244,11 @@ def load_config(path: str | Path | None = None, **overrides) -> ExperimentConfig
     if path is not None:
         values.update(parse_config(Path(path).read_text(encoding="utf-8")))
     values.update({k: v for k, v in overrides.items() if v is not None})
-    return ExperimentConfig(**values)
+    config = ExperimentConfig(**values)
+    for name in _OTHER_MODEL_COUNTS[config.model]:
+        if name in values:
+            raise ValueError(f"field {name!r} does not apply to model {config.model!r}")
+    return config
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -339,15 +346,11 @@ _SWEEP_COLUMNS = (
 # standard deviations into the standard deviation of that mean
 _MEAN_COLUMNS = ("p_exact", "p_hat", "p_noisy_hat", "p_mitigated")
 _SIGMA_COLUMNS = ("p_hat_sigma", "p_noisy_sigma", "p_mitigated_sigma")
-# the equal-schedule bound is the closed form that assumes equal step
-# probabilities; the any-schedule bound is the rigorous geometric-sum form,
-# the one the uniform schedules written here are guaranteed to respect
 _FRAGMENT_COLUMNS = (
     "l", "product_step_p", "p_unfragmented", "product_rel_err",
     "schedule_bound_b1", "expected_queries_per_success",
-    "query_bound_any_schedule", "query_bound_equal_schedule",
-    "empirical_queries_per_success", "success_freq", "attempts",
-    "instance_seed", "config_hash",
+    "query_bound_any_schedule", "empirical_queries_per_success",
+    "success_freq", "attempts", "instance_seed", "config_hash",
 )
 _SERIES_COLUMNS = ("layers", "successes", "shots")  # noise-fit input
 _CURVE_COLUMNS = ("layers", "fitted_p", "band_sigma")  # noise-fit output
@@ -523,12 +526,12 @@ def read_layer_series(path: str | Path) -> LayerSeries:
         except ValueError:  # a cell that is no integer, or too few or too many
             raise ValueError(f"series line {lineno}: expected the integer fields "
                              f"{','.join(_SERIES_COLUMNS)}") from None
-        if layers > 2**63 - 1:  # LayerSeries holds int64 depths
+        if layers > MAX_DRAW_COUNT:  # LayerSeries holds int64 depths
             raise ValueError(f"series row layers = {layers} exceeds 2^63 - 1")
         depths.append(layers)
         if shots < 1:
             raise ValueError(f"series row shots = {shots} must be >= 1")
-        if shots > 2**63 - 1:  # the config's shots cap: a row's shots are int64
+        if shots > MAX_DRAW_COUNT:  # the config's shots cap: a row's shots are int64
             raise ValueError(f"series line {lineno}: shots must be <= 2^63 - 1")
         if not 0 <= succ <= shots:
             raise ValueError(f"successes {succ} outside [0, {shots}]")
@@ -591,10 +594,7 @@ def run_fragment(config: ExperimentConfig, out_dir: str | Path) -> dict:
             "product_rel_err": abs(product - p_full) / p_full,
             "schedule_bound_b1": schedule_size_lower_bound(p_full, b),
             "expected_queries_per_success": expected_queries_per_success(schedule),
-            "query_bound_any_schedule": fragmented_query_bound(
-                schedule, assume_equal_probabilities=False
-            ),
-            "query_bound_equal_schedule": fragmented_query_bound(schedule),
+            "query_bound_any_schedule": fragmented_query_bound(schedule),
             "empirical_queries_per_success": run.queries_per_success,
             "success_freq": run.successes / run.attempts,
             "attempts": run.attempts,

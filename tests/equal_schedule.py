@@ -1,12 +1,16 @@
-"""The equal-probability fragmentation schedule: the tests' reference.
+"""The equal-probability fragmentation schedule and its closed-form bound.
 
-The fragment command runs uniform schedules (``qcoin.coin.uniform_schedule``).
-The closed-form query bound ``fragmented_query_bound`` assumes instead that
-every step has the same success probability; ``equal_step_schedule`` builds
-such a schedule, so the tests can check the closed form where it holds.
+The fragment command runs uniform schedules (``qcoin.coin.uniform_schedule``)
+and bounds them with ``qcoin.coin.fragmented_query_bound``, which holds for
+any schedule.  The paper's closed form, ``closed_form_query_bound``, assumes
+instead that every step has the same success probability, and is no bound
+for uniform schedules; ``equal_step_schedule`` builds a schedule whose steps
+are equal, so the tests can check the closed form where it holds.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -43,3 +47,17 @@ def equal_step_schedule(
     betas.append(beta / 2.0)
     costs = [coin.query_cost(2.0 * w, eps_total / l) for w in np.diff(betas)]
     return coin.Schedule(spectrum, np.array(betas), np.array(costs))
+
+
+def closed_form_query_bound(schedule: coin.Schedule) -> float:
+    """The paper's bound for step probabilities all equal to 2^-b, b > 0:
+
+        max_j q_j * 2^b / (2^b - 1) / p_total,  p_total = prod_j p_j,
+
+    with b from the smallest step probability.
+    """
+    probs = schedule.step_probabilities
+    max_cost = float(schedule.step_query_costs.max())
+    b = -math.log2(float(probs.min()))
+    factor = 2.0**b / (2.0**b - 1.0)
+    return max_cost * factor / float(np.prod(probs))

@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 from approximant import biased_heads_probability, chebyshev_coefficients
-from equal_schedule import equal_step_schedule
+from equal_schedule import closed_form_query_bound, equal_step_schedule
 from qcoin.coin import (
-    fragmented_query_bound,
     query_cost,
     toss_fragmented,
     uniform_schedule,
@@ -175,7 +174,7 @@ def test_fragmentation():
         eq_sched = equal_step_schedule(spectrum, beta_coin, 4, 1e-4)
         probs = eq_sched.step_probabilities
         assert max(probs) - min(probs) <= 1e-9
-        bound = fragmented_query_bound(eq_sched)
+        bound = closed_form_query_bound(eq_sched)
         eq_run = toss_fragmented(eq_sched, 2000, seed=31)
         assert eq_run.queries_per_success <= 1.1 * bound
 

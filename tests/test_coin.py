@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from approximant import biased_heads_probability, chebyshev_coefficients
-from equal_schedule import equal_step_schedule
+from equal_schedule import closed_form_query_bound, equal_step_schedule
 from qcoin.coin import (
     Schedule,
     expected_queries_per_success,
@@ -400,7 +400,7 @@ def test_fragmented_average_query_bound_equal_probability_schedule():
     sched = equal_step_schedule(spectrum, beta_coin, 4, 1e-4)
     probs = sched.step_probabilities
     assert max(probs) - min(probs) <= 1e-10
-    bound = fragmented_query_bound(sched)
+    bound = closed_form_query_bound(sched)
     assert expected_queries_per_success(sched) <= bound
     run = toss_fragmented(sched, 2000, seed=31)
     assert run.queries_per_success <= 1.1 * bound
@@ -410,8 +410,8 @@ def test_fragmented_query_bound_general_form_covers_uniform_schedules():
     _, spectrum, beta_coin = unit_ising_coin(9, 1.5)
     for l in (1, 2, 4, 8):
         sched = uniform_schedule(spectrum, beta_coin, l, 1e-4)
-        rigorous = fragmented_query_bound(sched, assume_equal_probabilities=False)
-        assert expected_queries_per_success(sched) <= rigorous * (1 + 1e-12)
+        rigorous = fragmented_query_bound(sched)
+        assert expected_queries_per_success(sched) <= rigorous
 
 
 def test_schedule_size_lower_bound_values():

@@ -12,6 +12,7 @@ import pytest
 
 from qcoin.cli import _COMMANDS, _CONFIG_OPTIONS, main
 from qcoin.experiments import (
+    MODELS,
     SCHEMA_VERSION,
     ExperimentConfig,
     config_hash,
@@ -24,9 +25,20 @@ from qcoin.experiments import (
     run_noise_fit,
     run_sweep,
 )
-from qcoin.coin import SeedStream, toss
+from qcoin.coin import (
+    SeedStream,
+    expected_queries_per_success,
+    fragmented_query_bound,
+    toss,
+    uniform_schedule,
+)
 import qcoin
-from qcoin.hamiltonian import generate_random_ising_graph, spec_from_json, unit_spectrum
+from qcoin.hamiltonian import (
+    generate_random_ising_graph,
+    generate_random_qrbm,
+    spec_from_json,
+    unit_spectrum,
+)
 from qcoin.noise import (
     fit_noise_model, identity_insertion_depths, noisy_success_probability,
 )
@@ -334,7 +346,7 @@ def test_run_fragment_outputs(tmp_path):
 def test_run_fragment_sums_each_schedule_point_once(tmp_path, monkeypatch):
     # the Boltzmann sum is the only spectral reduction: p_full takes one,
     # and each schedule of l steps takes l + 1, one per breakpoint, shared
-    # by its sampler and its three cost columns
+    # by its sampler and its two cost columns
     calls = []
     original = qcoin.oracle.boltzmann_sum
 
@@ -617,13 +629,42 @@ EXACT_COLUMNS = {
 @pytest.mark.parametrize("model", ["ising", "qrbm"])
 def test_seeded_outputs_match_golden(tmp_path, capsys, model, command):
     # tests/data/<model>_<command>.csv hold `qcoin <command> --model <model>`
-    # at the default config, written by schema-version-2 qcoin, which took
-    # the spectrum from the dense matrix.  Integer and text columns must
+    # at the default config.  The sweeps were written by schema-version-2
+    # qcoin, which took the spectrum from the dense matrix; the fragment
+    # runs by schema-version-10 qcoin, which writes one query bound.  Integer
+    # and text columns must
     # match exactly and floats to 1e-12 relative; product_rel_err, itself a
     # rounding error, must stay below 1e-12.
     assert main([command, "--model", model, "--out", str(tmp_path)]) == 0
     _assert_rows_match_golden(tmp_path / f"{command}.csv",
                               GOLDEN / f"{model}_{command}.csv")
+
+
+def test_written_query_bound_is_never_below_the_expected_cost(tmp_path, capsys):
+    # no tolerance: the bound is the expected cost of the worst-step schedule,
+    # formed by the expected cost's own float64 operations.  Checked on both
+    # fragment goldens, on the rows their commands write, and on a seeded grid
+    rows = []
+    for model in MODELS:
+        assert main(["fragment", "--model", model, "--out", str(tmp_path / model)]) == 0
+        rows += read_rows(tmp_path / model / "fragment.csv")[1]
+        rows += read_rows(GOLDEN / f"{model}_fragment.csv")[1]
+    for row in rows:
+        assert (float(row["query_bound_any_schedule"])
+                >= float(row["expected_queries_per_success"])), row
+    for seed in range(60):
+        for spec in (generate_random_ising_graph(6, seed), generate_random_qrbm(3, 3, seed)):
+            spectrum = unit_spectrum(spec)
+            for beta in (0.0, 0.2, 1.0, 2.0, 4.0, 10.0):
+                for l in (1, 2, 3, 4, 8, 16):
+                    sched = uniform_schedule(spectrum, spectrum.norm_bound * beta, l, 1e-6)
+                    bound = fragmented_query_bound(sched)
+                    assert bound >= expected_queries_per_success(sched), (seed, beta, l)
+                    # in exact arithmetic, max_j q_j * sum_{m=1}^{l} p_min^-m
+                    p_min = float(sched.step_probabilities.min())
+                    geometric = math.fsum(p_min**-m for m in range(1, l + 1))
+                    assert bound == pytest.approx(
+                        int(sched.step_query_costs.max()) * geometric, rel=1e-13)
 
 
 @pytest.mark.parametrize("name, args", [
@@ -718,6 +759,32 @@ def test_cli_generate_rejects_counts_below_minimum(tmp_path, capsys, argv, messa
     # and it leaves no output directory behind
     out = tmp_path / "specs"
     assert main(["generate", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["generate", "--model", "qrbm", "--n-qubits", "9"], None,
+     "field 'n_qubits' does not apply to model 'qrbm'"),
+    (["oracle", "--model", "ising", "--n-visible", "7"], None,
+     "field 'n_visible' does not apply to model 'ising'"),
+    (["sweep", "--model", "qrbm", "--n-qubits", "6"], None,
+     "field 'n_qubits' does not apply to model 'qrbm'"),
+    (["fragment"], "n_visible = 3\n", "field 'n_visible' does not apply to model 'ising'"),
+], ids=["generate-qrbm-n-qubits", "oracle-ising-n-visible", "sweep-qrbm-n-qubits",
+        "config-ising-n-visible"])
+def test_cli_other_models_instance_count_is_input_error(tmp_path, capsys, argv, config,
+                                                        message):
+    # an instance count the model does not read is an input error, from a
+    # flag or from a config file, never a silent default instance
+    if config is not None:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(config)
+        argv = [*argv, "--config", str(cfg)]
+    out = tmp_path / "out"
+    out_arg = out / "oracle.json" if argv[0] == "oracle" else out
+    assert main([*argv, "--out", str(out_arg)]) == 2
     err = capsys.readouterr().err
     assert message in err and len(err.strip().splitlines()) == 1
     assert not out.exists()
@@ -1067,6 +1134,24 @@ def test_cli_fragment_beta_zero_bound_is_positive_zero(tmp_path, capsys):
     assert main(["fragment", "--n-qubits", "4", "--beta", "0", "--out", str(tmp_path)]) == 0
     _, rows = read_rows(tmp_path / "fragment.csv")
     assert [r["schedule_bound_b1"] for r in rows] == ["0.0"] * 4
+
+
+def test_cli_fragment_bound_past_float64_is_empty(tmp_path, capsys):
+    # at beta 5000 the 2000-step bound, max q * sum_m p_min^-m, passes float64:
+    # its cell is empty, and every other cell of both rows is written
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("schedule_sizes = 1,2000\nfrag_successes = 20\n")
+    assert main([
+        "fragment", "--config", str(cfg), "--n-qubits", "2", "--beta", "5000",
+        "--out", str(tmp_path / "frag"),
+    ]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_rows(tmp_path / "frag" / "fragment.csv")
+    assert [r["l"] for r in rows] == ["1", "2000"]
+    assert [r["query_bound_any_schedule"] == "" for r in rows] == [False, True]
+    for row in rows:
+        assert all(math.isfinite(float(v)) for k, v in row.items()
+                   if k != "config_hash" and v != "")
 
 
 def test_cli_fragment_past_float64_exp_is_exact(tmp_path, capsys):
