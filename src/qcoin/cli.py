@@ -19,22 +19,19 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .coin import SeedStream
 from .experiments import (
     COVERAGE_ALGORITHMS,
     MODELS,
     ExperimentConfig,
-    _instance_spec,
-    json_text,
     load_config,
     run_coverage,
     run_fragment,
+    run_generate,
     run_noise_fit,
+    run_oracle,
     run_sweep,
     write_outputs,
 )
-from .hamiltonian import spec_from_json, unit_spectrum
-from .oracle import oracle_report
 from .record import ValueRecord
 
 
@@ -54,13 +51,7 @@ def _config_from_args(args: SimpleNamespace):
 
 
 def _cmd_generate(args: SimpleNamespace) -> int:
-    config = _config_from_args(args)
-    seeds = SeedStream(config.seed)
-    files = {
-        f"instance_{idx:03d}.json": _instance_spec(config, seeds.next()).to_json() + "\n"
-        for idx in range(config.instances)
-    }
-    for path in write_outputs(args.out, files):
+    for path in run_generate(_config_from_args(args), args.out):
         print(path)
     return 0
 
@@ -72,20 +63,8 @@ def _cmd_oracle(args: SimpleNamespace) -> int:
     if args.spec is not None and given:
         flags = " ".join(f"--{name.replace('_', '-')}" for name in given)
         raise ValueError(f"--spec gives the instance, so {flags} cannot be given with it")
-    if args.spec is not None:
-        spec = spec_from_json(Path(args.spec).read_text(encoding="utf-8"))
-    else:
-        config = load_config(None, **given)
-        spec = _instance_spec(config, config.seed)
-    spectrum = unit_spectrum(spec)
-    reports = []
-    for beta in args.betas or (1.0,):
-        beta_coin = spectrum.norm_bound * beta
-        reports.append(
-            {"beta": beta, "beta_coin": beta_coin, "norm_bound": spectrum.norm_bound,
-             **oracle_report(spectrum, beta_coin)}
-        )
-    text = json_text({"kind": "oracle", "reports": reports})
+    config = None if args.spec is not None else load_config(None, **given)
+    text = run_oracle(args.spec, config, args.betas)
     if args.out is not None:
         write_outputs(args.out.parent, {args.out.name: text})
     else:
@@ -170,7 +149,7 @@ _COMMANDS = {
         _Option("--spec", Path, help="instance spec JSON file"),
         *_INSTANCE_OPTIONS,
         _Option("--seed", int),
-        _Option("--beta", _beta_list, dest="betas"),
+        _Option("--beta", _beta_list, dest="betas", default=(1.0,)),
         _Option("--out", Path, help="output JSON path (default stdout)"),
     ), _cmd_oracle),
     "sweep": ("beta sweep with sampling and mitigation", None, _config_options(

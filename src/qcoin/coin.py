@@ -111,23 +111,20 @@ def toss(p: float, count: int, seed: int) -> int:
 
 
 class Schedule(Record):
-    """Inverse-temperature schedule 0 = beta_0 <= ... <= beta_l = beta/2 on a spectrum.
+    """Inverse-temperature schedule 0 = beta_0 <= ... <= beta_l = beta/2.
 
     The values are in half-beta units: step k runs the coin at inverse
-    temperature 2 w_k, w_k = betas[k] - betas[k-1], at a cost of
-    ``step_query_costs[k-1]`` queries, which the schedule's builder
-    certifies.  The ideal ``step_probabilities`` (``oracle.step_probabilities``)
-    are computed once, at construction; their product telescopes to the
-    unfragmented heads probability.
+    temperature 2 w_k, w_k = betas[k] - betas[k-1], succeeds with probability
+    ``step_probabilities[k-1]`` and costs ``step_query_costs[k-1]`` queries.
+    The builder computes both; the probabilities multiply out to the full coin's.
     """
 
-    fields = ("spectrum", "betas", "step_query_costs")
-    __slots__ = fields + ("step_probabilities",)
+    __slots__ = fields = ("betas", "step_probabilities", "step_query_costs")
 
-    def __init__(
-        self, spectrum: Spectrum, betas: np.ndarray, step_query_costs: np.ndarray
-    ) -> None:
+    def __init__(self, betas: np.ndarray, step_probabilities: np.ndarray,
+                 step_query_costs: np.ndarray) -> None:
         betas = np.asarray(betas, dtype=float)
+        probs = np.asarray(step_probabilities, dtype=float)
         costs = np.asarray(step_query_costs, dtype=np.int64)
         if betas.ndim != 1 or len(betas) < 2:
             raise ValueError("schedule needs at least one step")
@@ -135,13 +132,12 @@ class Schedule(Record):
             raise ValueError("schedule must start at 0")
         if np.any(np.diff(betas) < 0):
             raise ValueError("schedule must be non-decreasing")
-        if costs.shape != (len(betas) - 1,):
-            raise ValueError("step_query_costs must have one entry per step")
-        probs = step_probabilities(spectrum, betas)
-        for arr in (betas, costs, probs):
+        for name, arr in (("step_probabilities", probs), ("step_query_costs", costs)):
+            if arr.shape != (len(betas) - 1,):
+                raise ValueError(f"{name} must have one entry per step")
+        for arr in (betas, probs, costs):
             arr.setflags(write=False)
-        self._set(spectrum=spectrum, betas=betas, step_query_costs=costs,
-                  step_probabilities=probs)
+        self._set(betas=betas, step_probabilities=probs, step_query_costs=costs)
 
     @property
     def l(self) -> int:
@@ -161,11 +157,9 @@ def uniform_schedule(
         raise ValueError("need at least one step")
     if beta < 0:
         raise ValueError("beta must be non-negative")
-    return Schedule(
-        spectrum,
-        betas=np.linspace(0.0, beta / 2.0, l + 1),
-        step_query_costs=np.full(l, query_cost(beta / l, eps_total / l)),
-    )
+    betas = np.linspace(0.0, beta / 2.0, l + 1)
+    costs = np.full(l, query_cost(beta / l, eps_total / l))
+    return Schedule(betas, step_probabilities(spectrum, betas), costs)
 
 
 class FragmentedRun(Record):

@@ -1,10 +1,12 @@
-"""Experiment runners and persistence: sweeps, coverage studies, noise fits.
+"""One runner per ``qcoin`` command (``run_generate``, ..., ``run_fragment``),
+and the files they read and write.
 
 Configurations are flat ``key = value`` text files (see ``parse_config``)
-merged with command-line overrides.  Runs are deterministic: all randomness
+merged with command-line overrides; config, spec and series files may start
+with a UTF-8 byte-order mark.  Runs are deterministic: all randomness
 derives from the root seed through a sequential ``SeedSequence`` stream,
-and every output row carries the instance seed and a hash of the resolved
-configuration.
+whose first draws are the instance seeds, and every output row carries the
+instance seed and a hash of the resolved configuration.
 
 Every command computes all of its results first and then hands each
 file's text to ``write_outputs``, so a command that fails writes nothing.
@@ -48,6 +50,7 @@ from .estimators import (
 from .hamiltonian import (
     generate_random_ising_graph,
     generate_random_qrbm,
+    spec_from_json,
     unit_spectrum,
 )
 from .noise import (
@@ -64,6 +67,7 @@ from .oracle import (
     exp_or_none,
     ideal_coin_probability,
     log_partition_function,
+    oracle_report,
 )
 from .record import ValueRecord
 
@@ -242,7 +246,7 @@ def load_config(path: str | Path | None = None, **overrides) -> ExperimentConfig
     """Config from an optional file plus keyword overrides (None skipped)."""
     values: dict = {}
     if path is not None:
-        values.update(parse_config(Path(path).read_text(encoding="utf-8")))
+        values.update(parse_config(Path(path).read_text(encoding="utf-8-sig")))
     values.update({k: v for k, v in overrides.items() if v is not None})
     config = ExperimentConfig(**values)
     for name in _OTHER_MODEL_COUNTS[config.model]:
@@ -296,9 +300,36 @@ def _instance_spec(config: ExperimentConfig, instance_seed: int):
     return generate_random_qrbm(config.n_visible, config.n_hidden, instance_seed)
 
 
+def run_generate(config: ExperimentConfig, out_dir: str | Path) -> list[Path]:
+    """Write ``instance_NNN.json`` per instance, seeded as a sweep's; return paths."""
+    seeds = SeedStream(config.seed)
+    return write_outputs(out_dir, {
+        f"instance_{idx:03d}.json": _instance_spec(config, seeds.next()).to_json() + "\n"
+        for idx in range(config.instances)
+    })
+
+
+def run_oracle(spec_path: str | Path | None, config: ExperimentConfig | None,
+               betas: tuple[float, ...]) -> str:
+    """The exact reference values of one instance at each beta, as JSON text.
+
+    The instance is the spec file at ``spec_path``, else the one ``config``
+    names with ``config.seed`` as its instance seed, as a spec file's seed is.
+    """
+    if spec_path is not None:
+        spec = spec_from_json(Path(spec_path).read_text(encoding="utf-8-sig"))
+    else:
+        spec = _instance_spec(config, config.seed)
+    spectrum = unit_spectrum(spec)
+    lam = spectrum.norm_bound
+    reports = [{"beta": beta, "beta_coin": lam * beta, "norm_bound": lam,
+                **oracle_report(spectrum, lam * beta)} for beta in betas]
+    return json_text({"kind": "oracle", "reports": reports})
+
+
 def learn_noise_model(
     config: ExperimentConfig, p_ideal: float, seeds: SeedStream
-) -> tuple[NoiseFit, LayerSeries]:
+) -> NoiseFit:
     """Identity-insertion noise learning on a reference circuit.
 
     Simulates the depth series for the configured xi on the fit circuit,
@@ -311,12 +342,11 @@ def learn_noise_model(
              seeds.next())
         for depth in depths
     ]
-    series = LayerSeries(
+    return fit_noise_model(LayerSeries(
         depths=np.array(depths),
         measured_p=np.array(successes) / config.shots,
         shots_per_point=config.shots,
-    )
-    return fit_noise_model(series), series
+    ))
 
 
 def _drawable_coin_probability(spectrum, beta_coin: float) -> float:
@@ -375,7 +405,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> dict:
         log_dim = math.log(spectrum.dim)
         if idx == 0 and config.xi is not None:
             p_fit = ideal_coin_probability(spectrum, lam * config.fit_beta)
-            fit, _ = learn_noise_model(config, p_fit, seeds)
+            fit = learn_noise_model(config, p_fit, seeds)
         for beta in config.betas:
             beta_coin = lam * beta
             p_exact = ideal_coin_probability(spectrum, beta_coin)
@@ -511,7 +541,7 @@ def run_coverage(config: ExperimentConfig, algorithm: str,
 
 def read_layer_series(path: str | Path) -> LayerSeries:
     """Read a depth series CSV with columns (layers, successes, shots)."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     header = next((i for i, line in enumerate(lines) if line.strip()), None)
     if header is None or lines[header].strip().lower() != ",".join(_SERIES_COLUMNS):
         raise ValueError("series CSV must start with header 'layers,successes,shots'")

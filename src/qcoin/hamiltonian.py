@@ -302,7 +302,6 @@ def generate_random_ising_graph(n_qubits: int, seed: int) -> IsingSpec:
         raise ValueError("need n_qubits >= 2 to build a connected-degree graph")
     _check_qubit_count(n_qubits)  # before [0] * n and the O(n^2) pair loop
     rng = np.random.default_rng(seed)
-    present: set[frozenset[int]] = set()
     degree = [0] * n_qubits
     ordered_pairs: list[tuple[int, int]] = []
     for i in range(n_qubits):
@@ -311,16 +310,13 @@ def generate_random_ising_graph(n_qubits: int, seed: int) -> IsingSpec:
         isolated = [j for j in range(n_qubits) if j != i and degree[j] == 0]
         candidates = isolated if isolated else [j for j in range(n_qubits) if j != i]
         j = int(rng.choice(candidates))
-        present.add(frozenset((i, j)))
         ordered_pairs.append((min(i, j), max(i, j)))
         degree[i] += 1
         degree[j] += 1
+    forced = set(ordered_pairs)  # the pass below draws for every other pair once
     for i in range(n_qubits):
         for j in range(i + 1, n_qubits):
-            if frozenset((i, j)) in present:
-                continue
-            if rng.random() < 0.5:
-                present.add(frozenset((i, j)))
+            if (i, j) not in forced and rng.random() < 0.5:
                 ordered_pairs.append((i, j))
     weights = rng.standard_normal(len(ordered_pairs))
     edges = tuple((i, j, float(w)) for (i, j), w in zip(ordered_pairs, weights))

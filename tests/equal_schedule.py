@@ -44,9 +44,9 @@ def equal_step_schedule(
             else:
                 hi = mid
         betas.append(0.5 * (lo + hi))
-    betas.append(beta / 2.0)
+    betas = np.array([*betas, beta / 2.0])
     costs = [coin.query_cost(2.0 * w, eps_total / l) for w in np.diff(betas)]
-    return coin.Schedule(spectrum, np.array(betas), np.array(costs))
+    return coin.Schedule(betas, step_probabilities(spectrum, betas), np.array(costs))
 
 
 def closed_form_query_bound(schedule: coin.Schedule) -> float:

@@ -25,7 +25,11 @@ from qcoin.hamiltonian import (
     generate_random_qrbm,
     unit_spectrum,
 )
-from qcoin.oracle import exact_partition_function, ideal_coin_probability
+from qcoin.oracle import (
+    exact_partition_function,
+    ideal_coin_probability,
+    step_probabilities,
+)
 from qcoin.propagator import required_degree
 
 
@@ -168,14 +172,16 @@ def test_uniform_schedule_shapes():
 
 
 def test_schedule_validation():
-    spectrum = zero_spectrum()
+    one = np.array([1.0])
     with pytest.raises(ValueError):
-        Schedule(spectrum, np.array([0.5, 1.0]), np.array([3]))  # must start at 0
+        Schedule(np.array([0.5, 1.0]), one, np.array([3]))  # must start at 0
     with pytest.raises(ValueError):
-        Schedule(spectrum, np.array([0.0, 1.0, 0.5]), np.array([3, 3]))
-    with pytest.raises(ValueError, match="one entry per step"):
-        Schedule(spectrum, np.array([0.0, 1.0]), np.array([3, 3]))
-    assert Schedule.fields == ("spectrum", "betas", "step_query_costs")
+        Schedule(np.array([0.0, 1.0, 0.5]), np.ones(2), np.array([3, 3]))
+    with pytest.raises(ValueError, match="step_query_costs must have one entry per step"):
+        Schedule(np.array([0.0, 1.0]), one, np.array([3, 3]))
+    with pytest.raises(ValueError, match="step_probabilities must have one entry per step"):
+        Schedule(np.array([0.0, 1.0]), np.ones(2), np.array([3]))
+    assert Schedule.fields == ("betas", "step_probabilities", "step_query_costs")
 
 
 def test_schedule_costs_each_step_once_at_construction(monkeypatch):
@@ -207,8 +213,8 @@ def test_schedule_costs_a_step_past_float64_bessel_range():
 
 
 def test_step_probability_zero_width_step():
-    spectrum = zero_spectrum()
-    sched = Schedule(spectrum, np.array([0.0, 0.0]), np.array([0]))
+    betas = np.array([0.0, 0.0])
+    sched = Schedule(betas, step_probabilities(zero_spectrum(), betas), np.array([0]))
     (p,) = sched.step_probabilities
     assert p == pytest.approx(1.0, abs=1e-15)
 

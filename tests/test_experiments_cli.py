@@ -22,7 +22,9 @@ from qcoin.experiments import (
     read_layer_series,
     run_coverage,
     run_fragment,
+    run_generate,
     run_noise_fit,
+    run_oracle,
     run_sweep,
 )
 from qcoin.coin import (
@@ -118,6 +120,18 @@ def test_load_config_overrides_and_validation(tmp_path):
     with pytest.raises(ValueError, match=re.escape(
             "config line 11: field 'n_qubits' is already set on line 4")):
         load_config(path)
+
+
+BOM = b"\xef\xbb\xbf"  # UTF-8 byte-order mark: Windows editors and Excel write one
+
+
+def test_load_config_reads_a_file_with_a_byte_order_mark(tmp_path):
+    text = b"model = qrbm\nn_visible = 3\nseed = 4\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_bytes(text)
+    marked.write_bytes(BOM + text)
+    assert load_config(marked) == load_config(plain)
+    assert load_config(marked).model == "qrbm"
 
 
 def test_config_hash_stability():
@@ -301,6 +315,16 @@ def test_run_noise_fit_outputs(tmp_path):
         assert float(row["band_sigma"]) == pytest.approx(band, rel=1e-12)
 
 
+def test_noise_fit_reads_a_series_with_a_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    write_layer_series(plain, [10, 12, 14, 16, 18], [620, 601, 590, 575, 566], 1000)
+    marked.write_bytes(BOM + plain.read_bytes())
+    run_noise_fit(plain, tmp_path / "plain")
+    run_noise_fit(marked, tmp_path / "bom")
+    for name in ("noise_fit.json", "noise_fit_curve.csv"):
+        assert (tmp_path / "bom" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
 def test_run_noise_fit_exact_series(tmp_path):
     from qcoin.noise import noisy_success_probability
 
@@ -440,6 +464,24 @@ def test_each_decision_has_one_module():
                 and getattr(node.func, "id", None) == "ExperimentConfig"]
     assert not [node.lineno for node in ast.walk(cli) if isinstance(node, ast.Constant)
                 and node.value in ("ising", "qrbm", "alg1", "alg2", "iterative")]
+    # experiments composes every command: the CLI parses, calls one runner
+    # and prints, so it knows no seed protocol, builder or file format
+    assert {node.module for node in ast.walk(cli) if isinstance(node, ast.ImportFrom)
+            and node.level > 0} == {"experiments", "record"}
+    # a record checks and keeps what its builder computed: no constructor
+    # prices a coin
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        from_oracle = {alias.asname or alias.name for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom) and node.module == "oracle"
+                       for alias in node.names}
+        for cls in tree.body:
+            init = next((item for item in getattr(cls, "body", [])
+                         if isinstance(item, ast.FunctionDef) and item.name == "__init__"),
+                        None)
+            calls = {node.func.id for node in ast.walk(init or ast.Module(body=[]))
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+            assert not calls & from_oracle, (path.name, cls.name)
 
 
 @pytest.mark.parametrize(
@@ -483,9 +525,14 @@ def test_run_sweep_decomposes_each_instance_at_most_once(
 
 
 REPO = Path(__file__).resolve().parent.parent
-# Package names with no caller outside the tests yet.  ROADMAP item 5 (cost
-# each toss at the paper's eps' budget) gives this one its caller.
-TEST_ONLY_ALLOWED = {"propagator.eps_prime_for_relative_error"}
+TEST_ONLY_ALLOWED = {
+    # no caller outside the tests yet: ROADMAP item 5 (cost each toss at the
+    # paper's eps' budget) gives it one
+    "propagator.eps_prime_for_relative_error",
+    # the sampler's per-step execution counts, through which the tests check
+    # its per-step law and its queries total; no command writes them
+    "coin.FragmentedRun.step_executions",
+}
 # public methods and properties named like a member of another package class,
 # so the name scan cannot tell their readers apart; each is read in the package
 SHARED_NAMES = {
@@ -494,35 +541,45 @@ SHARED_NAMES = {
     # hamiltonian.unit_spectrum: lam = spec.norm_bound or 1.0, for either spec
     "IsingSpec.norm_bound",
     "QrbmSpec.norm_bound",
-    # cli._cmd_generate: _instance_spec(config, seeds.next()).to_json(), either spec
+    # experiments.run_generate: _instance_spec(config, seeds.next()).to_json(), either spec
     "IsingSpec.to_json",
     "QrbmSpec.to_json",
 }
 
 
 def _package_definitions(tree):
-    """(qualified name, name, node) of each top-level function and class,
-    and of each public method and property of a top-level class."""
+    """(qualified name, name, node, is_field) of each top-level function and
+    class, of each public method and property of a top-level class, and of
+    each name in a top-level class's ``fields``, whose node is the class's
+    ``__init__``."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node.name, node
+            yield node.name, node.name, node, False
         if isinstance(node, ast.ClassDef):
+            init = next((item for item in node.body if isinstance(item, ast.FunctionDef)
+                         and item.name == "__init__"), node)
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}", item.name, item
+                    yield f"{node.name}.{item.name}", item.name, item, False
+                elif isinstance(item, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "fields" for t in item.targets):
+                    for const in ast.walk(item.value):
+                        if isinstance(const, ast.Constant):
+                            yield f"{node.name}.{const.value}", const.value, init, True
 
 
 def _references(tree, by_string):
-    """(name, line) of each name read, attribute, and with ``by_string``
-    each string constant, the way perfbench's tables name what they wrap."""
+    """(name, line, is_variable) of each name read, attribute, and with
+    ``by_string`` each string constant, the way perfbench's tables name what
+    they wrap; ``is_variable`` marks a bare name read."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, True
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, False
         elif (by_string and isinstance(node, ast.Constant)
               and isinstance(node.value, str)):
-            yield node.value, node.lineno
+            yield node.value, node.lineno, False
 
 
 def _shared_member_names(trees):
@@ -555,22 +612,27 @@ def test_every_package_name_has_a_caller_outside_the_tests():
     # alone, so a method counts as called wherever any attribute of its
     # name is read; a method or property whose name another class's member
     # shares is therefore listed in SHARED_NAMES with a reader of its own.
+    # A record keeps only what someone reads: each name in its ``fields``
+    # must be read as an attribute outside its constructor (a method of the
+    # record counts, as the scan checks that method's callers in turn), or
+    # named by a tool or benchmark.  A variable of that name is no reader.
     package = Path(qcoin.__file__).parent
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))}
-    callers: dict[str, list[tuple[Path, int]]] = {}
+    callers: dict[str, list[tuple[Path, int, bool]]] = {}
     for path, tree in trees.items():
-        for name, line in _references(tree, by_string=False):
-            callers.setdefault(name, []).append((path, line))
+        for name, line, is_variable in _references(tree, by_string=False):
+            callers.setdefault(name, []).append((path, line, is_variable))
     for path in [*REPO.glob("tools/*.py"), *REPO.glob("perfbench/*.py")]:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for name, line in _references(tree, by_string=True):
-            callers.setdefault(name, []).append((path, line))
+        for name, line, is_variable in _references(tree, by_string=True):
+            callers.setdefault(name, []).append((path, line, is_variable))
     test_only = []
     for path, tree in trees.items():
-        for qualname, name, node in _package_definitions(tree):
+        for qualname, name, node, is_field in _package_definitions(tree):
             outside = [c for c in callers.get(name, [])
-                       if not (c[0] == path and node.lineno <= c[1] <= node.end_lineno)]
+                       if not (c[0] == path and node.lineno <= c[1] <= node.end_lineno)
+                       and not (is_field and c[2])]
             if not outside:
                 test_only.append(f"{path.stem}.{qualname}")
     assert sorted(test_only) == sorted(TEST_ONLY_ALLOWED), (
@@ -613,9 +675,14 @@ def test_learn_noise_model_smoke():
     spectrum = unit_spectrum(generate_random_ising_graph(4, 123))
     beta_coin = spectrum.norm_bound * config.fit_beta
     p_fit = ideal_coin_probability(spectrum, beta_coin)
-    fit, series = learn_noise_model(config, p_fit, SeedStream(2))
+    seeds = SeedStream(2)
+    fit = learn_noise_model(config, p_fit, seeds)
     assert 0.0 <= fit.xi <= 1.0
-    assert len(series.depths) == config.insertions + 1
+    # one toss seed per depth: the stream moved on by insertions + 1 draws
+    unused = SeedStream(2)
+    for _ in range(config.insertions + 1):
+        unused.next()
+    assert seeds.next() == unused.next()
 
 
 GOLDEN = Path(__file__).parent / "data"
@@ -744,6 +811,50 @@ def test_cli_generate_and_oracle(tmp_path, capsys):
     doc = json.loads(out_json.read_text())
     assert len(doc["reports"]) == 2
     assert doc["reports"][0]["z_beta"] > 0
+
+    # oracle's --seed is the instance seed, the one a spec file holds, not
+    # the root seed that generate's --seed is
+    assert main(["generate", "--n-qubits", "4", "--seed", "7",
+                 "--out", str(tmp_path / "seed7")]) == 0
+    capsys.readouterr()
+    spec_path = tmp_path / "seed7" / "instance_000.json"
+    instance_seed = spec_from_json(spec_path.read_text()).seed
+    written = {}
+    for name, argv in [("spec", ["--spec", str(spec_path)]),
+                       ("instance_seed", ["--n-qubits", "4", "--seed", str(instance_seed)]),
+                       ("root_seed", ["--n-qubits", "4", "--seed", "7"])]:
+        out = tmp_path / f"{name}.json"
+        assert main(["oracle", *argv, "--beta", "1,2", "--out", str(out)]) == 0
+        written[name] = out.read_bytes()
+    assert written["instance_seed"] == written["spec"]
+    assert written["root_seed"] != written["spec"]
+
+
+def test_run_generate_and_run_oracle_without_the_cli(tmp_path):
+    # generate's instance seeds are the first draws of the root seed's
+    # stream: the instance_seed values a sweep of the same config writes
+    config = ExperimentConfig(n_qubits=4, instances=2, betas=(1.0,), shots=10, seed=3)
+    paths = run_generate(config, tmp_path / "specs")
+    assert paths == [tmp_path / "specs" / f"instance_00{i}.json" for i in (0, 1)]
+    specs = [spec_from_json(path.read_text()) for path in paths]
+    run_sweep(config, tmp_path / "sweep")
+    rows = read_rows(tmp_path / "sweep" / "sweep.csv")[1]
+    assert [str(spec.seed) for spec in specs] == [row["instance_seed"] for row in rows[:2]]
+    # the report text of a spec file, and of the config that holds its seed
+    text = run_oracle(paths[1], None, (0.5, 2.0))
+    assert run_oracle(None, load_config(n_qubits=4, seed=specs[1].seed), (0.5, 2.0)) == text
+    doc = json.loads(text)
+    spectrum = unit_spectrum(specs[1])
+    assert doc["kind"] == "oracle" and [r["beta"] for r in doc["reports"]] == [0.5, 2.0]
+    assert doc["reports"][1]["p_suc_ideal"] == ideal_coin_probability(
+        spectrum, spectrum.norm_bound * 2.0)
+
+
+def test_run_oracle_reads_a_spec_file_with_a_byte_order_mark(tmp_path):
+    plain = run_generate(ExperimentConfig(n_qubits=4, instances=1), tmp_path)[0]
+    marked = tmp_path / "bom.json"
+    marked.write_bytes(BOM + plain.read_bytes())
+    assert run_oracle(marked, None, (1.0,)) == run_oracle(plain, None, (1.0,))
 
 
 @pytest.mark.parametrize("argv, message", [
