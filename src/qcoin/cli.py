@@ -1,4 +1,4 @@
-"""Command-line entry point.
+"""Command-line entry point: parse, call one ``experiments`` runner, print.
 
 Subcommands: generate, oracle, sweep, coverage, noise-fit, fragment.
 Exit codes: 0 success, 2 configuration/input error, 3 runtime, fit or

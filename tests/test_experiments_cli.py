@@ -475,13 +475,13 @@ def test_each_decision_has_one_module():
         from_oracle = {alias.asname or alias.name for node in ast.walk(tree)
                        if isinstance(node, ast.ImportFrom) and node.module == "oracle"
                        for alias in node.names}
-        for cls in tree.body:
-            init = next((item for item in getattr(cls, "body", [])
-                         if isinstance(item, ast.FunctionDef) and item.name == "__init__"),
-                        None)
-            calls = {node.func.id for node in ast.walk(init or ast.Module(body=[]))
+        inits = [(cls.name, item) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for item in cls.body
+                 if isinstance(item, ast.FunctionDef) and item.name == "__init__"]
+        for name, init in inits:
+            calls = {node.func.id for node in ast.walk(init)
                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
-            assert not calls & from_oracle, (path.name, cls.name)
+            assert not calls & from_oracle, (path.name, name)
 
 
 @pytest.mark.parametrize(
@@ -541,7 +541,7 @@ SHARED_NAMES = {
     # hamiltonian.unit_spectrum: lam = spec.norm_bound or 1.0, for either spec
     "IsingSpec.norm_bound",
     "QrbmSpec.norm_bound",
-    # experiments.run_generate: _instance_spec(config, seeds.next()).to_json(), either spec
+    # experiments.run_generate: _instance_spec(...).to_json(), either spec
     "IsingSpec.to_json",
     "QrbmSpec.to_json",
 }
