@@ -10,8 +10,8 @@ distributions instead of simulating tosses one by one.  Every head count
 and every wait in the package is drawn by ``draw_heads`` (a binomial head
 count) or ``draw_tosses_to_heads`` (the k + NegBin(k, p) tosses until k
 heads), which check numpy's int64 limits.
-Every draw is reproducible from its 64-bit seed via numpy's PCG64
-generator (``numpy.random.default_rng``); ``SeedStream`` derives the seeds.
+Every draw is reproducible from its 64-bit seed (``experiments.SeedStream``
+derives them) via numpy's PCG64 generator (``numpy.random.default_rng``).
 
 The fragmented coin splits the imaginary-time evolution into schedule steps
 with restart-on-failure; the overall heads probability factorizes over the
@@ -35,16 +35,6 @@ _EPS_PRIME_FLOOR = 1e-16  # cost accounting for the ideal coin
 MAX_DRAW_COUNT = 2**63 - 1  # int64: numpy's draw counts in and out, depths, shots
 # the limit of the Poisson draw inside numpy's negative_binomial
 _NEGBIN_MAX = MAX_DRAW_COUNT - 10.0 * math.sqrt(MAX_DRAW_COUNT)
-
-
-class SeedStream:
-    """Sequential deterministic 64-bit seeds derived from a root seed."""
-
-    def __init__(self, root: int):
-        self._seq = np.random.SeedSequence(root)
-
-    def next(self) -> int:
-        return int(self._seq.spawn(1)[0].generate_state(1)[0])
 
 
 def query_cost(beta: float, eps_prime: float) -> int:

@@ -2,10 +2,10 @@
 and the files they read and write.
 
 Configurations are flat ``key = value`` text files (see ``parse_config``)
-merged with command-line overrides; config, spec and series files may start
-with a UTF-8 byte-order mark.  Runs are deterministic: all randomness
-derives from the root seed through a sequential ``SeedSequence`` stream,
-whose first draws are the instance seeds, and every output row carries the
+merged with command-line overrides; config, spec and series files are UTF-8
+with one optional leading byte-order mark.  Runs are deterministic: all
+randomness derives from the root seed through a ``SeedStream``, whose
+first draws are the instance seeds, and every output row carries the
 instance seed and a hash of the resolved configuration.
 
 Every command computes all of its results first and then hands each
@@ -19,7 +19,9 @@ and theory.z_max, and oracle's z_beta and mean_trials.
 
 from __future__ import annotations
 
+import codecs
 import hashlib
+import inspect
 import json
 import math
 from pathlib import Path
@@ -28,7 +30,6 @@ import numpy as np
 
 from .coin import (
     MAX_DRAW_COUNT,
-    SeedStream,
     query_cost,
     toss,
     toss_fragmented,
@@ -106,47 +107,55 @@ _OTHER_MODEL_COUNTS = {"ising": ("n_visible", "n_hidden"), "qrbm": ("n_qubits",)
 COVERAGE_ALGORITHMS = ("alg1", "alg2", "iterative")  # the estimators of run_coverage
 
 
+def _numbers(parse):
+    return lambda val: tuple(parse(v) for v in val.split(","))
+
+
+# a config file value's grammar: its parser and what the value must be
+_TEXT = (str, "text")
+_INT = (int, "an integer")
+_NUMBER = (float, "a number")
+_NUMBERS = (_numbers(float), "a comma-separated list of numbers")
+_INTS = (_numbers(int), "a comma-separated list of integers")
+# every config field in constructor order: field -> (default, grammar)
+_FIELDS = {
+    "model": ("ising", _TEXT),
+    "n_qubits": (4, _INT),
+    "n_visible": (2, _INT),
+    "n_hidden": (2, _INT),
+    "instances": (5, _INT),
+    "betas": ((0.2, 1.0, 2.0, 4.0, 10.0), _NUMBERS),
+    "shots": (3000, _INT),
+    "delta": (0.05, _NUMBER),
+    "eps_r": (0.2, _NUMBER),
+    "xi": (None, _NUMBER),
+    "layers": (10, _INT),
+    "insertions": (5, _INT),
+    "fit_beta": (0.1, _NUMBER),
+    "reps": (400, _INT),
+    "seed": (0, _INT),
+    "schedule_sizes": ((1, 2, 4, 8), _INTS),
+    "frag_eps": (1e-6, _NUMBER),
+    "frag_successes": (2000, _INT),
+}
+
+
 class ExperimentConfig(ValueRecord):
     """Resolved experiment parameters (see module docstring for the file grammar).
 
     ``fields`` is the list of keys a config file may set, in constructor order.
     """
 
-    __slots__ = fields = (
-        "model", "n_qubits", "n_visible", "n_hidden", "instances", "betas",
-        "shots", "delta", "eps_r", "xi", "layers", "insertions", "fit_beta",
-        "reps", "seed", "schedule_sizes", "frag_eps", "frag_successes",
-    )
+    __slots__ = fields = tuple(_FIELDS)
+    __signature__ = inspect.Signature([
+        inspect.Parameter(name, inspect.Parameter.POSITIONAL_OR_KEYWORD, default=default)
+        for name, (default, _) in _FIELDS.items()
+    ])
 
-    def __init__(
-        self,
-        model: str = "ising",
-        n_qubits: int = 4,
-        n_visible: int = 2,
-        n_hidden: int = 2,
-        instances: int = 5,
-        betas: tuple[float, ...] = (0.2, 1.0, 2.0, 4.0, 10.0),
-        shots: int = 3000,
-        delta: float = 0.05,
-        eps_r: float = 0.2,
-        xi: float | None = None,
-        layers: int = 10,
-        insertions: int = 5,
-        fit_beta: float = 0.1,
-        reps: int = 400,
-        seed: int = 0,
-        schedule_sizes: tuple[int, ...] = (1, 2, 4, 8),
-        frag_eps: float = 1e-6,
-        frag_successes: int = 2000,
-    ) -> None:
-        self._set(
-            model=model, n_qubits=n_qubits, n_visible=n_visible,
-            n_hidden=n_hidden, instances=instances, betas=betas, shots=shots,
-            delta=delta, eps_r=eps_r, xi=xi, layers=layers,
-            insertions=insertions, fit_beta=fit_beta, reps=reps, seed=seed,
-            schedule_sizes=schedule_sizes, frag_eps=frag_eps,
-            frag_successes=frag_successes,
-        )
+    def __init__(self, *args, **kwargs) -> None:
+        bound = self.__signature__.bind(*args, **kwargs)
+        bound.apply_defaults()
+        self._set(**bound.arguments)
         if self.model not in MODELS:
             raise ValueError(f"field 'model' must be {' or '.join(MODELS)}, "
                              f"got {self.model!r}")
@@ -194,20 +203,11 @@ class ExperimentConfig(ValueRecord):
             raise ValueError("field 'frag_eps' must be in (0, 1]")
 
 
-def _numbers(parse):
-    return lambda val: tuple(parse(v) for v in val.split(","))
-
-
-# the config fields that are not text: field -> (parser, what a value must be)
-_PARSERS = {
-    **dict.fromkeys(("n_qubits", "n_visible", "n_hidden", "instances", "shots",
-                     "layers", "insertions", "reps", "seed", "frag_successes"),
-                    (int, "an integer")),
-    **dict.fromkeys(("delta", "eps_r", "xi", "fit_beta", "frag_eps"),
-                    (float, "a number")),
-    "betas": (_numbers(float), "a comma-separated list of numbers"),
-    "schedule_sizes": (_numbers(int), "a comma-separated list of integers"),
-}
+def _read_input(path: str | Path) -> str:
+    """A config, spec or series file's text: UTF-8, one leading BOM dropped,
+    newlines read as text mode reads them."""
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def parse_config(text: str) -> dict:
@@ -216,7 +216,6 @@ def parse_config(text: str) -> dict:
     Lists are comma-separated.  Unknown keys are rejected, and so are a
     value that does not parse and a key set twice, naming the line and field.
     """
-    known = set(ExperimentConfig.fields)
     values: dict = {}
     set_on: dict[str, int] = {}  # key -> the line that sets it
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -228,12 +227,12 @@ def parse_config(text: str) -> dict:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in known:
+        if key not in _FIELDS:
             raise ValueError(f"config line {lineno}: unknown field {key!r}")
         if set_on.setdefault(key, lineno) != lineno:
             raise ValueError(f"config line {lineno}: field {key!r} is already set "
                              f"on line {set_on[key]}")
-        parse, kind = _PARSERS.get(key, (str, "text"))
+        parse, kind = _FIELDS[key][1]
         try:
             values[key] = parse(val)
         except ValueError:
@@ -244,9 +243,7 @@ def parse_config(text: str) -> dict:
 
 def load_config(path: str | Path | None = None, **overrides) -> ExperimentConfig:
     """Config from an optional file plus keyword overrides (None skipped)."""
-    values: dict = {}
-    if path is not None:
-        values.update(parse_config(Path(path).read_text(encoding="utf-8-sig")))
+    values = parse_config(_read_input(path)) if path is not None else {}
     values.update({k: v for k, v in overrides.items() if v is not None})
     config = ExperimentConfig(**values)
     for name in _OTHER_MODEL_COUNTS[config.model]:
@@ -293,6 +290,16 @@ def write_outputs(out_dir: str | Path, files: dict[str, str]) -> list[Path]:
     return paths
 
 
+class SeedStream:
+    """Sequential deterministic 64-bit seeds derived from a root seed."""
+
+    def __init__(self, root: int):
+        self._seq = np.random.SeedSequence(root)
+
+    def next(self) -> int:
+        return int(self._seq.spawn(1)[0].generate_state(1)[0])
+
+
 def _instance_spec(config: ExperimentConfig, instance_seed: int):
     """Random spec of the model that ``config`` names."""
     if config.model == "ising":
@@ -317,7 +324,7 @@ def run_oracle(spec_path: str | Path | None, config: ExperimentConfig | None,
     names with ``config.seed`` as its instance seed, as a spec file's seed is.
     """
     if spec_path is not None:
-        spec = spec_from_json(Path(spec_path).read_text(encoding="utf-8-sig"))
+        spec = spec_from_json(_read_input(spec_path))
     else:
         spec = _instance_spec(config, config.seed)
     spectrum = unit_spectrum(spec)
@@ -349,13 +356,18 @@ def learn_noise_model(
     ))
 
 
-def _drawable_coin_probability(spectrum, beta_coin: float) -> float:
-    """The ideal heads probability; an input error where it underflows to 0.0."""
+def _first_beta_coin(config: ExperimentConfig):
+    """The set-up of coverage and fragment: the seed stream, the instance seed, the
+    unit spectrum, and the coin beta and a drawable heads probability at betas[0]."""
+    seeds = SeedStream(config.seed)
+    instance_seed = seeds.next()
+    spectrum = unit_spectrum(_instance_spec(config, instance_seed))
+    beta_coin = spectrum.norm_bound * config.betas[0]
     p = ideal_coin_probability(spectrum, beta_coin)
     if p == 0.0:
         raise ValueError(f"the coin's heads probability underflows to 0 at beta_coin = "
                          f"{beta_coin:.6g}: no head can be drawn")
-    return p
+    return seeds, instance_seed, spectrum, beta_coin, p
 
 
 def _z_from_p(log_scale: float, p: float) -> float | None:
@@ -477,56 +489,42 @@ def run_coverage(config: ExperimentConfig, algorithm: str,
     """
     if algorithm not in COVERAGE_ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    seeds = SeedStream(config.seed)
-    spec = _instance_spec(config, seeds.next())
+    seeds, _, spectrum, beta_coin, p = _first_beta_coin(config)
     seed = seeds.next()
-    beta = config.betas[0]
-    spectrum = unit_spectrum(spec)
-    beta_coin = spectrum.norm_bound * beta
-    p = _drawable_coin_probability(spectrum, beta_coin)
     log_z_exact = log_partition_function(spectrum, beta_coin)
-
-    theory: dict = {}
+    eps_r, delta, reps = config.eps_r, config.delta, config.reps
+    # per estimator: its budget and theory block, then the ideal coin's cost and the run
     if algorithm == "alg1":
-        budget = sample_count_thm1(p, config.eps_r, config.delta)
-        theory["sample_count"] = budget
+        budget = sample_count_thm1(p, eps_r, delta)
+        theory = {"sample_count": budget}
+        est = algorithm1(p, query_cost(beta_coin, 0.0), budget, delta, seed, reps)
     elif algorithm == "alg2":
-        budget = success_count_thm2(config.eps_r, config.delta)
-        theory["success_count"] = budget
-        theory["expected_total_tosses"] = expected_total_tosses_thm2(
-            p, config.eps_r, config.delta
-        )
+        budget = success_count_thm2(eps_r, delta)
+        theory = {"success_count": budget,
+                  "expected_total_tosses": expected_total_tosses_thm2(p, eps_r, delta)}
+        est = algorithm2(p, query_cost(beta_coin, 0.0), budget, seed, reps)
     else:
         log_z_max = math.log(spectrum.dim) + beta_coin
-        theory["log_z_max"] = log_z_max
-        theory["z_max"] = exp_or_none(log_z_max)
-
-    q = query_cost(beta_coin, 0.0)  # the ideal coin's queries per toss
-    if algorithm == "alg1":
-        est = algorithm1(p, q, budget, config.delta, seed, config.reps)
-    elif algorithm == "alg2":
-        est = algorithm2(p, q, budget, seed, config.reps)
-    else:
+        theory = {"log_z_max": log_z_max, "z_max": exp_or_none(log_z_max)}
         est = relative_from_additive(
-            make_additive_runner(p, q, seed), config.eps_r, config.delta, config.reps
-        )
-    hits = int(np.count_nonzero(np.abs(est.value - p) <= config.eps_r * p))
+            make_additive_runner(p, query_cost(beta_coin, 0.0), seed), eps_r, delta, reps)
+    hits = int(np.count_nonzero(np.abs(est.value - p) <= eps_r * p))
 
     report = {
         "schema_version": SCHEMA_VERSION,
         "kind": "coverage",
         "algorithm": algorithm,
         "config_hash": config_hash(config),
-        "beta": beta,
+        "beta": config.betas[0],
         "beta_coin": beta_coin,
         "z_exact": exp_or_none(log_z_exact),
         "log_z_exact": log_z_exact,
-        "reps": config.reps,
-        "coverage": hits / config.reps,
-        "eps_r": config.eps_r,
-        "delta": config.delta,
-        "mean_samples": est.samples_used / config.reps,
-        "mean_queries": est.queries_used / config.reps,
+        "reps": reps,
+        "coverage": hits / reps,
+        "eps_r": eps_r,
+        "delta": delta,
+        "mean_samples": est.samples_used / reps,
+        "mean_queries": est.queries_used / reps,
         "theory": theory,
     }
     if est.rounds is not None:
@@ -541,7 +539,7 @@ def run_coverage(config: ExperimentConfig, algorithm: str,
 
 def read_layer_series(path: str | Path) -> LayerSeries:
     """Read a depth series CSV with columns (layers, successes, shots)."""
-    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
+    lines = _read_input(path).splitlines()
     header = next((i for i, line in enumerate(lines) if line.strip()), None)
     if header is None or lines[header].strip().lower() != ",".join(_SERIES_COLUMNS):
         raise ValueError("series CSV must start with header 'layers,successes,shots'")
@@ -557,14 +555,14 @@ def read_layer_series(path: str | Path) -> LayerSeries:
             raise ValueError(f"series line {lineno}: expected the integer fields "
                              f"{','.join(_SERIES_COLUMNS)}") from None
         if layers > MAX_DRAW_COUNT:  # LayerSeries holds int64 depths
-            raise ValueError(f"series row layers = {layers} exceeds 2^63 - 1")
+            raise ValueError(f"series line {lineno}: layers = {layers} exceeds 2^63 - 1")
         depths.append(layers)
         if shots < 1:
-            raise ValueError(f"series row shots = {shots} must be >= 1")
+            raise ValueError(f"series line {lineno}: shots = {shots} must be >= 1")
         if shots > MAX_DRAW_COUNT:  # the config's shots cap: a row's shots are int64
             raise ValueError(f"series line {lineno}: shots must be <= 2^63 - 1")
         if not 0 <= succ <= shots:
-            raise ValueError(f"successes {succ} outside [0, {shots}]")
+            raise ValueError(f"series line {lineno}: successes {succ} outside [0, {shots}]")
         shots_seen.add(shots)
         measured.append(succ / shots)
     if not depths:
@@ -603,13 +601,7 @@ def run_fragment(config: ExperimentConfig, out_dir: str | Path) -> dict:
     ignored (the default config's five betas give a run at 0.2).
     """
     chash = config_hash(config)
-    seeds = SeedStream(config.seed)
-    instance_seed = seeds.next()
-    spec = _instance_spec(config, instance_seed)
-    beta = config.betas[0]
-    spectrum = unit_spectrum(spec)
-    beta_coin = spectrum.norm_bound * beta
-    p_full = _drawable_coin_probability(spectrum, beta_coin)
+    seeds, instance_seed, spectrum, beta_coin, p_full = _first_beta_coin(config)
     rows = []
     for l in config.schedule_sizes:
         schedule = uniform_schedule(spectrum, beta_coin, l, config.frag_eps)
@@ -635,7 +627,7 @@ def run_fragment(config: ExperimentConfig, out_dir: str | Path) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": "fragment",
         "config_hash": chash,
-        "beta": beta,
+        "beta": config.betas[0],
         "beta_coin": beta_coin,
         "schedule_sizes": list(config.schedule_sizes),
     }

@@ -124,7 +124,7 @@ SEED_BELOW_ZERO = "field 'seed' must be >= 0"
      {"cfg.txt": "frag_successes = 10000000000000000000\n"}, 2,
      "expected tosses = 10000000000000000000 / p = 1e+19"),
     (["noise-fit", "--series", "series.csv"], {"series.csv": SERIES_PAST_INT64}, 2,
-     "series row layers = 100000000000000000000 exceeds 2^63 - 1"),
+     "series line 2: layers = 100000000000000000000 exceeds 2^63 - 1"),
     (["noise-fit", "--series", "series.csv"], {"series.csv": "layers,successes,shots\n"},
      2, "series CSV has no rows"),
     (["sweep", "--n-qubits", "4", "--beta", "1e308"], {}, 2, COIN_BETA_PAST_FLOAT64),
@@ -440,11 +440,13 @@ def test_direct_parse_matches_argparse_or_defers(argv):
 
 
 # argparse serves only malformed lines and help; numpy.random (~6 ms to
-# import) only the commands that draw
+# import) only the commands that draw; input files decode as plain UTF-8, so
+# reading one never imports the utf-8-sig codec (~0.4 ms)
 MODULES_PROBE = """
 import sys
 import qcoin.cli
-loaded = lambda: sorted({"argparse", "gettext", "locale", "numpy.random"} & set(sys.modules))
+loaded = lambda: sorted({"argparse", "gettext", "locale", "numpy.random",
+                         "encodings.utf_8_sig"} & set(sys.modules))
 print("after import:", loaded())
 code = qcoin.cli.main(sys.argv[1:])
 print("after main:", loaded())
@@ -469,6 +471,15 @@ def test_process_noise_fit_imports_no_numpy_random(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "after import: []"
     assert proc.stdout.splitlines()[-1] == "after main: []"
+
+
+def test_process_fragment_config_imports_no_utf_8_sig_codec(tmp_path):
+    (tmp_path / "run.cfg").write_text("schedule_sizes = 1,2\nfrag_successes = 20\n")
+    proc = run_process(["fragment", "--config", "run.cfg", "--n-qubits", "4", "--out",
+                        "frag"], code=MODULES_PROBE, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "after import: []"
+    assert proc.stdout.splitlines()[-1] == "after main: ['numpy.random']"
 
 
 @pytest.mark.parametrize("command", [["sweep", "--n-qubits", "4"], ["oracle"]])

@@ -14,6 +14,7 @@ from qcoin.cli import _COMMANDS, _CONFIG_OPTIONS, main
 from qcoin.experiments import (
     MODELS,
     SCHEMA_VERSION,
+    SeedStream,
     ExperimentConfig,
     config_hash,
     learn_noise_model,
@@ -28,7 +29,6 @@ from qcoin.experiments import (
     run_sweep,
 )
 from qcoin.coin import (
-    SeedStream,
     expected_queries_per_success,
     fragmented_query_bound,
     toss,
@@ -899,6 +899,53 @@ def test_cli_other_models_instance_count_is_input_error(tmp_path, capsys, argv, 
     err = capsys.readouterr().err
     assert message in err and len(err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+SPEC = '{"kind": "ising", "n_qubits": 2, "edges": [[0, 1, 0.5]], "seed": 0}'
+
+
+def series(*rows: str) -> bytes:
+    return "\n".join(["layers,successes,shots", *rows, ""]).encode()
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    (["sweep", "--config", "run.cfg"], {"run.cfg": b"insertions = -1\n"},
+     "field 'insertions' must be >= 0"),
+    (["coverage", "alg1", "--eps-r", "1.5"], {}, "field 'eps_r' must be in (0, 1)"),
+    (["sweep", "--xi", "2"], {}, "field 'xi' must be in [0, 1]"),
+    (["fragment", "--config", "run.cfg"], {"run.cfg": b"schedule_sizes = 0,2\n"},
+     "field 'schedule_sizes' must contain positive sizes"),
+    (["sweep", "--xi", "0.037", "--layers", "9223372036854775800"], {},
+     "field 'layers' must be <= 2^63 - 1 - 2 * insertions = 9223372036854775797: "
+     "the noise fit's depths layers + 2k are int64"),
+    (["noise-fit", "--series", "s.csv"], {"s.csv": series()},
+     "series CSV has no rows after its header"),
+    (["noise-fit", "--series", "s.csv"],
+     {"s.csv": series("10,900,1000", "12,880,999", "14,860,1000")},
+     "all series rows must use the same shot count"),
+    (["noise-fit", "--series", "s.csv"], {"s.csv": series("10,900,1000", "12,0,0")},
+     "series line 3: shots = 0 must be >= 1"),
+    (["noise-fit", "--series", "s.csv"], {"s.csv": series("10,1001,1000")},
+     "series line 2: successes 1001 outside [0, 1000]"),
+    (["oracle", "--spec", "s.json", "--n-qubits", "9", "--seed", "5"],
+     {"s.json": SPEC.encode()},
+     "--spec gives the instance, so --n-qubits --seed cannot be given with it"),
+    (["sweep", "--config", "run.cfg"], {"run.cfg": b"seed = 3\n\xff\n"},
+     "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"),
+], ids=["config-insertions-negative", "eps-r-above-one", "xi-above-one",
+        "schedule-size-zero", "layers-depths-past-int64", "series-header-only",
+        "series-two-shot-counts", "series-zero-shots", "series-successes-past-shots",
+        "oracle-spec-with-instance-flags", "config-not-utf8"])
+def test_cli_input_error_is_one_line_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                        argv, files, message):
+    # input errors, run in process so that a line trace reaches each raise:
+    # exit 2, one "error: ..." line, and no --out left behind
+    monkeypatch.chdir(tmp_path)
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    assert main([*argv, "--out", "out"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv, config, message", [

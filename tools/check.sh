@@ -10,7 +10,10 @@
 # stays clean.  The script exits non-zero if the tier-1 suite or the smoke
 # run fails.  The comparison is printed with its exit status but does not
 # decide the script's: a change that alters outputs on purpose expects DIFF
-# lines.  Needs bash, git and the Python that runs the tests.
+# lines.  Last, it prints the size of src/qcoin/*.py on both sides, lines
+# and stdlib-ast nodes, which every process compiles (~1 us per node); that
+# step does not decide the exit status either.  Needs bash, git and the
+# Python that runs the tests.
 set -uo pipefail
 
 base=${1:-HEAD~1}
@@ -36,5 +39,15 @@ echo "== perfbench smoke run on HEAD"
 echo "== compare_outputs.py $base -> HEAD"
 python3 "$work/head/tools/compare_outputs.py" "$work/base" "$work/head"
 echo "check.sh: compare_outputs.py exited $?"
+
+echo "== size of src/qcoin/*.py, $base -> HEAD"
+for side in base head; do
+    lines=$(cat "$work/$side"/src/qcoin/*.py | wc -l)
+    nodes=$(python3 -c 'import ast, sys
+print(sum(1 for path in sys.argv[1:]
+          for _ in ast.walk(ast.parse(open(path, encoding="utf-8").read()))))' \
+        "$work/$side"/src/qcoin/*.py)
+    echo "$side: $lines lines (wc -l), $nodes AST nodes"
+done
 
 exit $status
