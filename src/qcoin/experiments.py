@@ -141,7 +141,7 @@ _FIELDS = {
 
 
 class ExperimentConfig(ValueRecord):
-    """Resolved experiment parameters (see module docstring for the file grammar).
+    """Resolved experiment parameters, each with its default and grammar in ``_FIELDS``.
 
     ``fields`` is the list of keys a config file may set, in constructor order.
     """
