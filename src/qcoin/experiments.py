@@ -19,7 +19,6 @@ and theory.z_max, and oracle's z_beta and mean_trials.
 
 from __future__ import annotations
 
-import codecs
 import hashlib
 import inspect
 import json
@@ -204,10 +203,8 @@ class ExperimentConfig(ValueRecord):
 
 
 def _read_input(path: str | Path) -> str:
-    """A config, spec or series file's text: UTF-8, one leading BOM dropped,
-    newlines read as text mode reads them."""
-    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
-    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    """A config, spec or series file's text: UTF-8, one leading BOM dropped."""
+    return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
 
 
 def parse_config(text: str) -> dict:
@@ -492,23 +489,32 @@ def run_coverage(config: ExperimentConfig, algorithm: str,
     seeds, _, spectrum, beta_coin, p = _first_beta_coin(config)
     seed = seeds.next()
     log_z_exact = log_partition_function(spectrum, beta_coin)
-    eps_r, delta, reps = config.eps_r, config.delta, config.reps
-    # per estimator: its budget and theory block, then the ideal coin's cost and the run
+
+    theory: dict = {}
     if algorithm == "alg1":
-        budget = sample_count_thm1(p, eps_r, delta)
-        theory = {"sample_count": budget}
-        est = algorithm1(p, query_cost(beta_coin, 0.0), budget, delta, seed, reps)
+        budget = sample_count_thm1(p, config.eps_r, config.delta)
+        theory["sample_count"] = budget
     elif algorithm == "alg2":
-        budget = success_count_thm2(eps_r, delta)
-        theory = {"success_count": budget,
-                  "expected_total_tosses": expected_total_tosses_thm2(p, eps_r, delta)}
-        est = algorithm2(p, query_cost(beta_coin, 0.0), budget, seed, reps)
+        budget = success_count_thm2(config.eps_r, config.delta)
+        theory["success_count"] = budget
+        theory["expected_total_tosses"] = expected_total_tosses_thm2(
+            p, config.eps_r, config.delta
+        )
     else:
         log_z_max = math.log(spectrum.dim) + beta_coin
-        theory = {"log_z_max": log_z_max, "z_max": exp_or_none(log_z_max)}
+        theory["log_z_max"] = log_z_max
+        theory["z_max"] = exp_or_none(log_z_max)
+
+    q = query_cost(beta_coin, 0.0)  # the ideal coin's queries per toss
+    if algorithm == "alg1":
+        est = algorithm1(p, q, budget, config.delta, seed, config.reps)
+    elif algorithm == "alg2":
+        est = algorithm2(p, q, budget, seed, config.reps)
+    else:
         est = relative_from_additive(
-            make_additive_runner(p, query_cost(beta_coin, 0.0), seed), eps_r, delta, reps)
-    hits = int(np.count_nonzero(np.abs(est.value - p) <= eps_r * p))
+            make_additive_runner(p, q, seed), config.eps_r, config.delta, config.reps
+        )
+    hits = int(np.count_nonzero(np.abs(est.value - p) <= config.eps_r * p))
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -519,12 +525,12 @@ def run_coverage(config: ExperimentConfig, algorithm: str,
         "beta_coin": beta_coin,
         "z_exact": exp_or_none(log_z_exact),
         "log_z_exact": log_z_exact,
-        "reps": reps,
-        "coverage": hits / reps,
-        "eps_r": eps_r,
-        "delta": delta,
-        "mean_samples": est.samples_used / reps,
-        "mean_queries": est.queries_used / reps,
+        "reps": config.reps,
+        "coverage": hits / config.reps,
+        "eps_r": config.eps_r,
+        "delta": config.delta,
+        "mean_samples": est.samples_used / config.reps,
+        "mean_queries": est.queries_used / config.reps,
         "theory": theory,
     }
     if est.rounds is not None:

@@ -547,6 +547,19 @@ SHARED_NAMES = {
 }
 
 
+def _field_names(tree, value):
+    """The names a class's ``fields`` assignment lists: the string constants
+    of ``value``, or for ``tuple(TABLE)`` the keys of the module's dict
+    ``TABLE``."""
+    if (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id == "tuple" and isinstance(value.args[0], ast.Name)):
+        table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                     and any(isinstance(t, ast.Name) and t.id == value.args[0].id
+                             for t in node.targets))
+        return [key.value for key in table.keys]
+    return [c.value for c in ast.walk(value) if isinstance(c, ast.Constant)]
+
+
 def _package_definitions(tree):
     """(qualified name, name, node, is_field) of each top-level function and
     class, of each public method and property of a top-level class, and of
@@ -563,9 +576,8 @@ def _package_definitions(tree):
                     yield f"{node.name}.{item.name}", item.name, item, False
                 elif isinstance(item, ast.Assign) and any(
                         isinstance(t, ast.Name) and t.id == "fields" for t in item.targets):
-                    for const in ast.walk(item.value):
-                        if isinstance(const, ast.Constant):
-                            yield f"{node.name}.{const.value}", const.value, init, True
+                    for name in _field_names(tree, item.value):
+                        yield f"{node.name}.{name}", name, init, True
 
 
 def _references(tree, by_string):
@@ -600,8 +612,7 @@ def _shared_member_names(trees):
                 elif isinstance(item, ast.Assign) and any(
                         isinstance(t, ast.Name) and t.id in ("fields", "__slots__")
                         for t in item.targets):
-                    names.update(c.value for c in ast.walk(item.value)
-                                 if isinstance(c, ast.Constant))
+                    names.update(_field_names(tree, item.value))
     return [f"{cls}.{name}" for cls, name in methods
             if any(name in names for other, names in members.items() if other != cls)]
 
