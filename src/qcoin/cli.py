@@ -20,6 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .experiments import (
+    _FIELDS,
     COVERAGE_ALGORITHMS,
     MODELS,
     ExperimentConfig,
@@ -33,16 +34,6 @@ from .experiments import (
     write_outputs,
 )
 from .record import ValueRecord
-
-
-def _beta_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError:
-        import argparse  # the error path only; argparse words the message
-
-        raise argparse.ArgumentTypeError(
-            f"expected a comma-separated list of numbers, got {text!r}") from None
 
 
 def _config_from_args(args: SimpleNamespace):
@@ -61,7 +52,7 @@ def _cmd_oracle(args: SimpleNamespace) -> int:
     given = {name: getattr(args, name) for name in ExperimentConfig.fields
              if name != "betas" and getattr(args, name, None) is not None}
     if args.spec is not None and given:
-        flags = " ".join(f"--{name.replace('_', '-')}" for name in given)
+        flags = " ".join(map(_flag, given))
         raise ValueError(f"--spec gives the instance, so {flags} cannot be given with it")
     config = None if args.spec is not None else load_config(None, **given)
     text = run_oracle(args.spec, config, args.betas)
@@ -108,55 +99,70 @@ class _Option(ValueRecord):
                   default=default, required=required, choices=choices, help=help)
 
 
+def _flag(name: str) -> str:
+    """A config field's flag: ``--beta`` for ``betas``, else ``--<name-with-dashes>``."""
+    return "--beta" if name == "betas" else f"--{name.replace('_', '-')}"
+
+
+def _list_value(parse, kind: str, text: str):
+    """``text`` read by a list grammar: argparse words a bad value as the grammar does."""
+    try:
+        return parse(text)
+    except ValueError:
+        import argparse  # the error path only; argparse words the message
+
+        raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}") from None
+
+
+def _field_option(name: str, default=None, help: str | None = None) -> _Option:
+    """A config field's row, typed by its grammar in ``_FIELDS``.  Its default is
+    None unless the command has its own: the config has the defaults."""
+    parse, kind = _FIELDS[name][1]
+    return _Option(_flag(name), parse if isinstance(parse, type)
+                   else functools.partial(_list_value, parse, kind),
+                   dest=name, default=default, help=help,
+                   choices=MODELS if name == "model" else None)
+
+
 _OUT_DIR = _Option("--out", required=True, help="output directory")
-# like every config field's flag, None unless given: the config has the defaults
-_INSTANCE_OPTIONS = (
-    _Option("--model", choices=MODELS),
-    *(_Option(flag, int) for flag in ("--n-qubits", "--n-visible", "--n-hidden")),
-)
-_CONFIG_OPTIONS = (
-    _Option("--config", Path, help="flat key=value config file"),
-    _Option("--seed", int, help="root seed override"),
-    _Option("--shots", int, help="shots per sample point"),
-    _Option("--beta", _beta_list, dest="betas", help="comma-separated beta values"),
-    _Option("--eps-r", float, help="relative-error target"),
-    _Option("--delta", float, help="failure probability"),
-    _Option("--xi", float, help="depolarizing strength per layer"),
-    _Option("--layers", int, help="base circuit depth"),
-    *_INSTANCE_OPTIONS[:2],
-    _Option("--instances", int),
-    _Option("--reps", int),
-    _OUT_DIR,
-)
+_INSTANCE_FIELDS = ("model", "n_qubits", "n_visible", "n_hidden")
+# the help texts of the config commands' field flags
+_FIELD_HELP = {
+    "seed": "root seed override", "shots": "shots per sample point",
+    "betas": "comma-separated beta values", "eps_r": "relative-error target",
+    "delta": "failure probability", "xi": "depolarizing strength per layer",
+    "layers": "base circuit depth",
+}
 
 
-def _config_options(flags: str) -> tuple[_Option, ...]:
-    """``--config``, the rows named in ``flags`` and ``--out``, in the table's order."""
-    keep = {"--config", *(f"--{flag}" for flag in flags.split()), "--out"}
-    return tuple(opt for opt in _CONFIG_OPTIONS if opt.flag in keep)
+def _config_options(fields: str) -> tuple[_Option, ...]:
+    """``--config``, the flags of the fields named in ``fields`` and ``--out``."""
+    return (_Option("--config", Path, help="flat key=value config file"),
+            *(_field_option(name, help=_FIELD_HELP.get(name)) for name in fields.split()),
+            _OUT_DIR)
 
 
 # one row per subcommand: help text, positional (dest, choices) or None,
 # options in help order (a config command's: the fields its runner reads), handler
 _COMMANDS = {
     "generate": ("write random instance spec files", None, (
-        *_INSTANCE_OPTIONS,
-        _Option("--instances", int, default=1),
-        _Option("--seed", int),
+        *map(_field_option, _INSTANCE_FIELDS),
+        _field_option("instances", default=1),
+        _field_option("seed"),
         _OUT_DIR,
     ), _cmd_generate),
     "oracle": ("exact reference values for an instance", None, (
         _Option("--spec", Path, help="instance spec JSON file"),
-        *_INSTANCE_OPTIONS,
-        _Option("--seed", int),
-        _Option("--beta", _beta_list, dest="betas", default=(1.0,)),
+        *map(_field_option, _INSTANCE_FIELDS),
+        _field_option("seed"),
+        _field_option("betas", default=(1.0,)),
         _Option("--out", Path, help="output JSON path (default stdout)"),
     ), _cmd_oracle),
     "sweep": ("beta sweep with sampling and mitigation", None, _config_options(
-        "seed shots beta delta xi layers model n-qubits instances"), _cmd_sweep),
+        "seed shots betas delta xi layers model n_qubits instances"), _cmd_sweep),
     "coverage": ("repetition study of an estimator",
                  ("algorithm", COVERAGE_ALGORITHMS),
-                 _config_options("seed beta eps-r delta model n-qubits reps"),
+                 _config_options("seed betas eps_r delta model n_qubits reps"),
                  _cmd_coverage),
     "noise-fit": ("fit a depth-series CSV", None, (
         _Option("--series", Path, required=True,
@@ -164,7 +170,7 @@ _COMMANDS = {
         _OUT_DIR,
     ), _cmd_noise_fit),
     "fragment": ("fragmented-coin cost study", None,
-                 _config_options("seed beta model n-qubits"), _cmd_fragment),
+                 _config_options("seed betas model n_qubits"), _cmd_fragment),
 }
 
 

@@ -89,17 +89,15 @@ _MAX_INSERTIONS = 10_000
 # a schedule of l steps takes l + 1 sums over the 2^n eigenvalues, and a
 # fragment run ~30 us per step at n = 12 (same host): ~0.3 s per size at the cap
 _MAX_SCHEDULE_SIZE = 10_000
+# a sweep holds every row in memory until it writes its files.  At the cap,
+# 10,000 instances x 40 betas (n = 2, shots 10) wrote 400,040 rows in 25-30 s,
+# with 531-536 MB peak RSS and a 72 MB sweep.csv (same host)
+_MAX_SWEEP_ROWS = 400_000
 # noise-fit writes one curve row per layer from the first depth to the last;
 # a row costs ~6 us and ~47 B (same host).  At the cap the command took
 # 1.8-2.2 s, 0.5-0.6 s of it the fit, and 89 MB peak RSS, and wrote a
 # 4.7 MB curve file
 _MAX_DEPTH_SPAN = 100_000
-# the config fields capped above, each with its cap and the reason for it
-_CAPS = {
-    "reps": (_MAX_REPS, "a coverage command holds every repetition in memory"),
-    "instances": (_MAX_INSTANCES, "every instance is built before any output is written"),
-    "insertions": (_MAX_INSERTIONS, "every inserted depth is simulated and fitted"),
-}
 MODELS = ("ising", "qrbm")  # a config's instance models
 # the instance counts a model does not read: giving one is an input error
 _OTHER_MODEL_COUNTS = {"ising": ("n_visible", "n_hidden"), "qrbm": ("n_qubits",)}
@@ -110,37 +108,58 @@ def _numbers(parse):
     return lambda val: tuple(parse(v) for v in val.split(","))
 
 
+def _at_most(cap, why):
+    return (lambda v: v <= cap, f"be <= {cap}: {why}")
+
+
 # a config file value's grammar: its parser and what the value must be
 _TEXT = (str, "text")
 _INT = (int, "an integer")
 _NUMBER = (float, "a number")
 _NUMBERS = (_numbers(float), "a comma-separated list of numbers")
 _INTS = (_numbers(int), "a comma-separated list of integers")
-# every config field in constructor order: field -> (default, grammar)
+# a bound on a config value: its test, and the words after "must" when the
+# test fails ("{!r}" in them is the value)
+_AT_LEAST_1 = (lambda v: v >= 1, "be >= 1")
+_IN_OPEN_UNIT = (lambda v: 0 < v < 1, "be in (0, 1)")
+# every config field in constructor order: field -> (default, grammar, *bounds)
 _FIELDS = {
-    "model": ("ising", _TEXT),
-    "n_qubits": (4, _INT),
-    "n_visible": (2, _INT),
-    "n_hidden": (2, _INT),
-    "instances": (5, _INT),
-    "betas": ((0.2, 1.0, 2.0, 4.0, 10.0), _NUMBERS),
-    "shots": (3000, _INT),
-    "delta": (0.05, _NUMBER),
-    "eps_r": (0.2, _NUMBER),
-    "xi": (None, _NUMBER),
-    "layers": (10, _INT),
-    "insertions": (5, _INT),
-    "fit_beta": (0.1, _NUMBER),
-    "reps": (400, _INT),
-    "seed": (0, _INT),
-    "schedule_sizes": ((1, 2, 4, 8), _INTS),
-    "frag_eps": (1e-6, _NUMBER),
-    "frag_successes": (2000, _INT),
+    "model": ("ising", _TEXT,
+              (lambda v: v in MODELS, f"be {' or '.join(MODELS)}, got {{!r}}")),
+    "n_qubits": (4, _INT, _AT_LEAST_1),
+    "n_visible": (2, _INT, _AT_LEAST_1),
+    "n_hidden": (2, _INT, _AT_LEAST_1),
+    "instances": (5, _INT, _AT_LEAST_1, _at_most(
+        _MAX_INSTANCES, "every instance is built before any output is written")),
+    "betas": ((0.2, 1.0, 2.0, 4.0, 10.0), _NUMBERS, (
+        lambda v: v and all(0 <= b < math.inf for b in v),
+        "be non-empty, finite and non-negative")),
+    "shots": (3000, _INT, _AT_LEAST_1, (
+        lambda v: v <= MAX_DRAW_COUNT, f"be <= 2^63 - 1 = {MAX_DRAW_COUNT}: "
+        f"the shots of one row are one int64 binomial draw")),
+    "delta": (0.05, _NUMBER, _IN_OPEN_UNIT),
+    "eps_r": (0.2, _NUMBER, _IN_OPEN_UNIT),
+    "xi": (None, _NUMBER, (lambda v: v is None or 0 <= v <= 1, "be in [0, 1]")),
+    "layers": (10, _INT, _AT_LEAST_1),
+    "insertions": (5, _INT, (lambda v: v >= 0, "be >= 0"), _at_most(
+        _MAX_INSERTIONS, "every inserted depth is simulated and fitted")),
+    "fit_beta": (0.1, _NUMBER, (lambda v: 0 < v < math.inf, "be positive and finite")),
+    "reps": (400, _INT, _AT_LEAST_1, _at_most(
+        _MAX_REPS, "a coverage command holds every repetition in memory")),
+    # numpy's SeedSequence takes no negative entropy
+    "seed": (0, _INT, (lambda v: v >= 0, "be >= 0")),
+    "schedule_sizes": ((1, 2, 4, 8), _INTS, (
+        lambda v: v and min(v) >= 1, "contain positive sizes"), (
+        lambda v: max(v) <= _MAX_SCHEDULE_SIZE, f"hold sizes <= {_MAX_SCHEDULE_SIZE}: "
+        f"each step sums over all 2^n eigenvalues")),
+    # the total error budget of a schedule
+    "frag_eps": (1e-6, _NUMBER, (lambda v: 0 < v <= 1, "be in (0, 1]")),
+    "frag_successes": (2000, _INT, _AT_LEAST_1),
 }
 
 
 class ExperimentConfig(ValueRecord):
-    """Resolved experiment parameters, each with its default and grammar in ``_FIELDS``.
+    """Experiment parameters, each with its default, grammar and bounds in ``_FIELDS``.
 
     ``fields`` is the list of keys a config file may set, in constructor order.
     """
@@ -148,30 +167,18 @@ class ExperimentConfig(ValueRecord):
     __slots__ = fields = tuple(_FIELDS)
     __signature__ = inspect.Signature([
         inspect.Parameter(name, inspect.Parameter.POSITIONAL_OR_KEYWORD, default=default)
-        for name, (default, _) in _FIELDS.items()
+        for name, (default, *_) in _FIELDS.items()
     ])
 
     def __init__(self, *args, **kwargs) -> None:
         bound = self.__signature__.bind(*args, **kwargs)
         bound.apply_defaults()
         self._set(**bound.arguments)
-        if self.model not in MODELS:
-            raise ValueError(f"field 'model' must be {' or '.join(MODELS)}, "
-                             f"got {self.model!r}")
-        for name in ("n_qubits", "n_visible", "n_hidden", "instances", "shots",
-                     "layers", "reps", "frag_successes"):
-            if int(getattr(self, name)) < 1:
-                raise ValueError(f"field {name!r} must be >= 1")
-        if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
-            raise ValueError("field 'seed' must be >= 0")
-        if self.shots > MAX_DRAW_COUNT:
-            raise ValueError(f"field 'shots' must be <= 2^63 - 1 = {MAX_DRAW_COUNT}: "
-                             f"the shots of one row are one int64 binomial draw")
-        for name, (cap, why) in _CAPS.items():
-            if getattr(self, name) > cap:
-                raise ValueError(f"field {name!r} must be <= {cap}: {why}")
-        if self.insertions < 0:
-            raise ValueError("field 'insertions' must be >= 0")
+        for name, (_, _, *bounds) in _FIELDS.items():
+            value = getattr(self, name)
+            for test, words in bounds:
+                if not test(value):
+                    raise ValueError(f"field {name!r} must {words.format(value)}")
         if self.xi is not None and self.insertions < 2:
             raise ValueError("field 'insertions' must be >= 2 when xi is set: the "
                              "noise fit needs 3 depths")
@@ -181,25 +188,6 @@ class ExperimentConfig(ValueRecord):
                 f"{MAX_DRAW_COUNT - 2 * self.insertions}: the noise fit's depths "
                 f"layers + 2k are int64"
             )
-        if not self.betas or not all(0 <= b < math.inf for b in self.betas):
-            raise ValueError("field 'betas' must be non-empty, finite and non-negative")
-        if not 0 < self.delta < 1:
-            raise ValueError("field 'delta' must be in (0, 1)")
-        if not 0 < self.eps_r < 1:
-            raise ValueError("field 'eps_r' must be in (0, 1)")
-        if self.xi is not None and not 0 <= self.xi <= 1:
-            raise ValueError("field 'xi' must be in [0, 1]")
-        if not 0 < self.fit_beta < math.inf:
-            raise ValueError("field 'fit_beta' must be positive and finite")
-        if not self.schedule_sizes or any(l < 1 for l in self.schedule_sizes):
-            raise ValueError("field 'schedule_sizes' must contain positive sizes")
-        if max(self.schedule_sizes) > _MAX_SCHEDULE_SIZE:
-            raise ValueError(
-                f"field 'schedule_sizes' must hold sizes <= {_MAX_SCHEDULE_SIZE}: "
-                f"each step sums over all 2^n eigenvalues"
-            )
-        if not 0 < self.frag_eps <= 1:  # the total error budget of a schedule
-            raise ValueError("field 'frag_eps' must be in (0, 1]")
 
 
 def _read_input(path: str | Path) -> str:
@@ -400,6 +388,11 @@ def run_sweep(config: ExperimentConfig, out_dir: str | Path) -> dict:
 
     Writes ``sweep.csv`` and ``sweep_summary.json``; returns the summary.
     """
+    n_rows = config.instances * len(config.betas)
+    if n_rows > _MAX_SWEEP_ROWS:
+        raise ValueError(f"a sweep's rows, instances x len(betas) = {config.instances} x "
+                         f"{len(config.betas)} = {n_rows}, must be <= {_MAX_SWEEP_ROWS}: "
+                         f"the sweep holds every row in memory")
     chash = config_hash(config)
     seeds = SeedStream(config.seed)
     instance_seeds = [seeds.next() for _ in range(config.instances)]

@@ -5,7 +5,9 @@
 its import.  These tests check that a process still exits with the right
 code, prints the same lines and writes the same files as an in-process call,
 that nothing is frozen before the process exits, and that an in-process
-caller gets its collector back as it had it.  A well-formed command line is
+caller gets its collector back as it had it.  The error-exit table runs in
+a subprocess only the cases that need one; the rest call ``main`` in
+process.  A well-formed command line is
 parsed from the option table without argparse; the last tests check that
 parse against argparse's on the same lines.
 """
@@ -82,9 +84,10 @@ sys.exit(main(sys.argv[1:]))
 """
 # the fitted curve would have 10^12 rows, one per layer of the span
 SERIES_WIDE_SPAN = "layers,successes,shots\n1,900,1000\n2,890,1000\n1000000000000,500,1000\n"
-# depths close together, so within the span cap, but past int64
 # --beta 1e308 times the instance's norm bound (~2.76) is inf
-COIN_BETA_PAST_FLOAT64 = "coin beta must be finite and non-negative, got inf (norm bound 2.7"
+COIN_BETA_PAST_FLOAT64 = ("coin beta must be finite and non-negative, got inf "
+                          "(norm bound 2.755284851558489)")
+# depths close together, so within the span cap, but past int64
 SERIES_PAST_INT64 = ("layers,successes,shots\n100000000000000000000,600,1000\n"
                      "100000000000000000002,590,1000\n100000000000000000004,580,1000\n")
 # shots past the config's int64 cap, and past float64 too
@@ -92,9 +95,17 @@ SERIES_SHOTS_PAST_INT64 = "layers,successes,shots\n10,5,1{0}\n12,5,1{0}\n14,5,1{
     "0" * 400)
 SERIES_LINE_3 = "series line 3: expected the integer fields layers,successes,shots"
 SEED_BELOW_ZERO = "field 'seed' must be >= 0"
-
-
-@pytest.mark.parametrize("argv, files, code, message", [
+DEGREE_PAST_CAP = ("Chebyshev degree of exp(-beta x / 2) at beta = 2.75528e+07 exceeds "
+                   "the degree cap 20000")
+INSTANCES_PAST_CAP = ("field 'instances' must be <= 10000: every instance is built before "
+                      "any output is written")
+# 4,000,000 rows, ten times the sweep's row cap: ~5 GB and minutes if the cap failed
+SWEEP_400_BETAS = "instances = 10000\nn_qubits = 2\nshots = 10\nbetas = {}\n".format(
+    ", ".join(str(k / 100) for k in range(1, 401)))
+LAYERS_PAST_DEPTHS = ("field 'layers' must be <= 2^63 - 1 - 2 * insertions = "
+                      "9223372036854775797: the noise fit's depths layers + 2k are int64")
+# (argv, files, exit code, the one stderr line's message)
+ERROR_EXITS = [
     (["sweep", "--shots", "0"], {}, 2, "field 'shots' must be >= 1"),
     (["noise-fit", "--series", "series.csv"], {"series.csv": SERIES_FIVE_SHOTS},
      3, "the noise fit failed"),  # through FAILING_FIT_PROBE
@@ -102,31 +113,36 @@ SEED_BELOW_ZERO = "field 'seed' must be >= 0"
      "spec field 'n_qubits' is missing"),
     (["oracle", "--spec", "s.json"],
      {"s.json": '{"kind": "ising", "n_qubits": 2, "edges": [[0, 1]], "seed": 0}'}, 2,
-     "spec field 'edges': entry 0"),
-    (["oracle", "--spec", "s.json"], {"s.json": "[]"}, 2, "spec must be a JSON object"),
+     "spec field 'edges': entry 0 must be [i, j, weight] with integer i, j and a finite "
+     "weight, got [0, 1]"),
+    (["oracle", "--spec", "s.json"], {"s.json": "[]"}, 2,
+     "spec must be a JSON object, got list"),
     (["noise-fit", "--series", "series.csv"], {"series.csv": SERIES_ZERO_SHOTS}, 2,
-     "shots = 0 must be >= 1"),
+     "series line 2: shots = 0 must be >= 1"),
     (["fragment", "--config", "cfg.txt"],
      {"cfg.txt": "schedule_sizes = 1000000000000000\n"}, 2,
-     "field 'schedule_sizes' must hold sizes <= 10000"),
-    (["sweep", "--instances", "1000000000000"], {}, 2,
-     "field 'instances' must be <= 10000"),
-    (["generate", "--instances", "1000000000000"], {}, 2,
-     "field 'instances' must be <= 10000"),
-    (["sweep", "--n-qubits", "13"], {}, 2, "n_qubits=13 is outside 1..12"),
-    (["fragment", "--n-qubits", "13"], {}, 2, "n_qubits=13 is outside 1..12"),
+     "field 'schedule_sizes' must hold sizes <= 10000: each step sums over all 2^n "
+     "eigenvalues"),
+    (["sweep", "--instances", "1000000000000"], {}, 2, INSTANCES_PAST_CAP),
+    (["generate", "--instances", "1000000000000"], {}, 2, INSTANCES_PAST_CAP),
+    (["sweep", "--n-qubits", "13"], {}, 2, "n_qubits=13 is outside 1..12, the spectrum cap"),
+    (["fragment", "--n-qubits", "13"], {}, 2,
+     "n_qubits=13 is outside 1..12, the spectrum cap"),
     (["noise-fit", "--series", "series.csv"], {"series.csv": SERIES_WIDE_SPAN}, 2,
-     "series depths must span at most 100000 layers"),
+     "series depths must span at most 100000 layers: the fitted curve has one row per "
+     "layer"),
     (["sweep", "--config", "cfg.txt", "--xi", "0.037"],
      {"cfg.txt": "insertions = 100000000000\n"}, 2,
-     "field 'insertions' must be <= 10000"),
+     "field 'insertions' must be <= 10000: every inserted depth is simulated and fitted"),
     (["fragment", "--config", "cfg.txt", "--beta", "0"],
      {"cfg.txt": "frag_successes = 10000000000000000000\n"}, 2,
-     "expected tosses = 10000000000000000000 / p = 1e+19"),
+     "toss budget infeasible: expected tosses = 10000000000000000000 / p = 1e+19; "
+     "numpy's int64 negative-binomial draw of the tosses needs k / p <= 2^63 - 1 = "
+     "9223372036854775807 and (1 - p) / p (k + 10 sqrt(k)) <= 9.22337e+18"),
     (["noise-fit", "--series", "series.csv"], {"series.csv": SERIES_PAST_INT64}, 2,
      "series line 2: layers = 100000000000000000000 exceeds 2^63 - 1"),
     (["noise-fit", "--series", "series.csv"], {"series.csv": "layers,successes,shots\n"},
-     2, "series CSV has no rows"),
+     2, "series CSV has no rows after its header"),
     (["sweep", "--n-qubits", "4", "--beta", "1e308"], {}, 2, COIN_BETA_PAST_FLOAT64),
     (["coverage", "alg1", "--n-qubits", "4", "--beta", "1e308"], {}, 2,
      COIN_BETA_PAST_FLOAT64),
@@ -136,15 +152,14 @@ SEED_BELOW_ZERO = "field 'seed' must be >= 0"
      COIN_BETA_PAST_FLOAT64),
     (["fragment", "--n-qubits", "4", "--beta", "1e308"], {}, 2, COIN_BETA_PAST_FLOAT64),
     (["sweep", "--n-qubits", "4", "--instances", "1", "--xi", "0.037",
-      "--layers", "100000000000000000000"], {}, 2, "field 'layers' must be <="),
+      "--layers", "100000000000000000000"], {}, 2, LAYERS_PAST_DEPTHS),
     (["sweep", "--n-qubits", "4", "--instances", "1", "--xi", "0.037",
-      "--layers", "9223372036854775800"], {}, 2, "field 'layers' must be <="),
-    (["coverage", "alg1", "--n-qubits", "4", "--beta", "1e7"], {}, 2,
-     "exceeds the degree cap 20000"),
-    (["fragment", "--n-qubits", "4", "--beta", "1e7"], {}, 2,
-     "exceeds the degree cap 20000"),
+      "--layers", "9223372036854775800"], {}, 2, LAYERS_PAST_DEPTHS),
+    (["coverage", "alg1", "--n-qubits", "4", "--beta", "1e7"], {}, 2, DEGREE_PAST_CAP),
+    (["fragment", "--n-qubits", "4", "--beta", "1e7"], {}, 2, DEGREE_PAST_CAP),
     (["coverage", "iterative", "--n-qubits", "4", "--eps-r", "1e-300"], {}, 2,
-     "toss budget infeasible: an additive run at precision 5e-301"),
+     "toss budget infeasible: an additive run at precision 5e-301 on a coin with "
+     "p = 0.630668 needs more than _TOSS_BUDGET = 100000000 tosses"),
     (["sweep", "--seed", "-1"], {}, 2, SEED_BELOW_ZERO),
     (["coverage", "alg1", "--seed", "-1"], {}, 2, SEED_BELOW_ZERO),
     (["fragment", "--seed", "-1"], {}, 2, SEED_BELOW_ZERO),
@@ -178,31 +193,57 @@ SEED_BELOW_ZERO = "field 'seed' must be >= 0"
     (["oracle", "--model", "qrbm", "--n-qubits", "0"], {}, 2,
      "field 'n_qubits' must be >= 1"),
     (["oracle", "--n-hidden", "-3"], {}, 2, "field 'n_hidden' must be >= 1"),
-], ids=["input-error", "runtime-error", "spec-missing-field", "spec-short-edge",
-        "spec-not-object", "series-zero-shots", "schedule-size-cap",
-        "sweep-instances-cap", "generate-instances-cap", "sweep-qubit-cap",
-        "fragment-qubit-cap", "series-span-cap", "sweep-insertions-cap",
-        "fragment-successes-past-int64", "series-depth-past-int64",
-        "series-header-only", "sweep-coin-beta-past-float64",
-        "alg1-coin-beta-past-float64", "alg2-coin-beta-past-float64",
-        "iterative-coin-beta-past-float64", "fragment-coin-beta-past-float64",
-        "layers-past-python-int64", "layers-depths-past-int64",
-        "alg1-degree-past-cap", "fragment-degree-past-cap",
-        "iterative-precision-past-budget", "sweep-seed-negative",
-        "coverage-seed-negative", "fragment-seed-negative", "generate-seed-negative",
-        "oracle-seed-negative", "series-row-short", "series-row-long",
-        "series-cell-not-integer", "config-int-not-integer",
-        "config-list-empty-entry", "config-float-empty", "frag-eps-above-one",
-        "noisy-insertions-below-two", "series-shots-past-int64", "config-key-set-twice",
-        "generate-qrbm-n-qubits-0", "oracle-qrbm-n-qubits-0", "oracle-n-hidden-negative"])
-def test_process_error_exit_is_one_line(tmp_path, argv, files, code, message):
+    (["sweep", "--config", "run.cfg"], {"run.cfg": SWEEP_400_BETAS}, 2,
+     "a sweep's rows, instances x len(betas) = 10000 x 400 = 4000000, must be <= "
+     "400000: the sweep holds every row in memory"),
+]
+ERROR_EXIT_IDS = [
+    "input-error", "runtime-error", "spec-missing-field", "spec-short-edge",
+    "spec-not-object", "series-zero-shots", "schedule-size-cap",
+    "sweep-instances-cap", "generate-instances-cap", "sweep-qubit-cap",
+    "fragment-qubit-cap", "series-span-cap", "sweep-insertions-cap",
+    "fragment-successes-past-int64", "series-depth-past-int64",
+    "series-header-only", "sweep-coin-beta-past-float64",
+    "alg1-coin-beta-past-float64", "alg2-coin-beta-past-float64",
+    "iterative-coin-beta-past-float64", "fragment-coin-beta-past-float64",
+    "layers-past-python-int64", "layers-depths-past-int64",
+    "alg1-degree-past-cap", "fragment-degree-past-cap",
+    "iterative-precision-past-budget", "sweep-seed-negative",
+    "coverage-seed-negative", "fragment-seed-negative", "generate-seed-negative",
+    "oracle-seed-negative", "series-row-short", "series-row-long",
+    "series-cell-not-integer", "config-int-not-integer",
+    "config-list-empty-entry", "config-float-empty", "frag-eps-above-one",
+    "noisy-insertions-below-two", "series-shots-past-int64", "config-key-set-twice",
+    "generate-qrbm-n-qubits-0", "oracle-qrbm-n-qubits-0", "oracle-n-hidden-negative",
+    "sweep-rows-cap",
+]
+# a fresh interpreter, under run_process's timeout, for one plain exit-2 case,
+# the exit-3 probe and each case that a broken check would turn into
+# unbounded work; the others call main in process, which
+# test_process_matches_in_process_main shows a process agrees with
+IN_A_PROCESS = {
+    "input-error", "runtime-error", "schedule-size-cap", "sweep-instances-cap",
+    "generate-instances-cap", "series-span-cap", "sweep-insertions-cap",
+    "fragment-successes-past-int64", "alg1-degree-past-cap", "fragment-degree-past-cap",
+    "iterative-precision-past-budget", "sweep-rows-cap",
+}
+
+
+@pytest.mark.parametrize("argv, files, code, message", ERROR_EXITS, ids=ERROR_EXIT_IDS)
+def test_process_error_exit_is_one_line(tmp_path, capsys, monkeypatch, request, argv,
+                                        files, code, message):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
-    proc = run_process([*argv, "--out", str(tmp_path / "out")], cwd=tmp_path,
-                       code=FAILING_FIT_PROBE if code == 3 else None)
-    assert proc.returncode == code
-    assert message in proc.stderr and "Traceback" not in proc.stderr
-    assert len(proc.stderr.strip().splitlines()) == 1
+    argv = [*argv, "--out", str(tmp_path / "out")]
+    if request.node.callspec.id in IN_A_PROCESS:
+        proc = run_process(argv, cwd=tmp_path,
+                           code=FAILING_FIT_PROBE if code == 3 else None)
+        returncode, stderr = proc.returncode, proc.stderr
+    else:
+        monkeypatch.chdir(tmp_path)
+        returncode, stderr = main(argv), capsys.readouterr().err
+    assert returncode == code
+    assert stderr == f"error: {message}\n"  # one line, no traceback
     assert not (tmp_path / "out").exists()  # a failed command writes nothing
 
 

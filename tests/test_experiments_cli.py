@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcoin.cli import _COMMANDS, _CONFIG_OPTIONS, main
+from qcoin.cli import _COMMANDS, main
 from qcoin.experiments import (
+    _FIELDS,
     MODELS,
     SCHEMA_VERSION,
     SeedStream,
@@ -98,6 +99,8 @@ def test_load_config_overrides_and_validation(tmp_path):
     assert load_config(path, seed=0).seed == 0
     with pytest.raises(ValueError, match="field 'seed' must be >= 0"):
         load_config(path, seed=-1)
+    with pytest.raises(TypeError):  # None is a value only xi's default takes
+        ExperimentConfig(shots=None)
     # the size caps hold before anything is built
     assert load_config(path, instances=10_000, schedule_sizes=(10_000,)).instances == 10_000
     with pytest.raises(ValueError, match="field 'instances' must be <= 10000"):
@@ -526,7 +529,7 @@ def test_run_sweep_decomposes_each_instance_at_most_once(
 
 REPO = Path(__file__).resolve().parent.parent
 TEST_ONLY_ALLOWED = {
-    # no caller outside the tests yet: ROADMAP item 5 (cost each toss at the
+    # no caller outside the tests yet: ROADMAP item 7 (cost each toss at the
     # paper's eps' budget) gives it one
     "propagator.eps_prime_for_relative_error",
     # the sampler's per-step execution counts, through which the tests check
@@ -919,7 +922,8 @@ def series(*rows: str) -> bytes:
     return "\n".join(["layers,successes,shots", *rows, ""]).encode()
 
 
-@pytest.mark.parametrize("argv, files, message", [
+# (argv, files, message): one input error each, and its whole stderr message
+INPUT_ERRORS = [
     (["sweep", "--config", "run.cfg"], {"run.cfg": b"insertions = -1\n"},
      "field 'insertions' must be >= 0"),
     (["coverage", "alg1", "--eps-r", "1.5"], {}, "field 'eps_r' must be in (0, 1)"),
@@ -943,10 +947,39 @@ def series(*rows: str) -> bytes:
      "--spec gives the instance, so --n-qubits --seed cannot be given with it"),
     (["sweep", "--config", "run.cfg"], {"run.cfg": b"seed = 3\n\xff\n"},
      "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"),
-], ids=["config-insertions-negative", "eps-r-above-one", "xi-above-one",
-        "schedule-size-zero", "layers-depths-past-int64", "series-header-only",
-        "series-two-shot-counts", "series-zero-shots", "series-successes-past-shots",
-        "oracle-spec-with-instance-flags", "config-not-utf8"])
+    (["sweep", "--config", "run.cfg"], {"run.cfg": b"model = bogus\n"},
+     "field 'model' must be ising or qrbm, got 'bogus'"),
+    (["generate", "--model", "qrbm", "--n-visible", "0"], {},
+     "field 'n_visible' must be >= 1"),
+    (["generate", "--instances", "0"], {}, "field 'instances' must be >= 1"),
+    (["sweep", "--beta", "0.5,-1"], {},
+     "field 'betas' must be non-empty, finite and non-negative"),
+    (["sweep", "--shots", "10000000000000000000"], {},
+     "field 'shots' must be <= 2^63 - 1 = 9223372036854775807: the shots of one row "
+     "are one int64 binomial draw"),
+    (["coverage", "alg2", "--delta", "1"], {}, "field 'delta' must be in (0, 1)"),
+    (["sweep", "--layers", "0"], {}, "field 'layers' must be >= 1"),
+    (["sweep", "--config", "run.cfg"], {"run.cfg": b"fit_beta = 0\n"},
+     "field 'fit_beta' must be positive and finite"),
+    (["coverage", "alg1", "--reps", "0"], {}, "field 'reps' must be >= 1"),
+    # one past the cap, so that a broken cap costs one run of ~0.5 s
+    (["coverage", "alg1", "--reps", "1000001"], {},
+     "field 'reps' must be <= 1000000: a coverage command holds every repetition in "
+     "memory"),
+    (["fragment", "--config", "run.cfg"], {"run.cfg": b"frag_successes = 0\n"},
+     "field 'frag_successes' must be >= 1"),
+]
+INPUT_ERROR_IDS = [
+    "config-insertions-negative", "eps-r-above-one", "xi-above-one",
+    "schedule-size-zero", "layers-depths-past-int64", "series-header-only",
+    "series-two-shot-counts", "series-zero-shots", "series-successes-past-shots",
+    "oracle-spec-with-instance-flags", "config-not-utf8", "config-model-unknown",
+    "qrbm-n-visible-zero", "instances-zero", "betas-negative", "shots-past-int64", "delta-one", "layers-zero", "config-fit-beta-zero", "reps-zero",
+    "reps-past-cap", "config-frag-successes-zero",
+]
+
+
+@pytest.mark.parametrize("argv, files, message", INPUT_ERRORS, ids=INPUT_ERROR_IDS)
 def test_cli_input_error_is_one_line_and_writes_nothing(tmp_path, capsys, monkeypatch,
                                                         argv, files, message):
     # input errors, run in process so that a line trace reaches each raise:
@@ -957,6 +990,40 @@ def test_cli_input_error_is_one_line_and_writes_nothing(tmp_path, capsys, monkey
     assert main([*argv, "--out", "out"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_sweep_row_cap_holds_before_any_seed(tmp_path, capsys, monkeypatch):
+    # instances x len(betas) at the cap runs; past it, exit 2 before any seed
+    monkeypatch.setattr("qcoin.experiments._MAX_SWEEP_ROWS", 6)
+    monkeypatch.chdir(tmp_path)
+    argv = ["sweep", "--n-qubits", "2", "--shots", "10"]
+    assert main([*argv, "--instances", "2", "--beta", "1,2,3", "--out", "at_cap"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == 9  # and a mean row per beta
+    monkeypatch.setattr("qcoin.experiments.SeedStream",
+                        lambda root: pytest.fail("a seed stream was started"))
+    for instances, betas in (("2", "1,2,3,4"), ("7", "1")):
+        assert main([*argv, "--instances", instances, "--beta", betas, "--out", "out"]) == 2
+        n = len(betas.split(","))
+        assert capsys.readouterr().err == (
+            f"error: a sweep's rows, instances x len(betas) = {instances} x {n} = "
+            f"{int(instances) * n}, must be <= 6: the sweep holds every row in memory\n")
+        assert not (tmp_path / "out").exists()
+
+
+def test_input_error_cases_pin_every_field_bound():
+    # every bound of a _FIELDS row is the whole message of some case, here
+    # or in test_cli_process's error table
+    from test_cli_process import ERROR_EXITS
+
+    bounds = {(name, words) for name, (_, _, *tests) in _FIELDS.items()
+              for _, words in tests}
+    pinned = set()
+    for message in [case[-1] for case in INPUT_ERRORS + ERROR_EXITS]:
+        said = re.fullmatch(r"field '(\w+)' must (.+)", message)
+        pinned |= {(name, words) for name, words in bounds if said and name == said[1]
+                   and re.fullmatch(re.escape(words).replace(re.escape("{!r}"), "'.+'"),
+                                    said[2])}
+    assert sorted(bounds - pinned) == []
 
 
 @pytest.mark.parametrize("argv, config, message", [
@@ -1204,15 +1271,17 @@ def _config_reads(functions, name):
 
 def test_config_commands_offer_the_flags_their_runner_reads():
     # a config command's flags, less --config and --out, set exactly the
-    # fields of the option table that its runner reads: no flag is a no-op,
-    # and none that the runner reads is missing
+    # fields with a flag in some config command that its runner reads: no
+    # flag is a no-op, and none that the runner reads is missing
     path = Path(qcoin.__file__).parent / "experiments.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    table = {opt.dest for opt in _CONFIG_OPTIONS} - {"config", "out"}
+    runners = {"sweep": "run_sweep", "coverage": "run_coverage", "fragment": "run_fragment"}
+    table = {opt.dest for command in runners
+             for opt in _COMMANDS[command][2]} - {"config", "out"}
+    assert len(table) == 11
     mismatched = []
-    for command, runner in [("sweep", "run_sweep"), ("coverage", "run_coverage"),
-                            ("fragment", "run_fragment")]:
+    for command, runner in runners.items():
         offered = {opt.dest for opt in _COMMANDS[command][2]} - {"config", "out"}
         read = _config_reads(functions, runner) & table
         if offered != read:
