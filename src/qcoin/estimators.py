@@ -62,6 +62,18 @@ def ac_estimate(
     return p_hat, eps_p
 
 
+def _ceil_budget(numerator: float, denominator: float, formula: str) -> int:
+    """ceil(numerator / denominator); infeasible where float64 cannot hold the quotient.
+
+    The denominator of a budget is a product of squares and probabilities,
+    which can underflow to 0 while each factor is positive.
+    """
+    budget = numerator / denominator if denominator > 0 else math.inf
+    if budget == math.inf:
+        raise ValueError(f"toss budget infeasible: {formula} is past float64's range")
+    return math.ceil(budget)
+
+
 def sample_count_thm1(p_lower_bound: float, eps_r: float, delta: float) -> int:
     """Toss budget ceil(8 z_delta^2 / (eps_r^2 p_lb)).
 
@@ -74,7 +86,9 @@ def sample_count_thm1(p_lower_bound: float, eps_r: float, delta: float) -> int:
     if p_lower_bound <= 0:
         raise ValueError("the heads-probability lower bound must be positive")
     z = z_quantile(delta)
-    return math.ceil(8.0 * z * z / (eps_r**2 * p_lower_bound))
+    return _ceil_budget(8.0 * z * z, eps_r**2 * p_lower_bound,
+                        f"8 z^2 / (eps_r^2 p) at eps_r = {eps_r:.6g}, delta = {delta:.6g} "
+                        f"and p = {p_lower_bound:.6g}")
 
 
 def success_count_thm2(eps_r: float, delta: float) -> int:
@@ -83,7 +97,8 @@ def success_count_thm2(eps_r: float, delta: float) -> int:
         raise ValueError("eps_r must be in (0, 1)")
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
-    return math.ceil(1.0 / (delta * eps_r**2))
+    return _ceil_budget(1.0, delta * eps_r**2,
+                        f"1 / (delta eps_r^2) at eps_r = {eps_r:.6g} and delta = {delta:.6g}")
 
 
 def expected_total_tosses_thm2(p: float, eps_r: float, delta: float) -> float:

@@ -86,8 +86,9 @@ _MAX_INSTANCES = 10_000
 # `sweep --n-qubits 4 --instances 1 --xi 0.037` took 0.39-0.48 s and 43 MB
 # peak RSS, against 0.16-0.18 s and 36 MB without --xi
 _MAX_INSERTIONS = 10_000
-# a schedule of l steps takes l + 1 sums over the 2^n eigenvalues, and a
-# fragment run ~30 us per step at n = 12 (same host): ~0.3 s per size at the cap
+# a schedule of l steps takes l + 1 sums over the 2^n eigenvalues.  At the cap,
+# n = 12, one 10,000-step size or four of 2,500 took 0.33-0.49 s for the whole
+# `fragment` command, against 0.21-0.24 s at the default sizes (same host)
 _MAX_SCHEDULE_SIZE = 10_000
 # a sweep holds every row in memory until it writes its files.  At the cap,
 # 10,000 instances x 40 betas (n = 2, shots 10) wrote 400,040 rows in 25-30 s,
@@ -150,8 +151,8 @@ _FIELDS = {
     "seed": (0, _INT, (lambda v: v >= 0, "be >= 0")),
     "schedule_sizes": ((1, 2, 4, 8), _INTS, (
         lambda v: v and min(v) >= 1, "contain positive sizes"), (
-        lambda v: max(v) <= _MAX_SCHEDULE_SIZE, f"hold sizes <= {_MAX_SCHEDULE_SIZE}: "
-        f"each step sums over all 2^n eigenvalues")),
+        lambda v: sum(v) <= _MAX_SCHEDULE_SIZE, f"hold at most {_MAX_SCHEDULE_SIZE} steps "
+        f"in all: each step sums over all 2^n eigenvalues")),
     # the total error budget of a schedule
     "frag_eps": (1e-6, _NUMBER, (lambda v: 0 < v <= 1, "be in (0, 1]")),
     "frag_successes": (2000, _INT, _AT_LEAST_1),
@@ -555,6 +556,11 @@ def read_layer_series(path: str | Path) -> LayerSeries:
                              f"{','.join(_SERIES_COLUMNS)}") from None
         if layers > MAX_DRAW_COUNT:  # LayerSeries holds int64 depths
             raise ValueError(f"series line {lineno}: layers = {layers} exceeds 2^63 - 1")
+        if layers < 1:
+            raise ValueError(f"series line {lineno}: layers = {layers} must be >= 1")
+        if depths and layers <= depths[-1]:
+            raise ValueError(f"series line {lineno}: layers = {layers} must exceed the "
+                             f"previous row's {depths[-1]}")
         depths.append(layers)
         if shots < 1:
             raise ValueError(f"series line {lineno}: shots = {shots} must be >= 1")

@@ -65,6 +65,16 @@ class Spectrum(Record):
         return len(self.values)
 
 
+def _check_norm_bound(spec: IsingSpec | QrbmSpec, terms: str) -> None:
+    """A spec's norm bound, the sum of its absolute ``terms``, must be finite:
+    each term may be finite while their sum passes float64."""
+    with np.errstate(over="ignore"):  # a sum past float64 is the error raised here
+        norm_bound = spec.norm_bound
+    if not math.isfinite(norm_bound):
+        raise ValueError(f"spec norm bound, the sum of absolute {terms}, must be "
+                         f"finite, got {norm_bound}")
+
+
 class IsingSpec(ValueRecord):
     """Edge list of a random-graph Ising coupling model, H = sum J_ij Z_i Z_j.
 
@@ -97,6 +107,7 @@ class IsingSpec(ValueRecord):
         if len(touched) < n_qubits:
             raise ValueError("every vertex must have degree >= 1")
         self._set(n_qubits=n_qubits, edges=edges, seed=seed)
+        _check_norm_bound(self, "coupling weights")
 
     @property
     def norm_bound(self) -> float:
@@ -152,6 +163,7 @@ class QrbmSpec(Record):
             arr.setflags(write=False)
         self._set(n_visible=n_visible, n_hidden=n_hidden, couplings=couplings,
                   biases=biases, transverse_field=gamma, seed=seed)
+        _check_norm_bound(self, "Pauli coefficients")
 
     @property
     def n_qubits(self) -> int:
@@ -185,7 +197,11 @@ def spec_from_json(text: str) -> IsingSpec | QrbmSpec:
 
     A document that is not a spec raises ValueError naming the bad field.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("spec nests deeper than the JSON decoder's recursion "
+                         "limit") from None
     kind = _json_field(doc, "kind", str)
     if kind == "ising":
         n_qubits = _json_field(doc, "n_qubits", int)

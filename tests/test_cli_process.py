@@ -2,41 +2,28 @@
 
 ``main`` pauses the cyclic collector for the command and registers
 ``gc.freeze`` with ``atexit``, so a CLI process makes no collector pass after
-its import.  These tests check that a process still exits with the right
-code, prints the same lines and writes the same files as an in-process call,
-that nothing is frozen before the process exits, and that an in-process
-caller gets its collector back as it had it.  The error-exit table runs in
-a subprocess only the cases that need one; the rest call ``main`` in
-process.  A well-formed command line is
-parsed from the option table without argparse; the last tests check that
-parse against argparse's on the same lines.
+its import.  These tests check that a process exits with the same code,
+prints the same lines and writes the same files as an in-process call, that
+nothing is frozen before the process exits, that an in-process caller gets
+its collector back as it had it, and what a process imports.  Its error-exit
+tests run rows of ``tests/test_cli_errors.py``'s tables.  A well-formed
+command line is parsed from the option table without argparse; the last tests
+check that parse against argparse's on the same lines.
 """
 
 import atexit
 import contextlib
 import gc
 import io
-import os
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import qcoin
 from qcoin.cli import _COMMANDS, _parse_direct, build_parser, main
 from series_file import write_layer_series
-
-SRC = Path(qcoin.__file__).resolve().parents[1]
-
-
-def run_process(args, *, code=None, cwd=None):
-    """Run ``python -m qcoin.cli ARGS`` (or ``python -c CODE ARGS``) with qcoin from SRC."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    head = ["-c", code] if code is not None else ["-m", "qcoin.cli"]
-    return subprocess.run([sys.executable, "-W", "error", *head, *args], env=env,
-                          cwd=cwd, capture_output=True, text=True, timeout=60)
+from test_cli_errors import error_tests, run_process
 
 
 def read_tree(root: Path) -> dict:
@@ -67,184 +54,11 @@ def test_process_matches_in_process_main(tmp_path, capsys, argv):
     assert written and written == read_tree(local_out.parent)
 
 
-SERIES_ZERO_SHOTS = "layers,successes,shots\n10,0,0\n12,0,0\n14,0,0\n"
+# the error exits that test_cli_errors.py files under this module's tests
+globals().update(error_tests("test_cli_process"))
 SERIES_FIVE_SHOTS = (
     "layers,successes,shots\n3,4,5\n48,3,5\n86,2,5\n119,1,5\n152,5,5\n"
 )
-# no input is known to make the noise fit fail, so exit 3 comes from a fit
-# that raises, put in place before main runs
-FAILING_FIT_PROBE = """
-import sys
-import qcoin.experiments
-def fit_noise_model(series):
-    raise RuntimeError("the noise fit failed")
-qcoin.experiments.fit_noise_model = fit_noise_model
-from qcoin.cli import main
-sys.exit(main(sys.argv[1:]))
-"""
-# the fitted curve would have 10^12 rows, one per layer of the span
-SERIES_WIDE_SPAN = "layers,successes,shots\n1,900,1000\n2,890,1000\n1000000000000,500,1000\n"
-# --beta 1e308 times the instance's norm bound (~2.76) is inf
-COIN_BETA_PAST_FLOAT64 = ("coin beta must be finite and non-negative, got inf "
-                          "(norm bound 2.755284851558489)")
-# depths close together, so within the span cap, but past int64
-SERIES_PAST_INT64 = ("layers,successes,shots\n100000000000000000000,600,1000\n"
-                     "100000000000000000002,590,1000\n100000000000000000004,580,1000\n")
-# shots past the config's int64 cap, and past float64 too
-SERIES_SHOTS_PAST_INT64 = "layers,successes,shots\n10,5,1{0}\n12,5,1{0}\n14,5,1{0}\n".format(
-    "0" * 400)
-SERIES_LINE_3 = "series line 3: expected the integer fields layers,successes,shots"
-SEED_BELOW_ZERO = "field 'seed' must be >= 0"
-DEGREE_PAST_CAP = ("Chebyshev degree of exp(-beta x / 2) at beta = 2.75528e+07 exceeds "
-                   "the degree cap 20000")
-INSTANCES_PAST_CAP = ("field 'instances' must be <= 10000: every instance is built before "
-                      "any output is written")
-# 4,000,000 rows, ten times the sweep's row cap: ~5 GB and minutes if the cap failed
-SWEEP_400_BETAS = "instances = 10000\nn_qubits = 2\nshots = 10\nbetas = {}\n".format(
-    ", ".join(str(k / 100) for k in range(1, 401)))
-LAYERS_PAST_DEPTHS = ("field 'layers' must be <= 2^63 - 1 - 2 * insertions = "
-                      "9223372036854775797: the noise fit's depths layers + 2k are int64")
-# (argv, files, exit code, the one stderr line's message)
-ERROR_EXITS = [
-    (["sweep", "--shots", "0"], {}, 2, "field 'shots' must be >= 1"),
-    (["noise-fit", "--series", "series.csv"], {"series.csv": SERIES_FIVE_SHOTS},
-     3, "the noise fit failed"),  # through FAILING_FIT_PROBE
-    (["oracle", "--spec", "s.json"], {"s.json": '{"kind": "ising"}'}, 2,
-     "spec field 'n_qubits' is missing"),
-    (["oracle", "--spec", "s.json"],
-     {"s.json": '{"kind": "ising", "n_qubits": 2, "edges": [[0, 1]], "seed": 0}'}, 2,
-     "spec field 'edges': entry 0 must be [i, j, weight] with integer i, j and a finite "
-     "weight, got [0, 1]"),
-    (["oracle", "--spec", "s.json"], {"s.json": "[]"}, 2,
-     "spec must be a JSON object, got list"),
-    (["noise-fit", "--series", "series.csv"], {"series.csv": SERIES_ZERO_SHOTS}, 2,
-     "series line 2: shots = 0 must be >= 1"),
-    (["fragment", "--config", "cfg.txt"],
-     {"cfg.txt": "schedule_sizes = 1000000000000000\n"}, 2,
-     "field 'schedule_sizes' must hold sizes <= 10000: each step sums over all 2^n "
-     "eigenvalues"),
-    (["sweep", "--instances", "1000000000000"], {}, 2, INSTANCES_PAST_CAP),
-    (["generate", "--instances", "1000000000000"], {}, 2, INSTANCES_PAST_CAP),
-    (["sweep", "--n-qubits", "13"], {}, 2, "n_qubits=13 is outside 1..12, the spectrum cap"),
-    (["fragment", "--n-qubits", "13"], {}, 2,
-     "n_qubits=13 is outside 1..12, the spectrum cap"),
-    (["noise-fit", "--series", "series.csv"], {"series.csv": SERIES_WIDE_SPAN}, 2,
-     "series depths must span at most 100000 layers: the fitted curve has one row per "
-     "layer"),
-    (["sweep", "--config", "cfg.txt", "--xi", "0.037"],
-     {"cfg.txt": "insertions = 100000000000\n"}, 2,
-     "field 'insertions' must be <= 10000: every inserted depth is simulated and fitted"),
-    (["fragment", "--config", "cfg.txt", "--beta", "0"],
-     {"cfg.txt": "frag_successes = 10000000000000000000\n"}, 2,
-     "toss budget infeasible: expected tosses = 10000000000000000000 / p = 1e+19; "
-     "numpy's int64 negative-binomial draw of the tosses needs k / p <= 2^63 - 1 = "
-     "9223372036854775807 and (1 - p) / p (k + 10 sqrt(k)) <= 9.22337e+18"),
-    (["noise-fit", "--series", "series.csv"], {"series.csv": SERIES_PAST_INT64}, 2,
-     "series line 2: layers = 100000000000000000000 exceeds 2^63 - 1"),
-    (["noise-fit", "--series", "series.csv"], {"series.csv": "layers,successes,shots\n"},
-     2, "series CSV has no rows after its header"),
-    (["sweep", "--n-qubits", "4", "--beta", "1e308"], {}, 2, COIN_BETA_PAST_FLOAT64),
-    (["coverage", "alg1", "--n-qubits", "4", "--beta", "1e308"], {}, 2,
-     COIN_BETA_PAST_FLOAT64),
-    (["coverage", "alg2", "--n-qubits", "4", "--beta", "1e308"], {}, 2,
-     COIN_BETA_PAST_FLOAT64),
-    (["coverage", "iterative", "--n-qubits", "4", "--beta", "1e308"], {}, 2,
-     COIN_BETA_PAST_FLOAT64),
-    (["fragment", "--n-qubits", "4", "--beta", "1e308"], {}, 2, COIN_BETA_PAST_FLOAT64),
-    (["sweep", "--n-qubits", "4", "--instances", "1", "--xi", "0.037",
-      "--layers", "100000000000000000000"], {}, 2, LAYERS_PAST_DEPTHS),
-    (["sweep", "--n-qubits", "4", "--instances", "1", "--xi", "0.037",
-      "--layers", "9223372036854775800"], {}, 2, LAYERS_PAST_DEPTHS),
-    (["coverage", "alg1", "--n-qubits", "4", "--beta", "1e7"], {}, 2, DEGREE_PAST_CAP),
-    (["fragment", "--n-qubits", "4", "--beta", "1e7"], {}, 2, DEGREE_PAST_CAP),
-    (["coverage", "iterative", "--n-qubits", "4", "--eps-r", "1e-300"], {}, 2,
-     "toss budget infeasible: an additive run at precision 5e-301 on a coin with "
-     "p = 0.630668 needs more than _TOSS_BUDGET = 100000000 tosses"),
-    (["sweep", "--seed", "-1"], {}, 2, SEED_BELOW_ZERO),
-    (["coverage", "alg1", "--seed", "-1"], {}, 2, SEED_BELOW_ZERO),
-    (["fragment", "--seed", "-1"], {}, 2, SEED_BELOW_ZERO),
-    (["generate", "--seed", "-1"], {}, 2, SEED_BELOW_ZERO),
-    (["oracle", "--seed", "-1"], {}, 2, SEED_BELOW_ZERO),
-    (["noise-fit", "--series", "series.csv"],
-     {"series.csv": "layers,successes,shots\n10,900,1000\n12,880\n14,860,1000\n"},
-     2, SERIES_LINE_3),
-    (["noise-fit", "--series", "series.csv"],
-     {"series.csv": "layers,successes,shots\n10,900,1000\n12,880,1000,7\n14,860,1000\n"},
-     2, SERIES_LINE_3),
-    (["noise-fit", "--series", "series.csv"],
-     {"series.csv": "layers,successes,shots\n10,900,1000\n12,8.8e2,1000\n14,860,1000\n"},
-     2, SERIES_LINE_3),
-    (["sweep", "--config", "run.cfg"], {"run.cfg": "n_qubits = four\n"}, 2,
-     "config line 1: field 'n_qubits' must be an integer, got 'four'"),
-    (["sweep", "--config", "run.cfg"], {"run.cfg": "seed = 3\nbetas = 1,,2\n"}, 2,
-     "config line 2: field 'betas' must be a comma-separated list of numbers, got '1,,2'"),
-    (["coverage", "alg1", "--config", "run.cfg"], {"run.cfg": "# noise\nxi =\n"}, 2,
-     "config line 2: field 'xi' must be a number, got ''"),
-    (["fragment", "--config", "run.cfg"], {"run.cfg": "frag_eps = 5\n"}, 2,
-     "field 'frag_eps' must be in (0, 1]"),
-    (["sweep", "--config", "run.cfg", "--xi", "0.037"], {"run.cfg": "insertions = 1\n"},
-     2, "field 'insertions' must be >= 2 when xi is set: the noise fit needs 3 depths"),
-    (["noise-fit", "--series", "series.csv"], {"series.csv": SERIES_SHOTS_PAST_INT64}, 2,
-     "series line 2: shots must be <= 2^63 - 1"),
-    (["sweep", "--config", "run.cfg"], {"run.cfg": "seed = 3\n# again\nseed = 4\n"}, 2,
-     "config line 3: field 'seed' is already set on line 1"),
-    (["generate", "--model", "qrbm", "--n-qubits", "0"], {}, 2,
-     "field 'n_qubits' must be >= 1"),
-    (["oracle", "--model", "qrbm", "--n-qubits", "0"], {}, 2,
-     "field 'n_qubits' must be >= 1"),
-    (["oracle", "--n-hidden", "-3"], {}, 2, "field 'n_hidden' must be >= 1"),
-    (["sweep", "--config", "run.cfg"], {"run.cfg": SWEEP_400_BETAS}, 2,
-     "a sweep's rows, instances x len(betas) = 10000 x 400 = 4000000, must be <= "
-     "400000: the sweep holds every row in memory"),
-]
-ERROR_EXIT_IDS = [
-    "input-error", "runtime-error", "spec-missing-field", "spec-short-edge",
-    "spec-not-object", "series-zero-shots", "schedule-size-cap",
-    "sweep-instances-cap", "generate-instances-cap", "sweep-qubit-cap",
-    "fragment-qubit-cap", "series-span-cap", "sweep-insertions-cap",
-    "fragment-successes-past-int64", "series-depth-past-int64",
-    "series-header-only", "sweep-coin-beta-past-float64",
-    "alg1-coin-beta-past-float64", "alg2-coin-beta-past-float64",
-    "iterative-coin-beta-past-float64", "fragment-coin-beta-past-float64",
-    "layers-past-python-int64", "layers-depths-past-int64",
-    "alg1-degree-past-cap", "fragment-degree-past-cap",
-    "iterative-precision-past-budget", "sweep-seed-negative",
-    "coverage-seed-negative", "fragment-seed-negative", "generate-seed-negative",
-    "oracle-seed-negative", "series-row-short", "series-row-long",
-    "series-cell-not-integer", "config-int-not-integer",
-    "config-list-empty-entry", "config-float-empty", "frag-eps-above-one",
-    "noisy-insertions-below-two", "series-shots-past-int64", "config-key-set-twice",
-    "generate-qrbm-n-qubits-0", "oracle-qrbm-n-qubits-0", "oracle-n-hidden-negative",
-    "sweep-rows-cap",
-]
-# a fresh interpreter, under run_process's timeout, for one plain exit-2 case,
-# the exit-3 probe and each case that a broken check would turn into
-# unbounded work; the others call main in process, which
-# test_process_matches_in_process_main shows a process agrees with
-IN_A_PROCESS = {
-    "input-error", "runtime-error", "schedule-size-cap", "sweep-instances-cap",
-    "generate-instances-cap", "series-span-cap", "sweep-insertions-cap",
-    "fragment-successes-past-int64", "alg1-degree-past-cap", "fragment-degree-past-cap",
-    "iterative-precision-past-budget", "sweep-rows-cap",
-}
-
-
-@pytest.mark.parametrize("argv, files, code, message", ERROR_EXITS, ids=ERROR_EXIT_IDS)
-def test_process_error_exit_is_one_line(tmp_path, capsys, monkeypatch, request, argv,
-                                        files, code, message):
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
-    argv = [*argv, "--out", str(tmp_path / "out")]
-    if request.node.callspec.id in IN_A_PROCESS:
-        proc = run_process(argv, cwd=tmp_path,
-                           code=FAILING_FIT_PROBE if code == 3 else None)
-        returncode, stderr = proc.returncode, proc.stderr
-    else:
-        monkeypatch.chdir(tmp_path)
-        returncode, stderr = main(argv), capsys.readouterr().err
-    assert returncode == code
-    assert stderr == f"error: {message}\n"  # one line, no traceback
-    assert not (tmp_path / "out").exists()  # a failed command writes nothing
 
 
 FREEZE_PROBE = """
@@ -521,44 +335,3 @@ def test_process_fragment_config_imports_no_utf_8_sig_codec(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "after import: []"
     assert proc.stdout.splitlines()[-1] == "after main: ['numpy.random']"
-
-
-@pytest.mark.parametrize("command", [["sweep", "--n-qubits", "4"], ["oracle"]])
-def test_process_malformed_beta_names_the_list(tmp_path, command):
-    proc = run_process([*command, "--beta", ",", "--out", "s"], cwd=tmp_path)
-    assert proc.returncode == 2
-    lines = proc.stderr.splitlines()
-    assert lines[0].startswith(f"usage: qcoin {command[0]}")
-    assert lines[-1] == (f"qcoin {command[0]}: error: argument --beta: expected a "
-                         "comma-separated list of numbers, got ','")
-    assert not (tmp_path / "s").exists()
-
-
-@pytest.mark.parametrize("flag, value", [
-    ("--model", "ising"), ("--n-qubits", "4"), ("--n-visible", "2"), ("--n-hidden", "2"),
-    ("--seed", "0"),
-])
-def test_process_oracle_spec_rejects_the_flags_it_replaces(tmp_path, flag, value):
-    # each value is the flag's default, so only an explicit flag is rejected
-    (tmp_path / "s.json").write_text(
-        '{"kind": "ising", "n_qubits": 2, "edges": [[0, 1, 0.5]], "seed": 0}')
-    proc = run_process(["oracle", "--spec", "s.json", flag, value, "--out", "o.json"],
-                       cwd=tmp_path)
-    assert proc.returncode == 2
-    assert proc.stderr == (f"error: --spec gives the instance, so {flag} cannot be "
-                           "given with it\n")
-    assert not (tmp_path / "o.json").exists()
-
-
-@pytest.mark.parametrize("argv, unknown", [
-    (["coverage", "alg1", "--n-qubits", "4", "--shots", "5", "--out", "cov"], "--shots 5"),
-    (["oracle", "--bogus", "--out", "o.json"], "--bogus"),
-    (["noise-fit", "--series", "s.csv", "--xi", "0.1", "--out", "fit"], "--xi 0.1"),
-], ids=["dropped-config-flag", "unknown-flag", "config-flag-on-noise-fit"])
-def test_process_unknown_flag_is_reported_by_its_subcommand(tmp_path, argv, unknown):
-    proc = run_process(argv, cwd=tmp_path)
-    assert proc.returncode == 2
-    lines = proc.stderr.splitlines()
-    assert lines[0].startswith(f"usage: qcoin {argv[0]} ")
-    assert lines[-1] == f"qcoin {argv[0]}: error: unrecognized arguments: {unknown}"
-    assert not any(tmp_path.iterdir())

@@ -4,7 +4,6 @@ import json
 import math
 import re
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,6 @@ import pytest
 
 from qcoin.cli import _COMMANDS, main
 from qcoin.experiments import (
-    _FIELDS,
     MODELS,
     SCHEMA_VERSION,
     SeedStream,
@@ -50,6 +48,7 @@ from qcoin.propagator import required_degree
 
 from noise_reference import rss_bound
 from series_file import write_layer_series
+from test_cli_errors import error_tests
 
 SMALL_CFG = """
 # minimal sweep configuration
@@ -105,7 +104,8 @@ def test_load_config_overrides_and_validation(tmp_path):
     assert load_config(path, instances=10_000, schedule_sizes=(10_000,)).instances == 10_000
     with pytest.raises(ValueError, match="field 'instances' must be <= 10000"):
         load_config(path, instances=10_001)
-    with pytest.raises(ValueError, match="field 'schedule_sizes' must hold sizes <= 10000"):
+    with pytest.raises(ValueError, match="field 'schedule_sizes' must hold at most 10000 "
+                                         "steps in all"):
         load_config(path, schedule_sizes=(1, 10**15))
     # frag_eps is a schedule's total error budget
     assert load_config(path, frag_eps=1.0).frag_eps == 1.0
@@ -871,125 +871,8 @@ def test_run_oracle_reads_a_spec_file_with_a_byte_order_mark(tmp_path):
     assert run_oracle(marked, None, (1.0,)) == run_oracle(plain, None, (1.0,))
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["--n-qubits", "0"], "field 'n_qubits' must be >= 1"),
-    (["--n-qubits", "1"], "n_qubits >= 2"),
-    (["--model", "qrbm", "--n-visible", "0"], "field 'n_visible' must be >= 1"),
-    (["--instances", "0"], "field 'instances' must be >= 1"),
-    (["--instances", "-1"], "field 'instances' must be >= 1"),
-], ids=["n-qubits-0", "n-qubits-1", "qrbm-n-visible-0", "instances-0",
-        "instances-negative"])
-def test_cli_generate_rejects_counts_below_minimum(tmp_path, capsys, argv, message):
-    # a count below its minimum is an input error, never a silent default,
-    # and it leaves no output directory behind
-    out = tmp_path / "specs"
-    assert main(["generate", *argv, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert message in err and len(err.strip().splitlines()) == 1
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("argv, config, message", [
-    (["generate", "--model", "qrbm", "--n-qubits", "9"], None,
-     "field 'n_qubits' does not apply to model 'qrbm'"),
-    (["oracle", "--model", "ising", "--n-visible", "7"], None,
-     "field 'n_visible' does not apply to model 'ising'"),
-    (["sweep", "--model", "qrbm", "--n-qubits", "6"], None,
-     "field 'n_qubits' does not apply to model 'qrbm'"),
-    (["fragment"], "n_visible = 3\n", "field 'n_visible' does not apply to model 'ising'"),
-], ids=["generate-qrbm-n-qubits", "oracle-ising-n-visible", "sweep-qrbm-n-qubits",
-        "config-ising-n-visible"])
-def test_cli_other_models_instance_count_is_input_error(tmp_path, capsys, argv, config,
-                                                        message):
-    # an instance count the model does not read is an input error, from a
-    # flag or from a config file, never a silent default instance
-    if config is not None:
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text(config)
-        argv = [*argv, "--config", str(cfg)]
-    out = tmp_path / "out"
-    out_arg = out / "oracle.json" if argv[0] == "oracle" else out
-    assert main([*argv, "--out", str(out_arg)]) == 2
-    err = capsys.readouterr().err
-    assert message in err and len(err.strip().splitlines()) == 1
-    assert not out.exists()
-
-
-SPEC = '{"kind": "ising", "n_qubits": 2, "edges": [[0, 1, 0.5]], "seed": 0}'
-
-
-def series(*rows: str) -> bytes:
-    return "\n".join(["layers,successes,shots", *rows, ""]).encode()
-
-
-# (argv, files, message): one input error each, and its whole stderr message
-INPUT_ERRORS = [
-    (["sweep", "--config", "run.cfg"], {"run.cfg": b"insertions = -1\n"},
-     "field 'insertions' must be >= 0"),
-    (["coverage", "alg1", "--eps-r", "1.5"], {}, "field 'eps_r' must be in (0, 1)"),
-    (["sweep", "--xi", "2"], {}, "field 'xi' must be in [0, 1]"),
-    (["fragment", "--config", "run.cfg"], {"run.cfg": b"schedule_sizes = 0,2\n"},
-     "field 'schedule_sizes' must contain positive sizes"),
-    (["sweep", "--xi", "0.037", "--layers", "9223372036854775800"], {},
-     "field 'layers' must be <= 2^63 - 1 - 2 * insertions = 9223372036854775797: "
-     "the noise fit's depths layers + 2k are int64"),
-    (["noise-fit", "--series", "s.csv"], {"s.csv": series()},
-     "series CSV has no rows after its header"),
-    (["noise-fit", "--series", "s.csv"],
-     {"s.csv": series("10,900,1000", "12,880,999", "14,860,1000")},
-     "all series rows must use the same shot count"),
-    (["noise-fit", "--series", "s.csv"], {"s.csv": series("10,900,1000", "12,0,0")},
-     "series line 3: shots = 0 must be >= 1"),
-    (["noise-fit", "--series", "s.csv"], {"s.csv": series("10,1001,1000")},
-     "series line 2: successes 1001 outside [0, 1000]"),
-    (["oracle", "--spec", "s.json", "--n-qubits", "9", "--seed", "5"],
-     {"s.json": SPEC.encode()},
-     "--spec gives the instance, so --n-qubits --seed cannot be given with it"),
-    (["sweep", "--config", "run.cfg"], {"run.cfg": b"seed = 3\n\xff\n"},
-     "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"),
-    (["sweep", "--config", "run.cfg"], {"run.cfg": b"model = bogus\n"},
-     "field 'model' must be ising or qrbm, got 'bogus'"),
-    (["generate", "--model", "qrbm", "--n-visible", "0"], {},
-     "field 'n_visible' must be >= 1"),
-    (["generate", "--instances", "0"], {}, "field 'instances' must be >= 1"),
-    (["sweep", "--beta", "0.5,-1"], {},
-     "field 'betas' must be non-empty, finite and non-negative"),
-    (["sweep", "--shots", "10000000000000000000"], {},
-     "field 'shots' must be <= 2^63 - 1 = 9223372036854775807: the shots of one row "
-     "are one int64 binomial draw"),
-    (["coverage", "alg2", "--delta", "1"], {}, "field 'delta' must be in (0, 1)"),
-    (["sweep", "--layers", "0"], {}, "field 'layers' must be >= 1"),
-    (["sweep", "--config", "run.cfg"], {"run.cfg": b"fit_beta = 0\n"},
-     "field 'fit_beta' must be positive and finite"),
-    (["coverage", "alg1", "--reps", "0"], {}, "field 'reps' must be >= 1"),
-    # one past the cap, so that a broken cap costs one run of ~0.5 s
-    (["coverage", "alg1", "--reps", "1000001"], {},
-     "field 'reps' must be <= 1000000: a coverage command holds every repetition in "
-     "memory"),
-    (["fragment", "--config", "run.cfg"], {"run.cfg": b"frag_successes = 0\n"},
-     "field 'frag_successes' must be >= 1"),
-]
-INPUT_ERROR_IDS = [
-    "config-insertions-negative", "eps-r-above-one", "xi-above-one",
-    "schedule-size-zero", "layers-depths-past-int64", "series-header-only",
-    "series-two-shot-counts", "series-zero-shots", "series-successes-past-shots",
-    "oracle-spec-with-instance-flags", "config-not-utf8", "config-model-unknown",
-    "qrbm-n-visible-zero", "instances-zero", "betas-negative", "shots-past-int64", "delta-one", "layers-zero", "config-fit-beta-zero", "reps-zero",
-    "reps-past-cap", "config-frag-successes-zero",
-]
-
-
-@pytest.mark.parametrize("argv, files, message", INPUT_ERRORS, ids=INPUT_ERROR_IDS)
-def test_cli_input_error_is_one_line_and_writes_nothing(tmp_path, capsys, monkeypatch,
-                                                        argv, files, message):
-    # input errors, run in process so that a line trace reaches each raise:
-    # exit 2, one "error: ..." line, and no --out left behind
-    monkeypatch.chdir(tmp_path)
-    for name, data in files.items():
-        (tmp_path / name).write_bytes(data)
-    assert main([*argv, "--out", "out"]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (tmp_path / "out").exists()
+# the error exits that test_cli_errors.py files under this module's tests
+globals().update(error_tests("test_experiments_cli"))
 
 
 def test_cli_sweep_row_cap_holds_before_any_seed(tmp_path, capsys, monkeypatch):
@@ -1010,47 +893,6 @@ def test_cli_sweep_row_cap_holds_before_any_seed(tmp_path, capsys, monkeypatch):
         assert not (tmp_path / "out").exists()
 
 
-def test_input_error_cases_pin_every_field_bound():
-    # every bound of a _FIELDS row is the whole message of some case, here
-    # or in test_cli_process's error table
-    from test_cli_process import ERROR_EXITS
-
-    bounds = {(name, words) for name, (_, _, *tests) in _FIELDS.items()
-              for _, words in tests}
-    pinned = set()
-    for message in [case[-1] for case in INPUT_ERRORS + ERROR_EXITS]:
-        said = re.fullmatch(r"field '(\w+)' must (.+)", message)
-        pinned |= {(name, words) for name, words in bounds if said and name == said[1]
-                   and re.fullmatch(re.escape(words).replace(re.escape("{!r}"), "'.+'"),
-                                    said[2])}
-    assert sorted(bounds - pinned) == []
-
-
-@pytest.mark.parametrize("argv, config, message", [
-    (["oracle", "--beta", "nan"], None, "beta must be finite"),
-    (["oracle", "--beta", "inf"], None, "beta must be finite"),
-    (["sweep", "--n-qubits", "4", "--beta", "0.5,inf"], None, "field 'betas'"),
-    (["coverage", "alg1", "--beta", "nan"], None, "field 'betas'"),
-    (["fragment", "--beta", "nan"], None, "field 'betas'"),
-    (["sweep"], "fit_beta = nan\n", "field 'fit_beta'"),
-    (["sweep"], "fit_beta = inf\n", "field 'fit_beta'"),
-    (["fragment"], "frag_eps = nan\n", "field 'frag_eps'"),
-    (["fragment"], "frag_eps = inf\n", "field 'frag_eps'"),
-], ids=["oracle-nan", "oracle-inf", "sweep-inf", "coverage-nan", "fragment-nan",
-        "fit-beta-nan", "fit-beta-inf", "frag-eps-nan", "frag-eps-inf"])
-def test_cli_non_finite_float_is_input_error(tmp_path, capsys, argv, config, message):
-    if config is not None:
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text(config)
-        argv = [*argv, "--config", str(cfg)]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
-    assert not caught
-    err = capsys.readouterr().err
-    assert message in err and len(err.strip().splitlines()) == 1
-
-
 def test_cli_sweep_and_exit_codes(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(SMALL_CFG)
@@ -1060,17 +902,6 @@ def test_cli_sweep_and_exit_codes(tmp_path, capsys):
     ]) == 0
     capsys.readouterr()
     assert (tmp_path / "out" / "sweep.csv").exists()
-
-    bad = tmp_path / "bad.txt"
-    bad.write_text("model = bogus\n")
-    assert main(["sweep", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
-    assert main([
-        "sweep", "--config", str(tmp_path / "missing.txt"),
-        "--out", str(tmp_path / "x"),
-    ]) == 2
-    capsys.readouterr()
-    assert main(["sweep", "--n-qubits", "13", "--out", str(tmp_path / "x")]) == 2
-    assert "cap" in capsys.readouterr().err
 
 
 def test_cli_coverage_and_fragment(tmp_path, capsys):
@@ -1100,64 +931,6 @@ def test_cli_fragment_qrbm(tmp_path, capsys):
     for row in rows:
         assert float(row["product_rel_err"]) <= 1e-12
         assert float(row["empirical_queries_per_success"]) > 0
-
-
-def test_cli_fragment_infeasible_probability_is_input_error(tmp_path, capsys):
-    # Ising n = 10 at beta 20: p_full ~ 1e-34, ~2e37 expected attempts
-    assert main([
-        "fragment", "--n-qubits", "10", "--beta", "20",
-        "--out", str(tmp_path / "frag"),
-    ]) == 2
-    err = capsys.readouterr().err
-    assert "toss budget infeasible: expected tosses = 2000 / p = " in err
-    assert len(err.strip().splitlines()) == 1
-
-
-@pytest.mark.parametrize("argv, count", [
-    (["coverage", "alg1", "--n-qubits", "12", "--beta", "8"], "count = "),
-    (["sweep", "--n-qubits", "4", "--shots", "10000000000000000000"],
-     "field 'shots' must be <= 2^63 - 1"),
-    (["sweep", "--n-qubits", "4", "--shots", "10000000000000000000", "--xi", "0.037"],
-     "field 'shots' must be <= 2^63 - 1"),
-    # alg2's expected tosses 500 / p: 7.3e20 (p = 6.9e-19), then 1.8e95,
-    # where the coin beta also passes float64's exp limit
-    (["coverage", "alg2", "--n-qubits", "8", "--seed", "3", "--beta", "8",
-      "--reps", "3"], "expected tosses = 500 / p = 7.29885e+20"),
-    (["coverage", "alg2", "--n-qubits", "12", "--beta", "30", "--reps", "3"],
-     "expected tosses = 500 / p = "),
-], ids=["coverage-alg1", "sweep", "sweep-noise", "coverage-alg2",
-        "coverage-alg2-past-exp"])
-def test_cli_toss_count_past_int64_is_input_error(tmp_path, capsys, argv, count):
-    # numpy's int64 draws count at most 2^63 - 1 tosses
-    assert main([*argv, "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert count in err and "2^63 - 1" in err and len(err.strip().splitlines()) == 1
-
-
-@pytest.mark.parametrize("argv", [
-    ["coverage", "alg1"], ["coverage", "alg2"], ["coverage", "iterative"], ["fragment"],
-], ids=["alg1", "alg2", "iterative", "fragment"])
-def test_cli_underflowed_coin_is_one_input_error(tmp_path, capsys, argv):
-    # at coin beta ~2.6e6 this instance's heads probability underflows to
-    # 0.0: every sampling command reports it before any draw
-    out = tmp_path / "out"
-    assert main([*argv, "--n-qubits", "12", "--beta", "1e5", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err == ("error: the coin's heads probability underflows to 0 at "
-                   "beta_coin = 2.6269e+06: no head can be drawn\n")
-    assert not out.exists()
-
-
-def test_cli_additive_runner_budget_is_input_error(tmp_path, capsys):
-    # Ising n = 8 at beta 12: the halving rounds reach an additive precision
-    # that needs more than the runner's toss budget
-    assert main([
-        "coverage", "iterative", "--n-qubits", "8", "--beta", "12", "--reps", "1",
-        "--out", str(tmp_path),
-    ]) == 2
-    err = capsys.readouterr().err
-    assert "toss budget infeasible" in err and "_TOSS_BUDGET" in err
-    assert len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("algorithm", ["alg1", "alg2", "iterative"])
@@ -1203,18 +976,6 @@ def test_cli_coverage_past_float64_bessel_range(tmp_path, capsys, algorithm):
     degree = required_degree(report["beta_coin"], 1e-16)
     assert report["mean_queries"] == pytest.approx(degree * report["mean_samples"],
                                                    rel=1e-12)
-
-
-@pytest.mark.parametrize("eps_r", ["1e-300", "1e-160"])
-def test_cli_iterative_precision_past_the_toss_budget_is_input_error(
-    tmp_path, capsys, eps_r
-):
-    # eps_r / 2 squared underflows (1e-300) or its reciprocal overflows
-    # (1e-160): the run is refused before any draw, with no numpy warning
-    assert main(["coverage", "iterative", "--n-qubits", "4", "--eps-r", eps_r,
-                 "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert "toss budget infeasible" in err and len(err.strip().splitlines()) == 1
 
 
 def _reject_constant(name):
@@ -1287,34 +1048,6 @@ def test_config_commands_offer_the_flags_their_runner_reads():
         if offered != read:
             mismatched.append((command, sorted(offered - read), sorted(read - offered)))
     assert mismatched == [], "(command, offered but not read, read but not offered)"
-
-
-# the config flags that each config command's runner does not read
-DROPPED_FLAGS = {
-    ("sweep",): "--eps-r --reps",
-    ("coverage", "alg1"): "--shots --xi --layers --instances",
-    ("fragment",): "--shots --eps-r --delta --xi --layers --instances --reps",
-}
-
-
-@pytest.mark.parametrize("command, flag", [
-    (command, flag) for command, flags in DROPPED_FLAGS.items() for flag in flags.split()])
-def test_cli_config_command_rejects_a_flag_it_does_not_read(tmp_path, capsys, command,
-                                                            flag):
-    out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exit_info:
-        main([*command, "--n-qubits", "4", flag, "3", "--out", str(out)])
-    assert exit_info.value.code == 2
-    assert f"error: unrecognized arguments: {flag} 3" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_cli_noise_fit_degenerate_is_input_error(tmp_path, capsys):
-    series_path = tmp_path / "flat.csv"
-    write_layer_series(series_path, [10, 12, 14], [500, 500, 500], 1000)
-    assert main([
-        "noise-fit", "--series", str(series_path), "--out", str(tmp_path / "nf"),
-    ]) == 2
 
 
 SWEEP_N4_XI = ["sweep", "--n-qubits", "4", "--instances", "1", "--beta", "1", "--xi", "0.01"]
